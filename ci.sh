@@ -110,6 +110,20 @@ recovery_smoke() {
     echo "recovery_smoke: crash sweeps + WAL frame properties green"
 }
 
+# The adaptive serving demo doubles as the refresh smoke test: after
+# serving across >= 3 generations it *asserts* the two count laws of a
+# refine on the index the refresher last published — a drifted refine
+# leaves allocated == reachable in both arenas (validate::check), and a
+# refine over an unchanged window allocates nothing and takes one step
+# per class node. Timed like every step: a refresh that stops costing
+# what changed shows up here first.
+refine_smoke() {
+    local out
+    out=$(mktemp -d)
+    (cd "$out" && timeout 120 "$OLDPWD/target/release/adaptive")
+    rm -rf "$out"
+}
+
 # The network load generator is the serving smoke test: it drives a
 # real apex-net socket server closed- and open-loop while the refresher
 # swaps index generations underneath, then drains and *asserts* the
@@ -142,6 +156,7 @@ run plan_smoke
 run net_smoke
 run shard_smoke
 run recovery_smoke
+run refine_smoke
 run stress
 run cargo clippy --offline --workspace --all-targets -- "${CLIPPY_EXTRA[@]}" -D warnings
 run cargo run --release --offline --quiet -p apex-lint -- --root .

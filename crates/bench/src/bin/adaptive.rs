@@ -11,6 +11,13 @@
 //! per-generation query counts, run latency percentiles, and the wall
 //! time of each snapshot swap.
 //!
+//! It is also CI's `refine_smoke`: after the phases it *asserts* the two
+//! count laws of a refresh on the index the refresher last published —
+//! a drifted refine leaves both arenas holding exactly their live nodes
+//! (`allocated == reachable`, checked by `validate::check`), and a
+//! refine over an unchanged window allocates nothing in either arena
+//! and takes one step per class node.
+//!
 //! ```bash
 //! cargo run --release --bin adaptive            # small scale
 //! cargo run --release --bin adaptive -- --scale paper
@@ -20,7 +27,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use apex::{Apex, IndexCell, RefreshPolicy, Refresher, WorkloadMonitor};
+use apex::extract::extract_frequent;
+use apex::{update_apex, Apex, IndexCell, RefreshPolicy, Refresher, WorkloadMonitor};
 use apex_bench::report::{BenchReport, Json};
 use apex_bench::{print_adaptive_header, print_adaptive_row, Experiment, Scale};
 use apex_query::batch::run_adaptive;
@@ -101,6 +109,56 @@ fn main() {
             d.name(),
             generations
         );
+
+        // Count law 1 — drifted refine: the published index went through
+        // one refine per swap, each over another window.
+        let snap = cell.snapshot();
+        let violations = apex::validate::check(&g, snap.index());
+        assert!(
+            violations.is_empty(),
+            "{}: published index after {} swaps: {violations:#?}",
+            d.name(),
+            serve_stats.refreshes
+        );
+        // Count law 2 — no-change refine: settle a copy on the monitor's
+        // current window, then run the two phases of a refine over the
+        // same window again, without the collection at its end.
+        let (wl, min_sup) = match monitor.lock() {
+            Ok(m) => (m.workload(), m.min_sup()),
+            Err(_) => {
+                eprintln!("{}: monitor lock poisoned", d.name());
+                continue;
+            }
+        };
+        let mut settled = snap.index().clone();
+        settled.refine(&g, &wl, min_sup);
+        let classes = settled.stats().nodes;
+        let (mut ga, mut ht) = (settled.graph().clone(), settled.hash_tree().clone());
+        let t0 = std::time::Instant::now();
+        extract_frequent(&mut ht, &wl, min_sup);
+        let steps = update_apex(&g, &mut ga, &mut ht, settled.xroot());
+        let no_change_ms = millis(t0.elapsed());
+        println!(
+            "{:<18} no-change refine: {steps} steps over {classes} classes, {} + {} arena nodes, {no_change_ms:.2} ms",
+            d.name(),
+            ga.allocated(),
+            ht.allocated(),
+        );
+        assert_eq!(steps, classes, "{}: one step per class node", d.name());
+        assert_eq!(
+            (ga.allocated(), ht.allocated()),
+            (settled.graph().allocated(), settled.hash_tree().allocated()),
+            "{}: a no-change refine must allocate nothing",
+            d.name()
+        );
+        report.push(Json::Obj(vec![
+            ("dataset", Json::str(d.name())),
+            ("no_change_refine_steps", Json::U64(steps as u64)),
+            ("classes", Json::U64(classes as u64)),
+            ("xnodes_allocated", Json::U64(ga.allocated() as u64)),
+            ("hnodes_allocated", Json::U64(ht.allocated() as u64)),
+            ("no_change_refine_ms", Json::F64(no_change_ms)),
+        ]));
     }
     match report.write() {
         Ok(p) => println!("wrote {}", p.display()),

@@ -10,22 +10,22 @@
 use crate::hashtree::HashTree;
 use crate::workload::Workload;
 
-/// Runs the extraction pass: resets counters, counts every distinct
-/// subpath of every workload query, and prunes `H_APEX` at
-/// `min_sup × |workload|`. The `xnode` invalidations of §5.2 happen
+/// Runs the extraction pass: counts every distinct subpath of every
+/// workload query **beside** `H_APEX`, makes the subpaths that reach
+/// `min_sup × |workload|` required, and prunes the rest. Only entries
+/// whose support crossed the threshold are touched — an infrequent
+/// subpath never enters the tree, so the classes of entries it would
+/// have hung under stay valid. The `xnode` invalidations of §5.2 happen
 /// inside [`HashTree::prune`]; call [`crate::update::update_apex`]
 /// afterwards to re-materialize `G_APEX`.
 pub fn extract_frequent(ht: &mut HashTree, workload: &Workload, min_sup: f64) {
+    let threshold = min_sup * workload.len() as f64;
     ht.reset_counts();
-    for query in workload.iter() {
-        // `subpaths()` deduplicates, so a query counts each of its
-        // subpaths once — support is "fraction of queries having p as a
-        // subpath", exactly the paper's definition.
-        for sub in query.subpaths() {
-            ht.count_path(sub.labels());
+    for (path, count) in workload.subpath_counts() {
+        if f64::from(count) >= threshold {
+            ht.require(path.labels(), count);
         }
     }
-    let threshold = min_sup * workload.len() as f64;
     ht.prune(threshold);
 }
 
@@ -48,7 +48,7 @@ mod tests {
         }
         // Seed required path B.D.
         let bd = LabelPath::parse(&g, "name.title").unwrap();
-        ht.count_path(bd.labels());
+        ht.require(bd.labels(), 1);
         ht.prune(0.5);
 
         // New workload.
@@ -113,6 +113,29 @@ mod tests {
         assert!(!req.contains(&"actor.name".to_string()));
         // All length-1 labels survive even at 0 count.
         assert!(req.contains(&"@director".to_string()));
+    }
+
+    #[test]
+    fn infrequent_subpath_leaves_a_cold_head_class_alone() {
+        // `title` is cold (1 of 10 queries, threshold 3) and so is
+        // movie.title: counting must not hang a transient chain under
+        // head[title], and pruning must not clear its valid class.
+        let g = moviedb();
+        let mut ht = HashTree::new();
+        for (l, _) in g.labels().iter() {
+            ht.ensure_head_entry(l);
+        }
+        let title = g.label_id("title").unwrap();
+        let head = ht.head();
+        ht.set_xnode(EntryRef::Label(head, title), crate::graph::XNodeId(5));
+        let mut queries = vec!["actor.name"; 9];
+        queries.push("movie.title");
+        let wl = Workload::parse(&g, &queries).unwrap();
+        extract_frequent(&mut ht, &wl, 0.3);
+        let e = ht.entry(head, title).unwrap();
+        assert_eq!((e.xnode, e.next), (Some(crate::graph::XNodeId(5)), None));
+        // Only actor.name's chain was ever allocated.
+        assert_eq!(ht.allocated(), 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@ impl XNodeId {
 ///
 /// By construction a node has at most one outgoing edge per label: the
 /// target is determined by `H_APEX` lookup of the extended path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct XNode {
     /// The extent: incoming data edges of the nodes this class represents.
     pub extent: EdgeSet,
@@ -32,8 +32,9 @@ pub struct XNode {
     pub visited: bool,
 }
 
-/// Arena of [`XNode`]s. Nodes orphaned by incremental updates simply
-/// become unreachable; [`GApex::reachable_stats`] reports live size.
+/// Arena of [`XNode`]s. Nodes orphaned by an incremental update are
+/// unreachable until [`GApex::compact`] drops them at the end of the
+/// same `refine`; [`GApex::reachable_stats`] reports live size.
 #[derive(Debug, Clone, Default)]
 pub struct GApex {
     nodes: Vec<XNode>,
@@ -57,7 +58,8 @@ impl GApex {
         id
     }
 
-    /// Total allocated nodes (including unreachable ones).
+    /// Total allocated nodes (including ones orphaned since the last
+    /// [`GApex::compact`]).
     pub fn allocated(&self) -> usize {
         self.nodes.len()
     }
@@ -116,6 +118,38 @@ impl GApex {
         for n in &mut self.nodes {
             n.visited = false;
         }
+    }
+
+    /// Rebuilds the arena as exactly the nodes reachable from `root`,
+    /// numbered breadth-first (`root` becomes node 0) with each node's
+    /// out-edges sorted and followed in label order, so the numbering
+    /// depends on the graph's shape alone, not on the update history.
+    /// Returns the old-arena-index → new-id map (`None` = dropped) for
+    /// rewriting the pointers `H_APEX` holds.
+    pub fn compact(&mut self, root: XNodeId) -> Vec<Option<XNodeId>> {
+        let mut map: Vec<Option<XNodeId>> = vec![None; self.nodes.len()];
+        // Old ids in their new order; position = new id.
+        let mut order = vec![root];
+        map[root.idx()] = Some(XNodeId(0));
+        let mut i = 0;
+        while let Some(&x) = order.get(i) {
+            let edges = &mut self.nodes[x.idx()].edges;
+            edges.sort_unstable_by_key(|&(label, _)| label);
+            for (_, t) in edges {
+                let new = *map[t.idx()].get_or_insert_with(|| {
+                    order.push(*t);
+                    XNodeId(order.len() as u32 - 1)
+                });
+                *t = new;
+            }
+            i += 1;
+        }
+        let mut old = std::mem::take(&mut self.nodes);
+        self.nodes = order
+            .iter()
+            .map(|x| std::mem::take(&mut old[x.idx()]))
+            .collect();
+        map
     }
 
     /// Nodes and edges reachable from `root` — the index size that
@@ -189,6 +223,41 @@ mod tests {
         assert_eq!((n, e), (2, 2));
         assert_eq!(g.allocated(), 3);
         assert_eq!(g.reachable(root).len(), 2);
+    }
+
+    #[test]
+    fn compact_drops_orphans_and_renumbers_in_label_order() {
+        let mut g = GApex::new();
+        let _orphan = g.new_node(Some(LabelId(9)));
+        let root = g.new_node(None);
+        let b = g.new_node(Some(LabelId(2)));
+        let a = g.new_node(Some(LabelId(1)));
+        g.node_mut(a).extent.insert(apex_storage::EdgePair::new(
+            xmlgraph::NodeId(3),
+            xmlgraph::NodeId(4),
+        ));
+        g.make_edge(root, b, LabelId(2));
+        g.make_edge(root, a, LabelId(1));
+        g.make_edge(b, a, LabelId(1));
+        g.make_edge(a, a, LabelId(1)); // self-loop
+        let map = g.compact(root);
+        assert_eq!(
+            map,
+            vec![None, Some(XNodeId(0)), Some(XNodeId(2)), Some(XNodeId(1))]
+        );
+        assert_eq!(g.allocated(), 3);
+        assert_eq!(g.reachable(XNodeId(0)).len(), 3);
+        // Edges sorted by label and retargeted; extents travel with nodes.
+        assert_eq!(
+            g.node(XNodeId(0)).edges,
+            vec![(LabelId(1), XNodeId(1)), (LabelId(2), XNodeId(2))]
+        );
+        assert_eq!(g.node(XNodeId(2)).edges, vec![(LabelId(1), XNodeId(1))]);
+        assert_eq!(g.node(XNodeId(1)).edges, vec![(LabelId(1), XNodeId(1))]);
+        assert_eq!(g.extent(XNodeId(1)).len(), 1);
+        // Compacting a compact arena is the identity.
+        let again = g.compact(XNodeId(0));
+        assert_eq!(again, (0..3).map(|i| Some(XNodeId(i))).collect::<Vec<_>>());
     }
 
     #[test]

@@ -32,9 +32,10 @@ impl HNodeId {
 /// label is the map key).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Entry {
-    /// Workload frequency of the label path this entry represents.
+    /// Workload frequency of the label path this entry represents, if
+    /// it reached the threshold in the last window (0 otherwise).
     pub count: u32,
-    /// True if the entry was created during the current counting pass.
+    /// True if the entry was created during the current extraction pass.
     pub new: bool,
     /// The `G_APEX` node for this path, if it is a maximal required suffix.
     pub xnode: Option<XNodeId>,
@@ -134,8 +135,8 @@ impl HashTree {
         &self.nodes[h.idx()]
     }
 
-    /// Total allocated hash nodes (including ones orphaned by pruning);
-    /// used by persistence, which stores the arena verbatim.
+    /// Total allocated hash nodes. Pruning orphans nodes until the next
+    /// [`HashTree::compact`]; persistence stores the arena verbatim.
     pub fn allocated(&self) -> usize {
         self.nodes.len()
     }
@@ -331,27 +332,27 @@ impl HashTree {
         }
     }
 
-    /// Increments the count of the entry representing `path`, creating
-    /// the entry chain as needed (`frequencyCount`, Figure 8). Newly
-    /// created entries get `new = true`.
-    pub fn count_path(&mut self, path: &[LabelId]) {
+    /// Makes `path` a required path with workload frequency `count`,
+    /// creating the entry chain as needed (the insert half of
+    /// `frequencyCount`, Figure 8). Newly created entries get
+    /// `new = true`. Extraction counts the window *beside* the tree and
+    /// calls this for frequent paths only, so no transient chain ever
+    /// hangs under an entry whose class is still valid.
+    pub fn require(&mut self, path: &[LabelId], count: u32) {
         debug_assert!(!path.is_empty());
+        let fresh = Entry {
+            new: true,
+            ..Entry::default()
+        };
         let mut hnode = self.head;
         // Walk/create from the last label towards the first.
-        for i in (1..path.len()).rev() {
-            let label = path[i];
-            let fresh = !self.nodes[hnode.idx()].entries.contains_key(&label);
-            if fresh {
-                self.nodes[hnode.idx()].entries.insert(
-                    label,
-                    Entry {
-                        new: true,
-                        ..Entry::default()
-                    },
-                );
-            }
-            let next = self.nodes[hnode.idx()].entries[&label].next;
-            let next = match next {
+        for &label in path[1..].iter().rev() {
+            let next = self.nodes[hnode.idx()]
+                .entries
+                .entry(label)
+                .or_insert(fresh)
+                .next;
+            hnode = match next {
                 Some(h) => h,
                 None => {
                     let h = self.alloc();
@@ -361,23 +362,19 @@ impl HashTree {
                     h
                 }
             };
-            hnode = next;
         }
-        let label = path[0];
-        let e = self.nodes[hnode.idx()]
+        self.nodes[hnode.idx()]
             .entries
-            .entry(label)
-            .or_insert(Entry {
-                new: true,
-                ..Entry::default()
-            });
-        e.count += 1;
+            .entry(path[0])
+            .or_insert(fresh)
+            .count = count;
     }
 
     /// `pruningHAPEX` (Figure 8): removes entries with `count <
     /// threshold`, collapses empty subnodes, and invalidates `xnode`
     /// fields whose classes changed (both §5.2 cases). Head entries are
-    /// never removed (length-1 paths are always required).
+    /// never removed (length-1 paths are always required); a cold head
+    /// label loses its subtree because nothing below it can be frequent.
     pub fn prune(&mut self, threshold: f64) {
         let head = self.head;
         self.prune_node(head, threshold);
@@ -390,32 +387,19 @@ impl HashTree {
         let mut saw_new_survivor = false;
         for label in labels {
             let e = self.nodes[h.idx()].entries[&label];
-            if (e.count as f64) < threshold {
-                // Drop the whole subtree; the head entry itself survives
-                // (length-1 paths are always required) but loses both its
-                // subtree and, if it had one, regains a direct class later
-                // via updateAPEX.
-                if is_head {
-                    if let Some(slot) = self.nodes[h.idx()].entries.get_mut(&label) {
-                        if slot.next.is_some() {
-                            slot.next = None;
-                            slot.xnode = None; // class changed: recompute
-                        }
-                    }
-                } else {
-                    self.nodes[h.idx()].entries.remove(&label);
-                }
+            if !is_head && (e.count as f64) < threshold {
+                // Drop the whole subtree with the entry.
+                self.nodes[h.idx()].entries.remove(&label);
                 continue;
             }
-            // Frequent entry: recurse first.
-            if let Some(next) = e.next {
-                if self.prune_node(next, threshold) {
-                    if let Some(slot) = self.nodes[h.idx()].entries.get_mut(&label) {
-                        slot.next = None;
-                    }
-                }
-            }
+            let emptied = e.next.is_some_and(|next| self.prune_node(next, threshold));
             if let Some(slot) = self.nodes[h.idx()].entries.get_mut(&label) {
+                if emptied {
+                    // No longer required path extends this one: the entry
+                    // is a maximal suffix again and regains a direct
+                    // class via updateAPEX.
+                    slot.next = None;
+                }
                 // §5.2 case 1: was a maximal suffix, is not any more (both
                 // next and xnode non-NULL) — invalidate xnode.
                 if slot.next.is_some() && slot.xnode.is_some() {
@@ -433,6 +417,36 @@ impl HashTree {
             self.nodes[h.idx()].remainder = None;
         }
         !is_head && self.nodes[h.idx()].entries.is_empty()
+    }
+
+    /// Rebuilds the arena as exactly the hash nodes reachable from the
+    /// head, numbered breadth-first with each node's entries taken in
+    /// label order, and rewrites every `xnode`/`remainder` through
+    /// `xmap` (old `G_APEX` arena index → new id, as returned by
+    /// [`crate::graph::GApex::compact`]). The numbering depends on the
+    /// tree's shape alone, not on the history that produced it.
+    pub fn compact(&mut self, xmap: &[Option<XNodeId>]) {
+        let remap = |x: Option<XNodeId>| x.and_then(|x| xmap.get(x.idx()).copied().flatten());
+        let mut old = std::mem::take(&mut self.nodes);
+        // Old ids in their new order; position = new id.
+        let mut order = vec![self.head];
+        let mut i = 0;
+        while let Some(&h) = order.get(i) {
+            let mut node = std::mem::take(&mut old[h.idx()]);
+            node.remainder = remap(node.remainder);
+            let mut entries: Vec<(&LabelId, &mut Entry)> = node.entries.iter_mut().collect();
+            entries.sort_unstable_by_key(|(l, _)| **l);
+            for (_, e) in entries {
+                e.xnode = remap(e.xnode);
+                if let Some(next) = e.next {
+                    e.next = Some(HNodeId(order.len() as u32));
+                    order.push(next);
+                }
+            }
+            self.nodes.push(node);
+            i += 1;
+        }
+        self.head = HNodeId(0);
     }
 
     /// Clears every `xnode` pointer and remainder in the tree (used when
@@ -513,16 +527,17 @@ mod tests {
     }
 
     #[test]
-    fn count_path_builds_reverse_chains() {
+    fn require_builds_reverse_chains() {
         let mut t = HashTree::new();
         // Path A.D stored as head[D] -> subnode[A].
         let (a, d) = (l(0), l(3));
-        t.count_path(&[a, d]);
+        t.require(&[a, d], 1);
         let head_d = t.entry(t.head(), d).expect("D at head");
         let sub = head_d.next.expect("subnode");
-        assert_eq!(t.entry(sub, a).map(|e| e.count), Some(1));
-        t.count_path(&[a, d]);
+        assert_eq!(t.entry(sub, a).map(|e| (e.count, e.new)), Some((1, true)));
+        t.require(&[a, d], 2);
         assert_eq!(t.entry(sub, a).map(|e| e.count), Some(2));
+        assert_eq!(t.allocated(), 2, "an existing chain is reused");
         // D itself was not counted by these calls.
         assert_eq!(t.entry(t.head(), d).map(|e| e.count), Some(0));
     }
@@ -534,7 +549,7 @@ mod tests {
         for lab in [a, b, d] {
             t.ensure_head_entry(lab);
         }
-        t.count_path(&[b, d]); // required: B.D
+        t.require(&[b, d], 1); // required: B.D
         let mut probes = 0;
         // lookup(A.B.D) -> entry for B.D (matched 2).
         let got = t.locate(&[a, b, d], &mut probes).expect("known label");
@@ -571,7 +586,7 @@ mod tests {
         for lab in [a, b, d] {
             t.ensure_head_entry(lab);
         }
-        t.count_path(&[b, d]);
+        t.require(&[b, d], 1);
         // Wire xnodes: head A -> x0; head B -> x1; subnode(D)[B] -> x2,
         // subnode(D).remainder -> x3.
         let mut probes = 0;
@@ -614,10 +629,10 @@ mod tests {
         for lab in [a, b, c, d] {
             t.ensure_head_entry(lab);
         }
-        // Make B.D required initially (counting all subpaths, as the
+        // Make B.D required initially (with all its subpaths, as the
         // extraction pass does).
         for p in [[b].as_slice(), [d].as_slice(), [b, d].as_slice()] {
-            t.count_path(p);
+            t.require(p, 1);
         }
         t.prune(0.5); // threshold below 1: B.D survives with count 1
         let sub = t.entry(t.head(), d).unwrap().next.expect("B.D chain");
@@ -627,15 +642,11 @@ mod tests {
         let rd = t.locate(&[a, d], &mut probes).unwrap().entry;
         t.set_xnode(rd, XNodeId(9)); // remainder.D -> &9
 
-        // New workload {A.D, C, A.D}.
+        // New workload {A.D, C, A.D}: A, D and A.D reach the threshold
+        // (count 2), C (count 1) does not.
         t.reset_counts();
-        for q in [[a, d].as_slice(), [c].as_slice(), [a, d].as_slice()] {
-            // count all subpaths of each query
-            t.count_path(q);
-            if q.len() == 2 {
-                t.count_path(&q[..1]);
-                t.count_path(&q[1..]);
-            }
+        for p in [[a].as_slice(), [d].as_slice(), [a, d].as_slice()] {
+            t.require(p, 2);
         }
         t.prune(1.8);
 
@@ -657,11 +668,42 @@ mod tests {
         let (a, d) = (l(0), l(3));
         t.ensure_head_entry(a);
         t.ensure_head_entry(d);
-        t.count_path(&[a, d]);
+        t.require(&[a, d], 1);
         t.reset_counts();
         // Nothing counted: A.D dies; subnode collapses; head D keeps.
         t.prune(1.0);
         assert!(t.entry(t.head(), d).unwrap().next.is_none());
+    }
+
+    #[test]
+    fn compact_renumbers_in_label_order_and_remaps_xnodes() {
+        let mut t = HashTree::new();
+        let (a, b, d) = (l(0), l(1), l(3));
+        // Allocate the D chain before the B chain, then orphan a node.
+        t.require(&[a, d], 1);
+        t.require(&[a, b, d], 1);
+        t.require(&[d, b], 1);
+        t.reset_counts();
+        t.require(&[a, d], 1);
+        t.require(&[d, b], 1);
+        t.require(&[d], 1);
+        t.require(&[b], 1);
+        t.prune(1.0); // A.B.D dies, its hash node is orphaned
+        assert_eq!(t.allocated(), 4);
+        let sub_d = t.entry(t.head(), d).unwrap().next.unwrap();
+        t.set_xnode(EntryRef::Label(sub_d, a), XNodeId(7));
+        t.set_xnode(EntryRef::Remainder(sub_d), XNodeId(9));
+        let mut xmap = vec![None; 10];
+        xmap[7] = Some(XNodeId(1));
+        // XNodeId(9) is not live: the pointer is dropped.
+        t.compact(&xmap);
+        assert_eq!(t.allocated(), 3);
+        // B < D in label order, so B's subnode is numbered first.
+        assert_eq!(t.entry(t.head(), b).unwrap().next, Some(HNodeId(1)));
+        assert_eq!(t.entry(t.head(), d).unwrap().next, Some(HNodeId(2)));
+        assert_eq!(t.entry(HNodeId(2), a).unwrap().xnode, Some(XNodeId(1)));
+        assert_eq!(t.node(HNodeId(2)).remainder, None);
+        assert_eq!(t.required_paths().len(), 4);
     }
 
     #[test]
@@ -670,7 +712,7 @@ mod tests {
         let (a, d) = (l(0), l(3));
         t.ensure_head_entry(a);
         t.ensure_head_entry(d);
-        t.count_path(&[a, d]);
+        t.require(&[a, d], 1);
         let req = t.required_paths();
         assert!(req.contains(&vec![a]));
         assert!(req.contains(&vec![d]));

@@ -80,11 +80,26 @@ impl Apex {
     }
 
     /// Adapts the index to `workload` at threshold `min_sup` — Figure 8
-    /// (extraction + pruning) followed by Figure 11 (incremental update).
-    /// Returns the number of update steps performed.
+    /// (extraction + pruning) followed by Figure 11 (incremental update)
+    /// — then collects both arenas, so the index that is cloned,
+    /// persisted and recovered holds exactly its live nodes under ids
+    /// that depend on its shape alone. Returns the number of update
+    /// steps performed.
     pub fn refine(&mut self, g: &XmlGraph, workload: &Workload, min_sup: f64) -> usize {
         extract_frequent(&mut self.ht, workload, min_sup);
-        update_apex(g, &mut self.ga, &mut self.ht, self.xroot)
+        let steps = update_apex(g, &mut self.ga, &mut self.ht, self.xroot);
+        let xmap = self.ga.compact(self.xroot);
+        debug_assert!(
+            {
+                let mut held = Vec::new();
+                self.ht.subtree_xnodes(self.ht.head(), &mut held);
+                held.iter().all(|x| xmap[x.idx()].is_some())
+            },
+            "H_APEX holds a class node that xroot does not reach"
+        );
+        self.ht.compact(&xmap);
+        self.xroot = XNodeId(0);
+        steps
     }
 
     /// The root node of `G_APEX`.

@@ -26,7 +26,8 @@
 //!
 //! * [`Apex::build_initial`] is Figure 6 (`APEX⁰`, the 1-RO-like seed);
 //! * [`Apex::refine`] is Figure 8 (one-scan frequent-subpath extraction +
-//!   pruning) followed by Figure 11 (`updateAPEX`, incremental update);
+//!   pruning) followed by Figure 11 (`updateAPEX`, incremental update),
+//!   then a collection of both arenas to their live nodes;
 //! * [`Apex::lookup`] is Figure 9;
 //! * [`Apex::segment_nodes`] exposes the extent unions that the paper's
 //!   query processor joins to answer partial-matching path queries.

@@ -9,7 +9,7 @@
 //! N queries) or on *drift* (the windowed support of currently-required
 //! multi-label paths decays below the threshold).
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use apex_storage::OpKind;
@@ -263,49 +263,44 @@ impl WorkloadMonitor {
         (wl, self.min_sup)
     }
 
-    /// Decides whether a refresh is due for `index` (per policy).
-    pub fn refresh_due(&self, g: &XmlGraph, index: &Apex) -> bool {
+    /// Decides whether a refresh is due for `index` (per policy). The
+    /// graph is not consulted (drift compares label ids, not rendered
+    /// paths); the parameter stays for the callers that pass it.
+    pub fn refresh_due(&self, _g: &XmlGraph, index: &Apex) -> bool {
         if self.window.is_empty() {
             return false;
         }
         match self.policy {
             RefreshPolicy::Manual => false,
             RefreshPolicy::EveryN(n) => self.since_refresh >= n,
-            RefreshPolicy::OnDrift { slack } => self.drift_detected(g, index, slack),
+            RefreshPolicy::OnDrift { slack } => self.drift_detected(index, slack),
         }
     }
 
     /// Drift check: compares the windowed support of the index's current
-    /// multi-label required paths (decayed?) and of the window's hottest
-    /// subpaths (newly frequent?) against `min_sup`.
-    fn drift_detected(&self, g: &XmlGraph, index: &Apex, slack: f64) -> bool {
+    /// multi-label required paths (decayed?) and of the window's
+    /// subpaths (newly frequent?) against `min_sup`. One counting scan of
+    /// the window, then a lookup per path.
+    fn drift_detected(&self, index: &Apex, slack: f64) -> bool {
         assert!(slack >= 1.0, "slack must be >= 1.0");
-        let wl = self.workload();
+        let counts = self.workload().subpath_counts();
+        let support = |count: u32| f64::from(count) / self.window.len() as f64;
+        let required: HashSet<LabelPath> = index
+            .hash_tree()
+            .required_paths()
+            .into_iter()
+            .filter(|p| p.len() >= 2)
+            .map(LabelPath::new)
+            .collect();
         // Required multi-label paths whose support collapsed.
-        for rendered in index.required_paths(g) {
-            if !rendered.contains('.') {
-                continue;
-            }
-            let Some(path) = LabelPath::parse(g, &rendered) else {
-                continue;
-            };
-            if wl.support(&path) < self.min_sup / slack {
-                return true;
-            }
-        }
+        let decayed = required
+            .iter()
+            .any(|p| support(counts.get(p).copied().unwrap_or(0)) < self.min_sup / slack);
         // Newly hot subpaths not yet required.
-        let required = index.required_paths(g);
-        for q in wl.iter() {
-            for sub in q.subpaths() {
-                if sub.len() < 2 {
-                    continue;
-                }
-                if wl.support(&sub) >= self.min_sup * slack && !required.contains(&sub.render(g)) {
-                    return true;
-                }
-            }
-        }
-        false
+        decayed
+            || counts.iter().any(|(p, &count)| {
+                p.len() >= 2 && support(count) >= self.min_sup * slack && !required.contains(p)
+            })
     }
 
     /// Runs a refresh if the policy says so; returns the number of
@@ -410,6 +405,57 @@ mod tests {
         );
         m.refresh(&g, &mut idx);
         assert!(!idx.required_paths(&g).contains(&"actor.name".to_string()));
+    }
+
+    /// The drift definition spelled out with the O(window) reference
+    /// [`Workload::support`] per path.
+    fn drift_reference(m: &WorkloadMonitor, g: &XmlGraph, idx: &Apex, slack: f64) -> bool {
+        let wl = m.workload();
+        let required = idx.required_paths(g);
+        let decayed = required
+            .iter()
+            .filter(|r| r.contains('.'))
+            .any(|r| wl.support(&LabelPath::parse(g, r).unwrap()) < m.min_sup() / slack);
+        let hot = wl.iter().flat_map(|q| q.subpaths()).any(|sub| {
+            sub.len() >= 2
+                && wl.support(&sub) >= m.min_sup() * slack
+                && !required.contains(&sub.render(g))
+        });
+        decayed || hot
+    }
+
+    #[test]
+    fn drift_verdicts_match_the_support_reference() {
+        let g = moviedb();
+        let pool = [
+            "actor.name",
+            "director.movie.title",
+            "movie.title",
+            "@movie.movie",
+            "name",
+            "director.name",
+        ];
+        let mut idx = Apex::build_initial(&g);
+        let mut m = WorkloadMonitor::new(12, 0.25, RefreshPolicy::Manual);
+        let (mut fired, mut quiet) = (0, 0);
+        // A deterministic walk over the pool that lingers, then moves on.
+        for i in 0..120usize {
+            m.record(path(&g, pool[(i / 7 + i % 3) % pool.len()]));
+            for slack in [1.0, 1.5, 3.0] {
+                m.set_policy(RefreshPolicy::OnDrift { slack });
+                let due = m.refresh_due(&g, &idx);
+                assert_eq!(due, drift_reference(&m, &g, &idx, slack), "step {i}");
+                if due {
+                    fired += 1;
+                } else {
+                    quiet += 1;
+                }
+            }
+            if i % 10 == 9 {
+                m.refresh(&g, &mut idx);
+            }
+        }
+        assert!(fired > 20 && quiet > 20, "both verdicts exercised");
     }
 
     #[test]

@@ -11,19 +11,33 @@
 //! 2. Rooted paths carried for `lookup` are capped to the hash tree's
 //!    maximum depth + 1 trailing labels: `lookup` never inspects more.
 //!
-//! **Why the `visited`-skip is sound.** Extraction counts *all* subpaths
+//! **Why the `visited`-skip is sound.** Two facts carry it.
+//!
+//! *Same children on every arrival.* Extraction counts *all* subpaths
 //! of each workload query, so the required-path set is subpath-closed.
 //! Consequently the longest required suffix of `p.l` is determined by the
 //! longest required suffix of `p` alone: any longer required suffix
 //! `r.l` of `p.l` would make `r` required (it is a subpath of `r.l`) and
 //! a longer required suffix of `p` — contradiction. Hence every arrival
-//! path at a class node extends into the *same* child classes, and
-//! skipping re-verification of visited nodes (Figure 11 line 1) loses
-//! nothing. Seed [`crate::Apex::refine`] keeps this invariant; seeding a
+//! path at a class node extends into the *same* child classes, and one
+//! verification per node per run suffices (Figure 11 line 1). Seed
+//! [`crate::Apex::refine`] keeps this invariant; seeding a
 //! non-subpath-closed required set by hand would not be faithful to the
 //! paper either.
-
-use std::collections::HashMap;
+//!
+//! *Verify before delta.* A node's out-edges are the only record of
+//! which child classes already hold its extent's contribution: an edge
+//! that still points where `H_APEX` points means "the whole extent is
+//! accounted for there", an edge that points elsewhere means "recompute
+//! this child's slice from the whole extent". The delta pass retargets
+//! edges after contributing only the delta's slice, so it destroys that
+//! record. A node therefore takes its verification pass — whole extent,
+//! against the wiring the previous run left — **before** its first delta
+//! pass in a run; afterwards every edge is current and later deltas need
+//! only their own slice. (Running the delta pass first is what lost rows
+//! under a drifting hot set: a rebuilt child class received the delta's
+//! pairs, the edge was retargeted, and the later verification found the
+//! wiring "already correct".)
 
 use apex_storage::{EdgePair, EdgeSet};
 use xmlgraph::{LabelId, XmlGraph};
@@ -56,25 +70,35 @@ impl RollingPath {
     }
 }
 
-/// Groups the outgoing data edges of the end nodes of `pairs` by label:
-/// the `ESet` computation of Figures 6 and 11.
-fn group_out_edges(g: &XmlGraph, pairs: &EdgeSet) -> HashMap<LabelId, Vec<EdgePair>> {
-    let mut groups: HashMap<LabelId, Vec<EdgePair>> = HashMap::new();
+/// Groups the outgoing data edges of the end nodes of `pairs` by label
+/// (the `ESet` computation of Figures 6 and 11), keeping only the labels
+/// `wanted` accepts. Groups come back in label order; labels are dense
+/// small integers, so bucketing is an index, not a hash.
+fn group_out_edges(
+    g: &XmlGraph,
+    pairs: &EdgeSet,
+    wanted: impl Fn(LabelId) -> bool,
+) -> Vec<(LabelId, Vec<EdgePair>)> {
+    let mut buckets: Vec<Vec<EdgePair>> = vec![Vec::new(); g.label_count()];
     for p in pairs.iter() {
         for e in g.out_edges(p.node) {
-            groups
-                .entry(e.label)
-                .or_default()
-                .push(EdgePair::new(p.node, e.to));
+            if wanted(e.label) {
+                buckets[e.label.idx()].push(EdgePair::new(p.node, e.to));
+            }
         }
     }
-    groups
+    let labeled = buckets.into_iter().enumerate();
+    labeled
+        .filter(|(_, group)| !group.is_empty())
+        .map(|(l, group)| (LabelId(l as u32), group))
+        .collect()
 }
 
 /// Runs `updateAPEX(xroot, ∅, NULL)` over the whole index.
 ///
 /// Returns the number of worklist steps (a determinism-friendly measure
-/// of update cost, reported by the ablation bench).
+/// of update cost, reported by the ablation bench): one per reachable
+/// class node when nothing changed, plus one per propagated delta.
 pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNodeId) -> usize {
     ga.reset_visited();
     let cap = ht.max_depth() + 1;
@@ -85,70 +109,68 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
         vec![(xroot, EdgeSet::new(), RollingPath::empty())];
 
     while let Some((xnode, delta, path)) = work.pop() {
-        if ga.node(xnode).visited && delta.is_empty() {
+        let verified = std::mem::replace(&mut ga.node_mut(xnode).visited, true);
+        if verified && delta.is_empty() {
             continue; // Figure 11 line 1
         }
-        ga.node_mut(xnode).visited = true;
         steps += 1;
 
-        if delta.is_empty() {
+        // (label, located entry, rooted path, the child's slice of the
+        // extent or of the delta).
+        let mut rewire = Vec::new();
+        if !verified {
             // Verification pass: re-check every child's wiring against
-            // H_APEX (Figure 11 lines 4–22).
-            let edges: Vec<(LabelId, XNodeId)> = ga.node(xnode).edges.clone();
-            let mut groups: Option<HashMap<LabelId, Vec<EdgePair>>> = None;
-            for (label, end) in edges {
+            // H_APEX (Figure 11 lines 4–22) — before any delta pass
+            // retargets an edge (module docs).
+            let mut stale = Vec::new();
+            for &(label, end) in &ga.node(xnode).edges {
                 let newpath = path.extended(label, cap);
                 let mut probes = 0u64;
                 let Some(loc) = ht.locate(&newpath.labels, &mut probes) else {
                     continue; // label unknown to H_APEX (cannot happen
                               // after build_apex0; defensive)
                 };
-                match ht.xnode_of(loc.entry) {
-                    Some(xchild) if xchild == end => {
-                        // Wiring already correct: descend with ∅.
-                        work.push((end, EdgeSet::new(), newpath));
-                    }
-                    other => {
-                        let xchild = other.unwrap_or_else(|| ga.new_node(Some(label)));
-                        // Recompute this child's slice of the extent from
-                        // G_XML (lazily, once per verification pass).
-                        let groups =
-                            groups.get_or_insert_with(|| group_out_edges(g, ga.extent(xnode)));
-                        let sub =
-                            EdgeSet::from_pairs(groups.get(&label).cloned().unwrap_or_default());
-                        let dnew = sub.difference(ga.extent(xchild));
-                        ga.node_mut(xchild)
-                            .extent
-                            .union_in_place(&dnew, &mut scratch);
-                        ga.make_edge(xnode, xchild, label);
-                        ht.set_xnode(loc.entry, xchild);
-                        work.push((xchild, dnew, newpath));
-                    }
+                if ht.xnode_of(loc.entry) == Some(end) {
+                    // Wiring already correct: descend with ∅.
+                    work.push((end, EdgeSet::new(), newpath));
+                } else {
+                    stale.push((label, loc.entry, newpath));
                 }
             }
-        } else {
+            if !stale.is_empty() {
+                // Recompute the mis-wired children's slices of the whole
+                // extent from G_XML, in one scan.
+                let mut groups = group_out_edges(g, ga.extent(xnode), |l| {
+                    stale.iter().any(|(label, ..)| *label == l)
+                });
+                for (label, entry, newpath) in stale {
+                    let group = groups.iter_mut().find(|(l, _)| *l == label);
+                    let slice = group.map(|(_, slice)| std::mem::take(slice));
+                    rewire.push((label, entry, newpath, slice.unwrap_or_default()));
+                }
+            }
+        }
+        if !delta.is_empty() {
             // Extent-delta pass (Figure 11 lines 23–37).
-            let groups = group_out_edges(g, &delta);
-            let mut labels: Vec<LabelId> = groups.keys().copied().collect();
-            labels.sort_unstable();
-            for label in labels {
+            for (label, slice) in group_out_edges(g, &delta, |_| true) {
                 let newpath = path.extended(label, cap);
                 let mut probes = 0u64;
-                let Some(loc) = ht.locate(&newpath.labels, &mut probes) else {
-                    continue;
-                };
-                let xchild = ht
-                    .xnode_of(loc.entry)
-                    .unwrap_or_else(|| ga.new_node(Some(label)));
-                let sub = EdgeSet::from_pairs(groups[&label].clone());
-                let dnew = sub.difference(ga.extent(xchild));
-                ga.node_mut(xchild)
-                    .extent
-                    .union_in_place(&dnew, &mut scratch);
-                ga.make_edge(xnode, xchild, label);
-                ht.set_xnode(loc.entry, xchild);
-                work.push((xchild, dnew, newpath));
+                if let Some(loc) = ht.locate(&newpath.labels, &mut probes) {
+                    rewire.push((label, loc.entry, newpath, slice));
+                }
             }
+        }
+        for (label, entry, newpath, slice) in rewire {
+            let xchild = ht
+                .xnode_of(entry)
+                .unwrap_or_else(|| ga.new_node(Some(label)));
+            let dnew = EdgeSet::from_pairs(slice).difference(ga.extent(xchild));
+            ga.node_mut(xchild)
+                .extent
+                .union_in_place(&dnew, &mut scratch);
+            ga.make_edge(xnode, xchild, label);
+            ht.set_xnode(entry, xchild);
+            work.push((xchild, dnew, newpath));
         }
     }
     steps

@@ -16,6 +16,11 @@
 //! 5. **Coverage**: the union of the classes located by `query_nodes`
 //!    for each single label equals `T(label)` exactly.
 //! 6. **Determinism**: at most one `G_APEX` out-edge per label per node.
+//! 7. **No garbage**: both arenas hold exactly their live set —
+//!    every allocated `G_APEX` node is reachable from `xroot`, every
+//!    allocated hash node from the head (`refine` compacts both).
+//! 8. **No dangling class**: every `xnode`/`remainder` in `H_APEX`
+//!    points at a class node reachable from `xroot`.
 
 use std::collections::HashSet;
 
@@ -35,6 +40,7 @@ pub fn check(g: &XmlGraph, apex: &Apex) -> Violations {
     check_extent_labels(g, apex, &mut out);
     check_label_coverage(g, apex, &mut out);
     check_determinism(apex, &mut out);
+    check_arenas(apex, &mut out);
     out
 }
 
@@ -180,6 +186,43 @@ fn check_determinism(apex: &Apex, out: &mut Violations) {
     }
 }
 
+fn check_arenas(apex: &Apex, out: &mut Violations) {
+    let (ga, ht) = (apex.graph(), apex.hash_tree());
+    let mut live = vec![false; ga.allocated()];
+    for x in ga.reachable(apex.xroot()) {
+        live[x.idx()] = true;
+    }
+    let reachable = live.iter().filter(|&&l| l).count();
+    if ga.allocated() != reachable {
+        out.push(format!(
+            "G_APEX arena holds {} nodes, {reachable} reachable from xroot",
+            ga.allocated()
+        ));
+    }
+    let mut hnodes = 0usize;
+    let mut stack = vec![ht.head()];
+    while let Some(h) = stack.pop() {
+        hnodes += 1;
+        let node = ht.node(h);
+        let held = node.entries_iter().filter_map(|(_, e)| e.xnode);
+        for x in held.chain(node.remainder) {
+            if !live.get(x.idx()).is_some_and(|&l| l) {
+                out.push(format!(
+                    "hnode {} points at class {} which xroot does not reach",
+                    h.0, x.0
+                ));
+            }
+        }
+        stack.extend(node.entries_iter().filter_map(|(_, e)| e.next));
+    }
+    if ht.allocated() != hnodes {
+        out.push(format!(
+            "H_APEX arena holds {} nodes, {hnodes} reachable from the head",
+            ht.allocated()
+        ));
+    }
+}
+
 /// Convenience used by tests: panics with the violation list if any.
 pub fn assert_valid(g: &XmlGraph, apex: &Apex) {
     let v = check(g, apex);
@@ -235,6 +278,26 @@ mod tests {
         }
         let v = check(&g, &tampered);
         assert!(!v.is_empty(), "validator must flag the bogus pair");
+    }
+
+    #[test]
+    fn validator_flags_garbage_and_dangling_classes() {
+        let g = moviedb();
+        let mut apex = Apex::build_initial(&g);
+        let orphan = apex.graph_mut_for_tests().new_node(None);
+        let v = check(&g, &apex);
+        assert_eq!(v.len(), 1, "{v:#?}");
+        assert!(v[0].contains("G_APEX arena holds"), "{v:#?}");
+        // Point a head entry at the orphan: now it also dangles.
+        let name = g.label_id("name").unwrap();
+        let mut ht = apex.hash_tree().clone();
+        ht.set_xnode(crate::EntryRef::Label(ht.head(), name), orphan);
+        let dangling = Apex::from_parts(apex.graph().clone(), ht, apex.xroot());
+        let v = check(&g, &dangling);
+        assert!(
+            v.iter().any(|m| m.contains("which xroot does not reach")),
+            "{v:#?}"
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Query workloads: the sets of label paths APEX adapts to.
 
+use std::collections::HashMap;
+
 use xmlgraph::{LabelPath, XmlGraph};
 
 /// A workload is a bag of label-path queries (§4: "we assume that a
@@ -50,6 +52,25 @@ impl Workload {
         self.queries.iter()
     }
 
+    /// For every contiguous subpath of any query, the number of queries
+    /// having it as a subpath — `support × len` for the whole window in
+    /// one scan. A query counts each of its subpaths once (`subpaths()`
+    /// deduplicates), exactly the paper's definition of support.
+    pub fn subpath_counts(&self) -> HashMap<LabelPath, u32> {
+        // Windows repeat their hot queries: expand each distinct query once.
+        let mut distinct: HashMap<&LabelPath, u32> = HashMap::new();
+        for q in &self.queries {
+            *distinct.entry(q).or_default() += 1;
+        }
+        let mut counts: HashMap<LabelPath, u32> = HashMap::new();
+        for (q, n) in distinct {
+            for sub in q.subpaths() {
+                *counts.entry(sub).or_default() += n;
+            }
+        }
+        counts
+    }
+
     /// The support of `p`: the fraction of queries having `p` as a
     /// subpath (§4). Reference implementation used by property tests to
     /// validate the hash-tree counting.
@@ -77,6 +98,22 @@ mod tests {
         assert!((wl.support(&t) - 1.0 / 3.0).abs() < 1e-9);
         let missing = LabelPath::parse(&g, "year.year").unwrap();
         assert_eq!(wl.support(&missing), 0.0);
+    }
+
+    #[test]
+    fn subpath_counts_agree_with_support() {
+        let g = moviedb();
+        let wl = Workload::parse(
+            &g,
+            &["actor.name", "movie.actor.name", "actor.name", "name.name"],
+        )
+        .unwrap();
+        let counts = wl.subpath_counts();
+        // actor, name, movie, actor.name, movie.actor, movie.actor.name, name.name
+        assert_eq!(counts.len(), 7);
+        for (p, &n) in &counts {
+            assert!((wl.support(p) - f64::from(n) / 4.0).abs() < 1e-9, "{p:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use apex::{IndexCell, Refresher, WorkloadMonitor};
 use apex_query::apex_qp::ApexProcessor;
 use apex_query::batch::recordable_path;
 use apex_query::{Query, QueryProcessor};
-use apex_storage::{BufferHandle, DataTable};
+use apex_storage::{gallop_lower_bound_u32, BufferHandle, DataTable};
 use xmlgraph::XmlGraph;
 
 use crate::wire::{Status, MAX_ROW_SAMPLE};
@@ -241,14 +241,15 @@ impl Engine {
 }
 
 /// Retains exactly the nodes in `owned` (both inputs sorted ascending
-/// by node id — document order), by a linear merge intersect.
+/// by node id — document order). An answer is a few rows against a
+/// shard's whole owned list, so each row gallops from the previous
+/// row's position: O(|answer| · log gap), not O(|owned|).
 fn filter_owned(nodes: &mut Vec<xmlgraph::NodeId>, owned: &[u32]) {
     let mut oi = 0usize;
+    let mut work = 0usize;
     nodes.retain(|n| {
-        while owned.get(oi).is_some_and(|&o| o < n.0) {
-            oi += 1;
-        }
-        owned.get(oi).copied() == Some(n.0)
+        oi = gallop_lower_bound_u32(owned, oi, n.0, &mut work);
+        owned.get(oi) == Some(&n.0)
     });
 }
 

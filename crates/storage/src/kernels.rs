@@ -713,8 +713,8 @@ impl MergeScratch {
 /// Galloping lower bound over a sorted `u32` slice: first index
 /// `i >= lo` with `xs[i] >= target`, counting comparisons into `work`.
 /// The `u32` twin of [`gallop_lower_bound`]; index-free, so it stays
-/// panic-free on the router's serving path.
-fn gallop_lower_bound_u32(xs: &[u32], lo: usize, target: u32, work: &mut usize) -> usize {
+/// panic-free on the router's and the shard engine's serving paths.
+pub fn gallop_lower_bound_u32(xs: &[u32], lo: usize, target: u32, work: &mut usize) -> usize {
     let mut step = 1usize;
     let mut prev = lo;
     let mut hi = lo;

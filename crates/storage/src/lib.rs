@@ -49,7 +49,8 @@ pub use datatable::DataTable;
 pub use diskstore::{ExtentId, ExtentStore};
 pub use edgeset::{EdgePair, EdgeSet};
 pub use kernels::{
-    merge_sorted_into, Kernel, KernelPolicy, KernelReport, MergeScratch, SemijoinScratch,
+    gallop_lower_bound_u32, merge_sorted_into, Kernel, KernelPolicy, KernelReport, MergeScratch,
+    SemijoinScratch,
 };
 pub use pages::PageModel;
 pub use succinct::{EndCursor, EndIndex, Ends, SuccinctExtent};

@@ -2,7 +2,8 @@
 //! the qualitative claims behind Table 2 of the paper, checked on small
 //! instances of each family.
 
-use apex::Apex;
+use apex::extract::extract_frequent;
+use apex::{extent_equivalent, persist, update_apex, Apex};
 use apex_query::generator::GeneratorConfig;
 use apex_suite::{small, Fixture};
 use dataguide::DataGuide;
@@ -197,4 +198,62 @@ fn extent_pairs_bounded_by_required_paths() {
     let s = apex.stats();
     assert!(s.extent_pairs >= fx.g.edge_count());
     assert!(s.extent_pairs <= fx.g.edge_count() * s.max_required_len);
+}
+
+fn image(apex: &Apex) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    persist::save(apex, &mut bytes).expect("save to memory");
+    bytes
+}
+
+#[test]
+fn refine_collects_both_arenas_and_a_no_change_refine_touches_nothing() {
+    for g in [small::play(), small::flix(), small::ged()] {
+        let fx = Fixture::build(g, cfg(7));
+        let wl = &fx.queries.workload;
+        // Grow, collapse, grow again: every refine leaves both arenas
+        // holding exactly their live nodes under dense ids (the
+        // validator checks allocated == reachable and no dangling class).
+        let mut apex = fx.apex0.clone();
+        for min_sup in [0.002, 0.05, 0.01] {
+            apex.refine(&fx.g, wl, min_sup);
+            apex::validate::assert_valid(&fx.g, &apex);
+            assert_eq!(apex.xroot().0, 0, "xroot is the first live node");
+        }
+
+        // A second refine over the identical window changes nothing: one
+        // step per class node, and the same bytes on disk.
+        let classes = apex.stats().nodes;
+        assert_eq!(apex.refine(&fx.g, wl, 0.01), classes);
+        let before = image(&apex);
+        assert_eq!(apex.refine(&fx.g, wl, 0.01), classes);
+        assert_eq!(image(&apex), before);
+        // The same pass by hand, without the collection at the end of
+        // `refine`: nothing was allocated in either arena and no class
+        // pointer was cleared, so the uncollected parts still serialize
+        // to the same image.
+        let (mut ga, mut ht) = (apex.graph().clone(), apex.hash_tree().clone());
+        extract_frequent(&mut ht, wl, 0.01);
+        assert_eq!(
+            image(&Apex::from_parts(ga.clone(), ht.clone(), apex.xroot())),
+            before
+        );
+        assert_eq!(update_apex(&fx.g, &mut ga, &mut ht, apex.xroot()), classes);
+        assert_eq!(ga.allocated(), apex.graph().allocated());
+        assert_eq!(ht.allocated(), apex.hash_tree().allocated());
+        assert_eq!(image(&Apex::from_parts(ga, ht, apex.xroot())), before);
+
+        // The collected index survives persistence unchanged: the loaded
+        // copy is valid, equivalent, and saves to the same bytes.
+        let loaded = persist::load(&mut before.as_slice()).expect("load");
+        apex::validate::assert_valid(&fx.g, &loaded);
+        extent_equivalent(&fx.g, &apex, &loaded).expect("loaded == saved");
+        assert_eq!(image(&loaded), before);
+
+        // History does not show: the index that went through three
+        // thresholds has the same image as APEX⁰ refined once.
+        let mut direct = fx.apex_at(0.01);
+        direct.refine(&fx.g, wl, 0.01); // clear the `new` flags, as above
+        assert_eq!(image(&direct), before);
+    }
 }

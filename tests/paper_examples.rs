@@ -3,14 +3,14 @@
 //! (strong DataGuide / 1-index comparison), §4's q1 cost argument, and
 //! the Figure 7 / Figure 12 workload-drift walkthrough.
 
-use apex::{Apex, Workload};
+use apex::{extent_equivalent, Apex, Workload};
 use apex_query::batch::QueryProcessor;
 use apex_query::{apex_qp::ApexProcessor, guide_qp::GuideProcessor};
 use apex_storage::{DataTable, EdgeSet, PageModel};
 use dataguide::DataGuide;
 use oneindex::OneIndex;
 use xmlgraph::builder::moviedb;
-use xmlgraph::{LabelPath, NodeId};
+use xmlgraph::{GraphBuilder, LabelPath, NodeId};
 
 fn pairs(e: &EdgeSet) -> Vec<(u32, u32)> {
     e.iter().map(|p| (p.parent.0, p.node.0)).collect()
@@ -214,4 +214,56 @@ fn incremental_update_equals_rebuild() {
         let eb = b.xnode.map(|x| pairs(fresh.extent(x)));
         assert_eq!(ea, eb, "extent mismatch for {p}");
     }
+}
+
+#[test]
+fn demotion_and_promotion_in_one_window_keep_every_row() {
+    // §5.3 on a hand-sized cyclic graph: three `indi` elements, reached
+    // as note.indi, fam.indi and subm.indi, each with a `name`; an IDREF
+    // cycle fam → indi → @note → note → indi → @fam → fam.
+    let mut b = GraphBuilder::new("gedcom");
+    let root = b.root();
+    let note = b.add_child(root, "note");
+    b.register_id(note, "N1").unwrap();
+    let fam = b.add_child(root, "fam");
+    b.register_id(fam, "F1").unwrap();
+    let subm = b.add_child(root, "subm");
+    let mut names = Vec::new();
+    for (parent, idref) in [
+        (note, Some(("fam", "F1"))),
+        (fam, Some(("note", "N1"))),
+        (subm, None),
+    ] {
+        let indi = b.add_child(parent, "indi");
+        names.push((indi.0, b.add_value_child(indi, "name", "x").0));
+        if let Some((attr, target)) = idref {
+            b.add_idref(indi, attr, target);
+        }
+    }
+    let g = b.finish().unwrap();
+
+    // Window 1: subm.indi and fam.indi required; note.indi is the
+    // remainder class of `indi`.
+    let mut live = Apex::build_initial(&g);
+    let w1 = Workload::parse(&g, &["subm.indi", "fam.indi"]).unwrap();
+    live.refine(&g, &w1, 0.5);
+    // Window 2 demotes subm.indi (its instance flows into the remainder
+    // class, which therefore first hears of this run through a delta)
+    // and promotes indi.name (so the same class's `name` edge must move
+    // to a rebuilt child). The remainder's old extent must reach the new
+    // indi.name class too, not only the delta.
+    let w2 = Workload::parse(&g, &["fam.indi", "indi.name"]).unwrap();
+    live.refine(&g, &w2, 0.5);
+
+    let req = live.required_paths(&g);
+    assert!(req.contains(&"indi.name".to_string()), "{req:?}");
+    assert!(!req.contains(&"subm.indi".to_string()), "{req:?}");
+    let hit = live.lookup(LabelPath::parse(&g, "indi.name").unwrap().labels());
+    assert_eq!(hit.matched_len, 2);
+    assert_eq!(pairs(live.extent(hit.xnode.unwrap())), names);
+
+    let mut scratch = Apex::build_initial(&g);
+    scratch.refine(&g, &w2, 0.5);
+    extent_equivalent(&g, &live, &scratch).expect("incremental == from scratch");
+    apex::validate::assert_valid(&g, &live);
 }

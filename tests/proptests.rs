@@ -3,7 +3,7 @@
 //! always agree with direct graph evaluation, and the index invariants
 //! (Theorems 1 and 2, hash-tree/remainder consistency) must hold.
 
-use apex::{Apex, Workload};
+use apex::{extent_equivalent, Apex, Workload};
 use apex_query::batch::QueryProcessor;
 use apex_query::naive::NaiveProcessor;
 use apex_query::{apex_qp::ApexProcessor, guide_qp::GuideProcessor};
@@ -96,6 +96,15 @@ fn to_label_path(g: &XmlGraph, idxs: &[usize]) -> Option<LabelPath> {
     Some(LabelPath::new(labels))
 }
 
+/// Refines `apex` over `wl` and certifies the result with the structural
+/// validator (entry exclusivity, Theorems 1–2, extent labeling, label
+/// coverage, determinism, garbage-free arenas, no dangling class).
+/// Every refine in this suite goes through here.
+fn refine_checked(g: &XmlGraph, apex: &mut Apex, wl: &Workload, min_sup: f64) {
+    apex.refine(g, wl, min_sup);
+    apex::validate::assert_valid(g, apex);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
@@ -119,7 +128,7 @@ proptest! {
             .filter_map(|p| to_label_path(&g, p))
             .collect();
         let wl = Workload::from_paths(wl_paths);
-        apex.refine(&g, &wl, min_sup);
+        refine_checked(&g, &mut apex, &wl, min_sup);
 
         let ap = ApexProcessor::new(&g, &apex, &table);
         let gp = GuideProcessor::new(&g, &sdg, &table);
@@ -146,7 +155,7 @@ proptest! {
         let sdg = DataGuide::build(&g);
         let mut apex = Apex::build_initial(&g);
         let wl = Workload::from_paths(vec![]);
-        apex.refine(&g, &wl, min_sup);
+        refine_checked(&g, &mut apex, &wl, min_sup);
         let ap = ApexProcessor::new(&g, &apex, &table);
         let gp = GuideProcessor::new(&g, &sdg, &table);
         for &(a, b) in &pairs {
@@ -171,7 +180,7 @@ proptest! {
         let wl = Workload::from_paths(
             workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
         );
-        apex.refine(&g, &wl, min_sup);
+        refine_checked(&g, &mut apex, &wl, min_sup);
 
         // Theorem 1: simulation from G_XML to G_APEX.
         let mut stack = vec![(g.root(), apex.xroot())];
@@ -205,11 +214,33 @@ proptest! {
                 }
             }
         }
+    }
 
-        // Full structural validator (entry exclusivity, extent labeling,
-        // label coverage, determinism, …).
-        let violations = apex::validate::check(&g, &apex);
-        prop_assert!(violations.is_empty(), "validator: {violations:#?}");
+    /// §5.3 under drift: one live index refined through a sequence of
+    /// unrelated windows equals, after every window, `APEX⁰` refined over
+    /// that window alone.
+    #[test]
+    fn drifting_refines_equal_from_scratch(
+        rg in rand_graph(35),
+        windows in proptest::collection::vec(rand_paths(3, 8), 2..5),
+        min_sup in 0.05f64..0.6,
+    ) {
+        let g = materialize(&rg);
+        let apex0 = Apex::build_initial(&g);
+        let mut live = apex0.clone();
+        for window in &windows {
+            let wl = Workload::from_paths(
+                window.iter().filter_map(|p| to_label_path(&g, p)).collect(),
+            );
+            if wl.is_empty() {
+                continue; // an empty window never reshapes the index
+            }
+            refine_checked(&g, &mut live, &wl, min_sup);
+            let mut scratch = apex0.clone();
+            refine_checked(&g, &mut scratch, &wl, min_sup);
+            let same = extent_equivalent(&g, &live, &scratch);
+            prop_assert!(same.is_ok(), "live diverged from scratch: {same:?}");
+        }
     }
 
     /// The one-scan subpath counting in H_APEX agrees with the reference
@@ -225,7 +256,7 @@ proptest! {
         let wl = Workload::from_paths(
             workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
         );
-        apex.refine(&g, &wl, min_sup);
+        refine_checked(&g, &mut apex, &wl, min_sup);
         let required = apex.required_paths(&g);
 
         // Every multi-label required path must have support >= minSup;
@@ -437,7 +468,7 @@ mod exec_laws {
 /// the report's rows is an exact partition of the query's total cost,
 /// never an estimate.
 mod plan_laws {
-    use super::{materialize, rand_graph, rand_paths, to_label_path};
+    use super::{materialize, rand_graph, rand_paths, refine_checked, to_label_path};
     use apex::{Apex, Workload};
     use apex_query::batch::QueryProcessor;
     use apex_query::naive::NaiveProcessor;
@@ -462,7 +493,7 @@ mod plan_laws {
             let wl = Workload::from_paths(
                 workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
             );
-            apex.refine(&g, &wl, min_sup);
+            refine_checked(&g, &mut apex, &wl, min_sup);
             for order in [
                 JoinOrderPolicy::Planned,
                 JoinOrderPolicy::ForceForward,
@@ -730,7 +761,7 @@ mod bufmgr_laws {
 
 /// Persistence: saving and loading any refined index preserves lookups.
 mod persist_roundtrip {
-    use super::{materialize, rand_graph, rand_paths, to_label_path};
+    use super::{materialize, rand_graph, rand_paths, refine_checked, to_label_path};
     use apex::{persist, Apex, Workload};
     use proptest::prelude::*;
     use xmlgraph::LabelPath;
@@ -750,7 +781,7 @@ mod persist_roundtrip {
             let wl = Workload::from_paths(
                 workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
             );
-            apex.refine(&g, &wl, min_sup);
+            refine_checked(&g, &mut apex, &wl, min_sup);
 
             let mut buf = Vec::new();
             persist::save(&apex, &mut buf).expect("save");
