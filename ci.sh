@@ -149,8 +149,18 @@ shard_smoke() {
     rm -rf "$out"
 }
 
+# perf/ (the BENCHMARK.json package) sits outside the workspace, so no
+# step above or below compiles it: an API change in crates/* can break
+# the benchmark while everything else stays green. Build it and run its
+# own tests against the tree as it is (into perf/target, git-ignored).
+perf_gate() {
+    cargo build --release --offline --manifest-path perf/Cargo.toml
+    cargo test --offline --manifest-path perf/Cargo.toml --quiet
+}
+
 run cargo build --release --offline --workspace
 run cargo test --offline --workspace --quiet
+run perf_gate
 run kernel_smoke
 run plan_smoke
 run net_smoke

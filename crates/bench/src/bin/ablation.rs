@@ -8,9 +8,6 @@
 //!    APEX⁰ and refining from scratch (§5.3's motivation).
 //! 4. **minSup sensitivity of the hash tree** — required-path counts and
 //!    maximum required length per minSup.
-//! 5. **Page-model validation** — replays a QTYPE1 batch against a real
-//!    file-backed extent store and compares genuine page I/O with the
-//!    cost model's prediction.
 //!
 //! Also writes `BENCH_ablation.json` with the same rows.
 //!
@@ -24,53 +21,6 @@ use apex_query::apex_qp::ApexProcessor;
 use apex_query::guide_qp::GuideProcessor;
 use apex_query::naive::NaiveProcessor;
 use apex_query::run_batch;
-
-/// Dumps the refined index's extents into a real file-backed store,
-/// replays the QTYPE1 batch reading every touched extent from disk with
-/// a per-query cache (mirroring the cost model's buffer pool), and
-/// returns `(model_pages, real_pages)`.
-fn validate_page_model(ex: &Experiment, apex: &apex::Apex) -> std::io::Result<(u64, u64)> {
-    use apex_storage::{ExtentStore, PageModel};
-    use std::collections::HashMap;
-
-    // Model-side: run the (capped) batch through the normal processor.
-    let qp = ApexProcessor::new(&ex.g, apex, &ex.table);
-    let cap = ex.queries.qtype1.len().min(500);
-    let model = run_batch(&qp, &ex.queries.qtype1[..cap]).cost.pages_read;
-
-    // Real-side: write extents to disk, replay the segment/extent access
-    // pattern with genuine reads.
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "apex-validate-{}-{}",
-        ex.dataset.name(),
-        std::process::id()
-    ));
-    let mut store = ExtentStore::create(&path, PageModel::default())?;
-    let mut ids: HashMap<u32, apex_storage::ExtentId> = HashMap::new();
-    for x in apex.graph().reachable(apex.xroot()) {
-        let id = store.append(apex.extent(x))?;
-        ids.insert(x.0, id);
-    }
-    for q in ex.queries.qtype1.iter().take(500) {
-        let Some(labels) = q.labels() else { continue };
-        let mut touched: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for j in (1..=labels.len()).rev() {
-            let seg = apex.segment_nodes(&labels[..j]);
-            for x in &seg.xnodes {
-                if touched.insert(x.0) {
-                    store.read(ids[&x.0])?;
-                }
-            }
-            if seg.exact {
-                break;
-            }
-        }
-    }
-    let real = store.pages_read();
-    let _ = std::fs::remove_file(&path);
-    Ok((model, real))
-}
 
 fn main() -> std::io::Result<()> {
     let scale = Scale::from_env();
@@ -144,30 +94,6 @@ fn main() -> std::io::Result<()> {
             fresh.required_paths(&ex.g),
             "incremental and rebuilt indexes must encode the same paths"
         );
-    }
-
-    println!("\nAblation 5: page-model validation against real file I/O\n");
-    println!(
-        "{:<18} {:>14} {:>14} {:>8}",
-        "dataset", "model-pages", "real-pages", "ratio"
-    );
-    for d in scale.datasets() {
-        let ex = Experiment::new(d, scale);
-        let apex = ex.apex_at(0.005);
-        let (model, real) = validate_page_model(&ex, &apex)?;
-        println!(
-            "{:<18} {:>14} {:>14} {:>8.2}",
-            d.name(),
-            model,
-            real,
-            real as f64 / model.max(1) as f64
-        );
-        report.push(Json::Obj(vec![
-            ("dataset", Json::str(d.name())),
-            ("ablation", Json::str("page-model-validation")),
-            ("model_pages", Json::U64(model)),
-            ("real_pages", Json::U64(real)),
-        ]));
     }
 
     println!("\nAblation 4: hash-tree shape per minSup\n");

@@ -16,8 +16,9 @@
 //! clock with the adaptive kernel: the *succinct* path queries the
 //! compressed blocks directly (rank/select headers, sampled restarts,
 //! batched branch-free varint decode), while the *full-decode* baseline
-//! pays a whole-extent decode into a reused `Vec` before running the
-//! pre-succinct slice kernel. Asserted per row: the succinct path is
+//! pays a whole-extent decode into a `Vec` before running the
+//! pair-slice reference semijoin (`EdgeSet::semijoin_ends` /
+//! `probe_by_parents`). Asserted per row: the succinct path is
 //! strictly faster at every ratio ≥ 1:10, within 5% at 1:1, and its
 //! resident bytes stay ≤ 50% of the decoded-`Vec` baseline
 //! (8 bytes/pair).
@@ -28,8 +29,8 @@
 //! (`cargo run -p apex-bench --release --bin kernels`)
 
 use apex_bench::report::{BenchReport, Json};
-use apex_storage::kernels::{decoded, semijoin_into, Kernel, KernelPolicy, SemijoinScratch};
-use apex_storage::{EdgePair, EdgeSet};
+use apex_storage::kernels::{semijoin_into, Kernel, KernelPolicy, SemijoinScratch};
+use apex_storage::{EdgePair, EdgeSet, SuccinctExtent};
 use datagen::Dataset;
 use std::time::Instant;
 use xmlgraph::NodeId;
@@ -45,17 +46,16 @@ const SAMPLE_TARGET_NS: u64 = 400_000;
 /// The dataset's full edge relation as one extent (every `G_APEX⁰`
 /// extent is a subset of it; this is the largest join target the
 /// dataset can produce).
-fn edge_relation(d: Dataset) -> EdgeSet {
+fn edge_relation(d: Dataset) -> SuccinctExtent {
     let g = d.generate();
-    let mut raw: Vec<(u32, u32)> = g.edges().map(|(from, _, to)| (from.0, to.0)).collect();
-    raw.sort_unstable();
-    EdgeSet::from_raw(&raw)
+    let raw: Vec<(u32, u32)> = g.edges().map(|(from, _, to)| (from.0, to.0)).collect();
+    SuccinctExtent::from_pairs(EdgeSet::from_raw(&raw).pairs())
 }
 
 /// Every `ratio`-th distinct parent of the extent — sorted, distinct
 /// ends that actually hit, shrinking the driving side by `ratio`.
-fn sample_ends(extent: &EdgeSet, ratio: usize) -> Vec<NodeId> {
-    let mut parents: Vec<NodeId> = extent.iter().map(|p| p.parent).collect();
+fn sample_ends(extent: &SuccinctExtent, ratio: usize) -> Vec<NodeId> {
+    let mut parents: Vec<NodeId> = extent.to_vec().iter().map(|p| p.parent).collect();
     parents.dedup();
     parents.into_iter().step_by(ratio).collect()
 }
@@ -101,18 +101,14 @@ fn main() {
     let mut scratch = SemijoinScratch::new();
     for d in [Dataset::FourTragedy, Dataset::Flix01, Dataset::Ged01] {
         let extent = edge_relation(d);
-        let succ = extent.succinct();
-        let bx = succ.image();
-        let resident = succ.resident_bytes();
+        let bx = extent.image();
+        let resident = extent.resident_bytes();
         let raw_bytes = extent.len() * std::mem::size_of::<EdgePair>();
         assert!(
             resident * 2 <= raw_bytes,
             "{}: succinct resident {resident} B exceeds 50% of the {raw_bytes} B decoded-Vec baseline",
             d.name(),
         );
-        // The full-decode baseline's reusable buffer: the decode cost is
-        // paid inside every timed iteration, but the allocation is not.
-        let mut decode_buf: Vec<EdgePair> = Vec::with_capacity(extent.len());
         for ratio in RATIOS {
             let ends = sample_ends(&extent, ratio);
             let mut works = Vec::new();
@@ -138,12 +134,12 @@ fn main() {
                 std::hint::black_box(r.work);
             });
             let full_ns = time_ns(|| {
-                decode_buf.clear();
-                for k in 0..bx.num_blocks() {
-                    bx.decode_block_into(k, &mut decode_buf);
-                }
-                let r = decoded::semijoin_into(picked, &decode_buf, bx, &ends, &mut scratch);
-                std::hint::black_box(r.work);
+                let full = EdgeSet::from_sorted(bx.decode().unwrap_or_default());
+                let (hit, work) = match picked {
+                    Kernel::Merge => full.semijoin_ends((&ends[..]).into()),
+                    Kernel::Gallop | Kernel::BlockSkip => full.probe_by_parents((&ends[..]).into()),
+                };
+                std::hint::black_box((hit.len(), work));
             });
             if ratio >= 10 {
                 assert!(
@@ -179,10 +175,7 @@ fn main() {
                 ("ratio", Json::U64(ratio as u64)),
                 ("extent_pairs", Json::U64(extent.len() as u64)),
                 ("extent_blocks", Json::U64(bx.num_blocks() as u64)),
-                (
-                    "extent_encoded_bytes",
-                    Json::U64(extent.stored_bytes() as u64),
-                ),
+                ("extent_encoded_bytes", Json::U64(bx.encoded_bytes() as u64)),
                 ("resident_bytes", Json::U64(resident as u64)),
                 ("decoded_vec_bytes", Json::U64(raw_bytes as u64)),
                 ("ends", Json::U64(ends.len() as u64)),

@@ -18,15 +18,18 @@ pub fn build_apex0(g: &XmlGraph) -> (GApex, HashTree, XNodeId) {
     let mut ga = GApex::new();
     let mut ht = HashTree::new();
     let xroot = ga.new_node(None);
-    ga.node_mut(xroot).extent.insert(EdgePair::root(g.root()));
+    // Extents grow as decoded sets and are sealed into their stored
+    // form once, when the fixpoint is reached.
+    let root_delta = EdgeSet::from_pairs(vec![EdgePair::root(g.root())]);
+    let mut open = HashMap::from([(xroot, root_delta.clone())]);
 
     // Worklist version of Figure 6's exploreAPEX0 recursion: each item is
     // (G_APEX node, edges newly added to its extent). Chaotic iteration of
     // a monotone operator — same fixpoint as the paper's DFS, no stack
     // overflow on deep documents.
-    let root_delta = ga.extent(xroot).clone();
     let mut work: Vec<(XNodeId, EdgeSet)> = vec![(xroot, root_delta)];
     let mut groups: HashMap<LabelId, Vec<EdgePair>> = HashMap::new();
+    let mut scratch = Vec::new();
 
     while let Some((x, delta)) = work.pop() {
         // ESet: outgoing data edges from the end nodes of the delta.
@@ -56,17 +59,15 @@ pub fn build_apex0(g: &XmlGraph) -> (GApex, HashTree, XNodeId) {
             };
             ga.make_edge(x, y, label);
             // ΔnewESet := group \ y.extent  (cycle guard of Figure 6).
-            let group = EdgeSet::from_pairs(pairs);
-            let delta_new = group.difference(ga.extent(y));
+            let extent = ga.open_extent(&mut open, y);
+            let delta_new = EdgeSet::from_pairs(pairs).difference(extent);
             if !delta_new.is_empty() {
-                let mut scratch = Vec::new();
-                ga.node_mut(y)
-                    .extent
-                    .union_in_place(&delta_new, &mut scratch);
+                extent.union_in_place(&delta_new, &mut scratch);
                 work.push((y, delta_new));
             }
         }
     }
+    ga.seal(open);
     (ga, ht, xroot)
 }
 
@@ -98,22 +99,16 @@ mod tests {
             .entry(ht.head(), title)
             .and_then(|e| e.xnode)
             .expect("title class");
-        let pairs: Vec<(u32, u32)> = ga
-            .extent(x)
-            .iter()
-            .map(|p| (p.parent.0, p.node.0))
-            .collect();
-        assert_eq!(pairs, vec![(8, 10), (14, 17)]);
+        let raw = |x| -> Vec<(u32, u32)> {
+            let pairs = ga.extent(x).to_vec();
+            pairs.iter().map(|p| (p.parent.0, p.node.0)).collect()
+        };
+        assert_eq!(raw(x), vec![(8, 10), (14, 17)]);
 
         // name class: T(name) = {<2,3>, <4,5>, <7,11>, <12,13>}.
         let name = g.label_id("name").unwrap();
         let x = ht.entry(ht.head(), name).and_then(|e| e.xnode).unwrap();
-        let pairs: Vec<(u32, u32)> = ga
-            .extent(x)
-            .iter()
-            .map(|p| (p.parent.0, p.node.0))
-            .collect();
-        assert_eq!(pairs, vec![(2, 3), (4, 5), (7, 11), (12, 13)]);
+        assert_eq!(raw(x), vec![(2, 3), (4, 5), (7, 11), (12, 13)]);
     }
 
     #[test]
@@ -147,8 +142,7 @@ mod tests {
     fn apex0_root_extent_is_null_root() {
         let g = moviedb();
         let (ga, _, xroot) = build_apex0(&g);
-        let pairs: Vec<EdgePair> = ga.extent(xroot).iter().collect();
-        assert_eq!(pairs, vec![EdgePair::root(NodeId(0))]);
+        assert_eq!(ga.extent(xroot).to_vec(), vec![EdgePair::root(NodeId(0))]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `G_APEX` — the graph half of APEX (Definition 10).
 
-use apex_storage::EdgeSet;
+use std::collections::HashMap;
+
+use apex_storage::{EdgeSet, SuccinctExtent};
 use xmlgraph::LabelId;
 
 /// Identifier of a `G_APEX` node (arena index).
@@ -21,8 +23,12 @@ impl XNodeId {
 /// target is determined by `H_APEX` lookup of the extended path.
 #[derive(Debug, Clone, Default)]
 pub struct XNode {
-    /// The extent: incoming data edges of the nodes this class represents.
-    pub extent: EdgeSet,
+    /// The extent: incoming data edges of the nodes this class
+    /// represents, in its one stored form — the block image the kernels
+    /// scan and `persist` writes. Immutable in place: a build or update
+    /// works on decoded copies ([`GApex::open_extent`]) and replaces
+    /// the extent once when it is done ([`GApex::seal`]).
+    pub extent: SuccinctExtent,
     /// Outgoing edges, at most one per label.
     pub edges: Vec<(LabelId, XNodeId)>,
     /// The last label of the node's incoming label path (`None` only for
@@ -50,7 +56,7 @@ impl GApex {
     pub fn new_node(&mut self, incoming: Option<LabelId>) -> XNodeId {
         let id = XNodeId(self.nodes.len() as u32);
         self.nodes.push(XNode {
-            extent: EdgeSet::new(),
+            extent: SuccinctExtent::default(),
             edges: Vec::new(),
             incoming,
             visited: false,
@@ -81,8 +87,34 @@ impl GApex {
     /// The extent of `x`.
     #[inline]
     // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction
-    pub fn extent(&self, x: XNodeId) -> &EdgeSet {
+    pub fn extent(&self, x: XNodeId) -> &SuccinctExtent {
         &self.nodes[x.idx()].extent
+    }
+
+    /// The decoded copy of `x`'s extent a build or update run adds to:
+    /// decoded into `open` on first touch, the same set on every later
+    /// one. A run only ever *adds* pairs to it. `open` belongs to the
+    /// run, not to the graph, so a published graph never holds a decoded
+    /// pair.
+    pub(crate) fn open_extent<'a>(
+        &self,
+        open: &'a mut HashMap<XNodeId, EdgeSet>,
+        x: XNodeId,
+    ) -> &'a mut EdgeSet {
+        open.entry(x)
+            .or_insert_with(|| EdgeSet::from_sorted(self.extent(x).to_vec()))
+    }
+
+    /// Ends a run: encodes each extent the run added to back into its
+    /// node, once, however many steps touched it. Opened sets only grow,
+    /// so one that is no longer than the stored extent is unchanged;
+    /// such nodes, like the ones never opened, keep their bytes.
+    pub(crate) fn seal(&mut self, open: HashMap<XNodeId, EdgeSet>) {
+        for (x, set) in open {
+            if set.len() > self.extent(x).len() {
+                self.node_mut(x).extent = SuccinctExtent::from_pairs(set.pairs());
+            }
+        }
     }
 
     /// The child of `x` along `label`, if wired.
@@ -232,10 +264,10 @@ mod tests {
         let root = g.new_node(None);
         let b = g.new_node(Some(LabelId(2)));
         let a = g.new_node(Some(LabelId(1)));
-        g.node_mut(a).extent.insert(apex_storage::EdgePair::new(
+        g.node_mut(a).extent = SuccinctExtent::from_pairs(&[apex_storage::EdgePair::new(
             xmlgraph::NodeId(3),
             xmlgraph::NodeId(4),
-        ));
+        )]);
         g.make_edge(root, b, LabelId(2));
         g.make_edge(root, a, LabelId(1));
         g.make_edge(b, a, LabelId(1));

@@ -1,6 +1,6 @@
 //! The [`Apex`] facade: lifecycle, lookup and query-support API.
 
-use apex_storage::EdgeSet;
+use apex_storage::SuccinctExtent;
 use xmlgraph::{LabelId, XmlGraph};
 
 use crate::build0::build_apex0;
@@ -23,15 +23,15 @@ pub struct Lookup {
 /// the hash tree's result type.
 pub type SegmentNodes = QueryNodes;
 
-/// An extent together with its stable storage identity — what the
-/// execution layer's operators take instead of a raw slice, so every
-/// access is attributable to one buffer-pool object.
+/// A stored extent together with its stable storage identity — what
+/// the execution layer's operators take, so every access is
+/// attributable to one buffer-pool object.
 #[derive(Debug, Clone, Copy)]
 pub struct ExtentRef<'a> {
     /// Buffer-pool object id (the class node's arena index).
     pub id: u64,
-    /// The extent pairs.
-    pub set: &'a EdgeSet,
+    /// The stored extent.
+    pub set: &'a SuccinctExtent,
 }
 
 /// Size of the index as reported in Table 2 of the paper.
@@ -52,9 +52,10 @@ pub struct IndexStats {
     pub extent_encoded_bytes: usize,
     /// Uncompressed size of the same extents (8 bytes per pair).
     pub extent_raw_bytes: usize,
-    /// Bytes the extents keep resident to answer queries through the
-    /// succinct form: compressed payload + in-memory headers + the
-    /// rank/select directory + decode-restart samples.
+    /// Bytes the extents keep resident: compressed payload + in-memory
+    /// headers + the rank/select directory + decode-restart samples.
+    /// This is all an index holds per extent — there is no decoded copy
+    /// beside it.
     pub extent_resident_bytes: usize,
 }
 
@@ -83,8 +84,9 @@ impl Apex {
     /// (extraction + pruning) followed by Figure 11 (incremental update)
     /// — then collects both arenas, so the index that is cloned,
     /// persisted and recovered holds exactly its live nodes under ids
-    /// that depend on its shape alone. Returns the number of update
-    /// steps performed.
+    /// that depend on its shape alone. Extents the update changed are
+    /// re-encoded once each; the rest keep their bytes. Returns the
+    /// number of update steps performed.
     pub fn refine(&mut self, g: &XmlGraph, workload: &Workload, min_sup: f64) -> usize {
         extract_frequent(&mut self.ht, workload, min_sup);
         let steps = update_apex(g, &mut self.ga, &mut self.ht, self.xroot);
@@ -137,12 +139,13 @@ impl Apex {
 
     /// Extent of a class node.
     #[inline]
-    pub fn extent(&self, x: XNodeId) -> &EdgeSet {
+    pub fn extent(&self, x: XNodeId) -> &SuccinctExtent {
         self.ga.extent(x)
     }
 
-    /// Extent of a class node as a storage handle: the edge set plus the
-    /// buffer-pool identity the execution layer charges reads against.
+    /// Extent of a class node as a storage handle: the stored extent
+    /// plus the buffer-pool identity the execution layer charges reads
+    /// against.
     #[inline]
     pub fn extent_ref(&self, x: XNodeId) -> ExtentRef<'_> {
         ExtentRef {
@@ -189,12 +192,9 @@ impl Apex {
         for &x in &self.ga.reachable(self.xroot) {
             let e = self.ga.extent(x);
             extent_pairs += e.len();
-            extent_encoded_bytes += e.stored_bytes();
-            extent_raw_bytes += e.raw_bytes();
-            // The succinct-form figure alone: deterministic whatever
-            // query caches happen to be warm, so stats() compares equal
-            // across save/load.
-            extent_resident_bytes += e.succinct().resident_bytes();
+            extent_encoded_bytes += e.image().encoded_bytes();
+            extent_raw_bytes += e.len() * std::mem::size_of::<(u32, u32)>();
+            extent_resident_bytes += e.resident_bytes();
         }
         IndexStats {
             nodes,
@@ -224,8 +224,9 @@ mod tests {
     use xmlgraph::builder::moviedb;
     use xmlgraph::LabelPath;
 
-    fn pairs(e: &EdgeSet) -> Vec<(u32, u32)> {
-        e.iter().map(|p| (p.parent.0, p.node.0)).collect()
+    fn pairs(e: &SuccinctExtent) -> Vec<(u32, u32)> {
+        let pairs = e.to_vec();
+        pairs.iter().map(|p| (p.parent.0, p.node.0)).collect()
     }
 
     /// The Figure 2 index: required paths = singles ∪
@@ -280,12 +281,13 @@ mod tests {
         let p = LabelPath::parse(&g, "name").unwrap();
         let seg = idx.segment_nodes(p.labels());
         assert!(seg.exact);
-        let mut union = EdgeSet::new();
+        let mut union: Vec<(u32, u32)> = Vec::new();
         for x in &seg.xnodes {
-            union = union.union(idx.extent(*x));
+            union.extend(pairs(idx.extent(*x)));
         }
+        union.sort_unstable();
         // T(name) = {<2,3>, <4,5>, <7,11>, <12,13>}.
-        assert_eq!(pairs(&union), vec![(2, 3), (4, 5), (7, 11), (12, 13)]);
+        assert_eq!(union, vec![(2, 3), (4, 5), (7, 11), (12, 13)]);
     }
 
     #[test]

@@ -4,16 +4,17 @@
 //! provides the corresponding save/load path: a versioned, checksummed,
 //! dependency-free binary format for the full index state (`G_APEX`
 //! nodes with extents and edges, the `H_APEX` entry tree, `xroot`).
-//! Loading reconstructs an index that is bit-for-bit equivalent for
-//! every lookup and query (asserted by round-trip tests).
+//! An extent is written as the block image it is held as in memory, so
+//! the bytes resident, persisted and scanned by the kernels are the
+//! same bytes and `save ∘ load ∘ save` is the identity.
 //!
 //! Format (little-endian):
 //!
 //! ```text
-//! magic "APEXIDX" | u8 version (= 2) | u32 xroot
+//! magic "APEXIDX" | u8 version (= 3) | u32 xroot
 //! u32 n_xnodes
-//!   per node: u32 incoming(+1; 0 = none) | u8 visited(unused, 0)
-//!             u32 n_extent | (u32 parent, u32 node)*  (NULL = u32::MAX)
+//!   per node: u32 incoming(+1; 0 = none)
+//!             u32 image_len | BlockExtent::to_bytes image
 //!             u32 n_edges  | (u32 label, u32 target)*
 //! u32 n_hnodes
 //!   per hnode: u32 remainder(+1; 0 = none)
@@ -22,17 +23,18 @@
 //! u64 fnv1a checksum of everything above
 //! ```
 //!
-//! Version history: version 1 images used the 8-byte magic `APEXIDX1`;
-//! because its first seven bytes equal the current magic, a v1 image
-//! loads as [`PersistError::VersionMismatch`]`{ found: 0x31 }` rather
-//! than decoding garbage. A truncated stream reports the byte offset it
-//! died at ([`PersistError::Truncated`]); no input ever panics the
-//! loader (`core::recover` is a `panic-reachability` root).
+//! One format, one reader: images of version 2 (raw pairs) and 1 (magic
+//! `APEXIDX1`) load as [`PersistError::VersionMismatch`]. A truncated
+//! stream reports the offset it died at ([`PersistError::Truncated`]);
+//! an extent image that is not an encoder output for strictly
+//! increasing pairs ([`BlockExtent::check`]) is
+//! [`PersistError::Corrupt`] even under a valid checksum. No input
+//! panics the loader (`core::recover` is a `panic-reachability` root).
 
 use std::io::{self, Read, Write};
 
-use apex_storage::{EdgePair, EdgeSet};
-use xmlgraph::{LabelId, NodeId, NULL_NODE};
+use apex_storage::{BlockExtent, SuccinctExtent};
+use xmlgraph::LabelId;
 
 use crate::graph::{GApex, XNodeId};
 use crate::hashtree::{Entry, HNodeId, HashTree};
@@ -41,7 +43,7 @@ use crate::index::Apex;
 const MAGIC: &[u8; 7] = b"APEXIDX";
 
 /// Current format version, written after the magic.
-pub const FORMAT_VERSION: u8 = 2;
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Errors from loading a persisted index.
 #[derive(Debug)]
@@ -162,11 +164,25 @@ impl<R: Read> Source<'_, R> {
         self.hash.update(buf);
         Ok(())
     }
-    // apex-lint: allow(panic-reachability): b is a fixed-size one-byte array; index 0 always exists
+    /// A `u32`-length-prefixed blob; the buffer grows with the bytes
+    /// that arrive, never from the (possibly hostile) length itself.
+    fn blob(&mut self) -> Result<Vec<u8>, PersistError> {
+        let len = self.u32()? as u64;
+        let mut buf = Vec::new();
+        (&mut *self.r).take(len).read_to_end(&mut buf)?;
+        if (buf.len() as u64) < len {
+            return Err(PersistError::Truncated {
+                offset: self.offset,
+            });
+        }
+        self.offset += len;
+        self.hash.update(&buf);
+        Ok(buf)
+    }
     fn u8(&mut self) -> Result<u8, PersistError> {
         let mut b = [0u8; 1];
         self.bytes(&mut b)?;
-        Ok(b[0])
+        Ok(u8::from_le_bytes(b))
     }
     fn u32(&mut self) -> Result<u32, PersistError> {
         let mut b = [0u8; 4];
@@ -207,12 +223,9 @@ pub fn save<W: Write>(apex: &Apex, w: &mut W) -> io::Result<()> {
     for i in 0..ga.allocated() as u32 {
         let node = ga.node(XNodeId(i));
         s.u32(node.incoming.map_or(0, |l| l.0 + 1))?;
-        s.u8(0)?; // visited flag is transient
-        s.u32(node.extent.len() as u32)?;
-        for p in node.extent.iter() {
-            s.u32(p.parent.0)?;
-            s.u32(p.node.0)?;
-        }
+        let image = node.extent.image().to_bytes();
+        s.u32(image.len() as u32)?;
+        s.bytes(&image)?;
         s.u32(node.edges.len() as u32)?;
         for &(l, t) in &node.edges {
             s.u32(l.0)?;
@@ -272,23 +285,13 @@ pub fn load<R: Read>(r: &mut R) -> Result<Apex, PersistError> {
             0 => None,
             v => Some(LabelId(v - 1)),
         };
-        let _visited = s.u8()?;
         let x = ga.new_node(incoming);
-        let n_extent = s.u32()? as usize;
-        let mut pairs = Vec::with_capacity(n_extent);
-        for _ in 0..n_extent {
-            let parent = s.u32()?;
-            let node = s.u32()?;
-            pairs.push(EdgePair::new(
-                if parent == u32::MAX {
-                    NULL_NODE
-                } else {
-                    NodeId(parent)
-                },
-                NodeId(node),
-            ));
-        }
-        ga.node_mut(x).extent = EdgeSet::from_pairs(pairs);
+        let image = BlockExtent::from_bytes(&s.blob()?)
+            .filter(BlockExtent::check)
+            .ok_or(PersistError::Corrupt(
+                "extent image is not an encoder output",
+            ))?;
+        ga.node_mut(x).extent = SuccinctExtent::build(image);
         let n_edges = s.u32()? as usize;
         for _ in 0..n_edges {
             let l = LabelId(s.u32()?);
@@ -352,15 +355,8 @@ pub fn load<R: Read>(r: &mut R) -> Result<Apex, PersistError> {
     }
 
     let computed = s.hash.finish();
-    let offset = s.offset;
     let mut tail = [0u8; 8];
-    if let Err(e) = s.r.read_exact(&mut tail) {
-        return Err(if e.kind() == io::ErrorKind::UnexpectedEof {
-            PersistError::Truncated { offset }
-        } else {
-            PersistError::Io(e)
-        });
-    }
+    s.bytes(&mut tail)?;
     if u64::from_le_bytes(tail) != computed {
         return Err(PersistError::BadChecksum);
     }
@@ -403,8 +399,8 @@ mod tests {
             let a = idx.lookup(path.labels());
             let b = loaded.lookup(path.labels());
             assert_eq!(a.matched_len, b.matched_len, "{p}");
-            let ea = a.xnode.map(|x| idx.extent(x).pairs().to_vec());
-            let eb = b.xnode.map(|x| loaded.extent(x).pairs().to_vec());
+            let ea = a.xnode.map(|x| idx.extent(x).to_vec());
+            let eb = b.xnode.map(|x| loaded.extent(x).to_vec());
             assert_eq!(ea, eb, "{p}");
         }
     }

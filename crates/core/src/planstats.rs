@@ -4,9 +4,10 @@
 //! A [`PlanStats`] is an immutable per-generation summary of everything
 //! the planner needs to predict operator costs *without touching the
 //! index itself at plan time*: per-extent cardinalities, block counts,
-//! distinct-end hints and parent/node bounds (all read through the
-//! `EdgeSet` cheap accessors, so assembly never forces an end-node sort
-//! or a block encode on a cold extent), plus the windowed workload
+//! parent/node bounds and resident bytes — exact, O(1) reads of the
+//! stored extents, so the statistics are a function of the index and
+//! nothing else (in particular not of which queries ran before
+//! assembly) — plus the windowed workload
 //! supports from the [`WorkloadMonitor`](crate::monitor::WorkloadMonitor)
 //! and the buffer pool's resident-page count. It is published alongside
 //! the index inside every [`Snapshot`](crate::serve::Snapshot), so the
@@ -15,34 +16,44 @@
 
 use std::collections::HashMap;
 
+use apex_storage::SuccinctExtent;
 use xmlgraph::{LabelPath, NodeId};
 
 use crate::index::Apex;
 use crate::workload::Workload;
 
 /// Cheap summary of one stored extent, keyed by its class node.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtentStat {
     /// Pair count (exact).
     pub pairs: usize,
-    /// Stored-block count: exact when the block cache was warm at
-    /// assembly time, else the size-based estimate.
+    /// Stored-block count (exact).
     pub blocks: usize,
-    /// Distinct end-node count: exact when the end cache was warm, else
-    /// the pair count as an upper bound.
+    /// Upper bound on the distinct end-node count: the pair count. (The
+    /// exact figure would cost a sort of the whole extent.)
     pub ends: usize,
     /// `(min, max)` parent of the extent (`None` when empty).
     pub parent_bounds: Option<(NodeId, NodeId)>,
     /// `(min, max)` end node of the extent (`None` when empty).
     pub node_bounds: Option<(NodeId, NodeId)>,
-    /// Bytes the extent keeps resident to answer queries: the succinct
-    /// form's payload + directory + samples when its cache was warm at
-    /// assembly time, else the compressed-size estimate. Never the
-    /// decoded 8-bytes-per-pair figure.
+    /// Bytes the extent keeps resident (exact): compressed payload +
+    /// headers + directory + samples.
     pub resident_bytes: usize,
 }
 
 impl ExtentStat {
+    /// Reads the summary off a stored extent.
+    pub fn of(set: &SuccinctExtent) -> ExtentStat {
+        ExtentStat {
+            pairs: set.len(),
+            blocks: set.num_blocks(),
+            ends: set.len(),
+            parent_bounds: set.parent_bounds(),
+            node_bounds: set.node_bounds(),
+            resident_bytes: set.resident_bytes(),
+        }
+    }
+
     /// Fraction of this extent's pairs whose parent could fall inside
     /// `bounds` under a uniform-spread assumption — the interval-overlap
     /// selectivity the planner uses to size a semijoin between two
@@ -73,10 +84,9 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    /// Summarizes every extent reachable from `xroot`, using only the
-    /// O(1)/O(n)-in-memory accessors: no block is encoded and no
-    /// end-node cache is forced, so assembling statistics for a large
-    /// cold index faults no pages and costs one linear pass.
+    /// Summarizes every extent reachable from `xroot`. Each summary is
+    /// a handful of O(1) reads of the stored extent's directory: no
+    /// payload byte is decoded and no page is faulted.
     pub fn assemble(index: &Apex) -> PlanStats {
         let mut extents = HashMap::new();
         let mut total_pairs = 0u64;
@@ -84,19 +94,9 @@ impl PlanStats {
         for x in index.graph().reachable(index.xroot()) {
             let set = index.extent(x);
             total_pairs += set.len() as u64;
-            let resident_bytes = set.resident_bytes_hint();
-            total_resident_bytes += resident_bytes as u64;
-            extents.insert(
-                x.0,
-                ExtentStat {
-                    pairs: set.len(),
-                    blocks: set.blocks_hint(),
-                    ends: set.ends_len_hint(),
-                    parent_bounds: set.parent_bounds(),
-                    node_bounds: set.node_bounds(),
-                    resident_bytes,
-                },
-            );
+            let stat = ExtentStat::of(set);
+            total_resident_bytes += stat.resident_bytes as u64;
+            extents.insert(x.0, stat);
         }
         PlanStats {
             generation: 0,
@@ -208,11 +208,10 @@ mod tests {
             if !set.is_empty() {
                 assert_eq!(e.parent_bounds, set.parent_bounds());
                 assert_eq!(e.node_bounds, set.node_bounds());
+                assert_eq!(e.blocks, set.num_blocks());
                 assert!(e.blocks >= 1);
                 assert!(e.ends <= e.pairs);
-                assert!(e.resident_bytes > 0);
-                // The hint never reports the decoded-Vec footprint.
-                assert!(e.resident_bytes <= set.len() * 8);
+                assert_eq!(e.resident_bytes, set.resident_bytes());
             }
         }
         assert_eq!(st.total_pairs(), pairs);
@@ -220,7 +219,7 @@ mod tests {
             .graph()
             .reachable(idx.xroot())
             .iter()
-            .map(|&x| idx.extent(x).resident_bytes_hint() as u64)
+            .map(|&x| idx.extent(x).resident_bytes() as u64)
             .sum();
         assert_eq!(st.total_resident_bytes(), resident);
         assert!(!st.is_empty());

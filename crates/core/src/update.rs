@@ -38,6 +38,17 @@
 //! under a drifting hot set: a rebuilt child class received the delta's
 //! pairs, the edge was retargeted, and the later verification found the
 //! wiring "already correct".)
+//!
+//! **Extents are opened, mutated, sealed.** A class node's stored
+//! extent is an immutable block image. The first time a run adds to a
+//! node it decodes that image into an `EdgeSet` ([`GApex::open_extent`]);
+//! every later step works on the decoded set; [`GApex::seal`] encodes
+//! each opened node once when the worklist is empty. A node the run
+//! only *reads* (a verification pass over its whole extent) is decoded
+//! for that read and not kept; a node the run does not reach — every
+//! node, when nothing changed — is neither decoded nor re-encoded.
+
+use std::collections::HashMap;
 
 use apex_storage::{EdgePair, EdgeSet};
 use xmlgraph::{LabelId, XmlGraph};
@@ -76,11 +87,11 @@ impl RollingPath {
 /// small integers, so bucketing is an index, not a hash.
 fn group_out_edges(
     g: &XmlGraph,
-    pairs: &EdgeSet,
+    pairs: &[EdgePair],
     wanted: impl Fn(LabelId) -> bool,
 ) -> Vec<(LabelId, Vec<EdgePair>)> {
     let mut buckets: Vec<Vec<EdgePair>> = vec![Vec::new(); g.label_count()];
-    for p in pairs.iter() {
+    for p in pairs {
         for e in g.out_edges(p.node) {
             if wanted(e.label) {
                 buckets[e.label.idx()].push(EdgePair::new(p.node, e.to));
@@ -104,6 +115,8 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
     let cap = ht.max_depth() + 1;
     let mut steps = 0usize;
     let mut scratch: Vec<EdgePair> = Vec::new();
+    // Decoded extents of the nodes this run has added to (module docs).
+    let mut open: HashMap<XNodeId, EdgeSet> = HashMap::new();
     // (node, ΔESet, rooted path). LIFO ≈ the paper's DFS.
     let mut work: Vec<(XNodeId, EdgeSet, RollingPath)> =
         vec![(xroot, EdgeSet::new(), RollingPath::empty())];
@@ -140,9 +153,16 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
             if !stale.is_empty() {
                 // Recompute the mis-wired children's slices of the whole
                 // extent from G_XML, in one scan.
-                let mut groups = group_out_edges(g, ga.extent(xnode), |l| {
-                    stale.iter().any(|(label, ..)| *label == l)
-                });
+                let decoded;
+                let extent = match open.get(&xnode) {
+                    Some(set) => set.pairs(),
+                    None => {
+                        decoded = ga.extent(xnode).to_vec();
+                        &decoded
+                    }
+                };
+                let mut groups =
+                    group_out_edges(g, extent, |l| stale.iter().any(|(label, ..)| *label == l));
                 for (label, entry, newpath) in stale {
                     let group = groups.iter_mut().find(|(l, _)| *l == label);
                     let slice = group.map(|(_, slice)| std::mem::take(slice));
@@ -152,7 +172,7 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
         }
         if !delta.is_empty() {
             // Extent-delta pass (Figure 11 lines 23–37).
-            for (label, slice) in group_out_edges(g, &delta, |_| true) {
+            for (label, slice) in group_out_edges(g, delta.pairs(), |_| true) {
                 let newpath = path.extended(label, cap);
                 let mut probes = 0u64;
                 if let Some(loc) = ht.locate(&newpath.labels, &mut probes) {
@@ -164,15 +184,15 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
             let xchild = ht
                 .xnode_of(entry)
                 .unwrap_or_else(|| ga.new_node(Some(label)));
-            let dnew = EdgeSet::from_pairs(slice).difference(ga.extent(xchild));
-            ga.node_mut(xchild)
-                .extent
-                .union_in_place(&dnew, &mut scratch);
+            let extent = ga.open_extent(&mut open, xchild);
+            let dnew = EdgeSet::from_pairs(slice).difference(extent);
+            extent.union_in_place(&dnew, &mut scratch);
             ga.make_edge(xnode, xchild, label);
             ht.set_xnode(entry, xchild);
             work.push((xchild, dnew, newpath));
         }
     }
+    ga.seal(open);
     steps
 }
 

@@ -21,6 +21,10 @@
 //!    allocated hash node from the head (`refine` compacts both).
 //! 8. **No dangling class**: every `xnode`/`remainder` in `H_APEX`
 //!    points at a class node reachable from `xroot`.
+//! 9. **Sealed extents**: every reachable extent's block image is
+//!    exactly what the encoder writes for a strictly increasing pair
+//!    sequence (so image equality is pair-set equality, and `persist`
+//!    will accept what it wrote).
 
 use std::collections::HashSet;
 
@@ -41,6 +45,7 @@ pub fn check(g: &XmlGraph, apex: &Apex) -> Violations {
     check_label_coverage(g, apex, &mut out);
     check_determinism(apex, &mut out);
     check_arenas(apex, &mut out);
+    check_sealed_extents(apex, &mut out);
     out
 }
 
@@ -113,13 +118,13 @@ fn check_extent_labels(g: &XmlGraph, apex: &Apex, out: &mut Violations) {
     for x in apex.graph().reachable(apex.xroot()) {
         let Some(inc) = apex.incoming_label(x) else {
             // xroot: extent must be exactly <NULL, root>.
-            let pairs: Vec<_> = apex.extent(x).iter().collect();
+            let pairs = apex.extent(x).to_vec();
             if pairs.len() != 1 || !pairs[0].parent.is_null() || pairs[0].node != g.root() {
                 out.push("xroot extent is not {<NULL, root>}".to_string());
             }
             continue;
         };
-        for p in apex.extent(x).iter() {
+        for p in apex.extent(x).to_vec() {
             if p.parent.is_null() || !edge_exists(p.parent, inc, p.node) {
                 out.push(format!(
                     "extent of class {} (label {}) holds non-edge <{},{}>",
@@ -159,7 +164,8 @@ fn check_label_coverage(g: &XmlGraph, apex: &Apex, out: &mut Violations) {
         }
         let mut union: Vec<(u32, u32)> = Vec::new();
         for x in &seg.xnodes {
-            union.extend(apex.extent(*x).iter().map(|p| (p.parent.0, p.node.0)));
+            let pairs = apex.extent(*x).to_vec();
+            union.extend(pairs.iter().map(|p| (p.parent.0, p.node.0)));
         }
         union.sort_unstable();
         union.dedup();
@@ -223,6 +229,18 @@ fn check_arenas(apex: &Apex, out: &mut Violations) {
     }
 }
 
+fn check_sealed_extents(apex: &Apex, out: &mut Violations) {
+    for x in apex.graph().reachable(apex.xroot()) {
+        if !apex.extent(x).image().check() {
+            out.push(format!(
+                "extent of class {} is not a sealed image: unsorted pairs, \
+                 inconsistent headers or non-canonical encoding",
+                x.0
+            ));
+        }
+    }
+}
+
 /// Convenience used by tests: panics with the violation list if any.
 pub fn assert_valid(g: &XmlGraph, apex: &Apex) {
     let v = check(g, apex);
@@ -234,6 +252,7 @@ mod tests {
     use super::*;
     use crate::graph::XNodeId;
     use crate::Workload;
+    use apex_storage::SuccinctExtent;
     use xmlgraph::builder::moviedb;
 
     #[test]
@@ -271,13 +290,31 @@ mod tests {
         {
             let ga = tampered.graph_mut_for_tests();
             let x = XNodeId(1);
-            ga.node_mut(x).extent.insert(apex_storage::EdgePair::new(
-                xmlgraph::NodeId(0),
-                xmlgraph::NodeId(0),
-            ));
+            let mut pairs = ga.extent(x).to_vec();
+            pairs.insert(
+                0,
+                apex_storage::EdgePair::new(xmlgraph::NodeId(0), xmlgraph::NodeId(0)),
+            );
+            ga.node_mut(x).extent = SuccinctExtent::from_pairs(&pairs);
         }
         let v = check(&g, &tampered);
         assert!(!v.is_empty(), "validator must flag the bogus pair");
+        assert!(v.iter().all(|m| !m.contains("sealed")), "{v:#?}");
+    }
+
+    #[test]
+    fn validator_flags_an_extent_that_is_not_sealed() {
+        // Pairs out of order: every kernel assumes sorted blocks, and the
+        // image is not one `persist::load` would take back.
+        let g = moviedb();
+        let mut apex = Apex::build_initial(&g);
+        let name = g.label_id("name").unwrap();
+        let x = apex.lookup(&[name]).xnode.unwrap();
+        let mut pairs = apex.extent(x).to_vec();
+        pairs.reverse();
+        apex.graph_mut_for_tests().node_mut(x).extent = SuccinctExtent::from_pairs(&pairs);
+        let v = check(&g, &apex);
+        assert!(v.iter().any(|m| m.contains("not a sealed image")), "{v:#?}");
     }
 
     #[test]

@@ -113,8 +113,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "pool-discipline",
-        summary: "PageCache/BufferManager are constructed only in apex-storage and \
-                  apex_query::batch",
+        summary: "BufferManager is constructed only in apex-storage and apex_query::batch",
         severity: Severity::Error,
         check: Check::File(pool_discipline),
     },
@@ -487,7 +486,6 @@ fn pool_discipline(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
     if ctx.crate_dir == "storage" || ctx.rel_path == "crates/query/src/batch.rs" {
         return;
     }
-    const TYPES: &[&str] = &["PageCache", "BufferManager"];
     const CTORS: &[&str] = &[
         "new",
         "unbounded",
@@ -496,7 +494,7 @@ fn pool_discipline(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
         "default",
     ];
     for i in 0..ctx.code_len() {
-        if TYPES.iter().any(|t| ctx.ident_is(i, t))
+        if ctx.ident_is(i, "BufferManager")
             && ctx.text(i + 1) == "::"
             && CTORS.iter().any(|c| ctx.ident_is(i + 2, c))
             && !ctx.is_test(i)

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::{BufferHandle, Space};
-use apex_storage::{DataTable, EdgeSet, KernelPolicy};
+use apex_storage::{DataTable, EdgeSet, KernelPolicy, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
@@ -60,8 +60,8 @@ pub struct ApexProcessor<'a> {
     /// bench runs leave it unset).
     deadline: Option<std::time::Instant>,
     /// Statistics snapshot the planner reads (adaptive serving passes
-    /// the published snapshot's stats; `None` falls back to the live
-    /// extents' cheap accessors — same numbers, read at plan time).
+    /// the published snapshot's stats; `None` reads the same numbers
+    /// off the stored extents at plan time).
     stats: Option<&'a PlanStats>,
     /// Join-order selection: cost-based by default; benches force the
     /// fixed orders through this.
@@ -133,7 +133,7 @@ impl<'a> ApexProcessor<'a> {
     }
 
     /// Plans against `stats` (a published snapshot's statistics)
-    /// instead of the live extent accessors.
+    /// instead of reading the stored extents.
     pub fn with_plan_stats(mut self, stats: &'a PlanStats) -> Self {
         self.stats = Some(stats);
         self
@@ -152,7 +152,7 @@ impl<'a> ApexProcessor<'a> {
     }
 
     /// `(buffer id, extent)` source for class node `x`.
-    fn source(&self, x: XNodeId) -> (u64, &'a EdgeSet) {
+    fn source(&self, x: XNodeId) -> (u64, &'a SuccinctExtent) {
         let r = self.apex.extent_ref(x);
         ((self.tag << 32) | r.id, r.set)
     }
@@ -181,7 +181,7 @@ impl<'a> ApexProcessor<'a> {
         ctx: &mut ExecContext<'_>,
     ) -> (Vec<NodeId>, PlanReport) {
         let (edges, report) = self.eval_path_edges(labels, ctx);
-        let mut nodes = edges.end_nodes().to_vec();
+        let mut nodes: Vec<NodeId> = edges.iter().map(|p| p.node).collect();
         self.g.sort_doc_order(&mut nodes);
         (nodes, report)
     }
@@ -223,7 +223,7 @@ impl<'a> ApexProcessor<'a> {
         for x in &seg.xnodes {
             let (id, set) = self.source(*x);
             ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
-            let e = set.clone();
+            let e = EdgeSet::from_sorted(set.to_vec());
             known.insert(*x, e.clone());
             pending.insert(*x, e);
             queue.push(*x);

@@ -19,10 +19,16 @@
 //! faults its page, and `pages_read` reflects both the compression and
 //! the skipping.
 //!
+//! Two types carry pairs, one per role: operators *read* stored extents
+//! as [`SuccinctExtent`] (what the index holds; the kernels scan its
+//! blocks in place) and *hand each other* [`EdgeSet`]s (decoded,
+//! in-flight results). Only [`ExtentUnion`] turns the first into the
+//! second wholesale.
+//!
 //! | operator | paper role |
 //! |---|---|
 //! | [`ExtentScan`] | read one stored extent |
-//! | [`ExtentUnion`] | union the extents of one `H_APEX` segment |
+//! | [`ExtentUnion`] | decode and union the extents of one `H_APEX` segment |
 //! | [`Semijoin`] | one join step (merge / gallop / block-skip kernel) |
 //! | [`MultiwayJoin`] | the §6.1 QTYPE1 chain: seed union + join steps |
 //! | [`DataProbe`] | QTYPE3 data-table value test |
@@ -31,7 +37,7 @@
 
 use apex_storage::bufmgr::{BufferHandle, ObjectId, Space};
 use apex_storage::kernels::{self, Kernel, KernelPolicy, SemijoinScratch};
-use apex_storage::{Cost, DataTable, EdgePair, EdgeSet, Ends, OpKind};
+use apex_storage::{Cost, DataTable, EdgePair, EdgeSet, Ends, OpKind, SuccinctExtent};
 use fabric::IndexFabric;
 use xmlgraph::{LabelId, NodeId};
 
@@ -190,8 +196,8 @@ pub(crate) fn block_oid(space: Space, id: u64, k: u32) -> ObjectId {
 }
 
 /// Charges every block of `set` (a full scan), returning pages read.
-fn charge_all_blocks(buf: &BufferHandle, space: Space, id: u64, set: &EdgeSet) -> u64 {
-    let bx = set.blocks();
+fn charge_all_blocks(buf: &BufferHandle, space: Space, id: u64, set: &SuccinctExtent) -> u64 {
+    let bx = set.image();
     let mut pages = 0;
     for k in 0..bx.num_blocks() {
         pages += buf.touch(block_oid(space, id, k as u32), bx.block_bytes(k));
@@ -207,7 +213,7 @@ enum ScanTarget<'a> {
     Blocks {
         space: Space,
         id: u64,
-        set: &'a EdgeSet,
+        set: &'a SuccinctExtent,
     },
     Object {
         id: ObjectId,
@@ -233,7 +239,7 @@ pub struct ExtentScan<'a> {
 impl<'a> ExtentScan<'a> {
     /// Scan of an edge-pair extent, stored as compressed blocks: every
     /// block is faulted (it's a full scan) at its encoded size.
-    pub fn pairs(space: Space, id: u64, set: &'a EdgeSet) -> Self {
+    pub fn pairs(space: Space, id: u64, set: &'a SuccinctExtent) -> Self {
         ExtentScan {
             target: ScanTarget::Blocks { space, id, set },
             len: set.len(),
@@ -273,12 +279,14 @@ impl<'a> ExtentScan<'a> {
     }
 }
 
-/// Scans several extents and merges them into one edge set — the seed
-/// of a QTYPE1 plan (the exact segment's class extents).
+/// Scans several stored extents and merges them into one in-flight edge
+/// set — the seed of a QTYPE1 plan (the exact segment's class extents).
+/// This is where stored pairs are decoded wholesale; every later stage
+/// reads its extents through the kernels, block by block.
 #[derive(Debug)]
 pub struct ExtentUnion<'a> {
     /// `(buffer id, extent)` sources, scanned in order.
-    pub sources: Vec<(u64, &'a EdgeSet)>,
+    pub sources: Vec<(u64, &'a SuccinctExtent)>,
     /// The address space the ids live in.
     pub space: Space,
 }
@@ -291,7 +299,12 @@ impl ExtentUnion<'_> {
             for (id, set) in &self.sources {
                 cost.extent_pairs += set.len() as u64;
                 cost.pages_read += charge_all_blocks(buf, self.space, *id, set);
-                out.union_in_place(set, &mut scratch.union);
+                let part = EdgeSet::from_sorted(set.to_vec());
+                if out.is_empty() {
+                    out = part;
+                } else {
+                    out.union_in_place(&part, &mut scratch.union);
+                }
             }
             out
         })
@@ -312,7 +325,7 @@ pub struct Semijoin<'a> {
     /// Buffer id of the extent (block ids derive from it).
     pub id: u64,
     /// The joined extent.
-    pub extent: &'a EdgeSet,
+    pub extent: &'a SuccinctExtent,
     /// The kernel to run.
     pub kernel: Kernel,
 }
@@ -330,7 +343,7 @@ impl Semijoin<'_> {
         ctx.attributed(kind, |cost, buf, scratch| {
             let report =
                 kernels::semijoin_into(self.kernel, self.extent, self.ends, &mut scratch.semi);
-            let bx = self.extent.blocks();
+            let bx = self.extent.image();
             for &k in &scratch.semi.blocks {
                 cost.pages_read += buf.touch(
                     block_oid(self.space, self.id, k),
@@ -354,7 +367,7 @@ pub fn semijoin(
     ends: Ends<'_>,
     space: Space,
     id: u64,
-    extent: &EdgeSet,
+    extent: &SuccinctExtent,
 ) -> EdgeSet {
     let kernel = ctx.policy.choose(ends.len(), extent);
     Semijoin {
@@ -374,10 +387,10 @@ pub fn semijoin(
 #[derive(Debug)]
 pub struct MultiwayJoin<'a> {
     /// The exact segment's `(id, extent)` sources.
-    pub seed: Vec<(u64, &'a EdgeSet)>,
+    pub seed: Vec<(u64, &'a SuccinctExtent)>,
     /// One entry per later segment: the class extents semijoined
     /// against the running result.
-    pub stages: Vec<Vec<(u64, &'a EdgeSet)>>,
+    pub stages: Vec<Vec<(u64, &'a SuccinctExtent)>>,
     /// The address space of every id.
     pub space: Space,
 }
@@ -498,10 +511,22 @@ mod tests {
     use super::*;
     use apex_storage::PageModel;
 
+    fn stored(pairs: &[(u32, u32)]) -> SuccinctExtent {
+        SuccinctExtent::from_pairs(EdgeSet::from_raw(pairs).pairs())
+    }
+
+    /// `n` single-child parents, `step` apart.
+    fn chain(n: u32, step: u32) -> SuccinctExtent {
+        let pairs: Vec<EdgePair> = (0..n)
+            .map(|i| EdgePair::new(NodeId(step * i), NodeId(step * i + 1)))
+            .collect();
+        SuccinctExtent::from_pairs(&pairs)
+    }
+
     #[test]
     fn extent_scan_charges_pairs_and_attributes() {
         let buf = BufferHandle::unbounded();
-        let set = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
+        let set = stored(&[(1, 2), (3, 4)]);
         let mut ctx = ExecContext::new(&buf);
         ExtentScan::pairs(Space::ApexExtent, 7, &set).run(&mut ctx);
         ExtentScan::pairs(Space::ApexExtent, 7, &set).run(&mut ctx);
@@ -517,8 +542,8 @@ mod tests {
     #[test]
     fn union_merges_and_semijoin_adapts() {
         let buf = BufferHandle::unbounded();
-        let a = EdgeSet::from_raw(&[(1, 2)]);
-        let b = EdgeSet::from_raw(&[(3, 4)]);
+        let a = stored(&[(1, 2)]);
+        let b = stored(&[(3, 4)]);
         let mut ctx = ExecContext::new(&buf);
         let u = ExtentUnion {
             sources: vec![(0, &a), (1, &b)],
@@ -527,7 +552,7 @@ mod tests {
         .run(&mut ctx);
         assert_eq!(u, EdgeSet::from_raw(&[(1, 2), (3, 4)]));
         // 2 ends vs a 3-pair extent: same order, so the merge kernel runs.
-        let next = EdgeSet::from_raw(&[(2, 7), (4, 9), (5, 5)]);
+        let next = stored(&[(2, 7), (4, 9), (5, 5)]);
         let hit = semijoin(&mut ctx, u.end_nodes().into(), Space::ApexExtent, 2, &next);
         assert_eq!(hit, EdgeSet::from_raw(&[(2, 7), (4, 9)]));
         let cost = ctx.finish();
@@ -540,11 +565,7 @@ mod tests {
     #[test]
     fn forced_policies_agree_and_attribute_their_kind() {
         let buf = BufferHandle::unbounded();
-        let extent = EdgeSet::from_pairs(
-            (0..5_000u32)
-                .map(|i| EdgePair::new(NodeId(2 * i), NodeId(2 * i + 1)))
-                .collect(),
-        );
+        let extent = chain(5_000, 2);
         let ends = [NodeId(10), NodeId(4_000)];
         let adaptive_kind = match KernelPolicy::Adaptive.choose(ends.len(), &extent) {
             Kernel::Merge => OpKind::SemijoinMerge,
@@ -578,12 +599,8 @@ mod tests {
     fn skipped_blocks_are_never_faulted() {
         let buf = BufferHandle::unbounded();
         // Multi-block extent; probe only its first parents.
-        let extent = EdgeSet::from_pairs(
-            (0..40_000u32)
-                .map(|i| EdgePair::new(NodeId(i), NodeId(i + 1)))
-                .collect(),
-        );
-        let blocks = extent.blocks().num_blocks() as u64;
+        let extent = chain(40_000, 1);
+        let blocks = extent.num_blocks() as u64;
         assert!(blocks > 2);
         let mut ctx = ExecContext::new(&buf);
         let hit = semijoin(
@@ -607,8 +624,8 @@ mod tests {
     #[test]
     fn multiway_join_attributes_to_inner_operators() {
         let buf = BufferHandle::unbounded();
-        let seed = EdgeSet::from_raw(&[(0, 1), (0, 2)]);
-        let s1 = EdgeSet::from_raw(&[(1, 10), (2, 11), (9, 9)]);
+        let seed = stored(&[(0, 1), (0, 2)]);
+        let s1 = stored(&[(1, 10), (2, 11), (9, 9)]);
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
             seed: vec![(0, &seed)],
@@ -643,7 +660,7 @@ mod tests {
     #[test]
     fn empty_seed_short_circuits_stages() {
         let buf = BufferHandle::unbounded();
-        let s1 = EdgeSet::from_raw(&[(1, 10)]);
+        let s1 = stored(&[(1, 10)]);
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
             seed: vec![],

@@ -3,7 +3,7 @@
 //! The planner sits between parsing and [`crate::exec`]: instead of the
 //! fixed left-to-right §6.1 pipeline, a QTYPE1/3 segment chain is first
 //! *planned* against a [`PlanStats`] snapshot (or, absent one, the same
-//! numbers read through the `EdgeSet` cheap accessors), then executed.
+//! numbers read off the stored extents), then executed.
 //!
 //! The plan space is deliberately small and fully enumerable:
 //!
@@ -18,7 +18,7 @@
 //!   classic full right-to-left reduction.
 //!
 //! For every candidate the planner predicts per-operator work and pages
-//! from extent cardinalities, block counts, distinct-end hints and
+//! from extent cardinalities, block counts, distinct-end bounds and
 //! parent/node interval overlap — the same statistics the kernels'
 //! adaptive policy consults at run time — and picks the cheapest
 //! (ties and near-ties go forward, the legacy order). A stage with an
@@ -31,10 +31,10 @@
 //! mispredict ratio `Σ|predicted − actual| / Σactual` that the
 //! feedback layer pushes back into the workload monitor.
 
-use apex::{Apex, PlanStats, XNodeId};
+use apex::{Apex, ExtentStat, PlanStats, XNodeId};
 use apex_storage::bufmgr::Space;
 use apex_storage::kernels::reverse_semijoin_into;
-use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind};
+use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId};
 
 use crate::exec::{self, ExecContext, ExtentScan, ExtentUnion, MultiwayJoin};
@@ -303,7 +303,7 @@ impl Forecast {
 }
 
 /// Mirror of the adaptive [`KernelPolicy::choose`] rule on statistics
-/// alone (no extent touched, no block encode forced).
+/// alone (no extent touched).
 fn predict_kernel(ends: u64, pairs: u64, blocks: u64) -> Kernel {
     if pairs == 0 || ends == 0 {
         return Kernel::Merge;
@@ -345,7 +345,7 @@ pub struct PathPlan {
 }
 
 /// The cost-based planner: borrows the index, an optional statistics
-/// snapshot (falling back to the live cheap accessors per extent), the
+/// snapshot (falling back to the stored extents themselves), the
 /// kernel policy in force, and the generation tag that scopes buffer
 /// identities.
 pub struct Planner<'a> {
@@ -374,40 +374,25 @@ impl<'a> Planner<'a> {
 
     /// `(buffer id, extent)` source for class node `x` under this
     /// planner's generation tag.
-    fn source(&self, x: XNodeId) -> (u64, &'a EdgeSet) {
+    fn source(&self, x: XNodeId) -> (u64, &'a SuccinctExtent) {
         let r = self.apex.extent_ref(x);
         ((self.tag << 32) | r.id, r.set)
     }
 
     /// Summarizes one stage from the snapshot, or (per missing extent)
-    /// from the live cheap accessors — identical numbers either way.
+    /// from the stored extent — identical numbers either way.
     fn stage_est(&self, classes: &[XNodeId]) -> StageEst {
         let mut e = StageEst::default();
         for &x in classes {
-            let (pairs, blocks, ends, pb, nb) = match self.stats.and_then(|s| s.extent(x.0)) {
-                Some(st) => (
-                    st.pairs,
-                    st.blocks,
-                    st.ends,
-                    st.parent_bounds,
-                    st.node_bounds,
-                ),
-                None => {
-                    let set = self.apex.extent(x);
-                    (
-                        set.len(),
-                        set.blocks_hint(),
-                        set.ends_len_hint(),
-                        set.parent_bounds(),
-                        set.node_bounds(),
-                    )
-                }
+            let st = match self.stats.and_then(|s| s.extent(x.0)) {
+                Some(st) => *st,
+                None => ExtentStat::of(self.apex.extent(x)),
             };
-            e.pairs += pairs as u64;
-            e.blocks += blocks as u64;
-            e.ends += ends as u64;
-            e.parent_bounds = merge_bounds(e.parent_bounds, pb);
-            e.node_bounds = merge_bounds(e.node_bounds, nb);
+            e.pairs += st.pairs as u64;
+            e.blocks += st.blocks as u64;
+            e.ends += st.ends as u64;
+            e.parent_bounds = merge_bounds(e.parent_bounds, st.parent_bounds);
+            e.node_bounds = merge_bounds(e.node_bounds, st.node_bounds);
         }
         e
     }
@@ -726,13 +711,13 @@ impl<'a> Planner<'a> {
     fn reverse_step(
         &self,
         id: u64,
-        set: &EdgeSet,
+        set: &SuccinctExtent,
         parents: &[NodeId],
         ctx: &mut ExecContext<'_>,
     ) -> EdgeSet {
         ctx.attributed(OpKind::SemijoinReverse, |cost, buf, scratch| {
             let report = reverse_semijoin_into(set, parents, &mut scratch.semi);
-            let bx = set.blocks();
+            let bx = set.image();
             for &kb in &scratch.semi.blocks {
                 cost.pages_read += buf.touch(
                     exec::block_oid(Space::ApexExtent, id, kb),
@@ -748,8 +733,7 @@ impl<'a> Planner<'a> {
 
     /// Semijoin of the running frontier against an in-memory reduced
     /// stage: merge or gallop on actual sizes, zero pages (reduced
-    /// stages are derived sets, not storage — crucially, no block
-    /// encode is ever forced on them).
+    /// stages are in-flight sets, not storage).
     fn memory_join(&self, ctx: &mut ExecContext<'_>, cur: &EdgeSet, stage: &EdgeSet) -> EdgeSet {
         let ends = cur.end_nodes();
         let n = ends.len().max(1);
@@ -780,10 +764,13 @@ impl<'a> Planner<'a> {
         let lo = k - r;
         // Distinct parents of the last stage (a full scan of it).
         let mut parents: Vec<NodeId> = Vec::new();
+        let mut scratch = Vec::new();
         for &x in &plan.stages[k] {
             let (id, set) = self.source(x);
             ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
-            parents.extend(set.iter().map(|p| p.parent));
+            scratch.clear();
+            set.decode_into(&mut scratch);
+            parents.extend(scratch.iter().map(|p| p.parent));
         }
         parents.sort_unstable();
         parents.dedup();
@@ -792,7 +779,6 @@ impl<'a> Planner<'a> {
         }
         // Reduce stages k-1 .. lo.
         let mut reduced: Vec<EdgeSet> = vec![EdgeSet::new(); k];
-        let mut scratch = Vec::new();
         for i in (lo..k).rev() {
             if !ctx.checkpoint() {
                 return EdgeSet::new();

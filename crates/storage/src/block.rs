@@ -34,6 +34,11 @@ use crate::edgeset::EdgePair;
 /// cost model, so "skip a block" means "skip a page".
 pub const BLOCK_TARGET_BYTES: usize = crate::pages::DEFAULT_PAGE_SIZE;
 
+/// Payload length at which the encoder closes a block before adding
+/// the next pair: a pair encodes to at most 10 varint bytes, so closing
+/// here keeps every payload within one page.
+const CLOSE_AT: usize = BLOCK_TARGET_BYTES - 10;
+
 /// Serialized bytes per [`BlockHeader`] in the on-disk format.
 pub const HEADER_BYTES: usize = 16;
 
@@ -67,7 +72,7 @@ fn raw_parent(p: NodeId) -> u32 {
     p.0
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u32) {
+pub(crate) fn push_varint(out: &mut Vec<u8>, mut v: u32) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -77,6 +82,22 @@ fn push_varint(out: &mut Vec<u8>, mut v: u32) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// Writes `v` as a varint at `block[at..]`; returns the offset after it.
+#[inline]
+fn put_varint(block: &mut [u8; BLOCK_TARGET_BYTES], mut at: usize, mut v: u32) -> usize {
+    while v >= 0x80 {
+        if let Some(slot) = block.get_mut(at) {
+            *slot = v as u8 | 0x80;
+        }
+        at += 1;
+        v >>= 7;
+    }
+    if let Some(slot) = block.get_mut(at) {
+        *slot = v as u8;
+    }
+    at + 1
 }
 
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
@@ -96,61 +117,70 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u32> {
     }
 }
 
+/// Strict [`read_varint`]: also rejects what [`push_varint`] never
+/// writes — a padded (non-minimal) encoding, or a fifth byte with bits
+/// past 2³².
+fn read_canonical(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let mut v = 0u32;
+    for i in 0..5 {
+        let byte = *bytes.get(*pos)?;
+        *pos += 1;
+        v |= ((byte & 0x7f) as u32) << (7 * i);
+        if byte & 0x80 == 0 {
+            let padded = i > 0 && byte == 0;
+            let overflows = i == 4 && byte > 0x0F;
+            return (!padded && !overflows).then_some(v);
+        }
+    }
+    None
+}
+
 impl BlockExtent {
     /// Encodes sorted, duplicate-free `pairs` into page-sized blocks.
     pub fn encode(pairs: &[EdgePair]) -> BlockExtent {
         let mut bx = BlockExtent {
             headers: Vec::new(),
-            bytes: Vec::new(),
+            // Pairs typically encode to 2–3 bytes.
+            bytes: Vec::with_capacity(pairs.len() * 3),
         };
-        if pairs.is_empty() {
-            return bx;
-        }
-        // A pair encodes to at most 10 varint bytes; closing the block
-        // before that keeps every payload within one page.
-        let close_at = BLOCK_TARGET_BYTES - 10;
-        let mut start = 0usize; // byte offset of the open block
-        let mut first = 0usize; // pair index of the open block
-        let mut prev: Option<EdgePair> = None;
-        for (i, p) in pairs.iter().enumerate() {
-            if i > first && bx.bytes.len() - start >= close_at {
-                bx.close_block(pairs, first, i, start);
-                start = bx.bytes.len();
-                first = i;
-                prev = None;
-            }
-            match prev {
-                None => {
-                    push_varint(&mut bx.bytes, raw_parent(p.parent));
-                    push_varint(&mut bx.bytes, p.node.0);
+        let mut block = [0u8; BLOCK_TARGET_BYTES];
+        let mut rest = pairs;
+        while let Some((head, tail)) = rest.split_first() {
+            // The block's first pair stores both components raw.
+            let mut len = put_varint(&mut block, 0, raw_parent(head.parent));
+            len = put_varint(&mut block, len, head.node.0);
+            let mut prev = *head;
+            let mut count = 1usize;
+            for p in tail {
+                if len >= CLOSE_AT {
+                    break;
                 }
-                Some(q) => {
-                    let dp = raw_parent(p.parent).wrapping_sub(raw_parent(q.parent));
-                    push_varint(&mut bx.bytes, dp);
-                    if dp == 0 {
-                        push_varint(&mut bx.bytes, p.node.0.wrapping_sub(q.node.0));
-                    } else {
-                        push_varint(&mut bx.bytes, p.node.0);
-                    }
-                }
+                let dp = raw_parent(p.parent).wrapping_sub(raw_parent(prev.parent));
+                len = put_varint(&mut block, len, dp);
+                let v = if dp == 0 {
+                    p.node.0.wrapping_sub(prev.node.0)
+                } else {
+                    p.node.0
+                };
+                len = put_varint(&mut block, len, v);
+                prev = *p;
+                count += 1;
             }
-            prev = Some(*p);
+            bx.headers.push(BlockHeader {
+                min_parent: raw_parent(head.parent),
+                max_parent: raw_parent(prev.parent),
+                count: count as u32,
+                first: (pairs.len() - rest.len()) as u32,
+                offset: bx.bytes.len() as u32,
+                len: len as u32,
+            });
+            bx.bytes.extend_from_slice(block.get(..len).unwrap_or(&[]));
+            rest = rest.get(count..).unwrap_or(&[]);
         }
-        bx.close_block(pairs, first, pairs.len(), start);
+        // The image is what an index keeps resident: hold no slack.
+        bx.bytes.shrink_to_fit();
+        bx.headers.shrink_to_fit();
         bx
-    }
-
-    // apex-lint: allow(panic-reachability): first < end <= pairs.len() by the encoder's block walk
-    fn close_block(&mut self, pairs: &[EdgePair], first: usize, end: usize, start: usize) {
-        debug_assert!(end > first);
-        self.headers.push(BlockHeader {
-            min_parent: raw_parent(pairs[first].parent),
-            max_parent: raw_parent(pairs[end - 1].parent),
-            count: (end - first) as u32,
-            first: first as u32,
-            offset: start as u32,
-            len: (self.bytes.len() - start) as u32,
-        });
     }
 
     /// Number of blocks.
@@ -236,7 +266,51 @@ impl BlockExtent {
         Some(out)
     }
 
-    /// Serializes the image (headers then payload) for the disk store.
+    /// True when this image is exactly what [`BlockExtent::encode`]
+    /// produces for some strictly increasing pair sequence: every block
+    /// decodes to `count` pairs in `len` bytes, pairs increase within
+    /// and across blocks, headers carry their blocks' first and last
+    /// parents, and varints and block boundaries are the encoder's. One
+    /// pass, no allocation. The gate for images that arrive from
+    /// outside the process; it also makes image equality coincide with
+    /// pair-set equality.
+    pub fn check(&self) -> bool {
+        (0..self.headers.len())
+            .try_fold(None, |prev, k| self.check_block(k, prev).map(Some))
+            .is_some()
+    }
+
+    /// Checks block `k` given the last raw `(parent, node)` of block
+    /// `k - 1`; returns this block's last pair, `None` on any violation.
+    fn check_block(&self, k: usize, prev: Option<(u32, u32)>) -> Option<(u32, u32)> {
+        let h = self.headers.get(k)?;
+        let payload = self.block_payload(k)?;
+        let mut pos = 0usize;
+        let mut parent = read_canonical(payload, &mut pos)?;
+        let mut node = read_canonical(payload, &mut pos)?;
+        if h.min_parent != parent || prev.is_some_and(|q| q >= (parent, node)) {
+            return None;
+        }
+        for _ in 1..h.count {
+            if pos >= CLOSE_AT {
+                return None; // the encoder would have closed the block here
+            }
+            let dp = read_canonical(payload, &mut pos)?;
+            let v = read_canonical(payload, &mut pos)?;
+            if dp == 0 {
+                node = node.checked_add(v).filter(|_| v > 0)?;
+            } else {
+                (parent, node) = (parent.checked_add(dp)?, v);
+            }
+        }
+        let last_block = k + 1 == self.headers.len();
+        let closed_where_the_encoder_closes = last_block || pos >= CLOSE_AT;
+        (pos == payload.len() && h.max_parent == parent && closed_where_the_encoder_closes)
+            .then_some((parent, node))
+    }
+
+    /// Serializes the image (headers then payload) — the form
+    /// `apex::persist` writes verbatim.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + self.encoded_bytes());
         out.extend_from_slice(&(self.headers.len() as u32).to_le_bytes());
@@ -253,42 +327,49 @@ impl BlockExtent {
 
     /// Deserializes an image written by [`BlockExtent::to_bytes`].
     /// `first`/`offset` fields are rebuilt from the counts and lengths.
+    /// The header counts are bounded by `data.len()` before anything is
+    /// sized from them (a pair encodes to at least two bytes), so a
+    /// hostile image cannot make this — or a later decode — allocate
+    /// more than a small multiple of its own length. Payload contents
+    /// are not inspected here; see [`BlockExtent::check`].
     pub fn from_bytes(data: &[u8]) -> Option<BlockExtent> {
-        let n = u32::from_le_bytes(data.get(0..4)?.try_into().ok()?) as usize;
-        let payload_len = u32::from_le_bytes(data.get(4..8)?.try_into().ok()?) as usize;
+        let word = |at: usize| -> Option<u32> {
+            Some(u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?))
+        };
+        let n = word(0)? as usize;
+        let payload_len = word(4)? as usize;
+        let payload_at = n.checked_mul(HEADER_BYTES)?.checked_add(8)?;
+        if payload_at.checked_add(payload_len)? != data.len() {
+            return None;
+        }
         let mut headers = Vec::with_capacity(n);
-        let mut pos = 8usize;
         let (mut first, mut offset) = (0u32, 0u32);
-        for _ in 0..n {
-            let f = |r: std::ops::Range<usize>| -> Option<u32> {
-                Some(u32::from_le_bytes(data.get(r)?.try_into().ok()?))
-            };
+        for pos in (8..payload_at).step_by(HEADER_BYTES) {
             let h = BlockHeader {
-                min_parent: f(pos..pos + 4)?,
-                max_parent: f(pos + 4..pos + 8)?,
-                count: f(pos + 8..pos + 12)?,
-                len: f(pos + 12..pos + 16)?,
+                min_parent: word(pos)?,
+                max_parent: word(pos + 4)?,
+                count: word(pos + 8)?,
+                len: word(pos + 12)?,
                 first,
                 offset,
             };
+            if h.count == 0 || h.count.checked_mul(2)? > h.len {
+                return None;
+            }
             first = first.checked_add(h.count)?;
             offset = offset.checked_add(h.len)?;
-            pos += HEADER_BYTES;
             headers.push(h);
         }
         if offset as usize != payload_len {
             return None;
         }
-        let bytes = data.get(pos..pos + payload_len)?.to_vec();
-        if pos + payload_len != data.len() {
-            return None;
-        }
+        let bytes = data.get(payload_at..)?.to_vec();
         Some(BlockExtent { headers, bytes })
     }
 }
 
 #[inline]
-fn decoded_pair(parent: u32, node: u32) -> EdgePair {
+pub(crate) fn decoded_pair(parent: u32, node: u32) -> EdgePair {
     let p = if parent == u32::MAX {
         NULL_NODE
     } else {
@@ -366,10 +447,51 @@ mod tests {
     fn corrupt_images_are_rejected() {
         let set = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
         let bx = BlockExtent::encode(set.pairs());
-        let mut wire = bx.to_bytes();
+        assert!(bx.check());
+        let good = bx.to_bytes();
+        let mut wire = good.clone();
         wire.pop();
         assert_eq!(BlockExtent::from_bytes(&wire), None);
-        wire.clear();
+        assert_eq!(BlockExtent::from_bytes(&[]), None);
+        // Header counts the bytes cannot back: a block table longer than
+        // the image, and a pair count no payload of that length holds.
+        let mut wire = good.clone();
+        wire[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(BlockExtent::from_bytes(&wire), None);
+        let mut wire = good.clone();
+        wire[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(BlockExtent::from_bytes(&wire), None);
+    }
+
+    #[test]
+    fn check_rejects_well_framed_images_of_no_pair_set() {
+        let set = EdgeSet::from_raw(&[(1, 2), (1, 9), (3, 4), (700, 701)]);
+        let good = BlockExtent::encode(set.pairs()).to_bytes();
+        let payload_at = 8 + HEADER_BYTES;
+        let tampered = |at: usize, byte: u8| {
+            let mut wire = good.clone();
+            wire[at] = byte;
+            BlockExtent::from_bytes(&wire).map(|bx| bx.check())
+        };
+        // Unchanged bytes pass; each single-byte edit below keeps the
+        // framing valid (from_bytes accepts) yet is no encoder output.
+        assert_eq!(tampered(payload_at, good[payload_at]), Some(true));
+        // min_parent / max_parent that are not the first / last parent.
+        assert_eq!(tampered(8, 0), Some(false));
+        assert_eq!(tampered(12, 9), Some(false));
+        // A zero node delta under an unchanged parent: a duplicate pair.
+        assert_eq!(tampered(payload_at + 3, 0), Some(false));
+        // A continuation bit on the last byte: the block overruns `len`.
+        assert_eq!(tampered(good.len() - 1, 0x80), Some(false));
+        // A non-minimal varint decodes to the same pairs but is not
+        // what `encode` writes.
+        let mut wire = good.clone();
+        wire[payload_at] = 0x81; // parent 1 as 0x81 0x00 …
+        wire.insert(payload_at + 1, 0x00);
+        wire[4..8].copy_from_slice(&((good.len() - payload_at + 1) as u32).to_le_bytes());
+        wire[20..24].copy_from_slice(&((good.len() - payload_at + 1) as u32).to_le_bytes());
+        let bx = BlockExtent::from_bytes(&wire).expect("framing is valid");
+        assert_eq!(bx.decode().as_deref(), Some(set.pairs()));
+        assert!(!bx.check());
     }
 }

@@ -5,9 +5,7 @@
 //! pool whose contents *outlive a single query*, so hot extents and
 //! data-table pages are read once per working set, not once per query.
 //! [`BufferManager`] models exactly that: a page-capacity-bounded LRU
-//! over storage objects with hit/miss/eviction counters. The per-query
-//! [`crate::pages::PageCache`] is the degenerate policy of this manager
-//! (unbounded capacity, one query's lifetime).
+//! over storage objects with hit/miss/eviction counters.
 //!
 //! Objects are addressed by [`ObjectId`] — a storage-space tag plus a
 //! numeric id — so extents of different index structures, page-packed
@@ -44,7 +42,7 @@ pub enum Space {
     TablePage,
     /// Index Fabric trie blocks (keyed by block id).
     TrieBlock,
-    /// Untagged legacy ids (the [`crate::pages::PageCache`] API).
+    /// Ids with no index structure behind them (pool-level tests).
     Raw,
 }
 
@@ -180,8 +178,7 @@ impl BufferManager {
         }
     }
 
-    /// A pool that never evicts (the degenerate `PageCache` policy with
-    /// a cross-query lifetime).
+    /// A pool that never evicts.
     pub fn unbounded(model: PageModel) -> Self {
         Self::new(model, u64::MAX)
     }

@@ -1,11 +1,10 @@
-//! Extents: sets of `<parent, node>` edge pairs (Definition 7).
+//! Edge pairs and in-flight edge sets (Definition 7).
 
 use std::sync::OnceLock;
 
 use xmlgraph::{NodeId, NULL_NODE};
 
-use crate::block::BlockExtent;
-use crate::succinct::{EndIndex, Ends, SuccinctExtent};
+use crate::succinct::{EndIndex, Ends};
 
 /// One element of an extent: the incoming edge `<parent, node>` of a node
 /// reachable by some label path. The root's pair is `<NULL, root>`.
@@ -34,38 +33,27 @@ impl EdgePair {
     }
 }
 
-/// A sorted, duplicate-free set of [`EdgePair`]s.
+/// A sorted, duplicate-free vector of [`EdgePair`]s: what query
+/// execution passes between operators, and the decoded, mutable form an
+/// index build or update works on before sealing it.
 ///
-/// Extents are the unit of storage in every index here; all operations
-/// preserve sortedness (by `(parent, node)`) so unions and semijoins are
-/// linear merges, per the allocation-conscious style of the Rust
-/// Performance Book (buffers are reusable via the `*_into` variants).
+/// This is the *in-flight* role only. A stored extent is a
+/// [`crate::succinct::SuccinctExtent`]; an `EdgeSet` is decoded from
+/// one (or produced by a kernel), lives for a query or a refresh, and
+/// is never what an index keeps. All operations preserve sortedness (by
+/// `(parent, node)`) so unions and semijoins are linear merges, per the
+/// allocation-conscious style of the Rust Performance Book (buffers are
+/// reusable via the `*_into` variants).
 ///
-/// Two derived views are computed lazily and cached (`OnceLock`, so a
-/// set shared across query threads stays `Sync`), and both are
-/// *succinct* rather than second materialized copies: the distinct
-/// [`end_nodes`](EdgeSet::end_nodes) as a delta+varint [`EndIndex`]
-/// and the compressed [`succinct`](EdgeSet::succinct) extent (block
-/// image + rank/select directory + decode samples) the adaptive
-/// semijoin kernels run over directly. Mutation (`insert`,
-/// `union_in_place`) invalidates both.
-#[derive(Debug, Default)]
+/// One derived view is computed lazily and cached (`OnceLock`, so a set
+/// shared across query threads stays `Sync`): the distinct
+/// [`end_nodes`](EdgeSet::end_nodes) as a delta+varint [`EndIndex`],
+/// which the next semijoin of a chain takes as its driving side.
+/// Mutation (`insert`, `union_in_place`) invalidates it.
+#[derive(Debug, Clone, Default)]
 pub struct EdgeSet {
     pairs: Vec<EdgePair>,
     ends: OnceLock<EndIndex>,
-    succ: OnceLock<SuccinctExtent>,
-}
-
-impl Clone for EdgeSet {
-    fn clone(&self) -> Self {
-        // Caches are cheap to rebuild; clones (index refinement) start
-        // cold.
-        EdgeSet {
-            pairs: self.pairs.clone(),
-            ends: OnceLock::new(),
-            succ: OnceLock::new(),
-        }
-    }
 }
 
 impl PartialEq for EdgeSet {
@@ -102,11 +90,10 @@ impl EdgeSet {
         }
     }
 
-    /// Drops the cached derived views; must follow every mutation of
+    /// Drops the cached end-node view; must follow every mutation of
     /// `pairs`.
     fn invalidate(&mut self) {
         self.ends = OnceLock::new();
-        self.succ = OnceLock::new();
     }
 
     /// Builds from `(parent, node)` raw u32 pairs — test convenience.
@@ -210,98 +197,6 @@ impl EdgeSet {
         self.pairs.iter().all(|p| other.contains(*p))
     }
 
-    /// The cached succinct end-node index, **if already computed** —
-    /// `None` otherwise. Never computes: statistics assembly (the
-    /// planner's `PlanStats`) must stay O(1) per extent and must not
-    /// fault work into cold sets.
-    #[inline]
-    pub fn cached_ends(&self) -> Option<&EndIndex> {
-        self.ends.get()
-    }
-
-    /// The cached block image, **if already encoded** — `None`
-    /// otherwise. Never encodes (see [`EdgeSet::cached_ends`]).
-    #[inline]
-    pub fn cached_blocks(&self) -> Option<&BlockExtent> {
-        self.succ.get().map(|s| s.image())
-    }
-
-    /// Distinct end-node count when the cache is warm, else the pair
-    /// count as an upper bound. O(1); never forces the cache.
-    #[inline]
-    pub fn ends_len_hint(&self) -> usize {
-        self.ends.get().map_or(self.pairs.len(), |v| v.len())
-    }
-
-    /// Stored-block count when the encoding cache is warm, else an
-    /// estimate from the raw pair count (≈4 encoded bytes per pair
-    /// against the one-page block target). O(1); never encodes.
-    #[inline]
-    pub fn blocks_hint(&self) -> usize {
-        match self.succ.get() {
-            Some(s) => s.num_blocks().max(1),
-            None => 1 + self.pairs.len() * 4 / crate::block::BLOCK_TARGET_BYTES,
-        }
-    }
-
-    /// Bytes this extent keeps resident to answer queries (compressed
-    /// payload + directory + samples + the end index when warm), or an
-    /// estimate at the same ≈4 bytes/pair the [`EdgeSet::blocks_hint`]
-    /// uses when the succinct cache is cold. O(1); never encodes — the
-    /// statistics assembly path.
-    #[inline]
-    pub fn resident_bytes_hint(&self) -> usize {
-        let extent = match self.succ.get() {
-            Some(s) => s.resident_bytes(),
-            None => self.pairs.len() * 4,
-        };
-        extent + self.ends.get().map_or(0, |e| e.resident_bytes())
-    }
-
-    /// Exact resident bytes of the succinct form (forces the encoding;
-    /// reporting paths only — see [`EdgeSet::resident_bytes_hint`] for
-    /// the planner's O(1) variant). The end index is counted only when
-    /// some query has already materialized it.
-    pub fn resident_bytes(&self) -> usize {
-        self.succinct().resident_bytes() + self.ends.get().map_or(0, |e| e.resident_bytes())
-    }
-
-    /// Smallest and largest parent of the set — O(1) because pairs are
-    /// sorted by `(parent, node)`. `None` when empty.
-    #[inline]
-    pub fn parent_bounds(&self) -> Option<(NodeId, NodeId)> {
-        Some((self.pairs.first()?.parent, self.pairs.last()?.parent))
-    }
-
-    /// Smallest and largest *end node* of the set. Uses the end-node
-    /// cache when warm (O(1)); otherwise one linear min/max scan of the
-    /// in-memory pairs — never decodes blocks. `None` when empty.
-    pub fn node_bounds(&self) -> Option<(NodeId, NodeId)> {
-        if let Some(ends) = self.ends.get() {
-            return Some((ends.first()?, ends.last()?));
-        }
-        let mut it = self.pairs.iter().map(|p| p.node);
-        let first = it.next()?;
-        let (mut lo, mut hi) = (first, first);
-        for n in it {
-            lo = lo.min(n);
-            hi = hi.max(n);
-        }
-        Some((lo, hi))
-    }
-
-    /// Number of pairs whose parent lies in `lo..=hi` (two binary
-    /// searches — the selectivity probe `PlanStats` uses to size a
-    /// semijoin against a candidate frontier without touching blocks).
-    pub fn pairs_in_parent_range(&self, lo: NodeId, hi: NodeId) -> usize {
-        if lo > hi {
-            return 0;
-        }
-        let a = self.pairs.partition_point(|p| p.parent < lo);
-        let b = self.pairs.partition_point(|p| p.parent <= hi);
-        b - a
-    }
-
     /// Distinct end nodes, sorted, as a succinct [`EndIndex`] view —
     /// not a second materialized `Vec`. Computed once and cached;
     /// mutation invalidates the cache. Iterate with
@@ -316,55 +211,15 @@ impl EdgeSet {
         })
     }
 
-    /// The succinct queryable form of this extent (lazy, cached): the
-    /// compressed block image wrapped in a rank/select directory and
-    /// decode-restart samples. This is what the adaptive kernels run
-    /// over directly.
-    pub fn succinct(&self) -> &SuccinctExtent {
-        self.succ
-            .get_or_init(|| SuccinctExtent::build(BlockExtent::encode(&self.pairs)))
-    }
-
-    /// The compressed block image of this extent (lazy, cached): the
-    /// skip index the adaptive kernels consult and the encoded bytes
-    /// the page model charges.
-    pub fn blocks(&self) -> &BlockExtent {
-        self.succinct().image()
-    }
-
-    /// The join kernel of QTYPE1 evaluation: keeps the pairs of `next`
-    /// whose `parent` is an end node of `self` — i.e. extends every data
-    /// path ending in `self` by one edge drawn from `next`.
+    /// Merge semijoin over the materialized pairs: pairs of `self`
+    /// whose `parent` is in `ends` (sorted, distinct — slice or succinct
+    /// [`Ends`] form) via a linear merge — optimal when `ends` is of the
+    /// same order as the set. Returns matches and comparisons.
     ///
-    /// Both inputs are sorted by `(parent, node)`, and `end_nodes` of
-    /// `self` is sorted (and cached — this used to rebuild the end-node
-    /// vector on every call), so this is a merge. Returns the number of
-    /// pair comparisons as join work for cost accounting.
-    pub fn semijoin_next(&self, next: &EdgeSet) -> (EdgeSet, usize) {
-        let mut cur = self.end_nodes().cursor();
-        let mut out = Vec::new();
-        let mut work = 0usize;
-        for p in &next.pairs {
-            work += 1;
-            // Advance the end cursor while it trails p.parent (both sorted).
-            while let Some(e) = cur.peek() {
-                if e < p.parent {
-                    cur.advance();
-                } else {
-                    break;
-                }
-            }
-            if cur.peek() == Some(p.parent) {
-                out.push(*p);
-            }
-        }
-        (EdgeSet::from_sorted(out), work)
-    }
-
-    /// Merge semijoin: pairs of `self` whose `parent` is in `ends`
-    /// (sorted, distinct — slice or succinct [`Ends`] form) via a
-    /// linear merge — optimal when `ends` is of the same order as the
-    /// extent. Returns matches and comparisons.
+    /// With [`EdgeSet::probe_by_parents`] this is the one pair-slice
+    /// semijoin in the workspace: the planner runs it on reduced
+    /// in-memory stages, and the kernels bench and property tests use
+    /// it as the full-decode reference for [`crate::kernels`].
     pub fn semijoin_ends(&self, ends: Ends<'_>) -> (EdgeSet, usize) {
         let mut cur = ends.cursor();
         let mut out = Vec::new();
@@ -389,11 +244,11 @@ impl EdgeSet {
 
     /// Indexed semijoin: pairs of `self` whose `parent` is in `ends`
     /// (sorted, distinct — slice or succinct [`Ends`] form). Because
-    /// extents are stored sorted by `(parent, node)`, each end is
-    /// located by a galloping search from the previous match — the
-    /// clustered-index access path a real extent store provides (see
-    /// [`crate::kernels`] for the block-aware variants). Returns the
-    /// matched pairs and the number of probes performed.
+    /// pairs are sorted by `(parent, node)`, each end is
+    /// located by a galloping search from the previous match (see
+    /// [`crate::kernels`] for the block-aware variants over stored
+    /// extents). Returns the matched pairs and the number of probes
+    /// performed.
     pub fn probe_by_parents(&self, ends: Ends<'_>) -> (EdgeSet, usize) {
         let mut out = Vec::new();
         let mut probes = 0usize;
@@ -428,18 +283,6 @@ impl EdgeSet {
     /// Iterates over pairs.
     pub fn iter(&self) -> impl Iterator<Item = EdgePair> + '_ {
         self.pairs.iter().copied()
-    }
-
-    /// Byte size when stored: the delta+varint block encoding (payload
-    /// plus skip-index headers), as the page model charges it.
-    pub fn stored_bytes(&self) -> usize {
-        self.blocks().encoded_bytes()
-    }
-
-    /// Byte size of the uncompressed 8-bytes-per-pair layout, for
-    /// compression-ratio reporting.
-    pub fn raw_bytes(&self) -> usize {
-        self.pairs.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
@@ -519,8 +362,9 @@ mod tests {
         // a: edges ending at nodes 2 and 4; next: edges from 2 and from 9.
         let a = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
         let next = EdgeSet::from_raw(&[(2, 7), (2, 8), (9, 10), (4, 11)]);
-        let (j, work) = a.semijoin_next(&next);
+        let (j, work) = next.semijoin_ends(a.end_nodes().into());
         assert_eq!(j, EdgeSet::from_raw(&[(2, 7), (2, 8), (4, 11)]));
+        // The merge stops once the ends run out (at <9,10>).
         assert_eq!(work, 4);
     }
 
@@ -530,7 +374,7 @@ mod tests {
         let next = EdgeSet::from_raw(&[(2, 7), (2, 8), (9, 10), (4, 11), (5, 5)]);
         let ends = a.end_nodes();
         let (probed, probes) = next.probe_by_parents(ends.into());
-        let (scanned, _) = a.semijoin_next(&next);
+        let (scanned, _) = next.semijoin_ends(ends.into());
         assert_eq!(probed, scanned);
         assert_eq!(probes, 3);
         // The slice form of the same ends agrees with the packed form.
@@ -559,47 +403,17 @@ mod tests {
     fn cached_views_invalidate_on_mutation() {
         let mut s = EdgeSet::from_raw(&[(1, 5)]);
         assert_eq!(s.end_nodes().to_vec(), vec![NodeId(5)]);
-        let stored = s.stored_bytes();
-        assert!(stored > 0 && stored <= s.raw_bytes() + crate::block::HEADER_BYTES);
         assert!(s.insert(EdgePair::new(NodeId(2), NodeId(9))));
         assert_eq!(s.end_nodes().to_vec(), vec![NodeId(5), NodeId(9)]);
-        assert_eq!(s.blocks().num_pairs(), 2);
         let mut scratch = Vec::new();
         s.union_in_place(&EdgeSet::from_raw(&[(3, 11)]), &mut scratch);
         assert_eq!(
             s.end_nodes().to_vec(),
             vec![NodeId(5), NodeId(9), NodeId(11)]
         );
-        assert_eq!(s.blocks().num_pairs(), 3);
-        // A failed insert (duplicate) keeps the caches valid.
+        // A failed insert (duplicate) keeps the cache valid.
         assert!(!s.insert(EdgePair::new(NodeId(3), NodeId(11))));
         assert_eq!(s.end_nodes().len(), 3);
-    }
-
-    #[test]
-    fn cheap_accessors_never_force_caches() {
-        let s = EdgeSet::from_raw(&[(1, 5), (2, 5), (3, 6), (7, 8)]);
-        // Cold: nothing cached, hints fall back to bounds.
-        assert!(s.cached_ends().is_none());
-        assert!(s.cached_blocks().is_none());
-        assert_eq!(s.ends_len_hint(), 4);
-        assert!(s.blocks_hint() >= 1);
-        assert_eq!(s.parent_bounds(), Some((NodeId(1), NodeId(7))));
-        assert_eq!(s.node_bounds(), Some((NodeId(5), NodeId(8))));
-        assert_eq!(s.pairs_in_parent_range(NodeId(2), NodeId(3)), 2);
-        assert_eq!(s.pairs_in_parent_range(NodeId(4), NodeId(6)), 0);
-        assert_eq!(s.pairs_in_parent_range(NodeId(9), NodeId(1)), 0);
-        // The probes above must not have materialized either cache.
-        assert!(s.cached_ends().is_none());
-        assert!(s.cached_blocks().is_none());
-        // Warm: hints become exact.
-        let _ = s.end_nodes();
-        let _ = s.blocks();
-        assert_eq!(s.cached_ends().unwrap().len(), 3);
-        assert_eq!(s.ends_len_hint(), 3);
-        assert_eq!(s.blocks_hint(), s.blocks().num_blocks());
-        assert!(EdgeSet::new().parent_bounds().is_none());
-        assert_eq!(EdgeSet::new().ends_len_hint(), 0);
     }
 
     #[test]
@@ -609,5 +423,7 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(b.end_nodes(), a.end_nodes());
+        // A cold set with the same pairs is the same set.
+        assert_eq!(a, EdgeSet::from_sorted(a.pairs().to_vec()));
     }
 }

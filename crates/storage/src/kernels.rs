@@ -1,9 +1,9 @@
-//! Adaptive semijoin kernels over succinct block extents.
+//! Adaptive semijoin kernels over stored extents.
 //!
-//! The join step of every QTYPE1/QTYPE2 plan semijoins a sorted extent
+//! The join step of every QTYPE1/QTYPE2 plan semijoins a stored extent
 //! against the sorted, distinct end nodes of the running result. Three
 //! kernels implement it, all running directly over the compressed
-//! [`SuccinctExtent`] form — blocks decode through bounded
+//! [`SuccinctExtent`] — blocks decode through bounded
 //! [`crate::succinct::WINDOW_PAIRS`]-pair windows in the caller's
 //! [`SemijoinScratch`], never into a whole-extent `Vec`:
 //!
@@ -30,10 +30,12 @@
 //! differ only in work, in which blocks they fault, and in how many
 //! pairs they actually decode ([`KernelReport::decoded`]).
 //!
-//! The [`decoded`] submodule keeps the pre-succinct kernels running
-//! over a fully materialized pair slice. They are the *full-decode
-//! baseline*: the bench sweeps both representations and the proptests
-//! assert output equivalence pair by pair.
+//! The pair-slice reference these are checked against is
+//! [`EdgeSet::semijoin_ends`](crate::edgeset::EdgeSet::semijoin_ends) /
+//! [`probe_by_parents`](crate::edgeset::EdgeSet::probe_by_parents) —
+//! the same code the planner runs on reduced in-memory stages: the
+//! bench races "decode everything, then join the `Vec`" against these
+//! kernels, and the proptests assert output equivalence pair by pair.
 //!
 //! Callers pass a reusable [`SemijoinScratch`]; kernels never allocate
 //! per invocation (beyond one-time growth of the caller's buffers). The
@@ -44,8 +46,7 @@
 
 use xmlgraph::NodeId;
 
-use crate::block::BlockExtent;
-use crate::edgeset::{EdgePair, EdgeSet};
+use crate::edgeset::EdgePair;
 use crate::succinct::{EndCursor, Ends, SuccinctExtent};
 
 /// A concrete semijoin algorithm.
@@ -119,7 +120,7 @@ impl KernelPolicy {
     /// only once the extent spans several blocks and the header walk
     /// is amortized (`n ≥ blocks`), since only then does the skip
     /// index pay for itself.
-    pub fn choose(self, ends_len: usize, extent: &EdgeSet) -> Kernel {
+    pub fn choose(self, ends_len: usize, extent: &SuccinctExtent) -> Kernel {
         match self {
             KernelPolicy::Merge => Kernel::Merge,
             KernelPolicy::Gallop => Kernel::Gallop,
@@ -136,7 +137,7 @@ impl KernelPolicy {
                 if est_merge <= est_search {
                     return Kernel::Merge;
                 }
-                let blocks = extent.blocks().num_blocks();
+                let blocks = extent.num_blocks();
                 if blocks > 1 && n >= blocks {
                     Kernel::BlockSkip
                 } else {
@@ -192,11 +193,11 @@ pub struct KernelReport {
 /// Runs `kernel` for the semijoin of `extent` against the sorted,
 /// distinct `ends`, leaving the matched pairs (sorted, duplicate-free)
 /// in `scratch.out` and the faulted block indices in `scratch.blocks`.
-/// Runs directly over the extent's succinct compressed form; only the
+/// Runs directly over the stored compressed form; only the
 /// intersecting stretches of the intersecting blocks are decoded.
 pub fn semijoin_into(
     kernel: Kernel,
-    extent: &EdgeSet,
+    extent: &SuccinctExtent,
     ends: Ends<'_>,
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
@@ -204,11 +205,10 @@ pub fn semijoin_into(
     if extent.is_empty() {
         return KernelReport::default();
     }
-    let succ = extent.succinct();
     match kernel {
-        Kernel::Merge => merge_kernel(succ, ends, scratch),
-        Kernel::Gallop => gallop_kernel(succ, ends, scratch),
-        Kernel::BlockSkip => block_skip_kernel(succ, ends, scratch),
+        Kernel::Merge => merge_kernel(extent, ends, scratch),
+        Kernel::Gallop => gallop_kernel(extent, ends, scratch),
+        Kernel::BlockSkip => block_skip_kernel(extent, ends, scratch),
     }
 }
 
@@ -293,7 +293,7 @@ fn merge_kernel(
     }
     KernelReport {
         work,
-        pairs_read: succ.num_pairs(),
+        pairs_read: succ.len(),
         decoded,
     }
 }
@@ -438,9 +438,8 @@ fn probe_block(
 
 /// Galloping lower bound: first index `i >= lo` with
 /// `pairs[i].parent >= target`, counting comparisons into `work`.
-/// The single shared bracket-invariant search — both the pair-slice
-/// baseline ([`decoded`]) and the succinct block-window path
-/// ([`probe_block`]) call it.
+/// The bracket-invariant search [`probe_block`] runs over each decode
+/// window.
 // apex-lint: allow(panic-reachability): hi/base+half stay inside [lo, n) by the gallop/binary-search bracket invariant
 fn gallop_lower_bound(pairs: &[EdgePair], lo: usize, target: NodeId, work: &mut usize) -> usize {
     let n = pairs.len();
@@ -492,15 +491,14 @@ fn gallop_lower_bound(pairs: &[EdgePair], lo: usize, target: NodeId, work: &mut 
 /// decoded through the window. Output keeps extent order, so it stays
 /// sorted and duplicate-free.
 pub fn reverse_semijoin_into(
-    extent: &EdgeSet,
+    succ: &SuccinctExtent,
     parents: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
     scratch.reset();
-    if extent.is_empty() {
+    if succ.is_empty() {
         return KernelReport::default();
     }
-    let succ = extent.succinct();
     let nb = succ.num_blocks();
     scratch.blocks.extend(0..nb as u32);
     let probe_cost = (usize::BITS - parents.len().leading_zeros()) as usize + 1;
@@ -524,175 +522,8 @@ pub fn reverse_semijoin_into(
     }
     KernelReport {
         work,
-        pairs_read: extent.len(),
+        pairs_read: succ.len(),
         decoded,
-    }
-}
-
-/// Full-decode baseline kernels over a materialized pair slice.
-///
-/// These are the pre-succinct implementations, kept verbatim so the
-/// kernels bench can time "decode everything, then run over the `Vec`"
-/// against the succinct path, and so the proptests can assert the two
-/// representations produce identical output on arbitrary pair sets.
-/// `pairs` must be the full decode of `bx` (the bench reuses one
-/// decode buffer across iterations to keep the comparison honest).
-pub mod decoded {
-    use super::*;
-
-    /// Baseline semijoin over the decoded slice; same contract as
-    /// [`super::semijoin_into`]. `decoded` is reported as the full pair
-    /// count — this path only exists once everything is materialized.
-    pub fn semijoin_into(
-        kernel: Kernel,
-        pairs: &[EdgePair],
-        bx: &BlockExtent,
-        ends: &[NodeId],
-        scratch: &mut SemijoinScratch,
-    ) -> KernelReport {
-        scratch.reset();
-        if pairs.is_empty() {
-            return KernelReport::default();
-        }
-        let mut rep = match kernel {
-            Kernel::Merge => merge_kernel(pairs, bx, ends, scratch),
-            Kernel::Gallop => gallop_kernel(pairs, bx, ends, scratch),
-            Kernel::BlockSkip => block_skip_kernel(pairs, bx, ends, scratch),
-        };
-        rep.decoded = pairs.len();
-        rep
-    }
-
-    // apex-lint: allow(panic-reachability): ends[ei] is guarded by ei < ends.len() on every probe
-    fn merge_kernel(
-        pairs: &[EdgePair],
-        bx: &BlockExtent,
-        ends: &[NodeId],
-        scratch: &mut SemijoinScratch,
-    ) -> KernelReport {
-        scratch.blocks.extend(0..bx.num_blocks() as u32);
-        let mut work = 0usize;
-        let mut ei = 0usize;
-        for p in pairs {
-            work += 1;
-            while ei < ends.len() && ends[ei] < p.parent {
-                ei += 1;
-            }
-            if ei >= ends.len() {
-                break;
-            }
-            if ends[ei] == p.parent {
-                scratch.out.push(*p);
-            }
-        }
-        KernelReport {
-            work,
-            pairs_read: pairs.len(),
-            decoded: 0,
-        }
-    }
-
-    // apex-lint: allow(panic-reachability): i < pairs.len() is checked before every pairs[i] read
-    fn gallop_range(
-        pairs: &[EdgePair],
-        ends: &[NodeId],
-        out: &mut Vec<EdgePair>,
-        work: &mut usize,
-    ) -> usize {
-        let mut lo = 0usize;
-        for &e in ends {
-            if lo >= pairs.len() {
-                break;
-            }
-            let start = gallop_lower_bound(pairs, lo, e, work);
-            let mut i = start;
-            while i < pairs.len() && pairs[i].parent == e {
-                *work += 1;
-                out.push(pairs[i]);
-                i += 1;
-            }
-            lo = i;
-        }
-        lo
-    }
-
-    fn gallop_kernel(
-        pairs: &[EdgePair],
-        bx: &BlockExtent,
-        ends: &[NodeId],
-        scratch: &mut SemijoinScratch,
-    ) -> KernelReport {
-        let mut work = 0usize;
-        gallop_range(pairs, ends, &mut scratch.out, &mut work);
-        let pairs_read = candidate_blocks(bx, ends, &mut scratch.blocks);
-        KernelReport {
-            work,
-            pairs_read,
-            decoded: 0,
-        }
-    }
-
-    // apex-lint: allow(panic-reachability): block header first/count ranges are constructed from this extent's own pairs in close_block
-    fn block_skip_kernel(
-        pairs: &[EdgePair],
-        bx: &BlockExtent,
-        ends: &[NodeId],
-        scratch: &mut SemijoinScratch,
-    ) -> KernelReport {
-        let mut work = 0usize;
-        let mut pairs_read = 0usize;
-        let mut ei = 0usize;
-        for (k, h) in bx.headers().iter().enumerate() {
-            work += 1; // header probe
-            while ei < ends.len() && ends[ei].0 < h.min_parent {
-                ei += 1;
-            }
-            if ei >= ends.len() {
-                break;
-            }
-            if ends[ei].0 > h.max_parent {
-                continue; // skip the whole block without decoding
-            }
-            scratch.blocks.push(k as u32);
-            pairs_read += h.count as usize;
-            // Ends that can match inside this block's parent range.
-            let sub_end = ei
-                + ends[ei..].partition_point(|e| e.0 <= h.max_parent || h.max_parent == u32::MAX);
-            let range = h.first as usize..(h.first + h.count) as usize;
-            gallop_range(
-                &pairs[range],
-                &ends[ei..sub_end],
-                &mut scratch.out,
-                &mut work,
-            );
-        }
-        KernelReport {
-            work,
-            pairs_read,
-            decoded: 0,
-        }
-    }
-
-    /// Collects into `blocks` the indices of blocks whose parent range
-    /// intersects `ends` — the blocks a probe-style kernel faults.
-    /// Returns the total pairs resident in those blocks.
-    // apex-lint: allow(panic-reachability): ends[ei] is guarded by ei < ends.len() on every probe
-    fn candidate_blocks(bx: &BlockExtent, ends: &[NodeId], blocks: &mut Vec<u32>) -> usize {
-        let mut pairs_read = 0usize;
-        let mut ei = 0usize;
-        for (k, h) in bx.headers().iter().enumerate() {
-            while ei < ends.len() && ends[ei].0 < h.min_parent {
-                ei += 1;
-            }
-            if ei >= ends.len() {
-                break;
-            }
-            if ends[ei].0 <= h.max_parent {
-                blocks.push(k as u32);
-                pairs_read += h.count as usize;
-            }
-        }
-        pairs_read
     }
 }
 
@@ -831,13 +662,15 @@ pub fn merge_sorted_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edgeset::EdgeSet;
 
-    fn naive(extent: &EdgeSet, ends: &[NodeId]) -> Vec<EdgePair> {
-        extent.iter().filter(|p| ends.contains(&p.parent)).collect()
+    fn stored(set: &EdgeSet) -> SuccinctExtent {
+        SuccinctExtent::from_pairs(set.pairs())
     }
 
-    fn check_all(extent: &EdgeSet, ends: &[NodeId]) {
-        let want = naive(extent, ends);
+    fn check_all(set: &EdgeSet, ends: &[NodeId]) {
+        let want: Vec<EdgePair> = set.iter().filter(|p| ends.contains(&p.parent)).collect();
+        let extent = &stored(set);
         let mut scratch = SemijoinScratch::new();
         for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::BlockSkip] {
             let rep = semijoin_into(kernel, extent, ends.into(), &mut scratch);
@@ -852,12 +685,10 @@ mod tests {
                 "{} decodes within extent",
                 kernel.name()
             );
-            // The full-decode baseline agrees pair for pair.
-            let base =
-                decoded::semijoin_into(kernel, extent.pairs(), extent.blocks(), ends, &mut scratch);
-            assert_eq!(scratch.out, want, "{} baseline output", kernel.name());
-            assert_eq!(base.decoded, extent.len());
         }
+        // The pair-slice reference agrees pair for pair.
+        assert_eq!(set.semijoin_ends(ends.into()).0.pairs(), want);
+        assert_eq!(set.probe_by_parents(ends.into()).0.pairs(), want);
         let kernel = KernelPolicy::Adaptive.choose(ends.len(), extent);
         semijoin_into(kernel, extent, ends.into(), &mut scratch);
         assert_eq!(scratch.out, want, "adaptive output");
@@ -885,23 +716,26 @@ mod tests {
                 .map(|i| EdgePair::new(NodeId(i / 4000), NodeId(i)))
                 .collect(),
         );
-        assert!(extent.blocks().num_blocks() > 2);
+        assert!(stored(&extent).num_blocks() > 2);
         check_all(&extent, &[NodeId(0), NodeId(3), NodeId(7)]);
         check_all(&extent, &[NodeId(2)]);
         let every: Vec<NodeId> = (0..8).map(NodeId).collect();
         check_all(&extent, &every);
     }
 
+    /// 40 000 single-child parents: a multi-block extent.
+    fn chain_extent() -> SuccinctExtent {
+        let pairs: Vec<EdgePair> = (0..40_000u32)
+            .map(|i| EdgePair::new(NodeId(i), NodeId(i + 1)))
+            .collect();
+        SuccinctExtent::from_pairs(&pairs)
+    }
+
     #[test]
     fn skip_kernel_faults_fewer_blocks() {
         // Multi-block extent with a probe far from most blocks.
-        let extent = EdgeSet::from_pairs(
-            (0..40_000u32)
-                .map(|i| EdgePair::new(NodeId(i), NodeId(i + 1)))
-                .collect(),
-        );
-        let bx = extent.blocks();
-        assert!(bx.num_blocks() > 2);
+        let extent = chain_extent();
+        assert!(extent.num_blocks() > 2);
         let ends = [NodeId(3), NodeId(39_999)];
         let mut scratch = SemijoinScratch::new();
         let skip = semijoin_into(Kernel::BlockSkip, &extent, ends[..].into(), &mut scratch);
@@ -910,17 +744,13 @@ mod tests {
         assert!(skip.pairs_read < extent.len());
         assert!(skip.decoded < extent.len(), "skipped blocks stay encoded");
         let merge = semijoin_into(Kernel::Merge, &extent, ends[..].into(), &mut scratch);
-        assert_eq!(scratch.blocks.len(), extent.blocks().num_blocks());
+        assert_eq!(scratch.blocks.len(), extent.num_blocks());
         assert!(skip.work < merge.work);
     }
 
     #[test]
     fn gallop_decodes_a_fraction() {
-        let extent = EdgeSet::from_pairs(
-            (0..40_000u32)
-                .map(|i| EdgePair::new(NodeId(i), NodeId(i + 1)))
-                .collect(),
-        );
+        let extent = chain_extent();
         let ends = [NodeId(7), NodeId(20_000), NodeId(39_000)];
         let mut scratch = SemijoinScratch::new();
         let rep = semijoin_into(Kernel::Gallop, &extent, ends[..].into(), &mut scratch);
@@ -936,18 +766,14 @@ mod tests {
 
     #[test]
     fn adaptive_matches_ratio() {
-        let big = EdgeSet::from_pairs(
-            (0..50_000u32)
-                .map(|i| EdgePair::new(NodeId(i), NodeId(i)))
-                .collect(),
-        );
+        let big = chain_extent();
         // Same-order sides merge; sparse probes search.
         assert_eq!(
             KernelPolicy::Adaptive.choose(big.len(), &big),
             Kernel::Merge
         );
         assert_eq!(KernelPolicy::Adaptive.choose(2, &big), Kernel::Gallop);
-        let n = big.blocks().num_blocks();
+        let n = big.num_blocks();
         assert!(n > 1);
         assert_eq!(
             KernelPolicy::Adaptive.choose(n.max(64), &big),
@@ -967,7 +793,13 @@ mod tests {
 
     #[test]
     fn reverse_kernel_keeps_extendable_pairs() {
-        let extent = EdgeSet::from_raw(&[(1, 2), (1, 3), (4, 5), (7, 8), (9, 1)]);
+        let extent = stored(&EdgeSet::from_raw(&[
+            (1, 2),
+            (1, 3),
+            (4, 5),
+            (7, 8),
+            (9, 1),
+        ]));
         let mut scratch = SemijoinScratch::new();
         // Pairs ending at 2, 5 or 42 survive.
         let parents = [NodeId(2), NodeId(5), NodeId(42)];
@@ -983,12 +815,12 @@ mod tests {
         assert!(scratch.out.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(rep.pairs_read, extent.len());
         assert_eq!(rep.decoded, extent.len());
-        assert_eq!(scratch.blocks.len(), extent.blocks().num_blocks());
+        assert_eq!(scratch.blocks.len(), extent.num_blocks());
         assert!(rep.work > 0);
         // Empty parent set drops everything; empty extent is free.
         reverse_semijoin_into(&extent, &[], &mut scratch);
         assert!(scratch.out.is_empty());
-        let rep = reverse_semijoin_into(&EdgeSet::new(), &parents, &mut scratch);
+        let rep = reverse_semijoin_into(&SuccinctExtent::default(), &parents, &mut scratch);
         assert_eq!(rep, KernelReport::default());
         assert!(scratch.blocks.is_empty());
     }

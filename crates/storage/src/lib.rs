@@ -4,14 +4,19 @@
 //! local disk" and reports query *times*. This crate gives the
 //! reproduction a deterministic analogue:
 //!
-//! * [`edgeset::EdgeSet`] — the extent representation (sets of
-//!   `<parent, node>` edge pairs, Definition 7), with the merge/union/
-//!   semijoin kernels every query processor uses;
-//! * [`block::BlockExtent`] — the compressed storage image of an
-//!   extent: page-sized blocks of delta+varint encoded pairs under a
-//!   `(min_parent, max_parent, count)` skip index;
-//! * [`kernels`] — the adaptive semijoin kernels (linear merge,
-//!   galloping search, block-skip probing) and the
+//! * [`succinct::SuccinctExtent`] — the *stored* extent (sets of
+//!   `<parent, node>` edge pairs, Definition 7): the compressed block
+//!   image plus a rank/select directory and decode-restart samples. One
+//!   form in memory, on disk and under the kernels;
+//! * [`block::BlockExtent`] — that image: page-sized blocks of
+//!   delta+varint encoded pairs under a `(min_parent, max_parent,
+//!   count)` skip index, with the byte form `apex::persist` writes;
+//! * [`edgeset::EdgeSet`] — the *in-flight* edge set: the sorted pair
+//!   vector query operators pass between them and index updates mutate
+//!   before sealing, with merge/union/difference and the pair-slice
+//!   reference semijoins;
+//! * [`kernels`] — the adaptive semijoin kernels over stored extents
+//!   (linear merge, galloping search, block-skip probing) and the
 //!   [`kernels::KernelPolicy`] that picks between them;
 //! * [`cost::Cost`] — logical cost counters (edges scanned, hash lookups,
 //!   index edges navigated, join output, pages read) accumulated by each
@@ -22,12 +27,9 @@
 //!   used in §6.1);
 //! * [`bufmgr::BufferManager`] — a cross-query LRU buffer pool over
 //!   extents, node-record pages, data-table pages and trie blocks, with
-//!   hit/miss/eviction counters ([`pages::PageCache`] is its degenerate
-//!   per-query policy);
+//!   hit/miss/eviction counters;
 //! * [`datatable::DataTable`] — the `nid → value` table used by QTYPE3
-//!   queries;
-//! * [`diskstore::ExtentStore`] — a real file-backed, page-aligned
-//!   extent store validating the page model against genuine I/O.
+//!   queries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +38,6 @@ pub mod block;
 pub mod bufmgr;
 pub mod cost;
 pub mod datatable;
-pub mod diskstore;
 pub mod edgeset;
 pub mod kernels;
 pub mod pages;
@@ -46,7 +47,6 @@ pub use block::{BlockExtent, BlockHeader};
 pub use bufmgr::{BufferHandle, BufferManager, BufferStats, ObjectId, Space};
 pub use cost::{Cost, OpBreakdown, OpCost, OpKind};
 pub use datatable::DataTable;
-pub use diskstore::{ExtentId, ExtentStore};
 pub use edgeset::{EdgePair, EdgeSet};
 pub use kernels::{
     gallop_lower_bound_u32, merge_sorted_into, Kernel, KernelPolicy, KernelReport, MergeScratch,

@@ -40,30 +40,6 @@ impl PageModel {
         }
     }
 
-    /// Charges a full scan of an extent of `pairs` edge pairs
-    /// (8 bytes per pair) to `cost`.
-    pub fn charge_extent_scan(&self, cost: &mut Cost, pairs: usize) {
-        cost.extent_pairs += pairs as u64;
-        cost.pages_read += self.pages_for_bytes(pairs * 8);
-    }
-
-    /// Charges an indexed extent probe: `probes` binary-searched range
-    /// lookups into an extent of `extent_pairs` pairs returning
-    /// `matches` pairs. Models one page per probed range plus the pages
-    /// holding the matches (clustered, so contiguous).
-    pub fn charge_extent_probe(
-        &self,
-        cost: &mut Cost,
-        extent_pairs: usize,
-        probes: usize,
-        matches: usize,
-    ) {
-        cost.extent_pairs += matches as u64;
-        let extent_pages = self.pages_for_bytes(extent_pairs * 8).max(1);
-        let touched = (probes as u64).min(extent_pages) + self.pages_for_bytes(matches * 8);
-        cost.pages_read += touched;
-    }
-
     /// Charges one data-table probe: a root-to-leaf descent of a paged
     /// binary-searchable table with `entries` entries, ~`entry_bytes` per
     /// entry. Models `ceil(log2(pages))+1` page touches, floored at 1.
@@ -75,63 +51,9 @@ impl PageModel {
     }
 }
 
-/// Per-query buffer pool: each storage object (an extent, an index-graph
-/// node, a table segment) is charged its pages once per query; repeated
-/// touches hit the cache. Mirrors the paper's environment, where indexes
-/// live on disk but a query's working set fits in RAM.
-///
-/// This is the *degenerate policy* of [`crate::bufmgr::BufferManager`]:
-/// an unbounded pool whose lifetime is a single query. Query processors
-/// now run on the cross-query manager through the execution layer; this
-/// type remains for callers that want the paper's original per-query
-/// accounting.
-#[derive(Debug)]
-pub struct PageCache {
-    pool: crate::bufmgr::BufferManager,
-}
-
-impl Default for PageCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PageCache {
-    /// Fresh cache (create one per query).
-    pub fn new() -> Self {
-        PageCache {
-            pool: crate::bufmgr::BufferManager::unbounded(PageModel::default()),
-        }
-    }
-
-    /// Charges the pages of object `id` (`bytes` large) on first touch.
-    pub fn charge_once(&mut self, cost: &mut Cost, id: u64, bytes: usize, model: &PageModel) {
-        let pages = model.pages_for_bytes(bytes).max(1);
-        let id = crate::bufmgr::ObjectId::new(crate::bufmgr::Space::Raw, id);
-        cost.pages_read += self.pool.touch_pages(id, pages);
-    }
-
-    /// Number of distinct objects touched.
-    pub fn objects(&self) -> usize {
-        self.pool.objects()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn page_cache_charges_once() {
-        let m = PageModel::default();
-        let mut cache = PageCache::new();
-        let mut c = Cost::new();
-        cache.charge_once(&mut c, 7, 10_000, &m); // 2 pages
-        cache.charge_once(&mut c, 7, 10_000, &m); // cached
-        cache.charge_once(&mut c, 8, 10, &m); // 1 page
-        assert_eq!(c.pages_read, 3);
-        assert_eq!(cache.objects(), 2);
-    }
 
     #[test]
     fn pages_for_bytes_rounds_up() {
@@ -140,15 +62,6 @@ mod tests {
         assert_eq!(m.pages_for_bytes(1), 1);
         assert_eq!(m.pages_for_bytes(8192), 1);
         assert_eq!(m.pages_for_bytes(8193), 2);
-    }
-
-    #[test]
-    fn extent_scan_charges_pairs_and_pages() {
-        let m = PageModel::default();
-        let mut c = Cost::new();
-        m.charge_extent_scan(&mut c, 2000); // 16000 bytes -> 2 pages
-        assert_eq!(c.extent_pairs, 2000);
-        assert_eq!(c.pages_read, 2);
     }
 
     #[test]

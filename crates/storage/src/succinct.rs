@@ -1,11 +1,13 @@
-//! Succinct in-memory extents: query the compressed form directly.
+//! Succinct extents: the stored form of an extent, queried as it lies.
 //!
-//! [`crate::block::BlockExtent`] compresses an extent to ~34% of its
-//! raw bytes, but until this module existed the savings were disk-only:
-//! every kernel ran over a fully materialized `Vec<EdgePair>` and
-//! `end_nodes()` cached a second full `Vec<NodeId>`. A
-//! [`SuccinctExtent`] keeps the *compressed payload* resident and makes
-//! it directly queryable through three layers:
+//! A [`SuccinctExtent`] is what a `G_APEX` class node holds, what
+//! `apex::persist` writes (the [`BlockExtent`] image, verbatim) and
+//! what the semijoin kernels run over: one set of bytes in memory, on
+//! disk and under the kernels. It is immutable once built — an index
+//! build or refresh decodes the extents it changes into
+//! [`crate::edgeset::EdgeSet`]s, mutates those, and seals each back
+//! with [`SuccinctExtent::from_pairs`] once at the end. The compressed
+//! payload is directly queryable through three layers:
 //!
 //! * [`BlockDirectory`] — a rank/select directory over the block skip
 //!   headers: bit-packed `min_parent` / `max_parent` / cumulative pair
@@ -41,9 +43,9 @@
 //! the crate root) and panic-free on arbitrary bytes: corrupt payloads
 //! decode to garbage pairs, never to a crash.
 
-use xmlgraph::{NodeId, NULL_NODE};
+use xmlgraph::NodeId;
 
-use crate::block::{BlockExtent, BlockHeader};
+use crate::block::{decoded_pair, push_varint, BlockExtent, BlockHeader};
 use crate::edgeset::EdgePair;
 
 /// Maximum pairs a [`BlockCursor::fill`] call decodes into the window.
@@ -297,45 +299,40 @@ pub struct BlockSamples {
 }
 
 impl BlockSamples {
-    /// Builds samples by one sequential decode of every block.
-    pub fn build(image: &BlockExtent) -> BlockSamples {
+    /// Builds samples by one sequential decode of every block and —
+    /// since this is the one pass that sees every pair — also returns
+    /// the `(min, max)` end node of the extent (`None` when empty).
+    pub fn build(image: &BlockExtent) -> (BlockSamples, Option<(NodeId, NodeId)>) {
         let mut cum = vec![0u32; 1];
         let (mut pos_v, mut par_v, mut node_v) = (Vec::new(), Vec::new(), Vec::new());
-        for k in 0..image.num_blocks() {
+        let (mut lo, mut hi) = (u32::MAX, 0u32);
+        let mut stride = [EdgePair::new(NodeId(0), NodeId(0)); SAMPLE_EVERY];
+        for (k, h) in image.headers().iter().enumerate() {
             let payload = image.block_payload(k).unwrap_or(&[]);
-            let count = image.headers().get(k).map_or(0, |h| h.count as usize);
-            let mut pos = 0usize;
-            let mut parent = 0u32;
-            let mut node = 0u32;
-            for i in 0..count {
-                if i > 0 && i % SAMPLE_EVERY == 0 {
-                    pos_v.push(pos as u32);
-                    par_v.push(parent);
-                    node_v.push(node);
+            let mut bc = BlockCursor::at_head(payload, h.count as usize);
+            while let Some(slots) = stride.get_mut(..bc.remaining.min(SAMPLE_EVERY)) {
+                bc.decode(slots);
+                for p in slots.iter() {
+                    lo = lo.min(p.node.0);
+                    hi = hi.max(p.node.0);
                 }
-                let w = load8(payload, pos);
-                let (a, la) = varint64(w);
-                pos += la;
-                let w = load8(payload, pos);
-                let (b, lb) = varint64(w);
-                pos += lb;
-                if i == 0 {
-                    parent = a;
-                    node = b;
-                } else {
-                    let same = ((a == 0) as u32).wrapping_neg();
-                    parent = parent.wrapping_add(a);
-                    node = b.wrapping_add(node & same);
+                if bc.remaining == 0 {
+                    break;
                 }
+                // A stride in: the cursor's state is a restart point.
+                pos_v.push(bc.pos as u32);
+                par_v.push(bc.parent);
+                node_v.push(bc.node);
             }
             cum.push(pos_v.len() as u32);
         }
-        BlockSamples {
+        let samples = BlockSamples {
             cum: PackedU32s::pack(&cum),
             pos: PackedU32s::pack(&pos_v),
             parent: PackedU32s::pack(&par_v),
             node: PackedU32s::pack(&node_v),
-        }
+        };
+        (samples, (lo <= hi).then_some((NodeId(lo), NodeId(hi))))
     }
 
     /// Latest restart point in block `k` that is still strictly before
@@ -413,45 +410,51 @@ fn varint64(w: u64) -> (u32, usize) {
     (v as u32, (tz as usize >> 3) + 1)
 }
 
-#[inline]
-fn decoded_pair(parent: u32, node: u32) -> EdgePair {
-    let p = if parent == u32::MAX {
-        NULL_NODE
-    } else {
-        NodeId(parent)
-    };
-    EdgePair::new(p, NodeId(node))
-}
-
 // ---------------------------------------------------------------------------
 // The succinct extent and its decode cursor
 // ---------------------------------------------------------------------------
 
-/// A queryable in-memory representation over a [`BlockExtent`]: the
-/// compressed image stays resident, wrapped in a [`BlockDirectory`]
-/// (skip + rank/select without payload access) and [`BlockSamples`]
-/// (mid-block decode restarts). Kernels decode only the blocks — and
-/// with samples, only the stretches — a query actually intersects.
+/// The stored form of an extent: the compressed [`BlockExtent`] image,
+/// wrapped in a [`BlockDirectory`] (skip + rank/select without payload
+/// access) and [`BlockSamples`] (mid-block decode restarts). Kernels
+/// decode only the blocks — and with samples, only the stretches — a
+/// query actually intersects. Cardinalities, block counts and bounds
+/// are exact and O(1): statistics read off a stored extent do not
+/// depend on what has been queried before.
+///
+/// Equality compares images. Every image in a `SuccinctExtent` comes
+/// from [`BlockExtent::encode`] or has passed [`BlockExtent::check`],
+/// so two extents are equal exactly when they hold the same pairs.
 #[derive(Debug, Clone, Default)]
 pub struct SuccinctExtent {
     image: BlockExtent,
     dir: BlockDirectory,
     samples: BlockSamples,
+    node_bounds: Option<(NodeId, NodeId)>,
 }
+
+impl PartialEq for SuccinctExtent {
+    fn eq(&self, other: &Self) -> bool {
+        self.image == other.image
+    }
+}
+
+impl Eq for SuccinctExtent {}
 
 impl SuccinctExtent {
     /// Wraps an encoded image, building the directory and samples.
     pub fn build(image: BlockExtent) -> SuccinctExtent {
         let dir = BlockDirectory::build(&image);
-        let samples = BlockSamples::build(&image);
+        let (samples, node_bounds) = BlockSamples::build(&image);
         SuccinctExtent {
             image,
             dir,
             samples,
+            node_bounds,
         }
     }
 
-    /// Encodes sorted, duplicate-free pairs and wraps the image.
+    /// Seals sorted, duplicate-free pairs into the stored form.
     pub fn from_pairs(pairs: &[EdgePair]) -> SuccinctExtent {
         SuccinctExtent::build(BlockExtent::encode(pairs))
     }
@@ -480,22 +483,63 @@ impl SuccinctExtent {
         self.dir.num_blocks()
     }
 
-    /// Total pairs (rank of the one-past-last block).
+    /// Number of pairs (rank of the one-past-last block).
     #[inline]
-    pub fn num_pairs(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.dir.pairs_before(self.dir.num_blocks())
+    }
+
+    /// True when the extent holds no pair.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.dir.num_blocks() == 0
+    }
+
+    /// Smallest and largest parent, read off the first and last block
+    /// headers. `None` when empty.
+    pub fn parent_bounds(&self) -> Option<(NodeId, NodeId)> {
+        let last = self.dir.num_blocks().checked_sub(1)?;
+        Some((
+            NodeId(self.dir.min_parent(0)),
+            NodeId(self.dir.max_parent(last)),
+        ))
+    }
+
+    /// Smallest and largest *end node*, recorded when the extent was
+    /// built. `None` when empty.
+    #[inline]
+    pub fn node_bounds(&self) -> Option<(NodeId, NodeId)> {
+        self.node_bounds
+    }
+
+    /// Appends every pair, in `(parent, node)` order, to `out` — the
+    /// whole-extent decode behind unions, scans and the open step of an
+    /// index update. Decodes straight into `out`'s tail, one block at a
+    /// time.
+    pub fn decode_into(&self, out: &mut Vec<EdgePair>) {
+        for k in 0..self.num_blocks() {
+            let mut bc = self.block_cursor(k);
+            let at = out.len();
+            out.resize(at + bc.remaining, EdgePair::new(NodeId(0), NodeId(0)));
+            if let Some(slots) = out.get_mut(at..) {
+                bc.decode(slots);
+            }
+        }
+    }
+
+    /// The pairs as a fresh vector (see [`SuccinctExtent::decode_into`]).
+    pub fn to_vec(&self) -> Vec<EdgePair> {
+        let mut out = Vec::with_capacity(self.len());
+        self.decode_into(&mut out);
+        out
     }
 
     /// Decode cursor over block `k`, from the block head.
     pub fn block_cursor(&self, k: usize) -> BlockCursor<'_> {
-        BlockCursor {
-            payload: self.image.block_payload(k).unwrap_or(&[]),
-            pos: 0,
-            remaining: self.dir.count(k),
-            parent: 0,
-            node: 0,
-            primed: false,
-        }
+        BlockCursor::at_head(
+            self.image.block_payload(k).unwrap_or(&[]),
+            self.dir.count(k),
+        )
     }
 
     /// Decode cursor over block `k` positioned at the latest sampled
@@ -514,22 +558,14 @@ impl SuccinctExtent {
                 node,
                 primed: true,
             },
-            _ => BlockCursor {
-                payload,
-                pos: 0,
-                remaining: count,
-                parent: 0,
-                node: 0,
-                primed: false,
-            },
+            _ => BlockCursor::at_head(payload, count),
         }
     }
 
     /// Bytes this representation keeps resident to answer queries: the
     /// compressed payload, the in-memory header structs, the packed
-    /// directory and the packed samples. Compare
-    /// [`crate::edgeset::EdgeSet::raw_bytes`] (8 bytes/pair) for the
-    /// decoded-`Vec` baseline.
+    /// directory and the packed samples — against 8 bytes per pair for
+    /// a decoded `Vec`.
     pub fn resident_bytes(&self) -> usize {
         self.image.payload_bytes()
             + self.image.num_blocks() * std::mem::size_of::<BlockHeader>()
@@ -553,7 +589,19 @@ pub struct BlockCursor<'a> {
     primed: bool,
 }
 
-impl BlockCursor<'_> {
+impl<'a> BlockCursor<'a> {
+    /// A cursor at the head of a block of `count` pairs.
+    fn at_head(payload: &'a [u8], count: usize) -> BlockCursor<'a> {
+        BlockCursor {
+            payload,
+            pos: 0,
+            remaining: count,
+            parent: 0,
+            node: 0,
+            primed: false,
+        }
+    }
+
     /// Pairs left to decode.
     #[inline]
     pub fn remaining(&self) -> usize {
@@ -590,11 +638,23 @@ impl BlockCursor<'_> {
         } else {
             window.truncate(taken);
         }
+        self.decode(window);
+        taken
+    }
+
+    /// Decodes the next `slots.len()` pairs into `slots`; both callers
+    /// size `slots` to at most [`BlockCursor::remaining`].
+    fn decode(&mut self, slots: &mut [EdgePair]) {
+        debug_assert!(slots.len() <= self.remaining);
+        let taken = slots.len();
+        if taken == 0 {
+            return;
+        }
         let payload = self.payload;
         let mut pos = self.pos;
         let mut parent = self.parent;
         let mut node = self.node;
-        let mut slots = window.iter_mut();
+        let mut slots = slots.iter_mut();
         if !self.primed {
             // The block's first pair stores both components raw.
             let w = load8(payload, pos);
@@ -642,8 +702,7 @@ impl BlockCursor<'_> {
         self.pos = pos;
         self.parent = parent;
         self.node = node;
-        self.remaining -= taken;
-        taken
+        self.remaining = self.remaining.saturating_sub(taken);
     }
 }
 
@@ -927,22 +986,11 @@ impl EndCursor<'_> {
     }
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edgeset::EdgeSet;
+    use xmlgraph::NULL_NODE;
 
     fn decode_all(succ: &SuccinctExtent) -> Vec<EdgePair> {
         let mut out = Vec::new();
@@ -1002,8 +1050,10 @@ mod tests {
             .collect();
         let succ = SuccinctExtent::from_pairs(&pairs);
         assert!(succ.num_blocks() > 1);
-        assert_eq!(succ.num_pairs(), pairs.len());
+        assert_eq!(succ.len(), pairs.len());
         assert_eq!(decode_all(&succ), pairs);
+        // The whole-extent decode agrees with the windowed one.
+        assert_eq!(succ.to_vec(), pairs);
     }
 
     #[test]
@@ -1086,7 +1136,9 @@ mod tests {
     fn empty_and_single_cases() {
         let succ = SuccinctExtent::from_pairs(&[]);
         assert_eq!(succ.num_blocks(), 0);
-        assert_eq!(succ.num_pairs(), 0);
+        assert_eq!(succ.len(), 0);
+        assert!(succ.is_empty());
+        assert_eq!((succ.parent_bounds(), succ.node_bounds()), (None, None));
         assert_eq!(decode_all(&succ), vec![]);
         let ix = EndIndex::from_sorted(&[]);
         assert!(ix.is_empty());
@@ -1095,6 +1147,31 @@ mod tests {
         let succ = SuccinctExtent::from_pairs(one.pairs());
         assert_eq!(decode_all(&succ), one.pairs());
         assert_eq!(succ.directory().min_parent(0), u32::MAX);
+    }
+
+    #[test]
+    fn stored_accessors_are_exact() {
+        // What used to be warmth-dependent hints on the pair vector are
+        // exact, O(1) reads of the stored form.
+        let set = EdgeSet::from_raw(&[(1, 5), (2, 5), (3, 6), (7, 8)]);
+        let succ = SuccinctExtent::from_pairs(set.pairs());
+        assert_eq!(succ.len(), 4);
+        assert_eq!(succ.num_blocks(), 1);
+        assert_eq!(succ.parent_bounds(), Some((NodeId(1), NodeId(7))));
+        assert_eq!(succ.node_bounds(), Some((NodeId(5), NodeId(8))));
+        // Bounds span blocks, and the root pair's NULL parent sorts last.
+        let mut pairs: Vec<EdgePair> = (0..20_000u32)
+            .map(|i| EdgePair::new(NodeId(i / 3), NodeId(20_000 - i)))
+            .collect();
+        pairs.push(EdgePair::root(NodeId(0)));
+        let set = EdgeSet::from_pairs(pairs);
+        let succ = SuccinctExtent::from_pairs(set.pairs());
+        assert!(succ.num_blocks() > 1);
+        assert_eq!(succ.parent_bounds(), Some((NodeId(0), NULL_NODE)));
+        assert_eq!(succ.node_bounds(), Some((NodeId(0), NodeId(20_000))));
+        // Equality is image equality is pair-set equality.
+        assert_eq!(succ, SuccinctExtent::from_pairs(&succ.to_vec()));
+        assert_ne!(succ, SuccinctExtent::default());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! quotient graphs; the fabric's from trie traversal — all must agree
 //! with direct evaluation over `G_XML`.
 
+use apex::{Apex, ExtentStat, PlanStats};
 use apex_query::batch::QueryProcessor;
 use apex_query::generator::GeneratorConfig;
 use apex_query::naive::NaiveProcessor;
@@ -30,6 +31,15 @@ fn cfg(seed: u64) -> GeneratorConfig {
     }
 }
 
+/// The planner's per-extent statistics, in class-node order.
+fn extent_stats(idx: &Apex) -> Vec<ExtentStat> {
+    let stats = PlanStats::assemble(idx);
+    let mut classes = idx.graph().reachable(idx.xroot());
+    classes.sort_unstable();
+    let of = |x: &apex::XNodeId| *stats.extent(x.0).expect("reachable class summarized");
+    classes.iter().map(of).collect()
+}
+
 fn check_dataset(g: XmlGraph, seed: u64) {
     let fx = Fixture::build(g, cfg(seed));
     let naive = NaiveProcessor::new(&fx.g, &fx.table);
@@ -39,9 +49,12 @@ fn check_dataset(g: XmlGraph, seed: u64) {
     let apex_05 = fx.apex_at(0.05);
     let apex_005 = fx.apex_at(0.005);
     let apex_0005 = fx.apex_at(0.0005);
-    for idx in [&fx.apex0, &apex_05, &apex_005, &apex_0005] {
+    let indexes = [&fx.apex0, &apex_05, &apex_005, &apex_0005];
+    for idx in indexes {
         apex::validate::assert_valid(&fx.g, idx);
     }
+    // What the planner would be told about a copy nothing has queried.
+    let cold: Vec<Vec<ExtentStat>> = indexes.map(|idx| extent_stats(&idx.clone())).into();
 
     let processors: Vec<Box<dyn QueryProcessor + '_>> = vec![
         Box::new(ApexProcessor::new(&fx.g, &fx.apex0, &fx.table)),
@@ -71,6 +84,12 @@ fn check_dataset(g: XmlGraph, seed: u64) {
                 p.name()
             );
         }
+    }
+
+    // Statistics are a function of the index, not of what it has served:
+    // after the whole query set they read exactly as on the fresh copy.
+    for (idx, cold) in indexes.iter().zip(&cold) {
+        assert_eq!(&extent_stats(idx), cold, "statistics moved with use");
     }
 
     // Fabric: QTYPE3 only. On reference-dense graph data the fabric's

@@ -6,14 +6,15 @@
 use apex::{extent_equivalent, Apex, Workload};
 use apex_query::batch::QueryProcessor;
 use apex_query::{apex_qp::ApexProcessor, guide_qp::GuideProcessor};
-use apex_storage::{DataTable, EdgeSet, PageModel};
+use apex_storage::{DataTable, PageModel, SuccinctExtent};
 use dataguide::DataGuide;
 use oneindex::OneIndex;
 use xmlgraph::builder::moviedb;
 use xmlgraph::{GraphBuilder, LabelPath, NodeId};
 
-fn pairs(e: &EdgeSet) -> Vec<(u32, u32)> {
-    e.iter().map(|p| (p.parent.0, p.node.0)).collect()
+fn pairs(e: &SuccinctExtent) -> Vec<(u32, u32)> {
+    let pairs = e.to_vec();
+    pairs.iter().map(|p| (p.parent.0, p.node.0)).collect()
 }
 
 /// Figure 2: APEX with required paths = A ∪ {director.movie,

@@ -338,21 +338,19 @@ mod edgeset_laws {
         fn semijoin_variants_agree(a in pairs(40, 30), b in pairs(40, 30)) {
             let (sa, sb) = (set(&a), set(&b));
             let ends = sa.end_nodes();
-            let (scan, _) = sa.semijoin_next(&sb);
             let (merge, _) = sb.semijoin_ends(ends.into());
             let (probe, _) = sb.probe_by_parents(ends.into());
-            prop_assert_eq!(&scan, &merge);
-            prop_assert_eq!(&scan, &probe);
+            prop_assert_eq!(&merge, &probe);
             // …and through the plain-slice face of the `Ends` view.
             let ends_v: Vec<NodeId> = ends.to_vec();
             let (merge_s, _) = sb.semijoin_ends((&ends_v[..]).into());
-            prop_assert_eq!(&scan, &merge_s);
+            prop_assert_eq!(&merge, &merge_s);
             // Reference semantics: pairs of b whose parent is an end of a.
             let expect: Vec<EdgePair> = sb
                 .iter()
                 .filter(|p| ends_v.binary_search(&p.parent).is_ok())
                 .collect();
-            prop_assert_eq!(scan.pairs().to_vec(), expect);
+            prop_assert_eq!(merge.pairs().to_vec(), expect);
         }
 
         #[test]
@@ -376,11 +374,16 @@ mod edgeset_laws {
 mod exec_laws {
     use apex_query::exec::{self, ExecContext, ExtentScan, ExtentUnion};
     use apex_storage::bufmgr::{BufferHandle, Space};
-    use apex_storage::{EdgePair, EdgeSet, OpKind};
+    use apex_storage::{EdgePair, EdgeSet, OpKind, SuccinctExtent};
     use proptest::prelude::*;
 
     fn pairs(max: u32, count: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
         proptest::collection::vec((0..max, 0..max), 0..count)
+    }
+
+    /// The stored form of a raw pair list.
+    fn stored(v: &[(u32, u32)]) -> SuccinctExtent {
+        SuccinctExtent::from_pairs(EdgeSet::from_raw(v).pairs())
     }
 
     proptest! {
@@ -388,14 +391,15 @@ mod exec_laws {
 
         #[test]
         fn adaptive_semijoin_matches_reference(a in pairs(60, 40), b in pairs(60, 40)) {
-            let (sa, sb) = (EdgeSet::from_raw(&a), EdgeSet::from_raw(&b));
+            let (sa, sb) = (EdgeSet::from_raw(&a), stored(&b));
             let ends = sa.end_nodes();
             let buf = BufferHandle::unbounded();
             let mut ctx = ExecContext::new(&buf);
             let hit = exec::semijoin(&mut ctx, ends.into(), Space::ApexExtent, 0, &sb);
             let ends_vec = ends.to_vec();
             let expect: Vec<EdgePair> = sb
-                .iter()
+                .to_vec()
+                .into_iter()
                 .filter(|p| ends_vec.binary_search(&p.parent).is_ok())
                 .collect();
             prop_assert_eq!(hit.pairs().to_vec(), expect);
@@ -414,7 +418,7 @@ mod exec_laws {
 
         #[test]
         fn attribution_is_a_partition(a in pairs(60, 40), b in pairs(60, 40)) {
-            let (sa, sb) = (EdgeSet::from_raw(&a), EdgeSet::from_raw(&b));
+            let (sa, sb) = (stored(&a), stored(&b));
             let buf = BufferHandle::unbounded();
             let mut ctx = ExecContext::new(&buf);
             ExtentScan::pairs(Space::ApexExtent, 0, &sa).run(&mut ctx);
@@ -436,7 +440,7 @@ mod exec_laws {
 
         #[test]
         fn warm_rerun_is_io_free(a in pairs(60, 40), b in pairs(60, 40)) {
-            let (sa, sb) = (EdgeSet::from_raw(&a), EdgeSet::from_raw(&b));
+            let (sa, sb) = (stored(&a), stored(&b));
             let buf = BufferHandle::unbounded();
             let run = |buf: &BufferHandle| {
                 let mut ctx = ExecContext::new(buf);
@@ -541,7 +545,7 @@ mod plan_laws {
 /// picks — return exactly the pairs a naive scan selects.
 mod block_kernel_laws {
     use apex_storage::kernels::{self, Kernel, KernelPolicy, SemijoinScratch};
-    use apex_storage::{BlockExtent, EdgePair, EdgeSet};
+    use apex_storage::{BlockExtent, EdgePair, EdgeSet, SuccinctExtent};
     use proptest::prelude::*;
     use xmlgraph::NodeId;
 
@@ -562,14 +566,80 @@ mod block_kernel_laws {
             let img = bx.to_bytes();
             let back = BlockExtent::from_bytes(&img).unwrap();
             prop_assert_eq!(back.decode().unwrap(), s.pairs().to_vec());
-            prop_assert_eq!(back.encoded_bytes(), bx.encoded_bytes());
+            prop_assert_eq!(&back, &bx);
+            prop_assert!(back.check());
+        }
+
+        /// `check` accepts exactly the encoder's outputs: after any
+        /// one-byte edit of a serialized image that still frames, it
+        /// agrees with the definition — the image decodes to strictly
+        /// increasing pairs whose encoding is that very image.
+        #[test]
+        fn check_accepts_exactly_the_encoders_outputs(
+            a in pairs(100_000, 6_000),
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+        ) {
+            let s = EdgeSet::from_raw(&a);
+            let mut wire = BlockExtent::encode(s.pairs()).to_bytes();
+            let at = at % wire.len();
+            wire[at] = byte;
+            if let Some(bx) = BlockExtent::from_bytes(&wire) {
+                let by_definition = bx.decode().is_some_and(|pairs| {
+                    pairs.windows(2).all(|w| w[0] < w[1]) && BlockExtent::encode(&pairs) == bx
+                });
+                prop_assert_eq!(bx.check(), by_definition, "byte {} := {:#04x}", at, byte);
+            }
+        }
+
+        /// Open → mutate → seal is history-independent: whatever
+        /// inserts, unions and differences a decoded extent went
+        /// through, sealing it gives byte for byte the image of sealing
+        /// the resulting pair set directly — so stored extents (and
+        /// `extent_equivalent`) may compare images.
+        #[test]
+        fn open_mutate_seal_is_byte_identical_to_sealing_the_result(
+            start in pairs(3_000, 200),
+            ops in proptest::collection::vec((0u8..3, pairs(3_000, 60)), 0..8),
+        ) {
+            let sealed = SuccinctExtent::from_pairs(EdgeSet::from_raw(&start).pairs());
+            let mut open = EdgeSet::from_sorted(sealed.to_vec());
+            let mut expect: std::collections::BTreeSet<(u32, u32)> = start.iter().copied().collect();
+            let mut scratch = Vec::new();
+            for (op, arg) in &ops {
+                match op {
+                    0 => for &(p, n) in arg {
+                        open.insert(EdgePair::new(NodeId(p), NodeId(n)));
+                        expect.insert((p, n));
+                    },
+                    1 => {
+                        open.union_in_place(&EdgeSet::from_raw(arg), &mut scratch);
+                        expect.extend(arg.iter().copied());
+                    }
+                    _ => {
+                        open = open.difference(&EdgeSet::from_raw(arg));
+                        for pair in arg {
+                            expect.remove(pair);
+                        }
+                    }
+                }
+            }
+            let resealed = SuccinctExtent::from_pairs(open.pairs());
+            let expect: Vec<(u32, u32)> = expect.into_iter().collect();
+            let direct = SuccinctExtent::from_pairs(EdgeSet::from_raw(&expect).pairs());
+            prop_assert_eq!(resealed.image().to_bytes(), direct.image().to_bytes());
+            prop_assert_eq!(&resealed, &direct);
+            prop_assert!(resealed.image().check());
+            prop_assert_eq!(resealed.len(), expect.len());
+            prop_assert_eq!(resealed.node_bounds(), direct.node_bounds());
         }
 
         #[test]
         fn kernels_match_naive_scan(a in pairs(400, 60), b in pairs(400, 80)) {
-            let extent = EdgeSet::from_raw(&b);
+            let set = EdgeSet::from_raw(&b);
+            let extent = SuccinctExtent::from_pairs(set.pairs());
             let ends: Vec<NodeId> = EdgeSet::from_raw(&a).end_nodes().to_vec();
-            let expect: Vec<EdgePair> = extent
+            let expect: Vec<EdgePair> = set
                 .iter()
                 .filter(|p| ends.binary_search(&p.parent).is_ok())
                 .collect();
@@ -589,10 +659,10 @@ mod block_kernel_laws {
 /// directory agrees with linear scans over the skip headers, the
 /// batched branch-free decoder reproduces `decode_block_into` exactly,
 /// the packed end-node index round-trips, and every succinct kernel
-/// equals the decoded-slice baseline on arbitrary inputs.
+/// equals the pair-slice reference semijoin on arbitrary inputs.
 mod succinct_laws {
-    use apex_storage::kernels::{self, decoded, Kernel, SemijoinScratch};
-    use apex_storage::{EdgePair, EdgeSet, EndIndex};
+    use apex_storage::kernels::{self, Kernel, SemijoinScratch};
+    use apex_storage::{EdgePair, EdgeSet, EndIndex, SuccinctExtent};
     use proptest::prelude::*;
     use xmlgraph::NodeId;
 
@@ -609,7 +679,7 @@ mod succinct_laws {
         #[test]
         fn directory_rank_select_laws(a in pairs(200_000, 300)) {
             let s = EdgeSet::from_raw(&a);
-            let succ = s.succinct();
+            let succ = &SuccinctExtent::from_pairs(s.pairs());
             let dir = succ.directory();
             let headers = succ.image().headers();
             prop_assert_eq!(dir.num_blocks(), headers.len());
@@ -642,7 +712,8 @@ mod succinct_laws {
         #[test]
         fn windowed_decoder_matches_block_decode(a in pairs(150_000, 400)) {
             let s = EdgeSet::from_raw(&a);
-            let succ = s.succinct();
+            let succ = &SuccinctExtent::from_pairs(s.pairs());
+            prop_assert_eq!(succ.to_vec(), s.pairs().to_vec());
             let mut window = Vec::new();
             for k in 0..succ.num_blocks() {
                 let mut want = Vec::new();
@@ -681,24 +752,39 @@ mod succinct_laws {
             prop_assert_eq!(cur.peek(), want);
         }
 
-        /// Every kernel over the succinct compressed form returns the
-        /// decoded-slice baseline's pairs, with identical comparison
-        /// counts for the merge kernel (same work semantics) and a
-        /// decode volume never exceeding the full pair count.
+        /// Every kernel over the stored compressed form returns the
+        /// pairs the pair-slice reference semijoins return over the
+        /// full decode, faults exactly the blocks whose parent range
+        /// holds an end (all of them, for the merge), and never decodes
+        /// more than the full pair count.
         #[test]
         fn succinct_kernels_equal_decoded_baseline(a in pairs(50_000, 120), b in pairs(50_000, 400)) {
-            let extent = EdgeSet::from_raw(&b);
+            let full = EdgeSet::from_raw(&b);
+            let extent = SuccinctExtent::from_pairs(full.pairs());
             let ends: Vec<NodeId> = EdgeSet::from_raw(&a).end_nodes().to_vec();
-            let full = extent.pairs().to_vec();
-            let bx = extent.blocks();
+            let (merged, _) = full.semijoin_ends((&ends[..]).into());
+            let (probed, _) = full.probe_by_parents((&ends[..]).into());
+            prop_assert_eq!(&merged, &probed);
+            let headers = extent.image().headers();
+            let candidates: Vec<u32> = (0..headers.len() as u32)
+                .filter(|&k| {
+                    let h = &headers[k as usize];
+                    ends.iter().any(|e| (h.min_parent..=h.max_parent).contains(&e.0))
+                })
+                .collect();
             let mut s1 = SemijoinScratch::new();
             let mut s2 = SemijoinScratch::new();
             for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::BlockSkip] {
                 let r1 = kernels::semijoin_into(kernel, &extent, (&ends[..]).into(), &mut s1);
-                let r2 = decoded::semijoin_into(kernel, &full, bx, &ends, &mut s2);
-                prop_assert_eq!(&s1.out, &s2.out, "kernel {}", kernel.name());
-                prop_assert_eq!(&s1.blocks, &s2.blocks, "kernel {} blocks", kernel.name());
-                prop_assert_eq!(r1.pairs_read, r2.pairs_read, "kernel {}", kernel.name());
+                prop_assert_eq!(&s1.out[..], merged.pairs(), "kernel {}", kernel.name());
+                if kernel == Kernel::Merge {
+                    prop_assert_eq!(s1.blocks.len(), headers.len());
+                } else {
+                    prop_assert_eq!(&s1.blocks, &candidates, "kernel {} blocks", kernel.name());
+                    let resident: usize =
+                        candidates.iter().map(|&k| headers[k as usize].count as usize).sum();
+                    prop_assert_eq!(r1.pairs_read, resident, "kernel {}", kernel.name());
+                }
                 prop_assert!(r1.decoded <= extent.len(), "kernel {}", kernel.name());
                 // The packed end view changes nothing.
                 let idx = EndIndex::from_sorted(&ends);
@@ -793,10 +879,14 @@ mod persist_roundtrip {
                 let a = apex.lookup(path.labels());
                 let b = loaded.lookup(path.labels());
                 prop_assert_eq!(a.matched_len, b.matched_len);
-                let ea = a.xnode.map(|x| apex.extent(x).pairs().to_vec());
-                let eb = b.xnode.map(|x| loaded.extent(x).pairs().to_vec());
+                let ea = a.xnode.map(|x| apex.extent(x).to_vec());
+                let eb = b.xnode.map(|x| loaded.extent(x).to_vec());
                 prop_assert_eq!(ea, eb);
             }
+            // Byte-stable: what was loaded saves as what was read.
+            let mut again = Vec::new();
+            persist::save(&loaded, &mut again).expect("save");
+            prop_assert_eq!(again, buf);
             // keep LabelPath import used
             let _ = LabelPath::new(vec![]);
         }

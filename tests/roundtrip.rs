@@ -269,3 +269,75 @@ fn moviedb_roundtrip() {
     let g2 = parse_with(&xml, &cfg).expect("parse moviedb");
     assert_structurally_equal(&g, &g2);
 }
+
+/// `persist::load` faces the disk: an image whose checksum verifies but
+/// whose extent bytes are not an encoder output must be refused by
+/// name, never decoded into something else and never a panic.
+mod persist_hostile_images {
+    use apex::persist::{self, PersistError};
+    use apex::{Apex, Workload};
+    use xmlgraph::builder::moviedb;
+
+    /// Rewrites the trailing FNV-1a checksum so only structure can object.
+    fn reseal(buf: &mut [u8]) {
+        let body = buf.len() - 8;
+        let sum = buf[..body].iter().fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        });
+        buf[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn bit_flips_inside_a_block_payload_never_load_as_something_else() {
+        let g = moviedb();
+        let mut idx = Apex::build_initial(&g);
+        let wl = Workload::parse(&g, &["actor.name", "director.movie"]).unwrap();
+        idx.refine(&g, &wl, 0.1);
+        let mut good = Vec::new();
+        persist::save(&idx, &mut good).unwrap();
+        // xroot's record opens the image: incoming, image_len, then the
+        // one-block image of {<NULL, root>} — 8 + 16 header bytes and a
+        // 6-byte payload (u32::MAX as a 5-byte varint, then node 0).
+        let image_at = 7 + 1 + 4 + 4 + 4 + 4;
+        let payload = image_at + 24..image_at + 30;
+        assert_eq!(
+            &good[payload.clone()],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00]
+        );
+        let mut corrupt = 0;
+        for at in payload {
+            for bit in 0..8 {
+                let mut buf = good.clone();
+                buf[at] ^= 1 << bit;
+                assert!(persist::load(&mut buf.as_slice()).is_err());
+                reseal(&mut buf);
+                match persist::load(&mut buf.as_slice()) {
+                    // Not an encoder output: refused, by name.
+                    Err(PersistError::Corrupt(_)) => corrupt += 1,
+                    // A valid image of some *other* pair: it loads, and
+                    // as exactly the bytes that were read.
+                    Ok(loaded) => {
+                        let mut again = Vec::new();
+                        persist::save(&loaded, &mut again).unwrap();
+                        assert_eq!(again, buf, "byte {at} bit {bit}");
+                    }
+                    Err(other) => panic!("byte {at} bit {bit}: {other:?}"),
+                }
+            }
+        }
+        // Continuation bits, the overlong fifth byte and header-parent
+        // mismatches make most flips structural.
+        assert!(corrupt >= 40, "only {corrupt} of 48 flips were refused");
+        // Header-level damage with a valid checksum: a block count the
+        // record cannot hold, and a min_parent that is not the first one.
+        for (at, byte) in [(image_at, 0xFFu8), (image_at + 8, 0x00)] {
+            let mut buf = good.clone();
+            buf[at] = byte;
+            reseal(&mut buf);
+            assert!(matches!(
+                persist::load(&mut buf.as_slice()),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+    }
+}
