@@ -102,12 +102,18 @@ lint_selfcheck() {
 # checkpoint / rename traffic) plus named-site kills, golden snapshot
 # corruption, and crash-during-recovery re-entry. Release mode under a
 # hard timeout — recovery that converges but crawls is also a failure.
+# `roundtrip` holds the durable image's hostile-input sweep (every bit
+# of a checkpoint flipped, every word overwritten: O(bytes × 8)
+# decodes under a counting allocator) — a decoder that loops or
+# allocates from a count it read trips the same timeout.
 recovery_smoke() {
     timeout 300 cargo test --release --offline -p apex-suite \
         --test crash_recovery --quiet
     timeout 120 cargo test --release --offline -p apex-suite \
         --test wal_props --quiet
-    echo "recovery_smoke: crash sweeps + WAL frame properties green"
+    timeout 120 cargo test --release --offline -p apex-suite \
+        --test roundtrip --quiet
+    echo "recovery_smoke: crash sweeps + WAL frame properties + image sweep green"
 }
 
 # The adaptive serving demo doubles as the refresh smoke test: after

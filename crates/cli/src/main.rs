@@ -57,7 +57,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -296,17 +296,16 @@ fn main() {
                 println!("{:?}", index.stats());
             }
             Ok(Command::Save(path)) => match std::fs::File::create(&path) {
-                Ok(f) => {
-                    let mut w = BufWriter::new(f);
-                    match persist::save(&index, &mut w) {
-                        Ok(()) => println!("saved to {path}"),
-                        Err(e) => println!("save failed: {e}"),
-                    }
-                }
+                // One `write_all` of the whole image: nothing to buffer,
+                // and a failed write is reported, not dropped.
+                Ok(mut f) => match persist::save(&index, &mut f) {
+                    Ok(()) => println!("saved to {path}"),
+                    Err(e) => println!("save failed: {e}"),
+                },
                 Err(e) => println!("cannot create {path}: {e}"),
             },
             Ok(Command::Load(path)) => match std::fs::File::open(&path) {
-                Ok(f) => match persist::load(&mut BufReader::new(f)) {
+                Ok(mut f) => match persist::load(&mut f) {
                     Ok(idx) => {
                         index = idx;
                         println!("loaded {path}: {:?}", index.stats());

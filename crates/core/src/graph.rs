@@ -72,21 +72,21 @@ impl GApex {
 
     /// Immutable node access.
     #[inline]
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction; the accessor is the class-node hot path
+    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes — xroot, edge target, H_APEX xnode or remainder); the accessor is the class-node hot path
     pub fn node(&self, x: XNodeId) -> &XNode {
         &self.nodes[x.idx()]
     }
 
     /// Mutable node access.
     #[inline]
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::load range-checks before minting)
+    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes)
     pub fn node_mut(&mut self, x: XNodeId) -> &mut XNode {
         &mut self.nodes[x.idx()]
     }
 
     /// The extent of `x`.
     #[inline]
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction
+    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes)
     pub fn extent(&self, x: XNodeId) -> &SuccinctExtent {
         &self.nodes[x.idx()].extent
     }

@@ -124,6 +124,11 @@ impl HashTree {
         self.head
     }
 
+    /// A child is always allocated after its parent and [`compact`]
+    /// renumbers breadth-first, so every `next` link points at a higher
+    /// id — `persist`'s decoder refuses an image where one does not.
+    ///
+    /// [`compact`]: HashTree::compact
     fn alloc(&mut self) -> HNodeId {
         let id = HNodeId(self.nodes.len() as u32);
         self.nodes.push(HNode::default());

@@ -74,10 +74,9 @@ pub use graph::{GApex, XNodeId};
 pub use hashtree::{EntryRef, HNodeId, HashTree};
 pub use index::{Apex, ExtentRef, IndexStats, Lookup, SegmentNodes};
 pub use monitor::{MonitorState, PlanFeedback, RefreshPolicy, WorkloadMonitor};
+pub use persist::PersistError;
 pub use planstats::{ExtentStat, PlanStats};
-pub use recover::{
-    recover, RecoverError, RecoverOptions, Recovered, RecoveryReport, SnapshotReject,
-};
+pub use recover::{recover, RecoverError, RecoverOptions, Recovered, RecoveryReport};
 pub use serve::{write_checkpoint, IndexCell, RefreshRecord, Refresher, ServeStats, Snapshot};
 pub use update::{extent_equivalent, update_apex};
 pub use wal::{CrashPlan, CrashSite, DurabilityConfig, Record, Stats, Wal, WalError};

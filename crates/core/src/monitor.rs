@@ -104,7 +104,8 @@ pub enum RefreshPolicy {
 /// needs to continue the record/drain sequence exactly where the
 /// snapshot left it. Capacity and policy are *configuration* — they
 /// come back from [`crate::recover::RecoverOptions`], not the image.
-#[derive(Debug, Clone, PartialEq)]
+/// The default is the empty state a bare index file carries.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MonitorState {
     /// The sliding window, oldest first.
     pub window: Vec<LabelPath>,

@@ -429,9 +429,7 @@ pub fn write_checkpoint(
     // is the one checkpointing — the snapshot read here is the one the
     // captured monitor state was serving against.
     let snap = cell.snapshot();
-    let image =
-        crate::recover::encode_snapshot(token.seq(), snap.generation(), snap.index(), &state)
-            .map_err(WalError::Io)?;
+    let image = crate::persist::encode(token.seq(), snap.generation(), snap.index(), &state);
     wal.commit_checkpoint(token, &image)
 }
 

@@ -32,5 +32,5 @@ pub mod wire;
 
 pub use client::{Client, ClientStats, RetryPolicy};
 pub use engine::{Engine, ExecOutcome};
-pub use server::{ConnStats, NetStats, Server, ServerConfig};
+pub use server::{read_polling, ConnStats, NetStats, Server, ServerConfig};
 pub use wire::{Message, Request, Response, ShardGen, Status, WireError};

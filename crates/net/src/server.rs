@@ -465,19 +465,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec
     }
 }
 
-/// What one polling read produced.
-enum Frame {
-    Message(Message),
-    /// Clean EOF, malformed input, or drain — the reader exits either
-    /// way, so they collapse; protocol errors never touch counters.
-    Done,
-}
-
-/// Reads one message, tolerating read-timeout polls so the drain flag
-/// is observed within `cfg.poll` even on an idle connection. A partial
-/// frame interrupted by drain is dropped *un-accepted*: `accepted` is
-/// only counted once a frame fully decodes.
-fn read_polling(stream: &mut TcpStream, shared: &Shared) -> Frame {
+/// Reads one message, tolerating read-timeout polls so `closing` is
+/// observed within the stream's read timeout even on an idle
+/// connection. `None` is a clean EOF, malformed or oversized input
+/// (over `max_frame`), or drain — the reader exits either way, so they
+/// collapse; protocol errors never touch counters. A partial frame
+/// interrupted by drain is dropped *un-accepted*: callers count a
+/// request only once its frame fully decodes. The router's client side
+/// reads with this too.
+pub fn read_polling(
+    stream: &mut TcpStream,
+    max_frame: usize,
+    closing: &AtomicBool,
+) -> Option<Message> {
     // A read timeout can split a frame, so accumulate raw bytes across
     // polls and decode only once the frame is complete.
     let mut buf: Vec<u8> = Vec::new();
@@ -486,59 +486,44 @@ fn read_polling(stream: &mut TcpStream, shared: &Shared) -> Frame {
     loop {
         if buf.len() >= need {
             if !have_len {
-                let head: [u8; 4] = match buf.get(..4).and_then(|b| b.try_into().ok()) {
-                    Some(h) => h,
-                    None => return Frame::Done, // can't occur: buf.len() >= need == 4
-                };
+                let head: [u8; 4] = buf.get(..4)?.try_into().ok()?;
                 let len = u32::from_le_bytes(head) as usize;
-                if len > shared.cfg.max_frame {
-                    return Frame::Done; // oversized: close the connection
+                if len > max_frame {
+                    return None; // oversized: close the connection
                 }
                 need = 4 + len;
                 have_len = true;
                 continue;
             }
-            let Some(body) = buf.get(4..need) else {
-                return Frame::Done; // can't occur: buf.len() >= need
-            };
-            return match Message::decode(body) {
-                Ok(msg) => Frame::Message(msg),
-                Err(_) => Frame::Done,
-            };
+            return Message::decode(buf.get(4..need)?).ok();
         }
         let mut chunk = [0u8; 4096];
         let want = (need - buf.len()).min(chunk.len());
-        let Some(dst) = chunk.get_mut(..want) else {
-            return Frame::Done; // can't occur: want ≤ chunk.len()
-        };
-        match io::Read::read(stream, dst) {
-            Ok(0) => return Frame::Done, // EOF (mid-frame ⇒ truncated; same exit)
-            Ok(n) => match chunk.get(..n) {
-                Some(read) => buf.extend_from_slice(read),
-                None => return Frame::Done, // can't occur: n ≤ want
-            },
+        match io::Read::read(stream, chunk.get_mut(..want)?) {
+            Ok(0) => return None, // EOF (mid-frame ⇒ truncated; same exit)
+            Ok(n) => buf.extend_from_slice(chunk.get(..n)?),
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if shared.closing.load(Ordering::SeqCst) {
-                    return Frame::Done;
+                if closing.load(Ordering::SeqCst) {
+                    return None;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Frame::Done,
+            Err(_) => return None,
         }
     }
 }
 
 fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>) {
     loop {
-        let req = match read_polling(&mut stream, shared) {
-            Frame::Message(Message::Request(req)) => req,
+        let req = match read_polling(&mut stream, shared.cfg.max_frame, &shared.closing) {
+            Some(Message::Request(req)) => req,
             // A client sending us *responses* is a protocol error.
-            Frame::Message(Message::Response(_)) | Frame::Done => return,
+            Some(Message::Response(_)) | None => return,
         };
         let admitted = Instant::now();
         conn.stats.accepted.fetch_add(1, Ordering::Relaxed);

@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use apex_net::wire::{write_message, DEFAULT_MAX_FRAME, MAX_ROW_SAMPLE};
-use apex_net::{Client, Message, Request, Response, ShardGen, Status};
+use apex_net::{read_polling, Client, Message, Request, Response, ShardGen, Status};
 use apex_storage::{merge_sorted_into, MergeScratch};
 
 use crate::map::ShardMap;
@@ -511,69 +511,6 @@ fn probe_loop(state: &Arc<RouterState>) {
     }
 }
 
-/// What one polling client-side read produced.
-enum Frame {
-    Message(Message),
-    Done,
-}
-
-/// Reads one client frame, tolerating read-timeout polls so drain is
-/// noticed within `cfg.poll` on idle connections. Mirrors the server's
-/// reader: a partial frame interrupted by drain is dropped un-counted.
-fn read_frame(stream: &mut TcpStream, state: &RouterState) -> Frame {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut need = 4usize;
-    let mut have_len = false;
-    loop {
-        if buf.len() >= need {
-            if !have_len {
-                let head: [u8; 4] = match buf.get(..4).and_then(|b| b.try_into().ok()) {
-                    Some(h) => h,
-                    None => return Frame::Done, // can't occur: buf.len() >= need == 4
-                };
-                let len = u32::from_le_bytes(head) as usize;
-                if len > state.cfg.max_frame {
-                    return Frame::Done;
-                }
-                need = 4 + len;
-                have_len = true;
-                continue;
-            }
-            let Some(body) = buf.get(4..need) else {
-                return Frame::Done; // can't occur: buf.len() >= need
-            };
-            return match Message::decode(body) {
-                Ok(msg) => Frame::Message(msg),
-                Err(_) => Frame::Done,
-            };
-        }
-        let mut chunk = [0u8; 4096];
-        let want = (need - buf.len()).min(chunk.len());
-        let Some(dst) = chunk.get_mut(..want) else {
-            return Frame::Done; // can't occur: want ≤ chunk.len()
-        };
-        match io::Read::read(stream, dst) {
-            Ok(0) => return Frame::Done,
-            Ok(n) => match chunk.get(..n) {
-                Some(read) => buf.extend_from_slice(read),
-                None => return Frame::Done, // can't occur: n ≤ want
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.closing.load(Ordering::SeqCst) {
-                    return Frame::Done;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Frame::Done,
-        }
-    }
-}
-
 fn conn_loop(mut stream: TcpStream, conn_id: usize, state: &Arc<RouterState>) {
     let mut cache: ConnCache = state
         .slots
@@ -585,9 +522,9 @@ fn conn_loop(mut stream: TcpStream, conn_id: usize, state: &Arc<RouterState>) {
     // concurrent client connections.
     let mut jitter = 0x9E37_79B9_7F4A_7C15u64 ^ ((conn_id as u64) << 17) | 1;
     loop {
-        let req = match read_frame(&mut stream, state) {
-            Frame::Message(Message::Request(req)) => req,
-            Frame::Message(Message::Response(_)) | Frame::Done => return,
+        let req = match read_polling(&mut stream, state.cfg.max_frame, &state.closing) {
+            Some(Message::Request(req)) => req,
+            Some(Message::Response(_)) | None => return,
         };
         state.accepted.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();

@@ -309,10 +309,15 @@ impl BlockExtent {
             .then_some((parent, node))
     }
 
-    /// Serializes the image (headers then payload) — the form
-    /// `apex::persist` writes verbatim.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.encoded_bytes());
+    /// Length of the image [`BlockExtent::write_to`] appends.
+    pub fn image_bytes(&self) -> usize {
+        8 + self.encoded_bytes()
+    }
+
+    /// Appends the image (block and payload counts, headers, payload)
+    /// to `out` — the form `apex::persist` stores verbatim.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.image_bytes());
         out.extend_from_slice(&(self.headers.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.bytes.len() as u32).to_le_bytes());
         for h in &self.headers {
@@ -322,10 +327,9 @@ impl BlockExtent {
             out.extend_from_slice(&h.len.to_le_bytes());
         }
         out.extend_from_slice(&self.bytes);
-        out
     }
 
-    /// Deserializes an image written by [`BlockExtent::to_bytes`].
+    /// Deserializes an image written by [`BlockExtent::write_to`].
     /// `first`/`offset` fields are rebuilt from the counts and lengths.
     /// The header counts are bounded by `data.len()` before anything is
     /// sized from them (a pair encodes to at least two bytes), so a
@@ -383,11 +387,18 @@ mod tests {
     use super::*;
     use crate::edgeset::EdgeSet;
 
+    fn image(bx: &BlockExtent) -> Vec<u8> {
+        let mut out = Vec::new();
+        bx.write_to(&mut out);
+        assert_eq!(out.len(), bx.image_bytes());
+        out
+    }
+
     fn roundtrip(pairs: &[(u32, u32)]) {
         let set = EdgeSet::from_raw(pairs);
         let bx = BlockExtent::encode(set.pairs());
         assert_eq!(bx.decode().as_deref(), Some(set.pairs()));
-        let wire = BlockExtent::from_bytes(&bx.to_bytes());
+        let wire = BlockExtent::from_bytes(&image(&bx));
         assert_eq!(wire.as_ref(), Some(&bx));
     }
 
@@ -397,7 +408,7 @@ mod tests {
         assert_eq!(bx.num_blocks(), 0);
         assert_eq!(bx.encoded_bytes(), 0);
         assert_eq!(bx.decode(), Some(vec![]));
-        assert_eq!(BlockExtent::from_bytes(&bx.to_bytes()), Some(bx));
+        assert_eq!(BlockExtent::from_bytes(&image(&bx)), Some(bx));
     }
 
     #[test]
@@ -429,7 +440,7 @@ mod tests {
         assert_eq!(bx.decode().as_deref(), Some(&pairs[..]));
         // Delta+varint beats the raw 8-byte layout comfortably here.
         assert!(bx.encoded_bytes() * 2 < pairs.len() * 8);
-        let wire = BlockExtent::from_bytes(&bx.to_bytes());
+        let wire = BlockExtent::from_bytes(&image(&bx));
         assert_eq!(wire, Some(bx));
     }
 
@@ -448,7 +459,7 @@ mod tests {
         let set = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
         let bx = BlockExtent::encode(set.pairs());
         assert!(bx.check());
-        let good = bx.to_bytes();
+        let good = image(&bx);
         let mut wire = good.clone();
         wire.pop();
         assert_eq!(BlockExtent::from_bytes(&wire), None);
@@ -466,7 +477,7 @@ mod tests {
     #[test]
     fn check_rejects_well_framed_images_of_no_pair_set() {
         let set = EdgeSet::from_raw(&[(1, 2), (1, 9), (3, 4), (700, 701)]);
-        let good = BlockExtent::encode(set.pairs()).to_bytes();
+        let good = image(&BlockExtent::encode(set.pairs()));
         let payload_at = 8 + HEADER_BYTES;
         let tampered = |at: usize, byte: u8| {
             let mut wire = good.clone();

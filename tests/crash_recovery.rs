@@ -30,7 +30,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use apex::recover::{encode_snapshot, recover, RecoverOptions, SnapshotReject};
+use apex::persist::PersistError;
+use apex::recover::{encode_snapshot, recover, RecoverOptions};
 use apex::wal::{CrashPlan, CrashSite, DurabilityConfig, Stats, Wal, WalError};
 use apex::{extent_equivalent, Apex, MonitorState, RefreshPolicy, WorkloadMonitor};
 use rand::rngs::SmallRng;
@@ -374,8 +375,8 @@ fn crash_during_recovery_repair_is_itself_recoverable() {
     }
 }
 
-/// Golden snapshot corruption: a bit flip inside a section, a truncated
-/// tail, a clobbered root hash, wrong magic. Recovery must reject the
+/// Golden snapshot corruption: a bit flip in the body, a truncated
+/// tail, a clobbered header field, wrong magic. Recovery must reject the
 /// bad snapshot with the *named* reason, fall back to the previous
 /// generation, replay the longer tail, and still converge.
 #[test]
@@ -384,15 +385,15 @@ fn corrupted_snapshots_fall_back_to_previous_generation() {
     let cfg = LifeConfig::default();
 
     type Corrupt = fn(&mut Vec<u8>);
-    type Expect = fn(&SnapshotReject) -> bool;
+    type Expect = fn(&PersistError) -> bool;
     let cases: [(&str, Corrupt, Expect); 4] = [
         (
-            "bit flip in a section",
+            "bit flip in the body",
             |b| {
                 let n = b.len();
                 b[n - 40] ^= 0x10;
             },
-            |r| matches!(r, SnapshotReject::SectionHash { .. }),
+            |r| matches!(r, PersistError::BadChecksum),
         ),
         (
             "truncated tail",
@@ -400,17 +401,17 @@ fn corrupted_snapshots_fall_back_to_previous_generation() {
                 let n = b.len();
                 b.truncate(n - 33);
             },
-            |r| matches!(r, SnapshotReject::Truncated { .. }),
+            |r| matches!(r, PersistError::Truncated { .. }),
         ),
         (
-            "clobbered table (root hash)",
-            |b| b[8 + 4 + 8 + 8 + 4 + 5] ^= 0xFF,
-            |r| matches!(r, SnapshotReject::RootHash),
+            "clobbered header field (generation)",
+            |b| b[7 + 1 + 8 + 8 + 5] ^= 0xFF,
+            |r| matches!(r, PersistError::BadChecksum),
         ),
         (
             "wrong magic",
             |b| b[0] = b'Z',
-            |r| matches!(r, SnapshotReject::BadMagic),
+            |r| matches!(r, PersistError::BadMagic),
         ),
     ];
 

@@ -563,7 +563,9 @@ mod block_kernel_laws {
             prop_assert_eq!(bx.num_pairs(), s.len());
             prop_assert_eq!(bx.decode().unwrap(), s.pairs().to_vec());
             // …and through the serialized image.
-            let img = bx.to_bytes();
+            let mut img = Vec::new();
+            bx.write_to(&mut img);
+            prop_assert_eq!(img.len(), bx.image_bytes());
             let back = BlockExtent::from_bytes(&img).unwrap();
             prop_assert_eq!(back.decode().unwrap(), s.pairs().to_vec());
             prop_assert_eq!(&back, &bx);
@@ -581,7 +583,8 @@ mod block_kernel_laws {
             byte in 0u8..=255,
         ) {
             let s = EdgeSet::from_raw(&a);
-            let mut wire = BlockExtent::encode(s.pairs()).to_bytes();
+            let mut wire = Vec::new();
+            BlockExtent::encode(s.pairs()).write_to(&mut wire);
             let at = at % wire.len();
             wire[at] = byte;
             if let Some(bx) = BlockExtent::from_bytes(&wire) {
@@ -627,7 +630,7 @@ mod block_kernel_laws {
             let resealed = SuccinctExtent::from_pairs(open.pairs());
             let expect: Vec<(u32, u32)> = expect.into_iter().collect();
             let direct = SuccinctExtent::from_pairs(EdgeSet::from_raw(&expect).pairs());
-            prop_assert_eq!(resealed.image().to_bytes(), direct.image().to_bytes());
+            prop_assert_eq!(resealed.image(), direct.image());
             prop_assert_eq!(&resealed, &direct);
             prop_assert!(resealed.image().check());
             prop_assert_eq!(resealed.len(), expect.len());

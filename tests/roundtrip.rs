@@ -270,13 +270,71 @@ fn moviedb_roundtrip() {
     assert_structurally_equal(&g, &g2);
 }
 
-/// `persist::load` faces the disk: an image whose checksum verifies but
-/// whose extent bytes are not an encoder output must be refused by
-/// name, never decoded into something else and never a panic.
+/// The image decoder faces the disk. Nothing a damaged file holds may
+/// panic it, make it allocate past a small multiple of the file, or
+/// load as an index that differs from the bytes read or points outside
+/// itself.
 mod persist_hostile_images {
-    use apex::persist::{self, PersistError};
-    use apex::{Apex, Workload};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use apex::persist::PersistError;
+    use apex::recover::{decode_snapshot, encode_snapshot};
+    use apex::{Apex, MonitorState, Workload, XNodeId};
     use xmlgraph::builder::moviedb;
+    use xmlgraph::{LabelId, LabelPath, XmlGraph};
+
+    thread_local! {
+        /// Bytes this thread has asked the allocator for.
+        static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: every call goes to `System` unchanged (`realloc` and
+    // `alloc_zeroed` through the default bodies, which call `alloc`);
+    // the counter is a thread-local `Cell` with a const initialiser, so
+    // touching it neither allocates nor runs a destructor.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+            // SAFETY: `layout` is the caller's, passed through.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// Runs `f`, returning its result and the bytes it allocated.
+    fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = ALLOCATED.with(Cell::get);
+        let out = f();
+        (out, ALLOCATED.with(Cell::get) - before)
+    }
+
+    /// A small refined index, and a checkpoint of it with a window.
+    fn sample() -> (XmlGraph, Apex, Vec<u8>) {
+        let g = moviedb();
+        let mut idx = Apex::build_initial(&g);
+        let wl = Workload::parse(&g, &["actor.name", "director.movie"]).unwrap();
+        idx.refine(&g, &wl, 0.1);
+        let state = MonitorState {
+            window: vec![
+                LabelPath::parse(&g, "actor.name").unwrap(),
+                LabelPath::parse(&g, "movie.title").unwrap(),
+            ],
+            min_sup: 0.25,
+            since_refresh: 2,
+            total_recorded: 9,
+        };
+        let image = encode_snapshot(7, 3, &idx, &state).unwrap();
+        (g, idx, image)
+    }
 
     /// Rewrites the trailing FNV-1a checksum so only structure can object.
     fn reseal(buf: &mut [u8]) {
@@ -287,57 +345,94 @@ mod persist_hostile_images {
         buf[body..].copy_from_slice(&sum.to_le_bytes());
     }
 
-    #[test]
-    fn bit_flips_inside_a_block_payload_never_load_as_something_else() {
-        let g = moviedb();
-        let mut idx = Apex::build_initial(&g);
-        let wl = Workload::parse(&g, &["actor.name", "director.movie"]).unwrap();
-        idx.refine(&g, &wl, 0.1);
-        let mut good = Vec::new();
-        persist::save(&idx, &mut good).unwrap();
-        // xroot's record opens the image: incoming, image_len, then the
-        // one-block image of {<NULL, root>} — 8 + 16 header bytes and a
-        // 6-byte payload (u32::MAX as a 5-byte varint, then node 0).
-        let image_at = 7 + 1 + 4 + 4 + 4 + 4;
-        let payload = image_at + 24..image_at + 30;
-        assert_eq!(
-            &good[payload.clone()],
-            &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00]
+    /// What an image under a valid checksum may do: be refused by name,
+    /// or load as exactly the bytes that were read, with every `H_APEX`
+    /// pointer resolving. Returns whether it loaded.
+    fn refused_or_faithful(g: &XmlGraph, buf: &[u8], what: &str) -> bool {
+        let (result, allocated) = allocated_by(|| decode_snapshot(buf));
+        assert!(
+            allocated <= 32 * buf.len(),
+            "{what}: decoding {} bytes allocated {allocated}",
+            buf.len()
         );
-        let mut corrupt = 0;
-        for at in payload {
+        match result {
+            Err(PersistError::Io(e)) => panic!("{what}: no file was read, yet {e}"),
+            Err(_) => false,
+            Ok(img) => {
+                let again =
+                    encode_snapshot(img.seq, img.generation, &img.index, &img.monitor).unwrap();
+                assert_eq!(again, buf, "{what}: loaded as a different image");
+                let mut classes = Vec::new();
+                let ht = img.index.hash_tree();
+                ht.subtree_xnodes(ht.head(), &mut classes);
+                for l in 0..g.label_count() as u32 {
+                    classes.extend(img.index.lookup(&[LabelId(l)]).xnode);
+                }
+                for x in classes {
+                    let _ = img.index.extent(x).len();
+                }
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_is_refused_or_loads_as_read() {
+        let (g, _, good) = sample();
+        assert!(refused_or_faithful(&g, &good, "the image itself"));
+        let (mut refused, mut loaded) = (0, 0);
+        for at in 0..good.len() {
             for bit in 0..8 {
                 let mut buf = good.clone();
                 buf[at] ^= 1 << bit;
-                assert!(persist::load(&mut buf.as_slice()).is_err());
+                // Under the original checksum a flip anywhere is caught.
+                assert!(decode_snapshot(&buf).is_err(), "byte {at} bit {bit}");
                 reseal(&mut buf);
-                match persist::load(&mut buf.as_slice()) {
-                    // Not an encoder output: refused, by name.
-                    Err(PersistError::Corrupt(_)) => corrupt += 1,
-                    // A valid image of some *other* pair: it loads, and
-                    // as exactly the bytes that were read.
-                    Ok(loaded) => {
-                        let mut again = Vec::new();
-                        persist::save(&loaded, &mut again).unwrap();
-                        assert_eq!(again, buf, "byte {at} bit {bit}");
-                    }
-                    Err(other) => panic!("byte {at} bit {bit}: {other:?}"),
+                if refused_or_faithful(&g, &buf, &format!("byte {at} bit {bit}")) {
+                    loaded += 1;
+                } else {
+                    refused += 1;
                 }
             }
         }
-        // Continuation bits, the overlong fifth byte and header-parent
-        // mismatches make most flips structural.
-        assert!(corrupt >= 40, "only {corrupt} of 48 flips were refused");
-        // Header-level damage with a valid checksum: a block count the
-        // record cannot hold, and a min_parent that is not the first one.
-        for (at, byte) in [(image_at, 0xFFu8), (image_at + 8, 0x00)] {
-            let mut buf = good.clone();
-            buf[at] = byte;
-            reseal(&mut buf);
-            assert!(matches!(
-                persist::load(&mut buf.as_slice()),
-                Err(PersistError::Corrupt(_))
-            ));
+        // Counts, ids, flags, block headers and varints make most of
+        // the image structural; extent pairs, labels, frequencies and
+        // the header's seq/generation are free to be other values.
+        assert!(refused > loaded && loaded > 64, "{refused} / {loaded}");
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_present() {
+        let (g, idx, good) = sample();
+        // The word that counts hash nodes sits right after G_APEX.
+        let ga = idx.graph();
+        let n_hnodes_at = (0..ga.allocated() as u32)
+            .map(|i| ga.node(XNodeId(i)))
+            .map(|n| 4 + 4 + n.extent.image().image_bytes() + 4 + 8 * n.edges.len())
+            .sum::<usize>()
+            + 32
+            + 8;
+        let mut buf = good.clone();
+        buf[n_hnodes_at..n_hnodes_at + 4].copy_from_slice(&(1u32 << 24).to_le_bytes());
+        let (result, allocated) = allocated_by(|| decode_snapshot(&buf));
+        assert!(matches!(result, Err(PersistError::BadChecksum)));
+        assert!(allocated <= 32 * buf.len(), "allocated {allocated}");
+        reseal(&mut buf);
+        let (result, allocated) = allocated_by(|| decode_snapshot(&buf));
+        match result {
+            Err(PersistError::Truncated { offset }) => assert_eq!(offset, n_hnodes_at as u64),
+            other => panic!("2^24 hash nodes in {} bytes: {other:?}", buf.len()),
+        }
+        assert!(allocated <= 32 * buf.len(), "allocated {allocated}");
+        // The same at every other word, whatever it counts (nodes,
+        // edges, entries, paths, labels, image and block lengths).
+        for at in 32..good.len() - 12 {
+            for huge in [1u32 << 24, u32::MAX] {
+                let mut buf = good.clone();
+                buf[at..at + 4].copy_from_slice(&huge.to_le_bytes());
+                reseal(&mut buf);
+                refused_or_faithful(&g, &buf, &format!("word at {at} := {huge}"));
+            }
         }
     }
 }
