@@ -135,11 +135,20 @@ refine_smoke() {
 # swaps index generations underneath, then drains and *asserts* the
 # accounting invariant (accepted == served + shed + timed-out, queue
 # high-water ≤ cap, overload shed explicitly, ≥2 generations served).
+# A request is served either on its connection's thread or by the pool,
+# decided per frame, so the apex-net suites (lib + robustness +
+# durability) must also pass deterministically, like `stress`: 10
+# consecutive release-mode runs under a hard timeout.
 net_smoke() {
     local out
     out=$(mktemp -d)
     (cd "$out" && timeout 120 "$OLDPWD/target/release/netload")
     rm -rf "$out"
+    for i in $(seq 1 10); do
+        timeout 60 cargo test --release --offline -p apex-net --quiet >/dev/null \
+            || { echo "apex-net iteration $i failed"; exit 1; }
+    done
+    echo "net_smoke: netload + 10/10 apex-net iterations green"
 }
 
 # The shard load generator is the sharded-serving smoke test: it runs

@@ -5,8 +5,10 @@
 //! * **closed loop** — [`Client::call`] sends one request and blocks
 //!   for its response (one outstanding request at a time);
 //! * **open loop / pipelined** — [`Client::send`] many requests, then
-//!   [`Client::recv`] responses as they arrive; ids correlate them
-//!   (workers race, so responses may be reordered).
+//!   [`Client::recv`] responses as they arrive; ids correlate them (a
+//!   pipelined frame is handed to the server's worker pool, and pool
+//!   workers race each other and the connection's own thread, so
+//!   responses may be reordered; closed-loop calls never are).
 //!
 //! [`Client::call_retrying`] layers fault tolerance on the closed loop:
 //! a broken connection is transparently re-dialed (the resolved peer
@@ -20,12 +22,12 @@
 //! server's own end-to-end tests and the scatter-gather router's
 //! per-replica connections.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::wire::{
-    read_message, write_message, Message, Request, Response, WireError, DEFAULT_MAX_FRAME,
+    AwakeRead, FrameReader, Message, Request, Response, WireError, DEFAULT_MAX_FRAME,
 };
 
 /// Bounds for [`Client::call_retrying`].
@@ -66,10 +68,14 @@ pub struct ClientStats {
 
 /// A blocking connection to an apex-net server.
 pub struct Client {
-    reader: TcpStream,
-    writer: TcpStream,
+    /// The socket behind its read buffer: one `read` per response, or
+    /// per burst of them — polled for before sleeping in it while the
+    /// server keeps answering ([`AwakeRead`]); requests are written
+    /// straight through.
+    conn: FrameReader<AwakeRead<TcpStream>>,
+    /// The request frame, encoded in place and reused across sends.
+    frame: Vec<u8>,
     next_id: u64,
-    max_frame: usize,
     /// Resolved peer addresses, kept for reconnects.
     peers: Vec<SocketAddr>,
     stats: ClientStats,
@@ -78,14 +84,13 @@ pub struct Client {
 }
 
 /// Dials the first reachable peer.
-fn open(peers: &[SocketAddr]) -> Result<(TcpStream, TcpStream), WireError> {
+fn open(peers: &[SocketAddr]) -> Result<FrameReader<AwakeRead<TcpStream>>, WireError> {
     let mut last: Option<io::Error> = None;
     for addr in peers {
         match TcpStream::connect(addr) {
-            Ok(writer) => {
-                writer.set_nodelay(true)?;
-                let reader = writer.try_clone()?;
-                return Ok((reader, writer));
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(FrameReader::new(AwakeRead::new(stream), DEFAULT_MAX_FRAME));
             }
             Err(e) => last = Some(e),
         }
@@ -103,13 +108,12 @@ impl Client {
     /// Connects to `addr`.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, WireError> {
         let peers: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let (reader, writer) = open(&peers)?;
+        let conn = open(&peers)?;
         let port = peers.first().map_or(0, |a| u64::from(a.port()));
         Ok(Client {
-            reader,
-            writer,
+            conn,
+            frame: Vec::new(),
             next_id: 0,
-            max_frame: DEFAULT_MAX_FRAME,
             peers,
             stats: ClientStats::default(),
             // Any nonzero seed works; mix the port so two clients of
@@ -118,13 +122,11 @@ impl Client {
         })
     }
 
-    /// Drops the current connection and dials the peers again. Request
-    /// ids keep counting up, so responses never collide across the two
-    /// connection lives.
+    /// Drops the current connection — and whatever it had buffered —
+    /// and dials the peers again. Request ids keep counting up, so
+    /// responses never collide across the two connection lives.
     pub fn reconnect(&mut self) -> Result<(), WireError> {
-        let (reader, writer) = open(&self.peers)?;
-        self.reader = reader;
-        self.writer = writer;
+        self.conn = open(&self.peers)?;
         self.stats.reconnects += 1;
         Ok(())
     }
@@ -136,10 +138,11 @@ impl Client {
 
     /// Bounds one blocking [`Client::recv`] (and therefore
     /// [`Client::call`]): `None` blocks forever (the default). A read
-    /// that trips the timeout surfaces as [`WireError::Io`] and leaves
-    /// the stream mid-frame — callers should [`Client::reconnect`].
+    /// that trips the timeout surfaces as [`WireError::Io`]; the late
+    /// response is still on its way, so callers that give up on it
+    /// should [`Client::reconnect`].
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), WireError> {
-        self.reader.set_read_timeout(timeout)?;
+        self.conn.get_ref().socket().set_read_timeout(timeout)?;
         Ok(())
     }
 
@@ -149,21 +152,20 @@ impl Client {
     pub fn send(&mut self, query: &str, deadline_ms: u32) -> Result<u64, WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_message(
-            &mut self.writer,
-            &Message::Request(Request {
-                id,
-                deadline_ms,
-                query: query.to_string(),
-            }),
-        )?;
+        let req = Request {
+            id,
+            deadline_ms,
+            query: query.to_string(),
+        };
+        req.encode_frame(&mut self.frame)?;
+        self.conn.get_ref().socket().write_all(&self.frame)?;
         Ok(id)
     }
 
     /// Receives the next response in arrival order. `Ok(None)` means
     /// the server closed the connection cleanly (drain finished).
     pub fn recv(&mut self) -> Result<Option<Response>, WireError> {
-        match read_message(&mut self.reader, self.max_frame)? {
+        match self.conn.read_message()? {
             None => Ok(None),
             Some(Message::Response(resp)) => Ok(Some(resp)),
             // A server sending *requests* is a protocol error.
@@ -244,7 +246,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Status, DEFAULT_MAX_FRAME};
+    use crate::wire::Status;
     use std::net::TcpListener;
 
     /// A scripted one-connection-at-a-time responder: for each accepted
@@ -255,12 +257,14 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
             for conn_script in script {
-                let (mut stream, _) = match listener.accept() {
+                let (stream, _) = match listener.accept() {
                     Ok(s) => s,
                     Err(_) => return,
                 };
+                let mut frames = FrameReader::new(&stream, DEFAULT_MAX_FRAME);
+                let mut frame = Vec::new();
                 for action in conn_script {
-                    let req = match read_message(&mut stream, DEFAULT_MAX_FRAME) {
+                    let req = match frames.read_message() {
                         Ok(Some(Message::Request(r))) => r,
                         _ => break,
                     };
@@ -279,7 +283,8 @@ mod tests {
                         plan_digest: 0,
                         gens: vec![],
                     };
-                    if write_message(&mut stream, &Message::Response(resp)).is_err() {
+                    resp.encode_frame(&mut frame).expect("encode");
+                    if (&stream).write_all(&frame).is_err() {
                         break;
                     }
                 }

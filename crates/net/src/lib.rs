@@ -9,15 +9,19 @@
 //!
 //! * [`wire`] — the length-prefixed, versioned wire protocol: request
 //!   (id, deadline, query text) and response (id, status, rows, cost
-//!   summary) frames with total, panic-free decoding;
+//!   summary) frames with total, panic-free decoding, and the one
+//!   buffered [`FrameReader`] every socket is read through, over an
+//!   [`AwakeRead`] that polls a live connection before sleeping on it;
 //! * [`engine`] — the serving bridge: parse → snapshot → evaluate via
 //!   the shared `apex_query` operators → record into the workload
 //!   monitor → nudge the refresher;
-//! * [`server`] — listener + fixed worker pool with admission control
-//!   (bounded queue, explicit [`Status::Overloaded`] /
-//!   [`Status::Draining`] sheds, never silent drops), per-request
-//!   deadlines enforced at dequeue and mid-execution checkpoints, and
-//!   graceful drain accounted by [`NetStats`];
+//! * [`server`] — listener + admission control (a request runs on its
+//!   connection's thread when nothing would be gained by a hand-off,
+//!   else through a bounded queue and a fixed worker pool; explicit
+//!   [`Status::Overloaded`] / [`Status::Draining`] sheds, never silent
+//!   drops), per-request deadlines enforced before execution and at
+//!   mid-execution checkpoints, and graceful drain accounted by
+//!   [`NetStats`];
 //! * [`client`] — a small blocking client library (with bounded
 //!   reconnect + shed-retry fault tolerance) used by the CLI, the load
 //!   generator, the scatter-gather router and the tests.
@@ -32,5 +36,5 @@ pub mod wire;
 
 pub use client::{Client, ClientStats, RetryPolicy};
 pub use engine::{Engine, ExecOutcome};
-pub use server::{read_polling, ConnStats, NetStats, Server, ServerConfig};
-pub use wire::{Message, Request, Response, ShardGen, Status, WireError};
+pub use server::{ConnStats, NetStats, Server, ServerConfig};
+pub use wire::{AwakeRead, FrameReader, Message, Request, Response, ShardGen, Status, WireError};

@@ -3,58 +3,76 @@
 //! Thread anatomy:
 //!
 //! * one **acceptor** blocks in `accept`, registers each connection and
-//!   spawns its reader; at drain it is woken by a self-connection;
-//! * one **reader per connection** decodes request frames (with a
-//!   short read timeout so it can poll the drain flag), counts each
-//!   well-formed frame as *accepted*, and either enqueues it or sheds
-//!   it with an explicit [`Status::Overloaded`] / [`Status::Draining`]
+//!   spawns its thread; at drain it is woken by a self-connection;
+//! * one **thread per connection** reads request frames through a
+//!   [`FrameReader`] over an [`AwakeRead`] (one `read` per frame or
+//!   burst; while the peer keeps answering, the thread polls for the
+//!   next frame instead of sleeping, so a closed-loop exchange costs no
+//!   wake-up at all; on an idle connection it sleeps in `read`, whose
+//!   short timeout polls the drain flag) and counts each well-formed
+//!   frame as *accepted*. It *serves the request itself* when the peer
+//!   is not pipelining (no further frame is buffered, so a hand-off
+//!   would buy no parallelism), nothing is queued and an execution
+//!   permit is free; otherwise it enqueues the request, or sheds it
+//!   with an explicit [`Status::Overloaded`] / [`Status::Draining`]
 //!   response — a refusal is always a response, never a silent drop;
-//! * `workers` **executors** pop the bounded queue, enforce the
-//!   deadline at dequeue and (through the engine's checkpoints)
-//!   mid-execution, and write the response through the connection's
-//!   writer lock.
+//! * `workers` **pool executors** pop the bounded queue. A pop takes a
+//!   permit too, so executions on connection threads and pool workers
+//!   together never exceed `workers`. Both run the same `serve`: the
+//!   deadline is enforced before executing and (through the engine's
+//!   checkpoints) mid-execution, and the response goes out under the
+//!   connection's writer lock — one reused frame buffer, one `write`
+//!   (more only when the send buffer is full).
 //!
 //! Admission states for one request:
 //!
 //! ```text
-//! frame read ──► accepted ──┬─ closing? ──────────► shed (Draining)
-//!                           ├─ queue full? ───────► shed (Overloaded)
-//!                           └─ enqueued ──► dequeue ─┬─ deadline past? ─► timed_out
-//!                                                    └─ execute ─┬─ interrupted ─► timed_out
-//!                                                                └─ done ───────► served
+//! frame read ──► accepted ──┬─ closing? ─────────────────────────► shed (Draining)
+//!                           ├─ alone, queue empty, permit free ──► serve (this thread)
+//!                           ├─ queue full? ──────────────────────► shed (Overloaded)
+//!                           └─ enqueued ──► pop + permit ────────► serve (pool worker)
+//!
+//! serve ──┬─ deadline past? ─► timed_out
+//!         └─ execute ─┬─ interrupted ─► timed_out
+//!                     └─ done ────────► served
 //! ```
 //!
 //! The accounting invariant — checked by [`NetStats::balanced`] and the
 //! drain tests — is `accepted == served + shed + timed_out`: every
 //! frame the server ever read gets exactly one disposition, drain
-//! included. Malformed frames are protocol errors, not requests; the
-//! reader closes the connection without touching the counters.
+//! included. Malformed frames are protocol errors, not requests: the
+//! connection is closed without touching the counters.
 //!
 //! Drain (`Server::drain`) runs: set `closing` → stop the refresher
-//! taking new rebuilds → wake and join the acceptor → join readers
-//! (each notices `closing` within one poll interval; partial frames
-//! are dropped *un-accepted*) → close the queue → workers finish the
-//! queued backlog deterministically (execute, or time out if the
-//! deadline passed — queued work was accepted, so it is never
-//! discarded) → join workers → snapshot [`NetStats`]. Joining the
-//! last worker drops the last handle to each connection, so peers see
-//! EOF only after every accepted request has been answered.
+//! taking new rebuilds → wake and join the acceptor → join connection
+//! threads (each finishes the request it is serving, then notices
+//! `closing` within one poll interval; partial frames are dropped
+//! *un-accepted*) → close the queue → workers finish the queued backlog
+//! deterministically (execute, or time out if the deadline passed —
+//! queued work was accepted, so it is never discarded) → join workers →
+//! snapshot [`NetStats`]. Joining the last worker drops the last handle
+//! to each connection, so peers see EOF only after every accepted
+//! request has been answered.
 
 use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
-use crate::wire::{write_message, Message, Request, Response, ShardGen, Status, DEFAULT_MAX_FRAME};
+use crate::wire::{
+    AwakeRead, FrameReader, Message, Request, Response, ShardGen, Status, DEFAULT_MAX_FRAME,
+};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Executor threads popping the request queue.
+    /// Executor threads popping the request queue, and the bound on
+    /// concurrent executions (theirs plus the connection threads').
     pub workers: usize,
     /// Bounded request-queue capacity; admission sheds beyond it.
     pub queue_cap: usize,
@@ -62,11 +80,11 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Per-frame payload cap handed to the codec.
     pub max_frame: usize,
-    /// Reader poll interval: the latency bound on noticing drain.
+    /// Read-timeout poll interval: the latency bound on noticing drain.
     pub poll: Duration,
     /// Bound on one response write; a peer that stops reading forfeits
-    /// delivery (its dispositions still count) instead of wedging a
-    /// worker — and with it, drain.
+    /// its connection (dispositions still count) instead of wedging an
+    /// executing thread — and with it, drain.
     pub write_timeout: Duration,
 }
 
@@ -130,7 +148,7 @@ pub struct ConnStats {
 /// Server-wide accounting, reported live and at drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Connections the acceptor handed to readers.
+    /// Connections the acceptor handed to connection threads.
     pub connections: u64,
     /// Well-formed request frames read (every one gets a disposition).
     pub accepted: u64,
@@ -138,7 +156,7 @@ pub struct NetStats {
     pub served: u64,
     /// Requests refused at admission with an explicit shed response.
     pub shed: u64,
-    /// Requests that crossed their deadline at dequeue or mid-query.
+    /// Requests that crossed their deadline before or mid-execution.
     pub timed_out: u64,
     /// Highest queue depth observed; ≤ `queue_cap` by construction.
     pub queue_hwm: usize,
@@ -162,30 +180,61 @@ impl std::fmt::Display for NetStats {
     }
 }
 
-/// Per-connection shared state: the response path (writer half behind
-/// a lock, shared by the admission path and the workers) plus counters.
-/// The registry keeps only the counters; when the reader exits and the
-/// last queued job is disposed, the final `Arc<Conn>` drops and the
-/// socket closes — so a drained peer sees EOF only after its last
-/// response.
+/// Per-connection shared state: the socket (the connection thread
+/// reads it, whoever serves a request writes it), the frame buffer
+/// every response is encoded into — its lock is the writer lock — and
+/// the counters. The registry keeps only the counters; when the
+/// connection thread exits and the last queued job is disposed, the
+/// final `Arc<Conn>` drops and the socket closes — so a drained peer
+/// sees EOF only after its last response.
 struct Conn {
-    writer: Mutex<TcpStream>,
+    stream: TcpStream,
+    frame: Mutex<Vec<u8>>,
     stats: Arc<Counters>,
 }
 
 impl Conn {
     /// Writes `resp` and records its disposition on both counter sets.
-    /// Write failures are ignored: the disposition stands even when the
-    /// peer is gone, so accounting never depends on delivery.
-    fn respond(&self, server: &Counters, resp: &Response) {
+    /// Accounting never depends on delivery: the disposition stands even
+    /// when the peer is gone. An undeliverable response ends the
+    /// connection rather than blocking once more per response still owed.
+    fn respond(&self, shared: &Shared, resp: &Response) {
         self.stats.count(resp.status);
-        server.count(resp.status);
-        let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = write_message(&mut *w, &Message::Response(resp.clone()));
+        shared.counters.count(resp.status);
+        let mut frame = self.frame.lock().unwrap_or_else(|p| p.into_inner());
+        if resp.encode_frame(&mut frame).is_err() {
+            return;
+        }
+        if !self.deliver(&frame, shared.cfg.write_timeout) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Sends `frame`, normally in one `write`. A refusal or a short
+    /// count means the send buffer is full: either `timeout` ran out in
+    /// a blocking `write`, or the connection's thread had the socket
+    /// non-blocking for a moment (it polls for the next frame, see
+    /// [`AwakeRead`]) — then the rest goes out blocking, and the frame
+    /// as a whole still gets `timeout` and no more.
+    fn deliver(&self, frame: &[u8], timeout: Duration) -> bool {
+        let started = Instant::now();
+        let mut rest = frame;
+        loop {
+            match (&self.stream).write(rest) {
+                Ok(n) if n == rest.len() => return true,
+                Ok(n) => rest = rest.get(n..).unwrap_or_default(),
+                Err(e) if e.kind() == Interrupted => continue,
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {}
+                Err(_) => return false,
+            }
+            if started.elapsed() >= timeout || self.stream.set_nonblocking(false).is_err() {
+                return false;
+            }
+        }
     }
 }
 
-/// One admitted request waiting for an executor.
+/// One admitted request on its way to `serve`.
 struct Job {
     req: Request,
     conn: Arc<Conn>,
@@ -197,30 +246,38 @@ struct QueueState {
     jobs: VecDeque<Job>,
     closed: bool,
     hwm: usize,
+    /// Execution permits out: requests being served right now, on
+    /// connection threads and pool workers alike.
+    running: usize,
 }
 
-/// Bounded Mutex+Condvar job queue. `try_push` never blocks (admission
-/// control decides, it doesn't wait); `pop` blocks until a job arrives
-/// or the queue is closed *and* empty — closing therefore drains the
-/// backlog instead of discarding it.
+/// Bounded Mutex+Condvar job queue with the execution permits beside
+/// it. `admit` never blocks (admission control decides, it doesn't
+/// wait); `pop` blocks until a job *and* a permit are there, or the
+/// queue is closed *and* empty — closing drains the backlog, never
+/// discards it.
 struct JobQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
     cap: usize,
+    workers: usize,
 }
 
 enum Admission {
+    /// The caller holds a permit: `serve` the job (which returns it).
+    Inline(Job),
     Enqueued,
-    Full(Job),
-    Closed(Job),
+    /// Shed: `Overloaded` from a full queue, `Draining` from a closed one.
+    Refused(Job, Status),
 }
 
 impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
+    fn new(cap: usize, workers: usize) -> JobQueue {
         JobQueue {
             state: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             cap: cap.max(1),
+            workers: workers.max(1),
         }
     }
 
@@ -228,13 +285,19 @@ impl JobQueue {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn try_push(&self, job: Job) -> Admission {
+    /// Decides one accepted request. `pipelined`: the connection has a
+    /// further frame buffered, so its thread should keep reading.
+    fn admit(&self, job: Job, pipelined: bool) -> Admission {
         let mut st = self.lock();
         if st.closed {
-            return Admission::Closed(job);
+            return Admission::Refused(job, Status::Draining);
+        }
+        if !pipelined && st.jobs.is_empty() && st.running < self.workers {
+            st.running += 1;
+            return Admission::Inline(job);
         }
         if st.jobs.len() >= self.cap {
-            return Admission::Full(job);
+            return Admission::Refused(job, Status::Overloaded);
         }
         st.jobs.push_back(job);
         st.hwm = st.hwm.max(st.jobs.len());
@@ -245,13 +308,25 @@ impl JobQueue {
     fn pop(&self) -> Option<Job> {
         let mut st = self.lock();
         loop {
-            if let Some(job) = st.jobs.pop_front() {
-                return Some(job);
+            if st.running < self.workers {
+                if let Some(job) = st.jobs.pop_front() {
+                    st.running += 1;
+                    return Some(job);
+                }
             }
-            if st.closed {
+            if st.closed && st.jobs.is_empty() {
                 return None;
             }
             st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// Returns a permit; a worker held back by the bound takes it over.
+    fn release(&self) {
+        let mut st = self.lock();
+        st.running = st.running.saturating_sub(1);
+        if !st.jobs.is_empty() {
+            self.cv.notify_one();
         }
     }
 
@@ -282,7 +357,7 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -298,7 +373,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            queue: JobQueue::new(cfg.queue_cap),
+            queue: JobQueue::new(cfg.queue_cap, cfg.workers),
             cfg,
             engine,
             closing: AtomicBool::new(false),
@@ -317,20 +392,20 @@ impl Server {
             );
         }
 
-        let readers = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let s = Arc::clone(&shared);
-            let r = Arc::clone(&readers);
+            let c = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("apex-net-acceptor".into())
-                .spawn(move || accept_loop(&listener, &s, &r))?
+                .spawn(move || accept_loop(&listener, &s, &c))?
         };
 
         Ok(Server {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            readers,
+            conns,
             workers,
         })
     }
@@ -383,13 +458,13 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             join_thread(h);
         }
-        // Readers exit within one poll interval; joining them first
-        // guarantees nothing is pushed after the queue closes.
-        let readers = {
-            let mut r = self.readers.lock().unwrap_or_else(|p| p.into_inner());
-            std::mem::take(&mut *r)
+        // Connection threads exit within one poll interval; joining
+        // them first guarantees nothing is pushed after the queue closes.
+        let conns = {
+            let mut c = self.conns.lock().unwrap_or_else(|p| p.into_inner());
+            std::mem::take(&mut *c)
         };
-        for h in readers {
+        for h in conns {
             join_thread(h);
         }
         self.shared.queue.close();
@@ -413,11 +488,11 @@ fn join_thread(h: JoinHandle<()>) {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec<JoinHandle<()>>>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<JoinHandle<()>>>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == Interrupted => continue,
             // Accept errors are transient (peer reset during the
             // handshake); give up only when asked to stop.
             Err(_) => {
@@ -432,18 +507,16 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec
             // by closing without ever reading — nothing was accepted.
             return;
         }
-        // Timeouts are socket-wide, so they cover the writer clone too.
+        // Responses are small and whole: never hold one back for the
+        // peer's delayed ACK.
         if stream.set_read_timeout(Some(shared.cfg.poll)).is_err()
             || stream
                 .set_write_timeout(Some(shared.cfg.write_timeout))
                 .is_err()
+            || stream.set_nodelay(true).is_err()
         {
             continue;
         }
-        let writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => continue,
-        };
         shared.connections.fetch_add(1, Ordering::Relaxed);
         let stats = Arc::new(Counters::default());
         {
@@ -451,76 +524,25 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, readers: &Mutex<Vec
             cs.push(Arc::clone(&stats));
         }
         let conn = Arc::new(Conn {
-            writer: Mutex::new(writer),
+            stream,
+            frame: Mutex::new(Vec::new()),
             stats,
         });
         let s = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
             .name("apex-net-conn".into())
-            .spawn(move || reader_loop(stream, &conn, &s));
+            .spawn(move || conn_loop(&conn, &s));
         if let Ok(h) = spawned {
-            let mut r = readers.lock().unwrap_or_else(|p| p.into_inner());
-            r.push(h);
+            let mut c = conns.lock().unwrap_or_else(|p| p.into_inner());
+            c.push(h);
         }
     }
 }
 
-/// Reads one message, tolerating read-timeout polls so `closing` is
-/// observed within the stream's read timeout even on an idle
-/// connection. `None` is a clean EOF, malformed or oversized input
-/// (over `max_frame`), or drain — the reader exits either way, so they
-/// collapse; protocol errors never touch counters. A partial frame
-/// interrupted by drain is dropped *un-accepted*: callers count a
-/// request only once its frame fully decodes. The router's client side
-/// reads with this too.
-pub fn read_polling(
-    stream: &mut TcpStream,
-    max_frame: usize,
-    closing: &AtomicBool,
-) -> Option<Message> {
-    // A read timeout can split a frame, so accumulate raw bytes across
-    // polls and decode only once the frame is complete.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut need = 4usize; // length prefix first
-    let mut have_len = false;
+fn conn_loop(conn: &Arc<Conn>, shared: &Shared) {
+    let mut frames = FrameReader::new(AwakeRead::new(&conn.stream), shared.cfg.max_frame);
     loop {
-        if buf.len() >= need {
-            if !have_len {
-                let head: [u8; 4] = buf.get(..4)?.try_into().ok()?;
-                let len = u32::from_le_bytes(head) as usize;
-                if len > max_frame {
-                    return None; // oversized: close the connection
-                }
-                need = 4 + len;
-                have_len = true;
-                continue;
-            }
-            return Message::decode(buf.get(4..need)?).ok();
-        }
-        let mut chunk = [0u8; 4096];
-        let want = (need - buf.len()).min(chunk.len());
-        match io::Read::read(stream, chunk.get_mut(..want)?) {
-            Ok(0) => return None, // EOF (mid-frame ⇒ truncated; same exit)
-            Ok(n) => buf.extend_from_slice(chunk.get(..n)?),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if closing.load(Ordering::SeqCst) {
-                    return None;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-}
-
-fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>) {
-    loop {
-        let req = match read_polling(&mut stream, shared.cfg.max_frame, &shared.closing) {
+        let req = match frames.poll_message(&shared.closing) {
             Some(Message::Request(req)) => req,
             // A client sending us *responses* is a protocol error.
             Some(Message::Response(_)) | None => return,
@@ -537,7 +559,7 @@ fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>) {
                 .and_then(|d| admitted.checked_add(d))
         };
         if shared.closing.load(Ordering::SeqCst) {
-            conn.respond(&shared.counters, &shed(&req, Status::Draining, shared));
+            conn.respond(shared, &refusal(&req, Status::Draining, shared));
             continue;
         }
         let job = Job {
@@ -545,19 +567,20 @@ fn reader_loop(mut stream: TcpStream, conn: &Arc<Conn>, shared: &Arc<Shared>) {
             conn: Arc::clone(conn),
             deadline,
         };
-        match shared.queue.try_push(job) {
+        // The queue lock is released before any response is written.
+        match shared.queue.admit(job, frames.has_frame()) {
+            Admission::Inline(job) => serve(shared, &job),
             Admission::Enqueued => {}
-            Admission::Full(job) => {
-                job.conn.respond(
-                    &shared.counters,
-                    &shed(&job.req, Status::Overloaded, shared),
-                );
-            }
-            Admission::Closed(job) => {
-                job.conn
-                    .respond(&shared.counters, &shed(&job.req, Status::Draining, shared));
+            Admission::Refused(job, status) => {
+                conn.respond(shared, &refusal(&job.req, status, shared));
             }
         }
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    while let Some(job) = shared.queue.pop() {
+        serve(shared, &job);
     }
 }
 
@@ -571,8 +594,8 @@ fn shard_gens(engine: &Engine, generation: u64) -> Vec<ShardGen> {
     }
 }
 
-/// A rows-free refusal response.
-fn shed(req: &Request, status: Status, shared: &Shared) -> Response {
+/// A rows-free response for a request that never executed.
+fn refusal(req: &Request, status: Status, shared: &Shared) -> Response {
     let generation = shared.engine.generation();
     Response {
         id: req.id,
@@ -588,48 +611,32 @@ fn shed(req: &Request, status: Status, shared: &Shared) -> Response {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop() {
-        let start = Instant::now();
-        // Deadline check at dequeue: queue wait already spent the
-        // budget, so don't burn an execution on a dead request.
-        if job.deadline.is_some_and(|d| start >= d) {
-            let generation = shared.engine.generation();
-            job.conn.respond(
-                &shared.counters,
-                &Response {
-                    id: job.req.id,
-                    status: Status::DeadlineExceeded,
-                    generation,
-                    total_rows: 0,
-                    rows: Vec::new(),
-                    pages_read: 0,
-                    join_work: 0,
-                    server_us: 0,
-                    plan_digest: 0,
-                    gens: shard_gens(&shared.engine, generation),
-                },
-            );
-            continue;
-        }
+/// Disposes of one admitted request on whichever thread took its
+/// execution permit — a connection thread or a pool worker — and
+/// returns the permit.
+fn serve(shared: &Shared, job: &Job) {
+    let start = Instant::now();
+    // Deadline check before executing: queue wait may already have
+    // spent the budget, so don't burn an execution on a dead request.
+    let resp = if job.deadline.is_some_and(|d| start >= d) {
+        refusal(&job.req, Status::DeadlineExceeded, shared)
+    } else {
         let out = shared.engine.execute(&job.req.query, job.deadline);
-        let server_us = (start.elapsed().as_micros()).min(u128::from(u64::MAX)) as u64;
-        job.conn.respond(
-            &shared.counters,
-            &Response {
-                id: job.req.id,
-                status: out.status,
-                generation: out.generation,
-                total_rows: out.total_rows,
-                rows: out.rows,
-                pages_read: out.pages_read,
-                join_work: out.join_work,
-                server_us,
-                plan_digest: out.plan_digest,
-                gens: shard_gens(&shared.engine, out.generation),
-            },
-        );
-    }
+        Response {
+            id: job.req.id,
+            status: out.status,
+            generation: out.generation,
+            total_rows: out.total_rows,
+            rows: out.rows,
+            pages_read: out.pages_read,
+            join_work: out.join_work,
+            server_us: (start.elapsed().as_micros()).min(u128::from(u64::MAX)) as u64,
+            plan_digest: out.plan_digest,
+            gens: shard_gens(&shared.engine, out.generation),
+        }
+    };
+    job.conn.respond(shared, &resp);
+    shared.queue.release();
 }
 
 #[cfg(test)]
@@ -638,6 +645,7 @@ mod tests {
     use crate::client::Client;
     use apex::{Apex, IndexCell, RefreshPolicy, WorkloadMonitor};
     use apex_storage::{DataTable, PageModel};
+    use std::io::Read;
     use xmlgraph::builder::moviedb;
 
     fn test_engine() -> Engine {
@@ -756,6 +764,175 @@ mod tests {
             answered += 1;
         }
         assert_eq!(answered, N);
+    }
+
+    #[test]
+    fn closed_loop_calls_never_touch_the_queue() {
+        let mut server = start(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(server.local_addr()).expect("connect");
+        for _ in 0..50 {
+            assert_eq!(c.call("//actor/name", 0).expect("call").status, Status::Ok);
+        }
+        drop(c);
+        let stats = server.drain();
+        assert_eq!(stats.served, 50);
+        assert_eq!(stats.queue_hwm, 0, "served on the connection's thread");
+        assert!(stats.balanced(), "{stats}");
+    }
+
+    #[test]
+    fn a_response_survives_the_readers_non_blocking_moments() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let nap = Duration::from_millis(200);
+        stream.set_write_timeout(Some(nap)).expect("timeout");
+        let conn = Conn {
+            stream,
+            frame: Mutex::default(),
+            stats: Arc::default(),
+        };
+        // Far more than the socket buffers hold, written while the
+        // connection's thread has the socket non-blocking: the first
+        // `write` comes back short, the rest must still arrive — whole,
+        // in order — once the peer gets round to reading.
+        let frame: Vec<u8> = (0..16usize << 20).map(|i| (i % 251) as u8).collect();
+        conn.stream.set_nonblocking(true).expect("non-blocking");
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                std::thread::sleep(nap / 4);
+                let mut got = vec![0u8; frame.len()];
+                peer.read_exact(&mut got).expect("the whole frame");
+                got
+            });
+            assert!(conn.deliver(&frame, Duration::from_secs(30)));
+            assert!(reader.join().expect("reader") == frame);
+        });
+        // A peer that never reads still costs one write timeout, not
+        // an instant failure and not one timeout per retry.
+        conn.stream.set_nonblocking(true).expect("non-blocking");
+        let t = Instant::now();
+        assert!(!conn.deliver(&frame, nap));
+        assert!(t.elapsed() >= nap, "gave up after {:?}", t.elapsed());
+        assert!(t.elapsed() < 4 * nap, "gave up after {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn admission_never_grants_more_permits_than_workers() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let conn = Arc::new(Conn {
+            stream,
+            frame: Mutex::default(),
+            stats: Arc::default(),
+        });
+        let job = |id| Job {
+            req: Request {
+                id,
+                deadline_ms: 0,
+                query: String::new(),
+            },
+            conn: Arc::clone(&conn),
+            deadline: None,
+        };
+        let q = JobQueue::new(2, 1);
+        // A peer with a further frame buffered is handed to the pool
+        // even when a permit is free.
+        assert!(matches!(q.admit(job(0), true), Admission::Enqueued));
+        assert_eq!(q.pop().map(|j| j.req.id), Some(0), "pop takes the permit");
+        // While that execution runs, a second connection's lone request
+        // may not start beside it: it waits in the queue for the permit.
+        assert!(matches!(q.admit(job(1), false), Admission::Enqueued));
+        assert!(matches!(q.admit(job(2), false), Admission::Enqueued));
+        assert!(matches!(
+            q.admit(job(3), false),
+            Admission::Refused(_, Status::Overloaded)
+        ));
+        {
+            let st = q.lock();
+            assert_eq!((st.running, st.jobs.len()), (1, 2));
+        }
+        q.release();
+        assert_eq!(q.pop().map(|j| j.req.id), Some(1));
+        // Something is still queued: arrivals line up behind it.
+        q.release();
+        assert!(matches!(q.admit(job(4), false), Admission::Enqueued));
+        assert_eq!(q.pop().map(|j| j.req.id), Some(2));
+        q.release();
+        assert_eq!(q.pop().map(|j| j.req.id), Some(4));
+        q.release();
+        // Idle again: a lone request runs where it arrived.
+        assert!(matches!(q.admit(job(5), false), Admission::Inline(_)));
+        assert!(matches!(q.admit(job(6), false), Admission::Enqueued));
+        assert_eq!(q.hwm(), 2);
+        q.close();
+        assert!(matches!(
+            q.admit(job(7), false),
+            Admission::Refused(_, Status::Draining)
+        ));
+    }
+
+    #[test]
+    fn two_closed_loop_connections_share_one_permit() {
+        let mut server = start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let addr = server.local_addr();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(move || {
+                    let mut c = Client::connect(addr).expect("connect");
+                    for _ in 0..200 {
+                        assert_eq!(c.call("//actor/name", 0).expect("call").status, Status::Ok);
+                    }
+                });
+            }
+        });
+        let stats = server.drain();
+        assert_eq!(stats.served, 400);
+        // Closed loop: each connection has at most one request anywhere.
+        assert!(stats.queue_hwm <= 2, "{stats}");
+        assert!(stats.balanced(), "{stats}");
+    }
+
+    #[test]
+    fn a_burst_then_closed_loop_calls_answer_every_id_once() {
+        let mut server = start(ServerConfig {
+            workers: 2,
+            queue_cap: 8,
+            ..ServerConfig::default()
+        });
+        let mut c = Client::connect(server.local_addr()).expect("connect");
+        let mut ids = Vec::new();
+        for round in 0..3 {
+            for _ in 0..100 {
+                c.send("//actor/name", 0).expect("send");
+            }
+            for _ in 0..100 {
+                let r = c.recv().expect("recv").expect("open");
+                assert!(matches!(r.status, Status::Ok | Status::Overloaded));
+                ids.push(r.id);
+            }
+            for _ in 0..20 {
+                let r = c.call("//movie/title", 0).expect("call");
+                assert_eq!(
+                    r.status,
+                    Status::Ok,
+                    "round {round}: nothing else in flight"
+                );
+                ids.push(r.id);
+            }
+        }
+        drop(c);
+        ids.sort_unstable();
+        assert_eq!(ids, (0..360).collect::<Vec<u64>>());
+        let stats = server.drain();
+        assert_eq!(stats.accepted, 360);
+        assert!(stats.balanced(), "{stats}");
     }
 
     #[test]

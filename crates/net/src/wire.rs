@@ -48,8 +48,12 @@
 //! short or trailing body bytes, invalid UTF-8) and never panics — the
 //! robustness suite and a proptest roundtrip in this module pin that.
 
+use std::borrow::Borrow;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, Read};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The only protocol version this build speaks (2 = the generation
 /// vector joined the response body).
@@ -312,6 +316,11 @@ impl<'a> Cursor<'a> {
 }
 
 impl Request {
+    /// Encodes this request as one whole frame into `frame`.
+    pub fn encode_frame(&self, frame: &mut Vec<u8>) -> Result<(), WireError> {
+        encode_frame(frame, KIND_REQUEST, |out| self.encode_body(out))
+    }
+
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         if self.query.len() > MAX_QUERY_BYTES {
             return Err(WireError::Malformed("query text exceeds MAX_QUERY_BYTES"));
@@ -343,6 +352,11 @@ impl Request {
 }
 
 impl Response {
+    /// Encodes this response as one whole frame into `frame`.
+    pub fn encode_frame(&self, frame: &mut Vec<u8>) -> Result<(), WireError> {
+        encode_frame(frame, KIND_RESPONSE, |out| self.encode_body(out))
+    }
+
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         if self.rows.len() > MAX_ROW_SAMPLE || self.rows.len() as u64 > self.total_rows as u64 {
             return Err(WireError::Malformed("row sample exceeds bounds"));
@@ -454,73 +468,215 @@ impl Message {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, retrying on `Interrupted`. Returns
-/// the bytes read before EOF (so callers can tell "clean EOF" from
-/// "EOF inside a frame").
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
-    let mut got = 0;
-    while got < buf.len() {
-        let Some(rest) = buf.get_mut(got..) else {
-            break; // can't occur: got < buf.len()
-        };
-        match r.read(rest) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
+/// Bytes asked of the transport per `read` unless a larger frame is due.
+const READ_CHUNK: usize = 8 << 10;
+
+/// Frames `body` into `frame` (cleared first: callers reuse one buffer)
+/// behind a length prefix patched in place — the payload is never copied.
+fn encode_frame(
+    frame: &mut Vec<u8>,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    frame.clear();
+    frame.extend_from_slice(&[0, 0, 0, 0, PROTOCOL_VERSION, kind]);
+    body(frame)?;
+    let len = (frame.len() - 4) as u32;
+    if let Some(prefix) = frame.first_chunk_mut::<4>() {
+        *prefix = len.to_le_bytes();
+    }
+    Ok(())
+}
+
+/// The one frame reader: a transport plus a reused buffer. It yields
+/// every complete frame it holds before it issues another `read` — one
+/// per wake-up, for whatever the transport has — so a closed-loop
+/// message costs one syscall and a pipelined burst one per chunk. It
+/// never holds more than `max_frame + 4` bytes plus one chunk: a larger
+/// length prefix is refused before room is made for its body.
+pub struct FrameReader<R> {
+    inner: R,
+    /// Initialized storage; `buf[start..end]` is read, not yet yielded.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    max_frame: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`; a frame over `max_frame` payload bytes is refused.
+    pub fn new(inner: R, max_frame: usize) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            max_frame,
         }
     }
-    Ok(got)
+
+    /// The wrapped transport (to set socket options on).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
+    /// Size of the front frame, prefix included, once that is buffered.
+    fn front(&self) -> Result<Option<usize>, WireError> {
+        let unread = self.buf.get(self.start..self.end);
+        let Some(head) = unread.and_then(|b| b.first_chunk::<4>()) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*head) as usize;
+        if len > self.max_frame {
+            return Err(WireError::Oversized {
+                len: len as u64,
+                max: self.max_frame,
+            });
+        }
+        Ok(Some(4 + len))
+    }
+
+    /// True when a whole frame is buffered already: the peer sent it
+    /// before the previous one was answered — it is pipelining.
+    pub fn has_frame(&self) -> bool {
+        matches!(self.front(), Ok(Some(n)) if self.end - self.start >= n)
+    }
+
+    /// Reads and decodes the next message. `Ok(None)` is a clean EOF at
+    /// a frame boundary; EOF anywhere else is [`WireError::Truncated`].
+    /// A transport error (a read timeout included) keeps the bytes read
+    /// so far, so the next call resumes the same frame.
+    pub fn read_message(&mut self) -> Result<Option<Message>, WireError> {
+        loop {
+            let need = self.front()?;
+            let have = self.end - self.start;
+            if let Some(n) = need.filter(|&n| have >= n) {
+                let payload = self.buf.get(self.start + 4..self.start + n);
+                let msg = Message::decode(payload.ok_or(WireError::Truncated)?);
+                self.start += n;
+                return msg.map(Some);
+            }
+            // A partial frame at most: move it to the front and make
+            // room for the rest of it, or for one chunk.
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, have);
+            }
+            let want = need.map_or(READ_CHUNK, |n| (n - have).max(READ_CHUNK));
+            if self.buf.len() < have + want {
+                self.buf.resize(have + want, 0);
+            }
+            let room = self.buf.get_mut(have..).ok_or(WireError::Truncated)?;
+            match self.inner.read(room) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => return Err(WireError::Truncated),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == Interrupted => {}
+                Err(e) => return Err(WireError::Io(e)),
+            }
+        }
+    }
+
+    /// [`FrameReader::read_message`] on a socket whose read timeout is
+    /// a poll interval: a timeout re-checks `closing` and otherwise
+    /// keeps waiting, so drain is noticed within one interval even on
+    /// an idle connection. `None` is EOF, malformed or oversized input,
+    /// a transport failure, or drain — the caller closes the connection
+    /// either way. A partial frame cut off by drain is dropped: a
+    /// request counts only once its frame fully decodes.
+    pub fn poll_message(&mut self, closing: &AtomicBool) -> Option<Message> {
+        let timeout = |e: &io::Error| matches!(e.kind(), WouldBlock | TimedOut);
+        loop {
+            match self.read_message() {
+                Ok(msg) => return msg,
+                Err(WireError::Io(e)) if timeout(&e) && !closing.load(Ordering::SeqCst) => {}
+                Err(_) => return None,
+            }
+        }
+    }
 }
 
-/// Reads one frame's payload (blocking). `Ok(None)` is a clean EOF at a
-/// frame boundary; EOF anywhere else is [`WireError::Truncated`]; a
-/// length prefix above `max_frame` is [`WireError::Oversized`] and the
-/// frame is *not* consumed (callers should close the connection).
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>, WireError> {
-    let mut hdr = [0u8; 4];
-    match read_full(r, &mut hdr)? {
-        0 => return Ok(None),
-        4 => {}
-        _ => return Err(WireError::Truncated),
-    }
-    let len = u32::from_le_bytes(hdr) as usize;
-    if len > max_frame {
-        return Err(WireError::Oversized {
-            len: len as u64,
-            max: max_frame,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    if read_full(r, &mut payload)? != len {
-        return Err(WireError::Truncated);
-    }
-    Ok(Some(payload))
+/// Polls of a warm socket before its reader goes to sleep in `read`.
+const AWAKE_POLLS: usize = 32;
+
+/// The socket under a [`FrameReader`]: a `read` that waits for a
+/// closed-loop peer's next frame *awake*. A thread asleep in `read` is
+/// woken wherever the scheduler last ran it, and when that is not the
+/// CPU the peer's bytes arrive on, every message pays for waking an
+/// idle CPU — on a 2-vCPU guest 22 µs each way, and whether a
+/// connection pays it is decided by where its threads happened to
+/// start, so the same traffic runs at 22 k or at 57 k requests a second.
+/// So while the conversation is live — the last `read` returned bytes —
+/// the next one first polls the socket non-blocking up to 32 times
+/// (`AWAKE_POLLS`), yielding the CPU to any runnable thread between
+/// polls; only then, and always on a connection that was idle
+/// the last time, does it block in `read` (under the socket's read
+/// timeout, as before). An idle connection is never polled, and a peer
+/// that thinks for longer than the polls last costs them once per
+/// message. The socket is blocking again whenever `read` returns;
+/// another thread writing it *during* the polls must expect
+/// `WouldBlock` or a short count (see `net::server`'s `Conn::deliver`).
+pub struct AwakeRead<S> {
+    sock: S,
+    /// The last `read` returned bytes: the peer is likely to send more.
+    warm: bool,
 }
 
-/// Reads and decodes one message (blocking). `Ok(None)` on clean EOF.
-pub fn read_message(r: &mut impl Read, max_frame: usize) -> Result<Option<Message>, WireError> {
-    match read_frame(r, max_frame)? {
-        None => Ok(None),
-        Some(payload) => Ok(Some(Message::decode(&payload)?)),
+impl<S: Borrow<TcpStream>> AwakeRead<S> {
+    /// Wraps `sock`, owned or borrowed; the first `read` blocks.
+    pub fn new(sock: S) -> AwakeRead<S> {
+        AwakeRead { sock, warm: false }
+    }
+
+    /// The socket (to write to, or to set options on).
+    pub fn socket(&self) -> &TcpStream {
+        self.sock.borrow()
+    }
+
+    fn poll(&self, buf: &mut [u8]) -> io::Result<Option<usize>> {
+        let mut sock = self.socket();
+        sock.set_nonblocking(true)?;
+        let mut polled = Ok(None);
+        for _ in 0..AWAKE_POLLS {
+            match sock.read(buf) {
+                Err(e) if e.kind() == WouldBlock => std::thread::yield_now(),
+                got => {
+                    polled = got.map(Some);
+                    break;
+                }
+            }
+        }
+        sock.set_nonblocking(false)?;
+        polled
     }
 }
 
-/// Frames and writes one message.
-pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
-    let payload = msg.encode()?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
+impl<S: Borrow<TcpStream>> Read for AwakeRead<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let polled = if self.warm { self.poll(buf)? } else { None };
+        let n = match polled {
+            Some(n) => Ok(n),
+            None => self.socket().read(buf),
+        };
+        self.warm = matches!(n, Ok(n) if n > 0);
+        n
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::io::Write;
+
+    fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), WireError> {
+        let mut frame = Vec::new();
+        match msg {
+            Message::Request(r) => r.encode_frame(&mut frame)?,
+            Message::Response(r) => r.encode_frame(&mut frame)?,
+        }
+        Ok(w.write_all(&frame)?)
+    }
 
     fn roundtrip(msg: &Message) -> Message {
         let payload = msg.encode().expect("encode");
@@ -585,10 +741,10 @@ mod tests {
         let mut wire = Vec::new();
         write_message(&mut wire, &a).expect("write a");
         write_message(&mut wire, &b).expect("write b");
-        let mut r = &wire[..];
-        assert_eq!(read_message(&mut r, DEFAULT_MAX_FRAME).expect("a"), Some(a));
-        assert_eq!(read_message(&mut r, DEFAULT_MAX_FRAME).expect("b"), Some(b));
-        assert_eq!(read_message(&mut r, DEFAULT_MAX_FRAME).expect("eof"), None);
+        let mut r = FrameReader::new(&wire[..], DEFAULT_MAX_FRAME);
+        assert_eq!(r.read_message().expect("a"), Some(a));
+        assert_eq!(r.read_message().expect("b"), Some(b));
+        assert_eq!(r.read_message().expect("eof"), None);
     }
 
     #[test]
@@ -602,12 +758,9 @@ mod tests {
         write_message(&mut wire, &m).expect("write");
         // Every proper prefix must fail cleanly (clean EOF only at 0).
         for cut in 1..wire.len() {
-            let mut r = &wire[..cut];
+            let mut r = FrameReader::new(&wire[..cut], DEFAULT_MAX_FRAME);
             assert!(
-                matches!(
-                    read_message(&mut r, DEFAULT_MAX_FRAME),
-                    Err(WireError::Truncated)
-                ),
+                matches!(r.read_message(), Err(WireError::Truncated)),
                 "prefix of {cut} bytes"
             );
         }
@@ -618,11 +771,8 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         wire.extend_from_slice(&[0u8; 16]);
-        let mut r = &wire[..];
-        assert!(matches!(
-            read_message(&mut r, DEFAULT_MAX_FRAME),
-            Err(WireError::Oversized { .. })
-        ));
+        let mut r = FrameReader::new(&wire[..], DEFAULT_MAX_FRAME);
+        assert!(matches!(r.read_message(), Err(WireError::Oversized { .. })));
     }
 
     #[test]
@@ -776,6 +926,198 @@ mod tests {
                 let _ = Message::decode(&mutated);
             }
         }
+    }
+
+    /// An in-memory transport that plays back scripted reads: `Some`
+    /// bytes (handed out as fast as the caller's buffer takes them, one
+    /// step per `read`), `None` for a read timeout; EOF when the script
+    /// ends. Counts the `read` calls it sees.
+    struct Script {
+        steps: std::collections::VecDeque<Option<Vec<u8>>>,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(steps: Vec<Option<Vec<u8>>>) -> Script {
+            Script {
+                steps: steps.into(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn request(id: u64, query_len: usize) -> Message {
+        Message::Request(Request {
+            id,
+            deadline_ms: 0,
+            query: "q".repeat(query_len),
+        })
+    }
+
+    fn framed(messages: &[Message]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for m in messages {
+            write_message(&mut wire, m).expect("write");
+        }
+        wire
+    }
+
+    fn drain_reader(r: &mut FrameReader<Script>, closing: &AtomicBool) -> Vec<Message> {
+        std::iter::from_fn(|| r.poll_message(closing)).collect()
+    }
+
+    #[test]
+    fn a_cut_and_a_timeout_at_every_offset_lose_nothing() {
+        let sent = vec![
+            request(1, 12),
+            Message::Response(Response {
+                id: 1,
+                status: Status::Ok,
+                generation: 2,
+                total_rows: 3,
+                rows: vec![7, 8, 9],
+                pages_read: 4,
+                join_work: 5,
+                server_us: 6,
+                plan_digest: 7,
+                gens: vec![],
+            }),
+            request(2, 0),
+            request(3, 40),
+        ];
+        let wire = framed(&sent);
+        let open = AtomicBool::new(false);
+        for cut in 1..wire.len() {
+            let (a, b) = wire.split_at(cut);
+            let script = Script::new(vec![Some(a.to_vec()), None, Some(b.to_vec())]);
+            let mut r = FrameReader::new(script, DEFAULT_MAX_FRAME);
+            assert_eq!(drain_reader(&mut r, &open), sent, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_burst_is_yielded_whole_before_the_next_read() {
+        let sent: Vec<Message> = (0..50).map(|i| request(i, 12)).collect();
+        let mut r = FrameReader::new(Script::new(vec![Some(framed(&sent))]), DEFAULT_MAX_FRAME);
+        let open = AtomicBool::new(false);
+        for (i, m) in sent.iter().enumerate() {
+            assert_eq!(r.poll_message(&open).as_ref(), Some(m));
+            assert_eq!(r.get_ref().reads, 1, "frame {i} cost a read");
+            assert_eq!(r.has_frame(), i + 1 < sent.len(), "frame {i}");
+        }
+        assert_eq!(r.poll_message(&open), None, "then EOF");
+        assert_eq!(r.get_ref().reads, 2);
+    }
+
+    #[test]
+    fn an_oversized_prefix_is_refused_before_its_body_is_buffered() {
+        let max = 64;
+        let mut wire = (10 * READ_CHUNK as u32).to_le_bytes().to_vec();
+        wire.resize(4 + 10 * READ_CHUNK, 0xAB);
+        let mut r = FrameReader::new(Script::new(vec![Some(wire)]), max);
+        assert!(matches!(
+            r.read_message(),
+            Err(WireError::Oversized { max: 64, .. })
+        ));
+        assert_eq!(r.get_ref().reads, 1, "refused on the prefix alone");
+        assert!(r.buf.len() <= READ_CHUNK, "held {} bytes", r.buf.len());
+        assert_eq!(r.poll_message(&AtomicBool::new(false)), None);
+    }
+
+    #[test]
+    fn buffered_bytes_stay_under_the_cap_plus_one_chunk() {
+        // Frames from empty to the cap itself, fed by a transport that
+        // always fills whatever room it is offered.
+        let sizes = [0, 100, READ_CHUNK - 22, READ_CHUNK, 3 * READ_CHUNK, 60_000];
+        let sent: Vec<Message> = (0..24).map(|i| request(i, sizes[i as usize % 6])).collect();
+        let max = 2 + 16 + 60_000; // the largest frame's payload, exactly
+        let mut r = FrameReader::new(Script::new(vec![Some(framed(&sent))]), max);
+        let open = AtomicBool::new(false);
+        for m in &sent {
+            assert_eq!(r.poll_message(&open).as_ref(), Some(m));
+            assert!(r.end <= r.buf.len());
+            assert!(
+                r.buf.len() <= max + 4 + READ_CHUNK,
+                "held {} bytes",
+                r.buf.len()
+            );
+        }
+        assert_eq!(r.poll_message(&open), None);
+    }
+
+    #[test]
+    fn closing_mid_frame_yields_none_and_counts_nothing() {
+        let wire = framed(&[request(1, 12), request(2, 12)]);
+        let cut = wire.len() - 5;
+        // `closing` is only looked at when a read times out.
+        let closing = AtomicBool::new(true);
+        let script = Script::new(vec![
+            Some(wire[..cut].to_vec()),
+            None,
+            Some(wire[cut..].to_vec()),
+        ]);
+        let mut r = FrameReader::new(script, DEFAULT_MAX_FRAME);
+        let mut accepted = 0;
+        while r.poll_message(&closing).is_some() {
+            accepted += 1;
+        }
+        assert_eq!(accepted, 1, "the torn second frame is dropped un-accepted");
+        assert_eq!(r.get_ref().reads, 2, "no read after drain was seen");
+    }
+
+    #[test]
+    fn awake_read_polls_a_live_socket_and_sleeps_on_an_idle_one() {
+        use std::net::TcpListener;
+        use std::time::{Duration, Instant};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (sock, _) = listener.accept().expect("accept");
+        let nap = Duration::from_millis(40);
+        sock.set_read_timeout(Some(nap)).expect("timeout");
+        let mut r = AwakeRead::new(&sock);
+        let mut buf = [0u8; 8];
+        // Whatever the reader last saw, a read that finds nothing ends
+        // asleep in a blocking `read`: the read timeout bounds it, and
+        // the socket is blocking again for whoever writes it next.
+        let idle = |r: &mut AwakeRead<&TcpStream>, warm: bool| {
+            assert_eq!(r.warm, warm);
+            let t = Instant::now();
+            let e = r.read(&mut [0u8; 8]).expect_err("nothing to read");
+            assert!(matches!(e.kind(), WouldBlock | TimedOut), "{e}");
+            assert!(t.elapsed() >= nap, "slept {:?}", t.elapsed());
+            assert!(!r.warm);
+        };
+        idle(&mut r, false);
+        for round in 0..3u8 {
+            peer.write_all(&[round, round]).expect("write");
+            // Cold the first time (a blocking read), warm after (polled).
+            let n = r.read(&mut buf).expect("read");
+            assert_eq!((n, buf[0]), (2, round));
+            assert!(r.warm, "bytes arrived: the next read polls first");
+        }
+        idle(&mut r, true);
+        idle(&mut r, false);
+        drop(peer);
+        assert_eq!(r.read(&mut buf).expect("eof"), 0);
+        assert!(!r.warm);
     }
 
     fn query_strategy() -> impl Strategy<Value = String> {

@@ -47,15 +47,15 @@
 //! [`RouterStats::balanced`] checks both, so no request is silently
 //! dropped on either side of the router.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use apex_net::wire::{write_message, DEFAULT_MAX_FRAME, MAX_ROW_SAMPLE};
-use apex_net::{read_polling, Client, Message, Request, Response, ShardGen, Status};
+use apex_net::wire::{DEFAULT_MAX_FRAME, MAX_ROW_SAMPLE};
+use apex_net::{AwakeRead, Client, FrameReader, Message, Request, Response, ShardGen, Status};
 use apex_storage::{merge_sorted_into, MergeScratch};
 
 use crate::map::ShardMap;
@@ -468,6 +468,7 @@ fn accept_loop(
             || stream
                 .set_write_timeout(Some(state.cfg.write_timeout))
                 .is_err()
+            || stream.set_nodelay(true).is_err()
         {
             continue;
         }
@@ -511,7 +512,9 @@ fn probe_loop(state: &Arc<RouterState>) {
     }
 }
 
-fn conn_loop(mut stream: TcpStream, conn_id: usize, state: &Arc<RouterState>) {
+fn conn_loop(stream: TcpStream, conn_id: usize, state: &Arc<RouterState>) {
+    let mut frames = FrameReader::new(AwakeRead::new(stream), state.cfg.max_frame);
+    let mut frame = Vec::new();
     let mut cache: ConnCache = state
         .slots
         .iter()
@@ -522,7 +525,7 @@ fn conn_loop(mut stream: TcpStream, conn_id: usize, state: &Arc<RouterState>) {
     // concurrent client connections.
     let mut jitter = 0x9E37_79B9_7F4A_7C15u64 ^ ((conn_id as u64) << 17) | 1;
     loop {
-        let req = match read_polling(&mut stream, state.cfg.max_frame, &state.closing) {
+        let req = match frames.poll_message(&state.closing) {
             Some(Message::Request(req)) => req,
             Some(Message::Response(_)) | None => return,
         };
@@ -538,7 +541,11 @@ fn conn_loop(mut stream: TcpStream, conn_id: usize, state: &Arc<RouterState>) {
             Status::DeadlineExceeded => &state.timed_out,
         }
         .fetch_add(1, Ordering::Relaxed);
-        let _ = write_message(&mut stream, &Message::Response(resp));
+        if resp.encode_frame(&mut frame).is_err()
+            || frames.get_ref().socket().write_all(&frame).is_err()
+        {
+            return; // undeliverable: never follow a torn frame with another
+        }
     }
 }
 
