@@ -105,7 +105,13 @@ lint_selfcheck() {
 # `roundtrip` holds the durable image's hostile-input sweep (every bit
 # of a checkpoint flipped, every word overwritten: O(bytes × 8)
 # decodes under a counting allocator) — a decoder that loops or
-# allocates from a count it read trips the same timeout.
+# allocates from a count it read trips the same timeout. The log's
+# group commit hands its fsync to one appender while the others write
+# on, so `core::wal`'s thread tests (ack ⇒ durable at N = 1, one fsync
+# per batch and the 2N − 2 bound at N = 32, checkpoints racing leaders,
+# an fsync death wedging every appender) must pass deterministically,
+# like `net_smoke`'s loop: 10 consecutive release-mode runs, where a
+# waiter nobody wakes trips the timeout.
 recovery_smoke() {
     timeout 300 cargo test --release --offline -p apex-suite \
         --test crash_recovery --quiet
@@ -113,7 +119,12 @@ recovery_smoke() {
         --test wal_props --quiet
     timeout 120 cargo test --release --offline -p apex-suite \
         --test roundtrip --quiet
-    echo "recovery_smoke: crash sweeps + WAL frame properties + image sweep green"
+    for i in $(seq 1 10); do
+        timeout 120 cargo test --release --offline -p apex --lib --quiet \
+            wal::tests::group_commit >/dev/null \
+            || { echo "group-commit iteration $i failed"; exit 1; }
+    done
+    echo "recovery_smoke: crash sweeps + WAL frame properties + image sweep + 10/10 group-commit iterations green"
 }
 
 # The adaptive serving demo doubles as the refresh smoke test: after

@@ -16,7 +16,7 @@ use apex_storage::OpKind;
 use xmlgraph::{LabelPath, XmlGraph};
 
 use crate::index::Apex;
-use crate::wal::Wal;
+use crate::wal::{Commit, Wal};
 use crate::workload::Workload;
 
 /// Aggregated predicted-vs-actual operator cost, fed back by every
@@ -207,17 +207,19 @@ impl WorkloadMonitor {
 
     /// Records one query (and logs it, if a WAL is attached — before
     /// the push, so a crash between log and push loses nothing: the
-    /// logged record replays the push).
-    pub fn record(&mut self, q: LabelPath) {
-        if let Some(w) = &self.wal {
-            w.log_query(&q);
-        }
+    /// logged record replays the push). The frame is written under the
+    /// caller's lock (log order = window order); a group-commit fsync
+    /// it owes is paid where the [`Commit`] is dropped — at once in
+    /// `m.record(q);`, after the unlock in `Engine::execute`.
+    pub fn record(&mut self, q: LabelPath) -> Option<Commit> {
+        let commit = self.wal.as_ref().and_then(|w| w.log_query(&q));
         if self.window.len() == self.capacity {
             self.window.pop_front();
         }
         self.window.push_back(q);
         self.since_refresh += 1;
         self.total_recorded += 1;
+        commit
     }
 
     /// The current window as a [`Workload`].

@@ -43,7 +43,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use apex_storage::{Cost, PageModel};
 use xmlgraph::{LabelId, LabelPath};
@@ -118,13 +118,7 @@ impl Record {
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Record::Query(path) => {
-                out.push(TAG_QUERY);
-                out.extend_from_slice(&(path.labels().len() as u32).to_le_bytes());
-                for l in path.labels() {
-                    out.extend_from_slice(&l.0.to_le_bytes());
-                }
-            }
+            Record::Query(path) => put_query(&mut out, path),
             Record::Swap { min_sup, window } => {
                 out.push(TAG_SWAP);
                 out.extend_from_slice(&min_sup.to_bits().to_le_bytes());
@@ -136,11 +130,8 @@ impl Record {
 
     /// Encodes the full frame: `u32 len | u32 crc | payload`.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        frame_into(&mut out, |o| o.extend_from_slice(&self.encode_payload()));
         out
     }
 
@@ -176,6 +167,27 @@ impl Record {
             _ => None,
         }
     }
+}
+
+/// A query's payload from the path alone: the hot record is logged
+/// without a [`Record`] built for it.
+fn put_query(out: &mut Vec<u8>, path: &LabelPath) {
+    out.push(TAG_QUERY);
+    out.extend_from_slice(&(path.labels().len() as u32).to_le_bytes());
+    for l in path.labels() {
+        out.extend_from_slice(&l.0.to_le_bytes());
+    }
+}
+
+/// Rebuilds `out` as one frame around the payload `put` appends.
+fn frame_into(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0; 8]);
+    put(out);
+    let payload = out.get(8..).unwrap_or_default();
+    let head = (payload.len() as u32).to_le_bytes().into_iter();
+    let head = head.chain(crc32(payload).to_le_bytes());
+    out.iter_mut().zip(head).for_each(|(d, s)| *d = s);
 }
 
 fn split_arr<const N: usize>(b: &[u8]) -> Option<([u8; N], &[u8])> {
@@ -488,7 +500,14 @@ impl Stats {
 /// Write-path configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
-    /// fsync after this many appended records (≤ 1 = every append).
+    /// Records per fsync, N (≤ 1 = 1); the append that fills a batch
+    /// fsyncs it, holding no lock. N = 1: no append returns `Ok` before
+    /// an fsync that *started after its frame was written* completes
+    /// (ack ⇒ durable); appenders arriving during one fsync share the
+    /// next. N > 1: the filling append returns after its batch's fsync,
+    /// the N − 1 before it at once; a full batch never overtakes an
+    /// in-flight fsync (it waits, then leads), so at most 2N − 2
+    /// acknowledged records are not yet durable (N − 1 with one appender).
     pub group_commit: usize,
     /// Checkpoint after this many published swaps (0 = only the final
     /// shutdown checkpoint).
@@ -584,9 +603,17 @@ pub fn read_segment(path: &Path, cost: &mut Cost) -> std::io::Result<FrameScan> 
 
 #[derive(Debug)]
 struct WalInner {
-    seg: File,
+    seg: Arc<File>,
     seg_seq: u64,
-    unsynced: usize,
+    /// Every frame is encoded into, and written from, this buffer.
+    frame: Vec<u8>,
+    /// Record counts: frames completely written; the batch boundary (a
+    /// batch is full once `written − covered` reaches N); frames a
+    /// *completed* fsync covers. `leader`: an fsync is in flight.
+    written: u64,
+    covered: u64,
+    durable: u64,
+    leader: bool,
     wedged: bool,
     stats: Stats,
 }
@@ -601,6 +628,21 @@ pub struct Wal {
     cfg: DurabilityConfig,
     plan: CrashPlan,
     inner: Mutex<WalInner>,
+    /// Signalled when a leader's fsync ends, either way.
+    flushed: Condvar,
+}
+
+/// The fsync a batch-filling [`Wal::log_query`] still owes, split off
+/// so the caller can first release the lock that ordered the write.
+/// Dropping it waits for, or leads, the fsync covering the record; a
+/// failure wedges the log.
+#[derive(Debug)]
+pub struct Commit(Arc<Wal>, u64);
+
+impl Drop for Commit {
+    fn drop(&mut self) {
+        let _ = self.0.settle(self.1);
+    }
 }
 
 /// Proof that a checkpoint's segment rotation happened; carries the
@@ -638,12 +680,17 @@ impl Wal {
             cfg,
             plan,
             inner: Mutex::new(WalInner {
-                seg,
+                seg: Arc::new(seg),
                 seg_seq: seq,
-                unsynced: 0,
+                frame: Vec::new(),
+                written: 0,
+                covered: 0,
+                durable: 0,
+                leader: false,
                 wedged: false,
                 stats: Stats::default(),
             }),
+            flushed: Condvar::new(),
         })
     }
 
@@ -674,10 +721,23 @@ impl Wal {
         self.lock().wedged || self.plan.is_dead()
     }
 
-    /// Appends one record, fsyncing per the group-commit interval.
+    /// Appends one record ([`DurabilityConfig::group_commit`] states
+    /// what `Ok` promises): writes the frame under the log lock; an
+    /// append that fills a batch then waits for, or leads, its fsync
+    /// with the lock released. A failed fsync wedges every appender.
     pub fn append(&self, rec: &Record) -> Result<(), WalError> {
-        let frame = rec.encode_frame();
-        let mut inner = self.lock();
+        let payload = rec.encode_payload();
+        match self.write_frame(|out| out.extend_from_slice(&payload))? {
+            Some(me) => self.settle(me),
+            None => Ok(()),
+        }
+    }
+
+    /// Writes one frame; `Some(n)` when record `n` filled a batch and
+    /// the caller owes [`Wal::settle`] for it.
+    fn write_frame(&self, put: impl FnOnce(&mut Vec<u8>)) -> Result<Option<u64>, WalError> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         if inner.wedged {
             return Err(WalError::Wedged);
         }
@@ -685,65 +745,90 @@ impl Wal {
             inner.wedged = true;
             return Err(WalError::Crashed);
         }
+        frame_into(&mut inner.frame, put);
         inner.stats.appended += 1;
-        let allowed = match self.plan.charge(frame.len()) {
-            Ok(n) => n,
-            Err(Crashed) => {
-                inner.stats.truncated_tail += 1;
-                inner.wedged = true;
-                return Err(WalError::Crashed);
-            }
-        };
-        let prefix = frame.get(..allowed).unwrap_or(&frame);
-        if let Err(e) = inner.seg.write_all(prefix) {
-            // Unknown how much landed: treat the record as torn.
+        if let Err(e) = self.put(&inner.seg, &inner.frame) {
+            // Died before or inside the frame, or an I/O error left an
+            // unknown prefix on disk: the record is the torn tail.
             inner.stats.truncated_tail += 1;
             inner.wedged = true;
-            return Err(WalError::Io(e));
+            return Err(e);
         }
+        inner.stats.bytes_appended += inner.frame.len() as u64;
+        inner.written += 1;
+        let full = inner.written - inner.covered >= self.cfg.group_commit.max(1) as u64;
+        Ok(full.then_some(inner.written))
+    }
+
+    /// Hands `frame` to `write(2)` — or, dying, the prefix the plan allows.
+    fn put(&self, mut seg: &File, frame: &[u8]) -> Result<(), WalError> {
+        let allowed = self.plan.charge(frame.len())?;
+        seg.write_all(frame.get(..allowed).unwrap_or(frame))?;
         if allowed < frame.len() {
-            // The plan fired mid-frame: the prefix is on disk, the
-            // record is the torn tail, and this process is dead.
-            inner.stats.truncated_tail += 1;
-            inner.wedged = true;
             return Err(WalError::Crashed);
-        }
-        inner.stats.bytes_appended += frame.len() as u64;
-        inner.unsynced += 1;
-        if inner.unsynced >= self.cfg.group_commit.max(1) {
-            return self.sync_locked(&mut inner);
         }
         Ok(())
     }
 
-    fn sync_locked(&self, inner: &mut WalInner) -> Result<(), WalError> {
-        if let Err(Crashed) = self.plan.site(CrashSite::Fsync) {
-            inner.wedged = true;
-            return Err(WalError::Crashed);
+    /// Returns once record `me` is durable: waits out an in-flight
+    /// leader, then leads the next fsync if that one did not cover `me`
+    /// (moving the boundary by whole batches: contention stretches none).
+    fn settle(&self, me: u64) -> Result<(), WalError> {
+        let inner = self.idle()?;
+        if inner.durable >= me {
+            return Ok(());
         }
-        if let Err(e) = inner.seg.sync_data() {
-            inner.wedged = true;
-            return Err(WalError::Io(e));
-        }
-        inner.stats.fsyncs += 1;
-        inner.unsynced = 0;
-        Ok(())
+        let n = self.cfg.group_commit.max(1) as u64;
+        let boundary = inner.written - (inner.written - inner.covered) % n;
+        self.lead(inner, boundary)
     }
 
-    /// Forces an fsync of the current segment.
-    pub fn sync(&self) -> Result<(), WalError> {
+    /// Locks the log once no fsync is in flight; `Wedged` if one failed.
+    fn idle(&self) -> Result<MutexGuard<'_, WalInner>, WalError> {
         let mut inner = self.lock();
-        if inner.wedged {
-            return Err(WalError::Wedged);
+        while inner.leader {
+            inner = self.flushed.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
-        self.sync_locked(&mut inner)
+        (!inner.wedged).then_some(inner).ok_or(WalError::Wedged)
+    }
+
+    /// Leads one fsync with the log lock released: claims every frame
+    /// written so far and moves the batch boundary to `covered`.
+    fn lead(&self, mut inner: MutexGuard<'_, WalInner>, covered: u64) -> Result<(), WalError> {
+        let (seg, upto) = (Arc::clone(&inner.seg), inner.written);
+        inner.covered = covered;
+        inner.leader = true;
+        drop(inner);
+        let res = self.fsync(&seg);
+        let mut inner = self.lock();
+        inner.leader = false;
+        self.flushed.notify_all();
+        inner.wedged |= res.is_err();
+        res?;
+        inner.durable = upto;
+        inner.stats.fsyncs += 1;
+        Ok(())
+    }
+
+    fn fsync(&self, seg: &File) -> Result<(), WalError> {
+        self.plan.site(CrashSite::Fsync)?;
+        Ok(seg.sync_data()?)
+    }
+
+    /// Forces an fsync of the current segment (after any in flight).
+    pub fn sync(&self) -> Result<(), WalError> {
+        let inner = self.idle()?;
+        let upto = inner.written;
+        self.lead(inner, upto)
     }
 
     /// Logs a recorded query; errors are absorbed into the wedged
     /// state (serving never panics on a durability failure — the
     /// harness reads it back via [`Wal::is_wedged`] / [`Wal::stats`]).
-    pub fn log_query(&self, path: &LabelPath) {
-        let _ = self.append(&Record::Query(path.clone()));
+    /// `Some` when the record filled a batch: the [`Commit`] owes its fsync.
+    pub fn log_query(self: &Arc<Wal>, path: &LabelPath) -> Option<Commit> {
+        let filled = self.write_frame(|out| put_query(out, path)).ok()??;
+        Some(Commit(Arc::clone(self), filled))
     }
 
     /// Logs a monitor drain (one refine cycle's start).
@@ -758,22 +843,25 @@ impl Wal {
     /// segment. Must be called while the caller holds whatever lock
     /// serializes record/drain traffic (the monitor lock), so the
     /// rotation point is consistent with the captured monitor state.
+    /// Waits out an in-flight leader, then flushes what that left while
+    /// *holding* the log lock: nothing lands between flush and rotation.
     pub fn begin_checkpoint(&self) -> Result<CheckpointToken, WalError> {
-        let mut inner = self.lock();
-        if inner.wedged {
-            return Err(WalError::Wedged);
-        }
-        if inner.unsynced > 0 {
-            self.sync_locked(&mut inner)?;
+        let mut inner = self.idle()?;
+        if inner.written > inner.durable {
+            let res = self.fsync(&inner.seg);
+            inner.wedged |= res.is_err();
+            res?;
+            inner.durable = inner.written;
+            inner.stats.fsyncs += 1;
         }
         let seq = inner.seg_seq + 1;
         let seg = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(segment_path(&self.dir, seq))?;
-        inner.seg = seg;
+        inner.seg = Arc::new(seg);
         inner.seg_seq = seq;
-        inner.unsynced = 0;
+        inner.covered = inner.written;
         Ok(CheckpointToken { seq })
     }
 
@@ -788,7 +876,7 @@ impl Wal {
             let mut tmp = File::create(&tmp_path)?;
             // Chunked so a byte-budget plan can die mid-image.
             for chunk in image.chunks(4096) {
-                let allowed = self.charge_or_wedge(chunk.len())?;
+                let allowed = self.or_wedge(self.plan.charge(chunk.len()))?;
                 let prefix = chunk.get(..allowed).unwrap_or(chunk);
                 if let Err(e) = tmp.write_all(prefix) {
                     self.lock().wedged = true;
@@ -799,13 +887,13 @@ impl Wal {
                     return Err(WalError::Crashed);
                 }
             }
-            self.site_or_wedge(CrashSite::Fsync)?;
+            self.or_wedge(self.plan.site(CrashSite::Fsync))?;
             tmp.sync_data()?;
             self.lock().stats.fsyncs += 1;
         }
-        self.site_or_wedge(CrashSite::BeforeRename)?;
+        self.or_wedge(self.plan.site(CrashSite::BeforeRename))?;
         fs::rename(&tmp_path, &final_path)?;
-        self.site_or_wedge(CrashSite::AfterRename)?;
+        self.or_wedge(self.plan.site(CrashSite::AfterRename))?;
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
@@ -814,24 +902,12 @@ impl Wal {
         Ok(token.seq)
     }
 
-    fn charge_or_wedge(&self, want: usize) -> Result<usize, WalError> {
-        match self.plan.charge(want) {
-            Ok(n) => Ok(n),
-            Err(Crashed) => {
-                self.lock().wedged = true;
-                Err(WalError::Crashed)
-            }
-        }
-    }
-
-    fn site_or_wedge(&self, s: CrashSite) -> Result<(), WalError> {
-        match self.plan.site(s) {
-            Ok(()) => Ok(()),
-            Err(Crashed) => {
-                self.lock().wedged = true;
-                Err(WalError::Crashed)
-            }
-        }
+    /// A fired plan wedges the writer before the error is returned.
+    fn or_wedge<T>(&self, passed: Result<T, Crashed>) -> Result<T, WalError> {
+        passed.map_err(|Crashed| {
+            self.lock().wedged = true;
+            WalError::Crashed
+        })
     }
 
     /// Deletes snapshots beyond the retention window and every segment
@@ -846,7 +922,7 @@ impl Wal {
         if snaps.len() <= self.cfg.retain {
             return Ok(());
         }
-        self.site_or_wedge(CrashSite::BeforePrune)?;
+        self.or_wedge(self.plan.site(CrashSite::BeforePrune))?;
         let cut = snaps.len() - self.cfg.retain;
         let mut oldest_kept = u64::MAX;
         for (seq, _) in snaps.iter().skip(cut) {
@@ -963,7 +1039,8 @@ mod tests {
     #[test]
     fn writer_appends_and_reads_back() {
         let dir = tmpdir("rw");
-        let wal = Wal::open(&dir, DurabilityConfig::default(), CrashPlan::none()).unwrap();
+        let wal =
+            Arc::new(Wal::open(&dir, DurabilityConfig::default(), CrashPlan::none()).unwrap());
         wal.log_query(&qpath(&[1, 2]));
         wal.log_swap(0.25, 1);
         wal.sync().unwrap();
@@ -1028,14 +1105,207 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn open_n(tag: &str, group_commit: usize, plan: CrashPlan) -> (PathBuf, Wal) {
+        let dir = tmpdir(tag);
+        let cfg = DurabilityConfig {
+            group_commit,
+            retain: 0,
+            ..DurabilityConfig::default()
+        };
+        let wal = Wal::open(&dir, cfg, plan).unwrap();
+        (dir, wal)
+    }
+
+    /// Every complete frame in every segment of `dir`, sorted.
+    fn logged(dir: &Path) -> Vec<Vec<LabelId>> {
+        let mut all = Vec::new();
+        for (_, seg) in list_segments(dir).unwrap() {
+            for rec in read_segment(&seg, &mut Cost::new()).unwrap().records {
+                match rec {
+                    Record::Query(p) => all.push(p.labels().to_vec()),
+                    other => panic!("only queries were appended, found {other:?}"),
+                }
+            }
+        }
+        all.sort();
+        all
+    }
+
+    /// `threads × per` distinct records, as `logged` returns them.
+    fn expected(threads: u32, per: u32) -> Vec<Vec<LabelId>> {
+        let mut all: Vec<Vec<LabelId>> = (0..threads)
+            .flat_map(|t| (0..per).map(move |i| vec![LabelId(t), LabelId(i)]))
+            .collect();
+        all.sort();
+        all
+    }
+
+    #[test]
+    fn group_commit_n1_ack_means_durable_under_eight_appenders() {
+        let (dir, wal) = open_n("gc-n1", 1, CrashPlan::none());
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u32 {
+                let (wal, start) = (&wal, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..200u32 {
+                        let before = wal.stats().appended;
+                        wal.append(&Record::Query(qpath(&[t, i]))).unwrap();
+                        // This record's number is above `before`, and an
+                        // fsync begun after its write has completed.
+                        assert!(wal.lock().durable > before, "acknowledged before durable");
+                    }
+                });
+            }
+        });
+        let st = wal.stats();
+        assert_eq!(st.appended, 1600);
+        assert!(st.fsyncs > 0 && st.fsyncs <= st.appended, "{st:?}");
+        assert_eq!(wal.lock().durable, 1600);
+        assert_eq!(logged(&dir), expected(8, 200));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_commit_n32_two_appenders_one_fsync_per_batch() {
+        use std::sync::atomic::AtomicU64;
+        const N: u64 = 32;
+        let (dir, wal) = open_n("gc-n32", N as usize, CrashPlan::none());
+        let start = std::sync::Barrier::new(3);
+        let (acked, done) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let (wal, start, acked, done) = (&wal, &start, &acked, &done);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..1600u32 {
+                        wal.append(&Record::Query(qpath(&[t, i]))).unwrap();
+                        acked.fetch_add(1, Ordering::SeqCst);
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            // Sampler. `acked` is read first: `durable` only grows, so
+            // the difference can only be understated by the delay.
+            start.wait();
+            while done.load(Ordering::SeqCst) < 2 {
+                let acked = acked.load(Ordering::SeqCst);
+                let (written, durable) = {
+                    let inner = wal.lock();
+                    (inner.written, inner.durable)
+                };
+                assert!(
+                    acked.saturating_sub(durable) <= 2 * N - 2,
+                    "{acked} acknowledged, {durable} durable"
+                );
+                // Plus the one record each appender may have in flight.
+                assert!(
+                    written - durable <= 2 * N,
+                    "{written} written, {durable} durable"
+                );
+                std::thread::yield_now();
+            }
+        });
+        let st = wal.stats();
+        assert_eq!(st.appended, 3200);
+        assert!(st.fsyncs.abs_diff(st.appended / N) <= 1, "{st:?}");
+        assert_eq!(logged(&dir), expected(2, 1600));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_commit_appenders_race_checkpoints_and_the_books_balance() {
+        let (dir, wal) = open_n("gc-ckpt", 4, CrashPlan::none());
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (wal, start) = (&wal, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..200u32 {
+                        wal.append(&Record::Query(qpath(&[t, i]))).unwrap();
+                    }
+                });
+            }
+            start.wait();
+            for _ in 0..12 {
+                let token = wal.begin_checkpoint().unwrap();
+                wal.commit_checkpoint(token, b"not read back").unwrap();
+            }
+        });
+        wal.sync().unwrap();
+        let st = wal.stats();
+        assert_eq!((st.appended, st.checkpoints), (800, 12));
+        // A log fsync always covers a record no earlier one did: a
+        // checkpoint that waited out a leader does not flush again.
+        assert!(st.fsyncs <= st.appended + st.checkpoints + 1, "{st:?}");
+        assert_eq!(list_segments(&dir).unwrap().len(), 13);
+        // Every record once, whichever side of a rotation it fell on.
+        assert_eq!(logged(&dir), expected(4, 200));
+        let opts = crate::recover::RecoverOptions {
+            use_snapshots: false,
+            ..Default::default()
+        };
+        let g = xmlgraph::builder::moviedb();
+        let rec = crate::recover::recover(&dir, &g, &opts).unwrap();
+        assert_eq!(rec.report.replayed, 800);
+        assert!(st.after_recovery(rec.report.replayed).balanced());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn group_commit_fsync_death_wedges_every_appender() {
+        let plan = CrashPlan::at_site(CrashSite::Fsync, 40);
+        let (dir, wal) = open_n("gc-die", 1, plan.clone());
+        let start = std::sync::Barrier::new(2);
+        let errs: Vec<WalError> = std::thread::scope(|s| {
+            let spawn = |t: u32| {
+                let (wal, start) = (&wal, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Ends only by error: a follower left waiting on the
+                    // dead leader would hang the test.
+                    (0u32..)
+                        .find_map(|i| wal.append(&Record::Query(qpath(&[t, i]))).err())
+                        .unwrap()
+                })
+            };
+            let (a, b) = (spawn(0), spawn(1));
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        assert!(
+            errs.iter().any(|e| matches!(e, WalError::Crashed)),
+            "{errs:?}"
+        );
+        assert!(
+            errs.iter()
+                .all(|e| matches!(e, WalError::Crashed | WalError::Wedged)),
+            "{errs:?}"
+        );
+        assert!(plan.is_dead() && wal.is_wedged());
+        assert!(wal.append(&Record::Query(qpath(&[9]))).is_err());
+        assert!(wal.sync().is_err() && wal.begin_checkpoint().is_err());
+        // 39 fsyncs completed; every frame that reached write(2) is in
+        // the log, acknowledged or not, and the books balance.
+        let st = wal.stats();
+        assert_eq!(st.fsyncs, 39);
+        let replayed = logged(&dir).len() as u64;
+        assert!(st.clone().after_recovery(replayed).balanced(), "{st:?}");
+        assert!(wal.lock().durable <= replayed);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn open_never_extends_an_old_segment() {
         let dir = tmpdir("reopen");
         {
-            let wal = Wal::open(&dir, DurabilityConfig::default(), CrashPlan::none()).unwrap();
+            let wal =
+                Arc::new(Wal::open(&dir, DurabilityConfig::default(), CrashPlan::none()).unwrap());
             wal.log_query(&qpath(&[1]));
         }
-        let wal2 = Wal::open(&dir, DurabilityConfig::default(), CrashPlan::none()).unwrap();
+        let wal2 =
+            Arc::new(Wal::open(&dir, DurabilityConfig::default(), CrashPlan::none()).unwrap());
         wal2.log_query(&qpath(&[2]));
         let segs = list_segments(&dir).unwrap();
         assert_eq!(segs.len(), 2);

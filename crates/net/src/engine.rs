@@ -191,27 +191,29 @@ impl Engine {
         // so remote workloads steer the index too. Plan feedback
         // (predicted vs actual per operator) rides the same lock.
         //
-        // Durability (log-before-ack): when the monitor has a WAL
-        // attached (`WorkloadMonitor::attach_wal`), `record` appends
-        // the query to the log under this same monitor lock — before
-        // `execute` returns and therefore before the server writes the
-        // response bytes. Every acknowledged query is in the log (or
-        // was never acknowledged), and the log order is the monitor's
-        // serialization order, which is what replay reapplies.
+        // Durability (log-before-ack): with a WAL attached, `record`
+        // writes the query's frame under this same monitor lock — the
+        // log order is the monitor's serialization order, which is what
+        // replay reapplies. A group-commit fsync the record owes comes
+        // back as a `Commit`, dropped once the guard is gone: this
+        // request alone waits for (or leads) the flush, still before
+        // `execute` returns and so before the server writes the response.
         let path = recordable_path(&q);
         if path.is_some() || out.plan.is_some() {
+            let mut commit = None;
             let due = {
                 let mut m = self.monitor.lock().unwrap_or_else(|p| p.into_inner());
                 if let Some(rep) = &out.plan {
                     m.record_plan(rep.feedback());
                 }
                 if let Some(path) = path {
-                    m.record(path);
+                    commit = m.record(path);
                     m.refresh_due(&self.g, snap.index())
                 } else {
                     false
                 }
             };
+            drop(commit);
             if due {
                 if let Some(r) = &self.refresher {
                     r.request_refresh();
