@@ -16,6 +16,13 @@
 # outside storage/batch, and stale or unjustified suppressions. See
 # crates/lint/RULES.md. The lint_selfcheck step archives the machine
 # reports (SARIF + JSON) under results/.
+#
+# Two bench binaries double as smoke tests (kernels, planner: they
+# assert their own guarantees). The serving layers have no load
+# harness here: net_smoke, shard_smoke, recovery_smoke and stress
+# repeat their thread tests under a timeout, the refresh count laws run
+# in `cargo test --workspace`, and serving load is measured by perf/
+# (built and tested by perf_gate).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -127,52 +134,40 @@ recovery_smoke() {
     echo "recovery_smoke: crash sweeps + WAL frame properties + image sweep + 10/10 group-commit iterations green"
 }
 
-# The adaptive serving demo doubles as the refresh smoke test: after
-# serving across >= 3 generations it *asserts* the two count laws of a
-# refine on the index the refresher last published — a drifted refine
-# leaves allocated == reachable in both arenas (validate::check), and a
-# refine over an unchanged window allocates nothing and takes one step
-# per class node. Timed like every step: a refresh that stops costing
-# what changed shows up here first.
-refine_smoke() {
-    local out
-    out=$(mktemp -d)
-    (cd "$out" && timeout 120 "$OLDPWD/target/release/adaptive")
-    rm -rf "$out"
-}
-
-# The network load generator is the serving smoke test: it drives a
-# real apex-net socket server closed- and open-loop while the refresher
-# swaps index generations underneath, then drains and *asserts* the
+# The apex-net suites are the serving smoke test: the server's
+# admission, overload-shed, client-deadline and drain tests assert the
 # accounting invariant (accepted == served + shed + timed-out, queue
-# high-water ≤ cap, overload shed explicitly, ≥2 generations served).
-# A request is served either on its connection's thread or by the pool,
-# decided per frame, so the apex-net suites (lib + robustness +
-# durability) must also pass deterministically, like `stress`: 10
-# consecutive release-mode runs under a hard timeout.
+# high-water <= cap), the engine's test serves across refresher-published
+# generations, and the durability suite checks log-before-ack while
+# swaps land under live socket traffic. A request is served either on
+# its connection's thread or by the pool, decided per frame, so they
+# must pass deterministically, like `stress`: 10 consecutive
+# release-mode runs under a hard timeout.
 net_smoke() {
-    local out
-    out=$(mktemp -d)
-    (cd "$out" && timeout 120 "$OLDPWD/target/release/netload")
-    rm -rf "$out"
     for i in $(seq 1 10); do
         timeout 60 cargo test --release --offline -p apex-net --quiet >/dev/null \
             || { echo "apex-net iteration $i failed"; exit 1; }
     done
-    echo "net_smoke: netload + 10/10 apex-net iterations green"
+    echo "net_smoke: 10/10 apex-net iterations green"
 }
 
-# The shard load generator is the sharded-serving smoke test: it runs
-# scatter-gather clusters at 1/2/4 shards × 2 replicas behind the
-# router, then replaces every replica one at a time under live load and
-# *asserts* the rollout invariant (zero client-visible sheds, balanced
-# router hop + cluster ledgers, cross-hop rollup matching the shard
-# servers' accepted totals).
+# The shard suites are the sharded-serving smoke test: the router's
+# rolling-swap test replaces every replica while closed-loop clients
+# call through it and asserts the rollout invariant (every response Ok,
+# balanced router + cluster ledgers, every retired replica ledgered);
+# shard_consistency runs a 3x2 cluster under refreshers and concurrent
+# clients (no mixed shard eras, exact cross-hop rollup). Both run
+# threads against real sockets, so 10 consecutive release-mode runs
+# under a hard timeout, like `net_smoke`.
 shard_smoke() {
-    local out
-    out=$(mktemp -d)
-    (cd "$out" && timeout 180 "$OLDPWD/target/release/shardload")
-    rm -rf "$out"
+    for i in $(seq 1 10); do
+        timeout 120 cargo test --release --offline -p apex-shard --quiet >/dev/null \
+            || { echo "apex-shard iteration $i failed"; exit 1; }
+        timeout 120 cargo test --release --offline -p apex-suite \
+            --test shard_consistency --quiet >/dev/null \
+            || { echo "shard_consistency iteration $i failed"; exit 1; }
+    done
+    echo "shard_smoke: 10/10 apex-shard + shard_consistency iterations green"
 }
 
 # perf/ (the BENCHMARK.json package) sits outside the workspace, so no
@@ -192,7 +187,6 @@ run plan_smoke
 run net_smoke
 run shard_smoke
 run recovery_smoke
-run refine_smoke
 run stress
 run cargo clippy --offline --workspace --all-targets -- "${CLIPPY_EXTRA[@]}" -D warnings
 run cargo run --release --offline --quiet -p apex-lint -- --root .

@@ -3,8 +3,11 @@
 //! One [`Experiment`] per dataset: the graph, data table, query sets at
 //! the paper's counts (scaled down at the `small` scale), `APEX⁰`, and
 //! constructors for every other index. The `table1`/`table2`/`fig13`/
-//! `fig14`/`fig15`/`ablation` binaries print the corresponding rows; the
-//! Criterion benches in `benches/` time the per-query-set batches.
+//! `fig14`/`fig15`/`ablation` binaries print the corresponding rows,
+//! `kernels` and `planner` measure the semijoin kernels and join-order
+//! choice; the Criterion benches in `benches/` time the per-query-set
+//! batches. Serving load (socket, router, refresh under traffic) is
+//! measured by the standalone `perf/` package, not here.
 //!
 //! ## Scales
 //!
@@ -387,43 +390,6 @@ pub fn print_row_header() {
         "results",
         "wall-ms",
         "buf-hit"
-    );
-}
-
-/// Prints the adaptive-workload table header: one row per index
-/// generation served, plus latency and swap columns.
-pub fn print_adaptive_header() {
-    println!(
-        "{:<18} {:>5} {:>9} {:>10} {:>10} {:>9} {:>9} {:>9} {:>7}",
-        "dataset", "gen", "queries", "results", "wall-ms", "p50-us", "p99-us", "swap-ms", "buf-hit"
-    );
-}
-
-/// Prints one adaptive-workload row: the queries served on `row`'s
-/// generation, with the run-level latency percentiles and the wall time
-/// of the swap that *published* this generation (`-` for generation 0
-/// and rows whose swap happened before the run).
-pub fn print_adaptive_row(
-    dataset: &str,
-    row: &apex_query::GenerationRow,
-    stats: &apex_query::AdaptiveStats,
-    swap_ms: Option<f64>,
-) {
-    let hit = match &stats.batch.buf {
-        Some(b) => format!("{:.1}%", b.hit_rate() * 100.0),
-        None => "-".to_string(),
-    };
-    println!(
-        "{:<18} {:>5} {:>9} {:>10} {:>10.1} {:>9.1} {:>9.1} {:>9} {:>7}",
-        dataset,
-        row.generation,
-        row.queries,
-        row.result_nodes,
-        apex_query::stats::millis(row.wall),
-        apex_query::stats::micros(stats.p50),
-        apex_query::stats::micros(stats.p99),
-        swap_ms.map_or("-".to_string(), |ms| format!("{ms:.2}")),
-        hit
     );
 }
 

@@ -19,9 +19,10 @@
 //!
 //! `listen <addr>` serves queries over TCP (the apex-net protocol)
 //! instead of opening the shell: remote clients connect with
-//! `apex_net::Client` (or the `netload` generator), and with
-//! `--refresh-every N` the background refresher keeps swapping refined
-//! index generations under the live socket traffic. `--workers`,
+//! `apex_net::Client` (`perf/`'s `net-point` and `net-drift` workloads
+//! load a server built the same way), and with `--refresh-every N` the
+//! background refresher keeps swapping refined index generations under
+//! the live socket traffic. `--workers`,
 //! `--queue-cap` and `--deadline-ms` tune the admission control. Type
 //! `stop` (or EOF / `stats`) on stdin to drain gracefully / inspect.
 //!
@@ -47,6 +48,7 @@
 //! > required                     current required paths
 //! > labels                       label alphabet
 //! > save out.idx / load out.idx  persist / restore the index
+//! > serve 200                    replay the window through Engine::execute
 //! > help, quit
 //! ```
 //!
@@ -57,6 +59,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -66,8 +69,9 @@ use apex::{
     RecoverOptions, RefreshPolicy, Refresher, Wal, WorkloadMonitor,
 };
 use apex_query::apex_qp::ApexProcessor;
-use apex_query::batch::{run_adaptive, QueryProcessor};
+use apex_query::batch::QueryProcessor;
 use apex_query::explain::explain_apex;
+use apex_query::stats::percentile;
 use apex_query::Query;
 use apex_storage::bufmgr::BufferHandle;
 use apex_storage::{DataTable, PageModel};
@@ -139,7 +143,7 @@ fn main() {
         return;
     }
 
-    let table = DataTable::build(&g, PageModel::default());
+    let table = Arc::new(DataTable::build(&g, PageModel::default()));
     let policy = match refresh_every {
         Some(n) => {
             println!("refresh policy: every {n} recorded queries");
@@ -331,7 +335,7 @@ fn main() {
                 Err(e) => println!("parse error: {e}"),
             },
             Ok(Command::Serve(n)) => {
-                generation += serve(&g, &table, &buf, &mut index, &mut monitor, n);
+                generation += serve(&g, &table, &mut index, &mut monitor, n);
             }
             Ok(Command::Eval(text)) => match Query::parse(&g, &text) {
                 Ok(q) => {
@@ -388,16 +392,17 @@ fn main() {
 }
 
 /// Replays the recorded workload window (cycled to `n` queries) through
-/// the concurrent serving layer: the index moves into an [`IndexCell`],
-/// a background [`Refresher`] adapts it as the replay re-records the
-/// queries, and the final snapshot + monitor state move back into the
-/// shell when the run completes. Returns the number of generations the
-/// run published (the shell's durable generation counter advances by
-/// the same amount — matching what WAL replay will reconstruct).
+/// [`apex_net::Engine::execute`], the same serving step `listen` runs
+/// per request: the index moves into an [`IndexCell`], a background
+/// [`Refresher`] adapts it as the replay re-records the queries, and
+/// the final snapshot + monitor state move back into the shell when the
+/// run completes. The replay charges the engine's own buffer pool, not
+/// the session's. Returns the number of generations the run published
+/// (the shell's durable generation counter advances by the same amount
+/// — matching what WAL replay will reconstruct).
 fn serve(
     g: &Arc<XmlGraph>,
-    table: &DataTable,
-    buf: &BufferHandle,
+    table: &Arc<DataTable>,
     index: &mut Apex,
     monitor: &mut WorkloadMonitor,
     n: usize,
@@ -410,12 +415,15 @@ fn serve(
     if matches!(monitor.policy(), RefreshPolicy::Manual) {
         println!("note: refresh policy is manual; start with --refresh-every N to see swaps");
     }
-    let queries: Vec<Query> = window
+    let queries: Vec<String> = window
         .iter()
         .cycle()
         .take(n)
-        .map(|p| Query::PartialPath {
-            labels: p.labels().to_vec(),
+        .map(|p| {
+            Query::PartialPath {
+                labels: p.labels().to_vec(),
+            }
+            .render(g)
         })
         .collect();
     let cell = Arc::new(IndexCell::new(index.clone()));
@@ -425,19 +433,53 @@ fn serve(
         Arc::clone(&cell),
         Arc::clone(&shared_monitor),
     ) {
-        Ok(r) => r,
+        Ok(r) => Arc::new(r),
         Err(e) => {
             println!("cannot spawn refresher: {e}");
             return 0;
         }
     };
-    let stats = run_adaptive(g, table, &cell, &shared_monitor, &refresher, &queries, buf);
-    refresher.wait_idle();
-    let serve_stats = refresher.shutdown();
-    println!("{}", stats.summary());
-    for line in stats.generation_lines() {
-        println!("  {line}");
+    let engine = apex_net::Engine::new(
+        Arc::clone(g),
+        Arc::clone(table),
+        Arc::clone(&cell),
+        Arc::clone(&shared_monitor),
+    )
+    .with_refresher(Arc::clone(&refresher));
+    let mut latencies = Vec::with_capacity(queries.len());
+    let mut generations = BTreeSet::new();
+    let (mut ok, mut rows, mut pages, mut join_work) = (0usize, 0u64, 0u64, 0u64);
+    for q in &queries {
+        let started = std::time::Instant::now();
+        let out = engine.execute(q, None);
+        latencies.push(started.elapsed());
+        generations.insert(out.generation);
+        ok += usize::from(out.status == apex_net::Status::Ok);
+        rows += u64::from(out.total_rows);
+        pages += out.pages_read;
+        join_work += out.join_work;
     }
+    drop(engine); // releases the engine's refresher handle
+    refresher.wait_idle();
+    let Some(refresher) = Arc::into_inner(refresher) else {
+        println!("refresher still shared after the replay");
+        return 0;
+    };
+    let serve_stats = refresher.shutdown();
+    latencies.sort_unstable();
+    println!(
+        "served {} queries ({ok} ok): {rows} result rows, pages={pages} join-work={join_work} \
+         | execute p50={:.3} ms p99={:.3} ms",
+        queries.len(),
+        apex_query::stats::millis(percentile(&latencies, 0.50)),
+        apex_query::stats::millis(percentile(&latencies, 0.99)),
+    );
+    println!(
+        "generations: first {}, last {}, {} distinct",
+        generations.first().copied().unwrap_or_default(),
+        generations.last().copied().unwrap_or_default(),
+        generations.len()
+    );
     println!(
         "refreshes: {} published, {} coalesced, {} empty windows | swap wall total {:.2} ms, max {:.2} ms",
         serve_stats.refreshes,
@@ -486,14 +528,13 @@ struct ListenConfig {
 /// response is written).
 fn listen(
     g: Arc<XmlGraph>,
-    table: DataTable,
+    table: Arc<DataTable>,
     index: Apex,
     monitor: WorkloadMonitor,
     generation: u64,
     wal: Option<Arc<Wal>>,
     cfg: &ListenConfig,
 ) {
-    let table = Arc::new(table);
     let cell = Arc::new(IndexCell::with_generation(index, generation));
     let monitor = Arc::new(Mutex::new(monitor));
     let spawned = match &wal {

@@ -24,7 +24,7 @@ pub enum Command {
     /// Restore the index.
     Load(String),
     /// Serve n queries replayed from the recorded workload through the
-    /// concurrent adaptive layer (snapshot cell + background refresher).
+    /// serving engine (snapshot cell + background refresher).
     Serve(usize),
     /// Show help.
     Help,
@@ -51,9 +51,12 @@ pub const HELP: &str = "\
   save <path> | load <path>              persist / restore the index
   serve [n]                              replay the recorded workload (n
                                          queries, default 200) through the
-                                         adaptive serving layer: snapshot
-                                         swaps happen in a background
-                                         refresher while queries answer
+                                         serving engine `listen` uses:
+                                         snapshot swaps happen in a
+                                         background refresher while queries
+                                         answer, and the replay reads
+                                         through the engine's own buffer
+                                         pool, not the session's `buffer`
                                          (alias: adapt; see --refresh-every)
   help | quit";
 

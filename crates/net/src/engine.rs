@@ -2,13 +2,15 @@
 //!
 //! An [`Engine`] owns shared handles to everything one query needs —
 //! graph, data table, [`IndexCell`], workload monitor, optional
-//! refresher — and exposes a single [`Engine::execute`] that mirrors
-//! one iteration of `apex_query::batch::run_adaptive`: snapshot the
-//! cell, evaluate through the shared operators against that snapshot's
-//! generation-tagged buffer identity, record the query into the
-//! monitor, and nudge the refresher when the policy says a refine is
-//! due. Workers on different threads share one `Engine` through the
-//! server's `Arc`; every handle inside is `Sync` or internally locked.
+//! refresher — and exposes a single [`Engine::execute`], the serving
+//! step of APEX's adaptive loop: snapshot the cell, evaluate through
+//! the shared operators against that snapshot's generation-tagged
+//! buffer identity, record the query into the monitor, and nudge the
+//! refresher when the policy says a refine is due. It is the only
+//! place that step exists: the socket server, the shard runtimes and
+//! the CLI's `serve` replay all call it. Workers on different threads
+//! share one `Engine` through the server's `Arc`; every handle inside
+//! is `Sync` or internally locked.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -67,7 +69,7 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine over shared serving state. The cross-query
-    /// buffer pool is unbounded, like the batch layer's adaptive runs.
+    /// buffer pool is unbounded and owned by the engine.
     pub fn new(
         g: Arc<XmlGraph>,
         table: Arc<DataTable>,
@@ -186,10 +188,10 @@ impl Engine {
         }
         let out = p.eval(&q);
 
-        // Record the query and nudge the refresher exactly like the
-        // batch layer's adaptive driver: monitoring is part of serving,
-        // so remote workloads steer the index too. Plan feedback
-        // (predicted vs actual per operator) rides the same lock.
+        // Record the query and nudge the refresher: monitoring is part
+        // of serving, so every served workload steers the index. Plan
+        // feedback (predicted vs actual per operator) rides the same
+        // lock.
         //
         // Durability (log-before-ack): with a WAL attached, `record`
         // writes the query's frame under this same monitor lock — the
@@ -351,5 +353,78 @@ mod tests {
         e.execute("//movie/title", None);
         let after = e.monitor.lock().expect("monitor").total_recorded();
         assert_eq!(after - before, 2);
+    }
+
+    #[test]
+    fn execute_serves_across_generations() {
+        let g = Arc::new(moviedb());
+        let table = Arc::new(DataTable::build(&g, PageModel::default()));
+        let cell = Arc::new(IndexCell::new(Apex::build_initial(&g)));
+        let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(
+            100,
+            0.3,
+            RefreshPolicy::EveryN(10),
+        )));
+        let refresher = Arc::new(
+            Refresher::spawn(Arc::clone(&g), Arc::clone(&cell), Arc::clone(&monitor))
+                .expect("spawn refresher"),
+        );
+        let e = Engine::new(Arc::clone(&g), table, Arc::clone(&cell), monitor)
+            .with_refresher(Arc::clone(&refresher));
+
+        // One phase: every answer comes from the generation current at
+        // the phase's entry or a later one, and never goes back. A swap
+        // may land mid-phase, so compare against the entry, not the
+        // live cell, which can already be ahead.
+        let phase = |queries: &[&str]| {
+            let mut last = cell.generation();
+            for q in queries {
+                let out = e.execute(q, None);
+                assert_eq!(out.status, Status::Ok, "{q}");
+                assert!(
+                    out.generation >= last,
+                    "{q}: gen {} after {last}",
+                    out.generation
+                );
+                last = out.generation;
+            }
+        };
+
+        // Phase 1: a hot actor.name workload. The EveryN(10) policy
+        // requests a refresh on the 10th recorded query; wait_idle
+        // between phases makes the generation advance deterministic.
+        phase(&["//actor/name"; 12]);
+        refresher.wait_idle();
+        assert!(cell.generation() >= 1, "phase 1 must publish");
+        let required = cell.snapshot().index().required_paths(&g);
+        assert!(required.contains(&"actor.name".to_string()), "{required:?}");
+
+        // Phase 2: the workload shifts to director.movie.
+        phase(&["//director/movie"; 12]);
+        refresher.wait_idle();
+        let g2 = cell.generation();
+        assert!(g2 >= 2, "phase 2 must publish again (gen {g2})");
+
+        // Phase 3: a mixed workload whose own 10 recorded queries re-arm
+        // the policy, so a further swap may land while it runs.
+        let mixed = [
+            "//actor/name",
+            "//movie/title",
+            "//name",
+            "//title",
+            "//movie",
+        ];
+        phase(&[mixed, mixed].concat());
+
+        drop(e); // releases the engine's refresher handle
+        let stats = Arc::into_inner(refresher)
+            .expect("sole refresher owner")
+            .shutdown();
+        assert!(stats.refreshes >= 2);
+        assert_eq!(stats.refreshes, cell.generation());
+        // The published index went through one refine per swap, each
+        // over another window, and holds no garbage in either arena.
+        let violations = apex::validate::check(&g, cell.snapshot().index());
+        assert!(violations.is_empty(), "{violations:#?}");
     }
 }

@@ -701,7 +701,10 @@ mod tests {
     #[test]
     fn overload_sheds_explicitly_and_balances() {
         // 1 worker, tiny queue, a pipelined burst: some requests must
-        // come back Overloaded, none may vanish.
+        // come back Overloaded, none may vanish. Every third request
+        // carries a 1 ms client deadline, so a queued one can also
+        // expire: each disposition is counted exactly where it was
+        // answered.
         let mut server = start(ServerConfig {
             workers: 1,
             queue_cap: 2,
@@ -709,17 +712,18 @@ mod tests {
         });
         let mut c = Client::connect(server.local_addr()).expect("connect");
         const N: u64 = 200;
-        for _ in 0..N {
-            c.send("//actor/name", 0).expect("send");
+        for i in 0..N {
+            c.send("//actor/name", u32::from(i % 3 == 0)).expect("send");
         }
         let mut got = 0u64;
-        let mut shed = 0u64;
+        let (mut shed, mut expired) = (0u64, 0u64);
         while got < N {
             let r = c.recv().expect("recv").expect("open");
-            if r.status == Status::Overloaded {
-                shed += 1;
-            } else {
-                assert_eq!(r.status, Status::Ok);
+            match r.status {
+                Status::Ok => {}
+                Status::Overloaded => shed += 1,
+                Status::DeadlineExceeded => expired += 1,
+                other => panic!("request {}: unexpected {other:?}", r.id),
             }
             got += 1;
         }
@@ -728,6 +732,7 @@ mod tests {
         assert_eq!(stats.accepted, N);
         assert!(stats.balanced(), "{stats}");
         assert_eq!(stats.shed, shed);
+        assert_eq!(stats.timed_out, expired);
         assert!(stats.queue_hwm <= 2, "hwm {} over cap", stats.queue_hwm);
         // The reader admits far faster than the single worker can
         // evaluate, and the client pipelines all N before reading any,

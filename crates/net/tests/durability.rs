@@ -3,6 +3,7 @@
 //! (log-before-ack), and a recovery from that directory must rebuild
 //! the same adapted index the server was serving.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier, Mutex};
 
 use apex::recover::{recover, RecoverOptions};
@@ -131,7 +132,7 @@ fn logged(dir: &std::path::Path, path: &LabelPath) -> usize {
 /// runs outside the monitor and log locks, led by one request while
 /// the others write on, with the refresher rotating segments under
 /// them — and still no response is readable before its query's frame
-/// is in the log.
+/// is in the log, while the answers span more than one generation.
 #[test]
 fn concurrent_acks_are_in_the_log_and_survive_recovery() {
     const PATHS: [(&str, &str); 4] = [
@@ -175,21 +176,34 @@ fn concurrent_acks_are_in_the_log_and_survive_recovery() {
     let mut server = Server::start(engine, ServerConfig::default(), "127.0.0.1:0").expect("bind");
 
     let start = Barrier::new(PATHS.len());
-    std::thread::scope(|s| {
-        for (query, dotted) in PATHS {
-            let (addr, start, dir, g) = (server.local_addr(), &start, &dir, &g);
-            s.spawn(move || {
-                let path = LabelPath::parse(g, dotted).expect("path");
-                let mut c = Client::connect(addr).expect("connect");
-                start.wait();
-                for acked in 1..=30 {
-                    assert_eq!(c.call(query, 0).expect("call").status, Status::Ok);
-                    let found = logged(dir, &path);
-                    assert!(found >= acked, "{query}: {acked} acked, {found} logged");
-                }
-            });
-        }
+    let generations: BTreeSet<u64> = std::thread::scope(|s| {
+        let clients: Vec<_> = PATHS
+            .into_iter()
+            .map(|(query, dotted)| {
+                let (addr, start, dir, g) = (server.local_addr(), &start, &dir, &g);
+                s.spawn(move || {
+                    let path = LabelPath::parse(g, dotted).expect("path");
+                    let mut c = Client::connect(addr).expect("connect");
+                    start.wait();
+                    let mut seen = Vec::new();
+                    for acked in 1..=30 {
+                        let r = c.call(query, 0).expect("call");
+                        assert_eq!(r.status, Status::Ok);
+                        seen.push(r.generation);
+                        let found = logged(dir, &path);
+                        assert!(found >= acked, "{query}: {acked} acked, {found} logged");
+                    }
+                    seen
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
+    // The refresher swapped generations under the live socket traffic.
+    assert!(generations.len() >= 2, "served on {generations:?} only");
     server.drain();
     drop(server);
     let stats = Arc::into_inner(refresher)

@@ -1,19 +1,16 @@
 //! Batch execution: the unit Figures 13–15 report (total execution time
-//! of a query set over one index), plus the adaptive driver
-//! ([`run_adaptive`]) that records every query into a
-//! [`WorkloadMonitor`] while serving through an [`IndexCell`] snapshot.
+//! of a query set over one index), and [`recordable_path`], the label
+//! path a served query contributes to the workload monitor. Serving a
+//! live query — snapshot, evaluate, record, nudge the refresher — is
+//! `apex_net::Engine::execute`, the one place that step exists.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use apex::{IndexCell, Refresher, WorkloadMonitor};
 use apex_storage::bufmgr::{BufferHandle, BufferStats};
-use apex_storage::{Cost, DataTable};
-use xmlgraph::{LabelPath, NodeId, XmlGraph};
+use apex_storage::Cost;
+use xmlgraph::{LabelPath, NodeId};
 
-use crate::apex_qp::ApexProcessor;
 use crate::ast::Query;
-use crate::stats::percentile;
 
 /// Result of one query: result nodes (sorted by document order, as the
 /// paper post-processes) plus the logical cost incurred.
@@ -164,66 +161,7 @@ pub fn run_batch_parallel(
     stats
 }
 
-/// Queries served against one index generation during an adaptive run.
-#[derive(Debug, Clone, Default)]
-pub struct GenerationRow {
-    /// The snapshot generation these queries ran on.
-    pub generation: u64,
-    /// Queries answered on this generation.
-    pub queries: usize,
-    /// Result nodes across those queries.
-    pub result_nodes: usize,
-    /// Wall time spent on this generation.
-    pub wall: Duration,
-}
-
-/// Result of an adaptive run: batch totals plus the per-generation
-/// breakdown and wall-latency percentiles the serving layer reports.
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveStats {
-    /// Batch totals (cost, wall, buffer delta) over the whole run.
-    pub batch: BatchStats,
-    /// Per-generation breakdown, in generation order.
-    pub per_generation: Vec<GenerationRow>,
-    /// Snapshot swaps observed while serving (last − first generation).
-    pub swaps_observed: u64,
-    /// Median per-query wall latency.
-    pub p50: Duration,
-    /// 99th-percentile per-query wall latency.
-    pub p99: Duration,
-}
-
-impl AdaptiveStats {
-    /// One line per generation: `gen k: queries, result nodes, wall ms`.
-    pub fn generation_lines(&self) -> Vec<String> {
-        self.per_generation
-            .iter()
-            .map(|r| {
-                format!(
-                    "gen {}: {} queries, {} result nodes, {:.1}ms",
-                    r.generation,
-                    r.queries,
-                    r.result_nodes,
-                    crate::stats::millis(r.wall)
-                )
-            })
-            .collect()
-    }
-
-    /// Headline: swaps, generations served, and latency percentiles.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} | {} swaps observed, {} generations served | p50={:.2}ms p99={:.2}ms",
-            self.batch.summary(),
-            self.swaps_observed,
-            self.per_generation.len(),
-            crate::stats::millis(self.p50),
-            crate::stats::millis(self.p99),
-        )
-    }
-}
-
-/// The label path an adaptive run records for `q`, if it is a
+/// The label path a served query records for `q`, if it is a
 /// path-shaped query the monitor's support counting understands
 /// (ancestor-descendant queries are not label paths and are served
 /// without being recorded).
@@ -233,107 +171,6 @@ pub fn recordable_path(q: &Query) -> Option<LabelPath> {
             Some(LabelPath::new(labels.clone()))
         }
         Query::AncestorDescendant { .. } => None,
-    }
-}
-
-/// The mixed read/record/adapt driver: serves `queries` through the
-/// current [`IndexCell`] snapshot, records each one into the monitor,
-/// nudges the refresher when the monitor's policy says a refresh is
-/// due, and re-arms its processor whenever a new generation is
-/// published — all while queries keep answering (the rebuild happens in
-/// the refresher thread, never here).
-///
-/// Each generation's processor carries the generation as a buffer-pool
-/// tag, so post-swap extents fault in cold instead of phantom-hitting
-/// stale cached objects; the pool (and its stats) remains shared, and
-/// `batch.buf` is the exact delta for this run.
-pub fn run_adaptive(
-    g: &XmlGraph,
-    table: &DataTable,
-    cell: &IndexCell,
-    monitor: &Mutex<WorkloadMonitor>,
-    refresher: &Refresher,
-    queries: &[Query],
-    buf: &BufferHandle,
-) -> AdaptiveStats {
-    let before = buf.stats();
-    let start = Instant::now();
-    let mut batch = BatchStats::default();
-    let mut rows: Vec<GenerationRow> = Vec::new();
-    let mut latencies: Vec<Duration> = Vec::with_capacity(queries.len());
-    let first_generation = cell.generation();
-    let mut i = 0usize;
-    while i < queries.len() {
-        let snap = cell.snapshot();
-        let generation = snap.generation();
-        // The processor plans against the snapshot's published
-        // statistics — the planner never touches the live index at plan
-        // time while the refresher swaps generations underneath.
-        let p = ApexProcessor::with_buffer_tagged(g, snap.index(), table, buf.clone(), generation)
-            .with_plan_stats(snap.stats());
-        let mut row = GenerationRow {
-            generation,
-            ..GenerationRow::default()
-        };
-        let gen_start = Instant::now();
-        while i < queries.len() && cell.generation() == generation {
-            let q = &queries[i];
-            let q_start = Instant::now();
-            let out = p.eval(q);
-            latencies.push(q_start.elapsed());
-            row.queries += 1;
-            row.result_nodes += out.nodes.len();
-            batch.queries += 1;
-            batch.result_nodes += out.nodes.len();
-            if out.nodes.is_empty() {
-                batch.empty_results += 1;
-            }
-            batch.cost += out.cost;
-            let path = recordable_path(q);
-            if path.is_some() || out.plan.is_some() {
-                let due = {
-                    let mut m = monitor.lock().unwrap_or_else(|p| p.into_inner());
-                    // Close the loop: predicted vs actual per-operator
-                    // cost of this query's plan feeds the monitor.
-                    if let Some(rep) = &out.plan {
-                        m.record_plan(rep.feedback());
-                    }
-                    if let Some(path) = path {
-                        m.record(path);
-                        m.refresh_due(g, snap.index())
-                    } else {
-                        false
-                    }
-                };
-                if due {
-                    refresher.request_refresh();
-                }
-            }
-            i += 1;
-        }
-        row.wall = gen_start.elapsed();
-        if row.queries > 0 {
-            match rows.last_mut() {
-                // A publish can land between taking the snapshot and the
-                // first query; fold re-runs of a generation together.
-                Some(last) if last.generation == generation => {
-                    last.queries += row.queries;
-                    last.result_nodes += row.result_nodes;
-                    last.wall += row.wall;
-                }
-                _ => rows.push(row),
-            }
-        }
-    }
-    batch.wall = start.elapsed();
-    batch.buf = Some(buf.stats() - before);
-    latencies.sort_unstable();
-    AdaptiveStats {
-        batch,
-        per_generation: rows,
-        swaps_observed: cell.generation() - first_generation,
-        p50: percentile(&latencies, 0.50),
-        p99: percentile(&latencies, 0.99),
     }
 }
 
@@ -434,80 +271,5 @@ mod tests {
         let b2 = second.buf.unwrap();
         assert_eq!(b2.misses, 0);
         assert!(b2.hits > 0);
-    }
-
-    #[test]
-    fn adaptive_run_serves_across_generations() {
-        use apex::{Apex, RefreshPolicy};
-        use std::sync::Arc;
-
-        let g = Arc::new(moviedb());
-        let table = DataTable::build(&g, PageModel::default());
-        let cell = Arc::new(IndexCell::new(Apex::build_initial(&g)));
-        let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(
-            100,
-            0.3,
-            RefreshPolicy::EveryN(10),
-        )));
-        let refresher = Refresher::spawn(Arc::clone(&g), Arc::clone(&cell), Arc::clone(&monitor))
-            .expect("spawn refresher");
-        let buf = BufferHandle::unbounded();
-
-        // Phase 1: a hot actor.name workload. The EveryN(10) policy
-        // requests a refresh on the 10th recorded query; wait_idle
-        // between phases makes the generation advance deterministic.
-        let qs1 = vec![
-            Query::PartialPath {
-                labels: LabelPath::parse(&g, "actor.name").unwrap().0,
-            };
-            12
-        ];
-        let s1 = run_adaptive(&g, &table, &cell, &monitor, &refresher, &qs1, &buf);
-        assert_eq!(s1.batch.queries, 12);
-        refresher.wait_idle();
-        assert!(cell.generation() >= 1, "phase 1 must publish");
-        assert!(cell
-            .snapshot()
-            .index()
-            .required_paths(&g)
-            .contains(&"actor.name".to_string()));
-
-        // Phase 2: workload shifts to director.movie.
-        let qs2 = vec![
-            Query::PartialPath {
-                labels: LabelPath::parse(&g, "director.movie").unwrap().0,
-            };
-            12
-        ];
-        let s2 = run_adaptive(&g, &table, &cell, &monitor, &refresher, &qs2, &buf);
-        refresher.wait_idle();
-        let g2 = cell.generation();
-        assert!(g2 >= 2, "phase 2 must publish again (gen {g2})");
-
-        // Phase 3 starts on the newest generation published so far.
-        // Its own 10 recorded queries re-arm the EveryN(10) policy, so
-        // a further swap may land while (or right after) the batch
-        // runs — compare against the generation at entry, not the live
-        // cell, which can already be ahead.
-        let gen3 = cell.generation();
-        let qs3 = queries_n(&g, 10);
-        let s3 = run_adaptive(&g, &table, &cell, &monitor, &refresher, &qs3, &buf);
-        assert_eq!(s3.per_generation.first().unwrap().generation, gen3);
-        for r in &s3.per_generation {
-            assert!(r.generation >= gen3, "served on a stale generation");
-        }
-
-        // Every query is accounted to exactly one generation row.
-        for s in [&s1, &s2, &s3] {
-            let per_gen: usize = s.per_generation.iter().map(|r| r.queries).sum();
-            assert_eq!(per_gen, s.batch.queries);
-            assert!(s.batch.buf.is_some());
-            assert!(s.p50 <= s.p99);
-            assert!(!s.summary().is_empty());
-            assert_eq!(s.generation_lines().len(), s.per_generation.len());
-        }
-        let stats = refresher.shutdown();
-        assert!(stats.refreshes >= 2);
-        assert_eq!(stats.refreshes, cell.generation());
     }
 }

@@ -23,9 +23,10 @@
 //!   through, charging a cross-query buffer pool and attributing cost
 //!   per operator;
 //! * [`batch`] — batch runner collecting wall time + logical costs per
-//!   query set (the unit Figures 13–15 report);
+//!   query set (the unit Figures 13–15 report), and the label path a
+//!   served query records into the workload monitor;
 //! * [`stats`] — the shared nearest-rank percentile / unit-conversion
-//!   helpers every latency reporter (batch, bench, net) uses.
+//!   helpers every latency reporter (batch, bench, CLI) uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +44,7 @@ pub mod plan;
 pub mod stats;
 
 pub use ast::Query;
-pub use batch::{
-    run_adaptive, run_batch, run_batch_parallel, AdaptiveStats, BatchStats, GenerationRow,
-    QueryOutput, QueryProcessor,
-};
+pub use batch::{run_batch, run_batch_parallel, BatchStats, QueryOutput, QueryProcessor};
 pub use exec::ExecContext;
 pub use explain::{explain_apex, Plan, SegmentPlan};
 pub use generator::{GeneratorConfig, QuerySets};

@@ -1,8 +1,8 @@
-//! Latency statistics shared by every layer that reports percentiles:
-//! the adaptive batch driver ([`crate::batch::run_adaptive`]), the bench
-//! harness's tables and `BENCH_*.json` rows, and the network load
-//! generator. One tested implementation — nearest-rank on an ascending
-//! list plus the unit conversions — instead of a copy per reporter.
+//! Latency statistics shared by every layer that reports percentiles or
+//! wall times: the batch runner's summaries, the bench harness's tables
+//! and `BENCH_*.json` rows, and the CLI's `serve` replay. One tested
+//! implementation — nearest-rank on an ascending list plus the unit
+//! conversions — instead of a copy per reporter.
 
 use std::time::Duration;
 

@@ -970,25 +970,59 @@ mod tests {
 
     #[test]
     fn rolling_swap_is_invisible_to_the_client() {
+        // Closed-loop clients call through the router while every
+        // replica is drained, replaced and readmitted under them. Each
+        // makes at least MIN_CALLS calls and keeps calling until the
+        // swap has returned, so the swap runs entirely under traffic.
+        const QUERIES: [&str; 2] = ["//actor/name", "//movie/title"];
+        const MIN_CALLS: u64 = 50;
         let g = Arc::new(moviedb());
         let mut cluster =
             ShardCluster::start(g, ShardMap::new(2), ClusterConfig::default()).expect("cluster");
         let mut router = start_router(&cluster);
-        let mut c = Client::connect(router.local_addr()).expect("connect");
-        assert_eq!(c.call("//actor/name", 0).expect("pre").status, Status::Ok);
-        let report = rolling_swap(&mut cluster, &router).expect("rollout");
+        let addr = router.local_addr();
+        let ready = std::sync::Barrier::new(QUERIES.len() + 1);
+        let swapped = AtomicBool::new(false);
+        let (report, calls) = std::thread::scope(|s| {
+            let clients: Vec<_> = QUERIES
+                .into_iter()
+                .map(|q| {
+                    let (ready, swapped) = (&ready, &swapped);
+                    s.spawn(move || {
+                        let mut c = Client::connect(addr).expect("connect");
+                        assert_eq!(c.call(q, 0).expect("warm").status, Status::Ok);
+                        ready.wait();
+                        let mut calls = 1u64;
+                        while calls <= MIN_CALLS || !swapped.load(Ordering::SeqCst) {
+                            let r = c.call(q, 0).expect("no client-visible error");
+                            assert_eq!(r.status, Status::Ok, "{q}: call {calls}");
+                            calls += 1;
+                        }
+                        calls
+                    })
+                })
+                .collect();
+            ready.wait();
+            let report = rolling_swap(&mut cluster, &router).expect("rollout");
+            swapped.store(true, Ordering::SeqCst);
+            let calls: u64 = clients
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .sum();
+            (report, calls)
+        });
         assert_eq!(report.swapped, 4, "2 shards × 2 replicas");
-        for _ in 0..3 {
-            let r = c.call("//movie/title", 0).expect("post");
-            assert_eq!(r.status, Status::Ok, "successors must serve");
-        }
-        drop(c);
         let stats = router.drain();
         assert!(stats.balanced(), "{stats}");
+        assert_eq!(stats.accepted, calls);
         assert_eq!(stats.shed, 0, "rollout must shed nothing client-side");
         let cluster_stats = cluster.shutdown();
-        assert_eq!(cluster_stats.retired.len(), 4);
-        assert!(cluster_stats.balanced());
+        assert_eq!(
+            cluster_stats.retired.len(),
+            4,
+            "every retired replica ledgered"
+        );
+        assert!(cluster_stats.balanced(), "{:?}", cluster_stats.net_total());
     }
 
     #[test]
