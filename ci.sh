@@ -17,8 +17,8 @@
 # crates/lint/RULES.md. The lint_selfcheck step archives the machine
 # reports (SARIF + JSON) under results/.
 #
-# Two bench binaries double as smoke tests (kernels, planner: they
-# assert their own guarantees). The serving layers have no load
+# Three bench binaries double as smoke tests (kernels, planner, fig14:
+# they assert their own guarantees). The serving layers have no load
 # harness here: net_smoke, shard_smoke, recovery_smoke and stress
 # repeat their thread tests under a timeout, the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
@@ -87,6 +87,20 @@ plan_smoke() {
     local out
     out=$(mktemp -d)
     (cd "$out" && "$OLDPWD/target/release/planner")
+    rm -rf "$out"
+}
+
+# Figure 14 doubles as the QTYPE2 smoke test: at default scale (about
+# 1.5 s) it runs the generated //l_i//l_j queries of three datasets on
+# the strong DataGuide, APEX0 and APEX(0.005) and *asserts* that all
+# three return the same results count on every dataset, so a summary
+# pruning that drops a live class, or a node frontier that loses an
+# arrival, fails here. Runs in a temp dir so its BENCH_fig14.json never
+# lands in the tree.
+qtype2_smoke() {
+    local out
+    out=$(mktemp -d)
+    (cd "$out" && "$OLDPWD/target/release/fig14")
     rm -rf "$out"
 }
 
@@ -184,6 +198,7 @@ run cargo test --offline --workspace --quiet
 run perf_gate
 run kernel_smoke
 run plan_smoke
+run qtype2_smoke
 run net_smoke
 run shard_smoke
 run recovery_smoke

@@ -4,6 +4,10 @@
 //! orders of magnitude on irregular data.
 //! Also writes `BENCH_fig14.json` with the same rows.
 //! (`cargo run -p apex-bench --release --bin fig14 [--scale paper]`)
+//!
+//! Doubles as the QTYPE2 smoke test: the run *asserts* that all three
+//! series return the same `results` count on every dataset, so an
+//! evaluator that prunes or propagates wrongly fails here.
 
 use apex_bench::report::{batch_row, BenchReport};
 use apex_bench::{print_row, print_row_header, Experiment, Scale};
@@ -25,6 +29,7 @@ fn main() {
         );
         print_row(d.name(), "SDG", &stats);
         report.push(batch_row(d.name(), "SDG", &stats));
+        let want = stats.result_nodes;
 
         let stats = run_batch(
             &ApexProcessor::new(&ex.g, &ex.apex0, &ex.table),
@@ -32,6 +37,12 @@ fn main() {
         );
         print_row(d.name(), "APEX0", &stats);
         report.push(batch_row(d.name(), "APEX0", &stats));
+        assert_eq!(
+            stats.result_nodes,
+            want,
+            "{}: APEX0 and SDG disagree on QTYPE2 results",
+            d.name()
+        );
 
         let apex = ex.apex_at(0.005);
         let stats = run_batch(
@@ -40,6 +51,12 @@ fn main() {
         );
         print_row(d.name(), "APEX(0.005)", &stats);
         report.push(batch_row(d.name(), "APEX(0.005)", &stats));
+        assert_eq!(
+            stats.result_nodes,
+            want,
+            "{}: APEX(0.005) and SDG disagree on QTYPE2 results",
+            d.name()
+        );
         println!();
     }
     match report.write() {
@@ -49,4 +66,5 @@ fn main() {
     println!("Expected shape (paper): APEX best everywhere (traversal starts at the");
     println!("l_i classes); SDG pays exhaustive navigation from the root; APEX0's");
     println!("compact graph prunes fast but pays more join work.");
+    println!("all three series returned equal QTYPE2 results on every dataset");
 }

@@ -6,29 +6,36 @@
 //!   the prefix (`j` from `n` down) collecting the union of extents per
 //!   prefix until the prefix is itself a required path, then multi-way
 //!   joins the collected edge sets.
-//! * **QTYPE2** — query pruning & rewriting: the traversal starts from
-//!   the `G_APEX` nodes whose incoming label is `l_i` (found via
-//!   `H_APEX`), not from the root as a DataGuide must. Implemented as a
-//!   cycle-safe dataflow fixpoint that joins extents along `G_APEX`
-//!   edges (equivalent to enumerating the rewritten label paths and
-//!   joining per path, but terminates on cyclic class graphs).
+//! * **QTYPE2** — query pruning & rewriting, on the summary before the
+//!   data. The planner (`Planner::plan_anc_desc`) walks `G_APEX`
+//!   backwards once and marks a class *live* if it has an out-edge
+//!   labelled `l_j` or an out-edge to a live class; the seeds are the
+//!   live classes whose incoming label is `l_i` (found via `H_APEX`,
+//!   not by navigating from the root as a DataGuide must). A
+//!   cycle-safe dataflow fixpoint then propagates *node frontiers* —
+//!   sorted end-node sets per class — from the seeds, semijoining an
+//!   out-edge's extent only if the edge is labelled `l_j` or leads to a
+//!   live class. Equivalent to enumerating the rewritten label paths
+//!   and joining per path, but it terminates on cyclic class graphs and
+//!   never reads an extent that cannot lead to an answer.
 //! * **QTYPE3** — QTYPE1 followed by data-table probes.
 //!
 //! All physical work — extent I/O, unions, semijoins, table probes —
 //! runs through the shared operators in [`crate::exec`] over a
 //! cross-query [`BufferHandle`] pool.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::{BufferHandle, Space};
-use apex_storage::{DataTable, EdgeSet, KernelPolicy, SuccinctExtent};
+use apex_storage::{DataTable, EdgePair, EdgeSet, Ends, KernelPolicy, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
 use crate::batch::{QueryOutput, QueryProcessor};
 use crate::exec::{self, DataProbe, ExecContext, ExtentScan, IndexNav};
-use crate::plan::{self, JoinOrderPolicy, PlanReport, Planner};
+use crate::plan::{self, AncDescPlan, JoinOrderPolicy, PlanReport, Planner};
 
 /// Byte stride separating the page-packed node layouts of successive
 /// index generations inside [`Space::ApexNode`] (1 TiB per generation —
@@ -200,84 +207,159 @@ impl<'a> ApexProcessor<'a> {
         }
     }
 
-    /// QTYPE2: dataflow fixpoint from the `l_i` classes.
+    /// QTYPE2: dataflow fixpoint from the live `l_i` classes of `plan`.
     ///
-    /// Deltas are *batched per class node* before propagation, so each
-    /// `G_APEX` edge scans its target extent once per round instead of
-    /// once per incoming delta — the disk-friendly evaluation order the
-    /// paper's join-of-extents description implies.
-    fn eval_anc_desc(
-        &self,
-        first: LabelId,
-        last: LabelId,
-        ctx: &mut ExecContext<'_>,
-    ) -> Vec<NodeId> {
-        let seg = self.apex.segment_nodes(&[first]);
-        ctx.note_hash_lookups(seg.hash_lookups);
-        // known: per class node, extent pairs already proven reachable
-        // from an l_i instance. pending: accumulated un-propagated delta.
-        let mut known: HashMap<XNodeId, EdgeSet> = HashMap::new();
-        let mut pending: HashMap<XNodeId, EdgeSet> = HashMap::new();
-        let mut queue: Vec<XNodeId> = Vec::new();
-        let mut scratch = Vec::new();
-        for x in &seg.xnodes {
-            let (id, set) = self.source(*x);
+    /// The state is a node set per class: `known[x]` holds the end nodes
+    /// of `x`'s extent already proven reachable from an `l_i` instance,
+    /// `pending[x]` the ones not yet propagated. Both are sorted and
+    /// distinct, so a dequeued `pending[x]` is the semijoin frontier as
+    /// it stands. Deltas are *batched per class node* before
+    /// propagation, so each `G_APEX` edge scans its target extent once
+    /// per round instead of once per incoming delta — the disk-friendly
+    /// evaluation order the paper's join-of-extents description implies.
+    /// The pending class with the lowest `AncDescPlan::visit_rank` goes
+    /// next, so a class usually waits for all its predecessors and is
+    /// joined out of once.
+    ///
+    /// An edge `(l, y)` is joined only if `l == l_j` (its arrivals are
+    /// answers) or `y` is live (its arrivals can still lead to one);
+    /// only a live `y` is fed.
+    fn eval_anc_desc(&self, plan: &AncDescPlan, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
+        ctx.note_hash_lookups(plan.hash_lookups);
+        ctx.nav_edges(plan.walk_edges);
+        let n = self.apex.graph().allocated();
+        let mut known: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut pending: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut queue: BinaryHeap<Reverse<(u32, XNodeId)>> = BinaryHeap::new();
+        // Buffers reused across seeds, rounds and edges: the dequeued
+        // frontier, one step's end nodes, their unknown part, the merge
+        // target of a sorted union, and a seed extent's decoded pairs.
+        let mut frontier: Vec<NodeId> = Vec::new();
+        let mut arrivals: Vec<NodeId> = Vec::new();
+        let mut fresh: Vec<NodeId> = Vec::new();
+        let mut merged: Vec<NodeId> = Vec::new();
+        let mut pairs: Vec<EdgePair> = Vec::new();
+        for &x in &plan.seeds {
+            let (id, set) = self.source(x);
             ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
-            let e = EdgeSet::from_sorted(set.to_vec());
-            known.insert(*x, e.clone());
-            pending.insert(*x, e);
-            queue.push(*x);
+            pairs.clear();
+            set.decode_into(&mut pairs);
+            let (Some(k), Some(p)) = (known.get_mut(x.0 as usize), pending.get_mut(x.0 as usize))
+            else {
+                continue;
+            };
+            k.extend(pairs.iter().map(|e| e.node));
+            k.sort_unstable();
+            k.dedup();
+            if !k.is_empty() {
+                p.clone_from(k);
+                queue.push(Reverse((plan.visit_rank(x), x)));
+            }
         }
         let mut out: Vec<NodeId> = Vec::new();
         // G_APEX node records are page-packed (Space::ApexNode): the
         // first visit of a node charges its record's pages.
-        let mut touched: Vec<bool> = vec![false; self.apex.graph().allocated()];
-        while let Some(x) = queue.pop() {
+        let mut touched: Vec<bool> = vec![false; n];
+        while let Some(Reverse((_, x))) = queue.pop() {
             // One fixpoint round is the non-preemptible unit; a tripped
             // deadline surfaces the arrivals collected so far.
             if !ctx.checkpoint() {
                 break;
             }
-            let Some(delta) = pending.remove(&x) else {
+            let Some(p) = pending.get_mut(x.0 as usize) else {
                 continue;
             };
-            if delta.is_empty() {
+            std::mem::swap(&mut frontier, p);
+            p.clear();
+            if frontier.is_empty() {
                 continue;
             }
-            let ends = delta.end_nodes();
             self.nav_node(x, &mut touched, ctx);
             for &(label, y) in self.apex.out_edges(x) {
                 ctx.nav_edges(1);
+                let live = plan.is_live(y);
+                if label != plan.last && !live {
+                    continue;
+                }
                 let (id, extent) = self.source(y);
-                let step = exec::semijoin(ctx, ends.into(), Space::ApexExtent, id, extent);
+                let step =
+                    exec::semijoin(ctx, Ends::Slice(&frontier), Space::ApexExtent, id, extent);
                 if step.is_empty() {
                     continue;
                 }
-                // Every step pair is a genuine arrival (distance >= 1
-                // from an l_i instance): collect it even if the pair was
-                // already known — e.g. when it was part of the seed and a
-                // cycle re-reaches it (//d//d through a back-edge).
-                if label == last {
-                    out.extend(step.iter().map(|p| p.node));
+                arrivals.clear();
+                arrivals.extend(step.iter().map(|e| e.node));
+                arrivals.sort_unstable();
+                arrivals.dedup();
+                // Every step node is a genuine arrival (distance >= 1
+                // from an l_i instance), so `out` must see each one. A
+                // dead `y` keeps no state: emit the whole step.
+                if !live {
+                    out.extend_from_slice(&arrivals);
+                    continue;
                 }
-                let slot = known.entry(y).or_default();
-                let fresh = step.difference(slot);
+                let (Some(k), Some(p)) =
+                    (known.get_mut(y.0 as usize), pending.get_mut(y.0 as usize))
+                else {
+                    continue;
+                };
+                sorted_difference(&arrivals, k, &mut fresh);
+                // A live non-seed class knows only nodes some step
+                // brought in, so its fresh nodes are all its new answers.
+                // A seed class (incoming label l_i) also knows its seed
+                // nodes, which count only once a step re-reaches them
+                // (//d//d through a back-edge): emit the whole step.
+                if label == plan.last {
+                    out.extend_from_slice(if label == plan.first {
+                        &arrivals
+                    } else {
+                        &fresh
+                    });
+                }
                 if fresh.is_empty() {
                     continue;
                 }
                 ctx.note_fixpoint_output(fresh.len() as u64);
-                slot.union_in_place(&fresh, &mut scratch);
-                let waiting = pending.entry(y).or_default();
-                let was_empty = waiting.is_empty();
-                waiting.union_in_place(&fresh, &mut scratch);
+                // `fresh` is new to `known[y]`, hence to `pending[y]`.
+                merge_disjoint(k, &fresh, &mut merged);
+                let was_empty = p.is_empty();
+                merge_disjoint(p, &fresh, &mut merged);
                 if was_empty {
-                    queue.push(y);
+                    queue.push(Reverse((plan.visit_rank(y), y)));
                 }
             }
         }
         self.g.sort_doc_order(&mut out);
         out
     }
+}
+
+/// `out = a \ b` over sorted, distinct node lists.
+fn sorted_difference(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    let mut rest = b.iter().peekable();
+    for &v in a {
+        while rest.next_if(|&&w| w < v).is_some() {}
+        if rest.peek() != Some(&&v) {
+            out.push(v);
+        }
+    }
+}
+
+/// `dst ∪= src` over sorted node lists with `src` disjoint from
+/// `dst`, merging through `scratch` (left holding `dst`'s old buffer).
+fn merge_disjoint(dst: &mut Vec<NodeId>, src: &[NodeId], scratch: &mut Vec<NodeId>) {
+    scratch.clear();
+    scratch.reserve(dst.len() + src.len());
+    let mut rest = src.iter().copied().peekable();
+    for &v in dst.iter() {
+        while let Some(w) = rest.next_if(|&w| w < v) {
+            scratch.push(w);
+        }
+        scratch.push(v);
+    }
+    scratch.extend(rest);
+    std::mem::swap(dst, scratch);
 }
 
 impl QueryProcessor for ApexProcessor<'_> {
@@ -294,8 +376,12 @@ impl QueryProcessor for ApexProcessor<'_> {
             Query::PartialPath { labels } => self.eval_path(labels, &mut ctx),
             Query::AncestorDescendant { first, last } => {
                 let before = ctx.cost.ops;
-                let nodes = self.eval_anc_desc(*first, *last, &mut ctx);
-                let (digest, predicted) = self.planner().forecast_anc_desc(*first);
+                // Typed, so apex-lint's call graph follows the pruning
+                // walk into H_APEX (panic-reachability).
+                let planner: Planner<'_> = self.planner();
+                let plan = planner.plan_anc_desc(*first, *last);
+                let nodes = self.eval_anc_desc(&plan, &mut ctx);
+                let (digest, predicted) = planner.forecast_anc_desc(&plan);
                 let report =
                     plan::build_report(digest, "dataflow", &predicted, &before, &ctx.cost.ops);
                 (nodes, report)
@@ -331,6 +417,7 @@ impl QueryProcessor for ApexProcessor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{GeneratorConfig, QuerySets};
     use crate::naive::NaiveProcessor;
     use apex::Workload;
     use apex_storage::{OpKind, PageModel};
@@ -385,24 +472,167 @@ mod tests {
         assert_eq!(out.cost.join_work, 0);
     }
 
+    /// APEX⁰ of `g` plus an index refined by a generated 20 % workload
+    /// sample at minSup 0.01 (the paper's procedure, at test size).
+    fn apex0_and_refined(g: &XmlGraph, t: &DataTable) -> [Apex; 2] {
+        let apex0 = Apex::build_initial(g);
+        let cfg = GeneratorConfig {
+            qtype1: 200,
+            qtype2: 0,
+            qtype3: 0,
+            seed: 0xA9E,
+            ..GeneratorConfig::default()
+        };
+        let mut refined = apex0.clone();
+        refined.refine(g, &QuerySets::generate(g, t, cfg).workload, 0.01);
+        [apex0, refined]
+    }
+
+    fn anc_desc(first: LabelId, last: LabelId) -> Query {
+        Query::AncestorDescendant { first, last }
+    }
+
+    fn all_labels(g: &XmlGraph) -> Vec<LabelId> {
+        (0..g.label_count() as u32).map(LabelId).collect()
+    }
+
     #[test]
     fn qtype2_matches_naive() {
+        // Every ordered label pair, `a == b` included, on a reference
+        // graph (moviedb), cyclic IDREFs (GedML) and a tree (one play).
+        let graphs = [
+            ("moviedb", moviedb()),
+            ("gedml", datagen::gedml(60, 7)),
+            ("play", datagen::shakespeare(1, 7)),
+        ];
+        for (name, g) in &graphs {
+            let t = DataTable::build(g, PageModel::default());
+            let nv = NaiveProcessor::new(g, &t);
+            let labels = all_labels(g);
+            let want: Vec<Vec<NodeId>> = labels
+                .iter()
+                .flat_map(|&a| labels.iter().map(move |&b| (a, b)))
+                .map(|(a, b)| nv.eval(&anc_desc(a, b)).nodes)
+                .collect();
+            for idx in apex0_and_refined(g, &t) {
+                let ap = ApexProcessor::new(g, &idx, &t);
+                let pairs = labels
+                    .iter()
+                    .flat_map(|&a| labels.iter().map(move |&b| (a, b)));
+                for ((a, b), want) in pairs.zip(&want) {
+                    let out = ap.eval(&anc_desc(a, b));
+                    assert!(!out.interrupted);
+                    assert_eq!(
+                        &out.nodes,
+                        want,
+                        "{name}: //{}//{}",
+                        g.label_str(a),
+                        g.label_str(b)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn qtype2_without_a_summary_path_reads_no_extent() {
+        // Pruning law: when no G_APEX path leads from an l_i class to an
+        // l_j edge, the answer is empty and no extent is scanned or
+        // joined.
+        let g = datagen::gedml(60, 7);
+        let t = DataTable::build(&g, PageModel::default());
+        let nv = NaiveProcessor::new(&g, &t);
+        let labels = all_labels(&g);
+        let mut pruned = 0;
+        for idx in apex0_and_refined(&g, &t) {
+            let ap = ApexProcessor::new(&g, &idx, &t);
+            let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
+            for &a in &labels {
+                for &b in &labels {
+                    let plan = planner.plan_anc_desc(a, b);
+                    if !plan.seeds.is_empty() {
+                        continue;
+                    }
+                    pruned += 1;
+                    let q = anc_desc(a, b);
+                    let out = ap.eval(&q);
+                    assert!(
+                        out.nodes.is_empty(),
+                        "//{}//{}",
+                        g.label_str(a),
+                        g.label_str(b)
+                    );
+                    assert!(nv.eval(&q).nodes.is_empty());
+                    assert_eq!(out.cost.ops.get(OpKind::ExtentScan).pages_read(), 0);
+                    assert_eq!(out.cost.extent_pairs, 0);
+                    assert_eq!(out.cost.join_work, 0);
+                }
+            }
+        }
+        assert!(pruned > 0, "gedml has label pairs with no summary path");
+    }
+
+    #[test]
+    fn qtype2_prunes_dead_seeds_and_edges() {
+        // On Ged data many classes cannot reach a `date` edge: the walk
+        // leaves them dead, the answer still equals the oracle, and the
+        // forecast's seed-scan row is exact.
+        let g = datagen::gedml(60, 7);
+        let t = DataTable::build(&g, PageModel::default());
+        let idx = Apex::build_initial(&g);
+        let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
+        let (indi, date) = (g.label_id("indi").unwrap(), g.label_id("date").unwrap());
+        let plan = planner.plan_anc_desc(indi, date);
+        assert!(!plan.seeds.is_empty());
+        assert!(plan.live_classes < idx.graph().allocated());
+        let ap = ApexProcessor::new(&g, &idx, &t);
+        let out = ap.eval(&anc_desc(indi, date));
+        assert_eq!(
+            out.nodes,
+            NaiveProcessor::new(&g, &t)
+                .eval(&anc_desc(indi, date))
+                .nodes
+        );
+        // The forecast's exact rows: seed scans and the summary walk.
+        let rep = out.plan.unwrap();
+        let scan = rep
+            .forecasts
+            .iter()
+            .find(|f| f.kind == OpKind::ExtentScan)
+            .unwrap();
+        assert_eq!(scan.predicted_work, scan.actual_work);
+        assert_eq!(scan.predicted_pages, scan.actual_pages);
+        assert!(out.cost.index_edges >= plan.walk_edges);
+    }
+
+    #[test]
+    fn qtype2_expired_deadline_returns_a_subset() {
+        let g = datagen::gedml(60, 7);
+        let t = DataTable::build(&g, PageModel::default());
+        let nv = NaiveProcessor::new(&g, &t);
+        let idx = Apex::build_initial(&g);
+        let past = std::time::Instant::now();
+        let ap = ApexProcessor::new(&g, &idx, &t).with_deadline(past);
+        let q = anc_desc(g.label_id("fam").unwrap(), g.label_id("indi").unwrap());
+        let out = ap.eval(&q);
+        assert!(out.interrupted);
+        let all = nv.eval(&q).nodes;
+        assert!(!all.is_empty());
+        assert!(out.nodes.iter().all(|n| all.binary_search(n).is_ok()));
+    }
+
+    #[test]
+    fn qtype2_digest_covers_the_last_label() {
         let g = moviedb();
         let (idx, t) = setup(&g, &["actor.name"]);
         let ap = ApexProcessor::new(&g, &idx, &t);
-        let nv = NaiveProcessor::new(&g, &t);
-        for (a, b) in [
-            ("movie", "name"),
-            ("director", "title"),
-            ("actor", "title"),
-            ("movie", "movie"),
-        ] {
-            let q = Query::AncestorDescendant {
-                first: g.label_id(a).unwrap(),
-                last: g.label_id(b).unwrap(),
-            };
-            assert_eq!(ap.eval(&q).nodes, nv.eval(&q).nodes, "//{a}//{b}");
-        }
+        let movie = g.label_id("movie").unwrap();
+        let digest = |last: &str| {
+            let q = anc_desc(movie, g.label_id(last).unwrap());
+            ap.eval(&q).plan.unwrap().digest
+        };
+        assert_ne!(digest("name"), digest("title"));
+        assert_eq!(digest("name"), digest("name"));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! decreasing-`j` lookup loop), which class nodes feed each segment, and
 //! whether the query is answered *directly* from one extent union (the
 //! whole path is a required path) or needs a join chain. Useful for
-//! understanding why a particular `minSup` setting helps a workload.
+//! understanding why a particular `minSup` setting helps a workload. A
+//! QTYPE2 plan reports the same summary pruning the evaluator runs:
+//! seed classes kept and pruned, and the live class count.
 
 use apex::Apex;
 use apex_storage::bufmgr::BufferStats;
@@ -53,12 +55,18 @@ pub enum Plan {
         /// The planner's predicted total cost for the chosen order.
         predicted_total: u64,
     },
-    /// QTYPE2: dataflow from the `first`-labeled classes.
+    /// QTYPE2: dataflow from the `first`-labeled classes, pruned on
+    /// `G_APEX` (the planner's `AncDescPlan`).
     AncestorDescendant {
-        /// Number of seed classes (incoming label = `l_i`).
-        start_classes: usize,
-        /// Pairs in the seed extents.
+        /// Seed classes (incoming label = `l_i`) kept: an `l_j` edge is
+        /// reachable from them.
+        seed_classes: usize,
+        /// Seed classes pruned: never scanned.
+        pruned_seeds: usize,
+        /// Pairs in the kept seed extents.
         seed_pairs: usize,
+        /// Classes the traversal may propagate through.
+        live_classes: usize,
     },
     /// The query references a label unknown to the index: empty result.
     Empty,
@@ -81,15 +89,26 @@ impl Plan {
         match self {
             Plan::Empty => s.push_str("  -> empty (unknown label)\n"),
             Plan::AncestorDescendant {
-                start_classes,
+                seed_classes,
+                pruned_seeds,
                 seed_pairs,
+                live_classes,
             } => {
                 s.push_str(&format!(
-                    "  -> dataflow from {start_classes} class node(s), {seed_pairs} seed pair(s)\n"
+                    "  -> pruned on G_APEX: {live_classes} live class(es) reach an l_j edge; \
+                     {seed_classes} seed class(es) kept, {pruned_seeds} pruned\n"
                 ));
-                s.push_str(
-                    "  -> Semijoin(merge|gallop|block-skip, adaptive) per G_APEX edge until fixpoint\n",
-                );
+                if *seed_classes == 0 {
+                    s.push_str("  -> empty (no l_j edge reachable from an l_i class)\n");
+                } else {
+                    s.push_str(&format!(
+                        "  -> dataflow from {seed_classes} class node(s), {seed_pairs} seed pair(s)\n"
+                    ));
+                    s.push_str(
+                        "  -> Semijoin(merge|gallop|block-skip, adaptive) per l_j or live G_APEX \
+                         edge, node frontier until fixpoint\n",
+                    );
+                }
             }
             Plan::PathJoin {
                 segments,
@@ -142,15 +161,17 @@ impl Plan {
 /// Produces the plan APEX would execute for `q` (without executing it).
 pub fn explain_apex(apex: &Apex, q: &Query) -> Plan {
     match q {
-        Query::AncestorDescendant { first, .. } => {
-            let seg = apex.segment_nodes(&[*first]);
-            if seg.xnodes.is_empty() {
+        Query::AncestorDescendant { first, last } => {
+            let plan =
+                Planner::new(apex, None, KernelPolicy::Adaptive, 0).plan_anc_desc(*first, *last);
+            if plan.seeds.is_empty() && plan.pruned_seeds == 0 {
                 return Plan::Empty;
             }
-            let seed_pairs = seg.xnodes.iter().map(|&x| apex.extent(x).len()).sum();
             Plan::AncestorDescendant {
-                start_classes: seg.xnodes.len(),
-                seed_pairs,
+                seed_classes: plan.seeds.len(),
+                pruned_seeds: plan.pruned_seeds,
+                seed_pairs: plan.seeds.iter().map(|&x| apex.extent(x).len()).sum(),
+                live_classes: plan.live_classes,
             }
         }
         Query::PartialPath { labels } => plan_path(apex, labels, false),
@@ -333,15 +354,43 @@ mod tests {
         let q = Query::parse(&g, "//movie//name").unwrap();
         let plan = explain_apex(&idx, &q);
         let Plan::AncestorDescendant {
-            start_classes,
+            seed_classes,
+            pruned_seeds,
             seed_pairs,
+            live_classes,
         } = plan
         else {
             panic!()
         };
-        assert!(start_classes >= 1);
+        assert!(seed_classes >= 1);
+        assert_eq!(pruned_seeds, 0);
+        assert!(live_classes >= seed_classes);
         // T(movie) = {<0,14>, <7,8>, <9,8>, <16,14>}.
         assert_eq!(seed_pairs, 4);
+        let rendered = plan.render(&g, &q);
+        assert!(rendered.contains("pruned on G_APEX"), "{rendered}");
+        assert!(rendered.contains("node frontier"), "{rendered}");
+    }
+
+    #[test]
+    fn qtype2_plan_reports_pruned_seeds() {
+        // No G_APEX path leads from a `title` class to a `movie` edge:
+        // every seed is pruned and the plan says the answer is empty.
+        let (g, idx) = figure2();
+        let q = Query::parse(&g, "//title//movie").unwrap();
+        let plan = explain_apex(&idx, &q);
+        let Plan::AncestorDescendant {
+            seed_classes,
+            pruned_seeds,
+            seed_pairs,
+            ..
+        } = plan
+        else {
+            panic!("{plan:?}")
+        };
+        assert_eq!((seed_classes, seed_pairs), (0, 0));
+        assert!(pruned_seeds >= 1);
+        assert!(plan.render(&g, &q).contains("no l_j edge reachable"));
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! exactly-zero cardinality short-circuits planning entirely: the plan
 //! is *statically empty* and executes for free.
 //!
+//! A QTYPE2 query `//l_i//l_j` has one strategy, the dataflow fixpoint
+//! of [`crate::apex_qp`]. Its plan is a pruning plus a visiting order:
+//! `Planner::plan_anc_desc` walks `G_APEX` backwards once, keeps the
+//! seed classes and the classes that can still reach an `l_j` edge,
+//! and ranks the latter (`AncDescPlan`); `Planner::forecast_anc_desc`
+//! predicts its exact rows.
+//!
 //! Execution records a [`PlanReport`]: the predicted per-operator cost
 //! column next to the actual one (diffed from the [`OpBreakdown`]
 //! around execution), a stable digest of the chosen shape, and the
@@ -834,25 +841,193 @@ impl<'a> Planner<'a> {
         cur
     }
 
-    /// Forecast for a QTYPE2 dataflow evaluation: the seed extent scans
-    /// plus the segmentation lookups are predicted exactly; the fixpoint
-    /// itself is navigation whose cost the report surfaces as-is (an
-    /// honest mispredict).
-    pub fn forecast_anc_desc(&self, first: LabelId) -> (u64, Vec<(OpKind, u64, u64)>) {
+    /// Prunes the QTYPE2 query `//first//last` on `G_APEX` before any
+    /// extent is read: finds the `first`-labelled seed classes through
+    /// `H_APEX`, walks the class graph backwards once to mark the
+    /// classes that can still reach a `last` edge, keeps only the live
+    /// seeds, and ranks the live classes they reach in visiting order.
+    /// No seed means no walk.
+    pub(crate) fn plan_anc_desc(&self, first: LabelId, last: LabelId) -> AncDescPlan {
         let seg = self.apex.segment_nodes(&[first]);
-        let est = self.stage_est(&seg.xnodes);
+        let mut plan = AncDescPlan {
+            first,
+            last,
+            seeds: Vec::new(),
+            pruned_seeds: 0,
+            live_classes: 0,
+            live: Vec::new(),
+            rank: Vec::new(),
+            hash_lookups: seg.hash_lookups,
+            walk_edges: 0,
+        };
+        if seg.xnodes.is_empty() {
+            return plan;
+        }
+        let (live, back_edges) = live_classes(self.apex, last);
+        plan.live_classes = live.iter().filter(|&&l| l).count();
+        plan.live = live;
+        plan.seeds = seg
+            .xnodes
+            .iter()
+            .copied()
+            .filter(|&x| plan.is_live(x))
+            .collect();
+        plan.pruned_seeds = seg.xnodes.len() - plan.seeds.len();
+        let (rank, order_edges) = visit_ranks(self.apex, &plan);
+        plan.rank = rank;
+        plan.walk_edges = back_edges + order_edges;
+        plan
+    }
+
+    /// Forecast for a pruned QTYPE2 evaluation. Exact rows: the scans
+    /// of the kept seeds (`ExtentScan`) and the lookups plus summary
+    /// walk edges (`IndexNav`). The fixpoint itself is navigation whose
+    /// cost the report surfaces as-is (an honest mispredict). The digest
+    /// covers both labels and the pruned shape.
+    pub(crate) fn forecast_anc_desc(&self, plan: &AncDescPlan) -> (u64, Vec<(OpKind, u64, u64)>) {
+        let est = self.stage_est(&plan.seeds);
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         fnv(&mut digest, b"dataflow");
-        fnv(&mut digest, &u64::from(first.0).to_le_bytes());
+        fnv(&mut digest, &u64::from(plan.first.0).to_le_bytes());
+        fnv(&mut digest, &u64::from(plan.last.0).to_le_bytes());
         fnv(&mut digest, &est.pairs.to_le_bytes());
+        fnv(&mut digest, &(plan.live_classes as u64).to_le_bytes());
         (
             digest,
             vec![
                 (OpKind::ExtentScan, est.pairs, est.blocks),
-                (OpKind::IndexNav, seg.hash_lookups, 0),
+                (OpKind::IndexNav, plan.hash_lookups + plan.walk_edges, 0),
             ],
         )
     }
+}
+
+/// A QTYPE2 query `//first//last` pruned on the path summary (§6.1
+/// "query pruning"): the seed classes worth scanning, the classes
+/// worth propagating through, and the order to visit them in. Built
+/// once per query by `Planner::plan_anc_desc`; the evaluator, the
+/// forecast and `explain` all read this one value.
+#[derive(Debug, Clone)]
+pub(crate) struct AncDescPlan {
+    /// `l_i`.
+    pub first: LabelId,
+    /// `l_j`.
+    pub last: LabelId,
+    /// Seed classes (incoming label `l_i`) from which an `l_j` edge is
+    /// reachable, in `H_APEX` order.
+    pub seeds: Vec<XNodeId>,
+    /// Seed classes dropped because no `l_j` edge is reachable from
+    /// them: never scanned.
+    pub pruned_seeds: usize,
+    /// Number of live classes.
+    pub live_classes: usize,
+    /// `live[x]`: class `x` has an out-edge labelled `l_j`, or an
+    /// out-edge to a live class. Empty when there is no seed.
+    live: Vec<bool>,
+    /// `rank[x]`: position of class `x` in a reverse postorder of the
+    /// live classes reachable from the seeds (`u32::MAX` elsewhere).
+    rank: Vec<u32>,
+    /// `H_APEX` lookups spent finding the seeds.
+    pub hash_lookups: u64,
+    /// `G_APEX` edges the two summary walks examined.
+    pub walk_edges: u64,
+}
+
+impl AncDescPlan {
+    /// True if an `l_j` edge is reachable from class `x`.
+    #[inline]
+    pub(crate) fn is_live(&self, x: XNodeId) -> bool {
+        self.live.get(x.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Visiting priority of class `x` (lower first). On every acyclic
+    /// stretch of the summary a class ranks after all its predecessors,
+    /// so a fixpoint that always propagates the lowest-ranked pending
+    /// class joins out of most classes once, with their whole delta.
+    #[inline]
+    pub(crate) fn visit_rank(&self, x: XNodeId) -> u32 {
+        self.rank.get(x.0 as usize).copied().unwrap_or(u32::MAX)
+    }
+}
+
+/// One backward walk over `G_APEX`: marks every class that has an
+/// out-edge labelled `last` or an out-edge to a marked class. Returns
+/// the marks (indexed by `XNodeId`) and the edges examined — one pass
+/// over every class record to seed the marks and collect the reversed
+/// edges, then each reversed edge into a marked class once.
+fn live_classes(apex: &Apex, last: LabelId) -> (Vec<bool>, u64) {
+    let mut live = vec![false; apex.graph().allocated()];
+    let mut rev: Vec<(XNodeId, XNodeId)> = Vec::new();
+    let mut stack: Vec<XNodeId> = Vec::new();
+    for (i, mark) in live.iter_mut().enumerate() {
+        let x = XNodeId(i as u32);
+        for &(label, y) in apex.out_edges(x) {
+            rev.push((y, x));
+            if label == last && !*mark {
+                *mark = true;
+                stack.push(x);
+            }
+        }
+    }
+    let mut edges = rev.len() as u64;
+    rev.sort_unstable();
+    while let Some(y) = stack.pop() {
+        let lo = rev.partition_point(|e| e.0 < y);
+        for &(_, x) in rev.iter().skip(lo).take_while(|e| e.0 == y) {
+            edges += 1;
+            if let Some(mark) = live.get_mut(x.0 as usize) {
+                if !*mark {
+                    *mark = true;
+                    stack.push(x);
+                }
+            }
+        }
+    }
+    (live, edges)
+}
+
+/// One forward depth-first walk from `plan`'s seeds over live classes:
+/// returns the reverse-postorder rank of every class it reaches
+/// (`u32::MAX` elsewhere) and the edges it examined.
+fn visit_ranks(apex: &Apex, plan: &AncDescPlan) -> (Vec<u32>, u64) {
+    let mut seen = vec![false; plan.live.len()];
+    let mut post: Vec<XNodeId> = Vec::new();
+    let mut stack: Vec<(XNodeId, usize)> = Vec::new();
+    let mut edges = 0u64;
+    let mut enter = |x: XNodeId, stack: &mut Vec<(XNodeId, usize)>| {
+        if let Some(mark) = seen.get_mut(x.0 as usize) {
+            if !*mark {
+                *mark = true;
+                stack.push((x, 0));
+            }
+        }
+    };
+    for &s in &plan.seeds {
+        enter(s, &mut stack);
+        while let Some(top) = stack.last_mut() {
+            let (x, i) = *top;
+            top.1 += 1;
+            match apex.out_edges(x).get(i) {
+                Some(&(_, y)) => {
+                    edges += 1;
+                    if plan.is_live(y) {
+                        enter(y, &mut stack);
+                    }
+                }
+                None => {
+                    post.push(x);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    let mut rank = vec![u32::MAX; plan.live.len()];
+    for (r, x) in post.iter().rev().enumerate() {
+        if let Some(slot) = rank.get_mut(x.0 as usize) {
+            *slot = r as u32;
+        }
+    }
+    (rank, edges)
 }
 
 #[cfg(test)]
