@@ -17,8 +17,9 @@
 # crates/lint/RULES.md. The lint_selfcheck step archives the machine
 # reports (SARIF + JSON) under results/.
 #
-# Three bench binaries double as smoke tests (kernels, planner, fig14:
-# they assert their own guarantees). The serving layers have no load
+# Five bench binaries double as smoke tests (kernels, planner, and
+# fig13/fig14/fig15 as path_smoke/qtype2_smoke: they assert their own
+# guarantees). The serving layers have no load
 # harness here: net_smoke, shard_smoke, recovery_smoke and stress
 # repeat their thread tests under a timeout, the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
@@ -101,6 +102,21 @@ qtype2_smoke() {
     local out
     out=$(mktemp -d)
     (cd "$out" && "$OLDPWD/target/release/fig14")
+    rm -rf "$out"
+}
+
+# Figures 13 and 15 double as the QTYPE1/QTYPE3 smoke test: at default
+# scale (about 1.5 s together) they run the generated path and value
+# queries of three datasets on every series and *assert* that all series
+# return the same results count on every dataset (in Figure 15 the
+# Fabric only where its keys were not truncated), so a node frontier
+# that loses an arrival or a value test that drops a candidate fails
+# here. Runs in a temp dir so the BENCH_fig1{3,5}.json never land in the
+# tree.
+path_smoke() {
+    local out
+    out=$(mktemp -d)
+    (cd "$out" && "$OLDPWD/target/release/fig13" && "$OLDPWD/target/release/fig15")
     rm -rf "$out"
 }
 
@@ -199,6 +215,7 @@ run perf_gate
 run kernel_smoke
 run plan_smoke
 run qtype2_smoke
+run path_smoke
 run net_smoke
 run shard_smoke
 run recovery_smoke

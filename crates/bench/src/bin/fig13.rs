@@ -3,6 +3,10 @@
 //! APEX⁰, and APEX as minSup varies over {0.002 … 0.05}.
 //! Also writes `BENCH_fig13.json` with the same rows.
 //! (`cargo run -p apex-bench --release --bin fig13 [--scale paper]`)
+//!
+//! Doubles as the QTYPE1 smoke test: the run *asserts* that every
+//! series returns the same `results` count as the SDG on every dataset,
+//! so a node frontier that loses or invents an arrival fails here.
 
 use apex_bench::report::{batch_row, BenchReport, Json};
 use apex_bench::{print_row, print_row_header, Experiment, Scale, MINSUPS};
@@ -31,6 +35,15 @@ fn main() {
         );
         print_row(d.name(), "SDG", &stats);
         report.push(batch_row(d.name(), "SDG", &stats));
+        let want = stats.result_nodes;
+        let agree = |label: &str, got: usize| {
+            assert_eq!(
+                got,
+                want,
+                "{}: {label} and SDG disagree on QTYPE1 results",
+                d.name()
+            );
+        };
 
         let stats = run_batch(
             &ApexProcessor::new(&ex.g, &ex.apex0, &ex.table),
@@ -38,6 +51,7 @@ fn main() {
         );
         print_row(d.name(), "APEX0", &stats);
         report.push(batch_row(d.name(), "APEX0", &stats));
+        agree("APEX0", stats.result_nodes);
 
         for ms in MINSUPS {
             let apex = ex.apex_at(ms);
@@ -47,6 +61,7 @@ fn main() {
             );
             let label = format!("APEX({ms})");
             print_row(d.name(), &label, &stats);
+            agree(&label, stats.result_nodes);
             let mut row = batch_row(d.name(), &label, &stats);
             if let Json::Obj(fields) = &mut row {
                 fields.push(("min_sup", Json::F64(ms)));
@@ -61,4 +76,5 @@ fn main() {
     }
     println!("Expected shape (paper): SDG worst and worsening with irregularity;");
     println!("APEX best around minSup 0.005; APEX0 the upper bound of the APEX family.");
+    println!("every series returned equal QTYPE1 results on every dataset");
 }

@@ -6,6 +6,11 @@
 //! (whole-trie traversal over exploded key sets).
 //! Also writes `BENCH_fig15.json` with the same rows.
 //! (`cargo run -p apex-bench --release --bin fig15 [--scale paper]`)
+//!
+//! Doubles as the QTYPE3 smoke test: the run *asserts* that SDG and
+//! APEX return the same `results` count on every dataset, and the Fabric
+//! too wherever its keys were not truncated (truncated keys cannot tell
+//! long paths apart, so its answers may differ there by design).
 
 use apex_bench::report::{batch_row, BenchReport};
 use apex_bench::{print_row, print_row_header, Experiment, Scale};
@@ -32,6 +37,7 @@ fn main() {
         let label = format!("Fabric{trunc}");
         print_row(d.name(), &label, &stats);
         report.push(batch_row(d.name(), &label, &stats));
+        let fabric = (!fab.truncated).then_some(stats.result_nodes);
 
         let sdg = ex.dataguide();
         let stats = run_batch(
@@ -40,6 +46,15 @@ fn main() {
         );
         print_row(d.name(), "SDG", &stats);
         report.push(batch_row(d.name(), "SDG", &stats));
+        let want = stats.result_nodes;
+        if let Some(got) = fabric {
+            assert_eq!(
+                got,
+                want,
+                "{}: Fabric and SDG disagree on QTYPE3 results",
+                d.name()
+            );
+        }
 
         let apex = ex.apex_at(0.005);
         let stats = run_batch(
@@ -48,6 +63,12 @@ fn main() {
         );
         print_row(d.name(), "APEX(0.005)", &stats);
         report.push(batch_row(d.name(), "APEX(0.005)", &stats));
+        assert_eq!(
+            stats.result_nodes,
+            want,
+            "{}: APEX(0.005) and SDG disagree on QTYPE3 results",
+            d.name()
+        );
         println!();
     }
     match report.write() {
@@ -56,4 +77,7 @@ fn main() {
     }
     println!("Expected shape (paper): Fabric best on Play data, worst on Flix/Ged;");
     println!("APEX best on irregular data.");
+    println!(
+        "every series returned equal QTYPE3 results on every dataset (Fabric: untruncated keys)"
+    );
 }

@@ -5,7 +5,10 @@
 //!   off the located extents. Otherwise the processor keeps shortening
 //!   the prefix (`j` from `n` down) collecting the union of extents per
 //!   prefix until the prefix is itself a required path, then multi-way
-//!   joins the collected edge sets.
+//!   joins the collected extents. What flows between stages is a *node
+//!   frontier*: the seed union's sorted, distinct end nodes, then each
+//!   stage's arrivals, made sorted and distinct in one pass; the last
+//!   frontier is the answer, already in document order.
 //! * **QTYPE2** — query pruning & rewriting, on the summary before the
 //!   data. The planner (`Planner::plan_anc_desc`) walks `G_APEX`
 //!   backwards once and marks a class *live* if it has an out-edge
@@ -18,7 +21,9 @@
 //!   live class. Equivalent to enumerating the rewritten label paths
 //!   and joining per path, but it terminates on cyclic class graphs and
 //!   never reads an extent that cannot lead to an answer.
-//! * **QTYPE3** — QTYPE1 followed by data-table probes.
+//! * **QTYPE3** — QTYPE1 followed by the value test: the sorted answer
+//!   goes through the nid-sorted data table in one merge
+//!   ([`crate::exec::DataProbe`]), touching each leaf page once.
 //!
 //! All physical work — extent I/O, unions, semijoins, table probes —
 //! runs through the shared operators in [`crate::exec`] over a
@@ -29,7 +34,7 @@ use std::collections::BinaryHeap;
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::{BufferHandle, Space};
-use apex_storage::{DataTable, EdgePair, EdgeSet, Ends, KernelPolicy, SuccinctExtent};
+use apex_storage::{DataTable, Ends, KernelPolicy, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
@@ -164,33 +169,23 @@ impl<'a> ApexProcessor<'a> {
         ((self.tag << 32) | r.id, r.set)
     }
 
-    /// QTYPE1 evaluation returning the final edge set and the plan
-    /// report.
+    /// QTYPE1 evaluation returning the answer nodes, in document order,
+    /// and the plan report.
     ///
     /// The §6.1 decreasing-j segmentation runs inside the planner, which
     /// then chooses the join order (forward, or a backward reduction of
     /// the last stages) and the kernels from the statistics snapshot; a
-    /// forward plan executes bit-for-bit the legacy seed-union +
-    /// [`crate::exec::MultiwayJoin`] pipeline.
-    fn eval_path_edges(
-        &self,
-        labels: &[LabelId],
-        ctx: &mut ExecContext<'_>,
-    ) -> (EdgeSet, PlanReport) {
-        let planner = self.planner();
-        let plan = planner.plan_path(labels, self.order);
-        planner.execute_path(&plan, ctx)
-    }
-
+    /// forward plan executes the seed-union +
+    /// [`crate::exec::MultiwayJoin`] pipeline. Either way the last
+    /// stage's frontier is sorted and distinct — already the answer.
     fn eval_path(
         &self,
         labels: &[LabelId],
         ctx: &mut ExecContext<'_>,
     ) -> (Vec<NodeId>, PlanReport) {
-        let (edges, report) = self.eval_path_edges(labels, ctx);
-        let mut nodes: Vec<NodeId> = edges.iter().map(|p| p.node).collect();
-        self.g.sort_doc_order(&mut nodes);
-        (nodes, report)
+        let planner = self.planner();
+        let plan = planner.plan_path(labels, self.order);
+        planner.execute_path(&plan, ctx)
     }
 
     /// Charges the first visit of class node `x`'s page-packed record.
@@ -233,24 +228,20 @@ impl<'a> ApexProcessor<'a> {
         let mut queue: BinaryHeap<Reverse<(u32, XNodeId)>> = BinaryHeap::new();
         // Buffers reused across seeds, rounds and edges: the dequeued
         // frontier, one step's end nodes, their unknown part, the merge
-        // target of a sorted union, and a seed extent's decoded pairs.
+        // target of a sorted union.
         let mut frontier: Vec<NodeId> = Vec::new();
         let mut arrivals: Vec<NodeId> = Vec::new();
         let mut fresh: Vec<NodeId> = Vec::new();
         let mut merged: Vec<NodeId> = Vec::new();
-        let mut pairs: Vec<EdgePair> = Vec::new();
         for &x in &plan.seeds {
             let (id, set) = self.source(x);
             ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
-            pairs.clear();
-            set.decode_into(&mut pairs);
             let (Some(k), Some(p)) = (known.get_mut(x.0 as usize), pending.get_mut(x.0 as usize))
             else {
                 continue;
             };
-            k.extend(pairs.iter().map(|e| e.node));
-            k.sort_unstable();
-            k.dedup();
+            set.decode_nodes_into(k);
+            ctx.sort_distinct(k);
             if !k.is_empty() {
                 p.clone_from(k);
                 queue.push(Reverse((plan.visit_rank(x), x)));
@@ -282,15 +273,19 @@ impl<'a> ApexProcessor<'a> {
                     continue;
                 }
                 let (id, extent) = self.source(y);
-                let step =
-                    exec::semijoin(ctx, Ends::Slice(&frontier), Space::ApexExtent, id, extent);
-                if step.is_empty() {
+                arrivals.clear();
+                exec::semijoin(
+                    ctx,
+                    Ends::Slice(&frontier),
+                    Space::ApexExtent,
+                    id,
+                    extent,
+                    &mut arrivals,
+                );
+                if arrivals.is_empty() {
                     continue;
                 }
-                arrivals.clear();
-                arrivals.extend(step.iter().map(|e| e.node));
-                arrivals.sort_unstable();
-                arrivals.dedup();
+                ctx.sort_distinct(&mut arrivals);
                 // Every step node is a genuine arrival (distance >= 1
                 // from an l_i instance), so `out` must see each one. A
                 // dead `y` keeps no state: emit the whole step.
@@ -388,15 +383,11 @@ impl QueryProcessor for ApexProcessor<'_> {
             }
             Query::ValuePath { labels, value } => {
                 let (mut nodes, report) = self.eval_path(labels, &mut ctx);
-                nodes.retain(|&n| {
-                    ctx.checkpoint()
-                        && DataProbe {
-                            table: self.table,
-                            nid: n,
-                            value,
-                        }
-                        .run(&mut ctx)
-                });
+                DataProbe {
+                    table: self.table,
+                    value,
+                }
+                .run(&mut nodes, &mut ctx);
                 (nodes, report)
             }
         };
@@ -532,6 +523,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn qtype1_and_qtype3_match_naive_on_all_families() {
+        // Generated path and value queries on a reference graph, cyclic
+        // IDREFs and a tree, through APEX⁰ and a refined index.
+        let graphs = [
+            ("moviedb", moviedb()),
+            ("gedml", datagen::gedml(60, 7)),
+            ("play", datagen::shakespeare(1, 7)),
+        ];
+        for (name, g) in &graphs {
+            let t = DataTable::build(g, PageModel::default());
+            let nv = NaiveProcessor::new(g, &t);
+            let cfg = GeneratorConfig {
+                qtype1: 150,
+                qtype2: 0,
+                qtype3: 40,
+                seed: 0x3E7,
+                ..GeneratorConfig::default()
+            };
+            let sets = QuerySets::generate(g, &t, cfg);
+            assert!(!sets.qtype3.is_empty(), "{name}");
+            let queries: Vec<&Query> = sets.qtype1.iter().chain(&sets.qtype3).collect();
+            let want: Vec<Vec<NodeId>> = queries.iter().map(|q| nv.eval(q).nodes).collect();
+            for idx in apex0_and_refined(g, &t) {
+                let ap = ApexProcessor::new(g, &idx, &t);
+                for (q, want) in queries.iter().zip(&want) {
+                    let out = ap.eval(q);
+                    assert!(!out.interrupted);
+                    assert_eq!(&out.nodes, want, "{name}: {}", q.render(g));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn qtype3_expired_deadline_returns_a_subset() {
+        let g = datagen::gedml(60, 7);
+        let t = DataTable::build(&g, PageModel::default());
+        let nv = NaiveProcessor::new(&g, &t);
+        let idx = Apex::build_initial(&g);
+        let cfg = GeneratorConfig {
+            qtype1: 0,
+            qtype2: 0,
+            qtype3: 30,
+            seed: 0xDEAD,
+            ..GeneratorConfig::default()
+        };
+        let past = std::time::Instant::now();
+        let ap = ApexProcessor::new(&g, &idx, &t).with_deadline(past);
+        let mut answered = 0;
+        for q in &QuerySets::generate(&g, &t, cfg).qtype3 {
+            let all = nv.eval(q).nodes;
+            let out = ap.eval(q);
+            assert!(out.nodes.iter().all(|n| all.binary_search(n).is_ok()));
+            if !all.is_empty() {
+                // Some candidate reached the value test (or a join
+                // stage), and the deadline stopped it there.
+                assert!(out.interrupted, "{}", q.render(&g));
+                answered += 1;
+            }
+        }
+        assert!(answered > 0, "the set has non-empty answers");
     }
 
     #[test]

@@ -19,25 +19,30 @@
 //! faults its page, and `pages_read` reflects both the compression and
 //! the skipping.
 //!
-//! Two types carry pairs, one per role: operators *read* stored extents
-//! as [`SuccinctExtent`] (what the index holds; the kernels scan its
-//! blocks in place) and *hand each other* [`EdgeSet`]s (decoded,
-//! in-flight results). Only [`ExtentUnion`] turns the first into the
-//! second wholesale.
+//! Operators *read* stored extents as [`SuccinctExtent`] (what the
+//! index holds; the kernels scan its blocks in place) and *hand each
+//! other* node frontiers: sorted, distinct `Vec<NodeId>`s of end nodes.
+//! A QTYPE1 answer is the end nodes of the joined extents (§6.1), and a
+//! semijoin needs only the end nodes of the side it extends, so no pair
+//! set travels between operators. Every frontier is made sorted and
+//! distinct by one routine, [`xmlgraph::sort_distinct`]: a bitmap over
+//! the id span when it is dense, a sort when it is sparse.
 //!
 //! | operator | paper role |
 //! |---|---|
 //! | [`ExtentScan`] | read one stored extent |
-//! | [`ExtentUnion`] | decode and union the extents of one `H_APEX` segment |
-//! | [`Semijoin`] | one join step (merge / gallop / block-skip kernel) |
-//! | [`MultiwayJoin`] | the §6.1 QTYPE1 chain: seed union + join steps |
-//! | [`DataProbe`] | QTYPE3 data-table value test |
+//! | [`ExtentUnion`] | decode the extents of one `H_APEX` segment to their sorted, distinct end nodes |
+//! | [`Semijoin`] | one join step (merge / gallop / block-skip kernel), appending the matched end nodes |
+//! | [`MultiwayJoin`] | the §6.1 QTYPE1 chain: seed union + join steps over node frontiers |
+//! | [`DataProbe`] | QTYPE3 value test: one sorted pass of the candidates through the data table |
 //! | [`IndexNav`] | index-graph navigation I/O (page-packed records) |
 //! | [`TrieSearch`] | Index Fabric key search / traversal |
 
+use std::time::Instant;
+
 use apex_storage::bufmgr::{BufferHandle, ObjectId, Space};
 use apex_storage::kernels::{self, Kernel, KernelPolicy, SemijoinScratch};
-use apex_storage::{Cost, DataTable, EdgePair, EdgeSet, Ends, OpKind, SuccinctExtent};
+use apex_storage::{Cost, DataTable, Ends, OpKind, SuccinctExtent};
 use fabric::IndexFabric;
 use xmlgraph::{LabelId, NodeId};
 
@@ -46,7 +51,10 @@ use xmlgraph::{LabelId, NodeId};
 #[derive(Debug, Default)]
 pub(crate) struct ExecScratch {
     pub(crate) semi: SemijoinScratch,
-    pub(crate) union: Vec<EdgePair>,
+    /// Bitmap words of [`xmlgraph::sort_distinct`].
+    words: Vec<u64>,
+    /// One stage's arrivals, swapped with the frontier per stage.
+    nodes: Vec<NodeId>,
 }
 
 /// Per-query execution state: the cost being accumulated, the kernel
@@ -60,7 +68,7 @@ pub struct ExecContext<'a> {
     /// poll [`ExecContext::checkpoint`] at stage boundaries and stop
     /// early once it passes (cooperative cancellation — the unit of
     /// non-preemptible work is one operator stage, never a whole query).
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     /// Sticky flag: a checkpoint observed the deadline in the past.
     interrupted: bool,
     /// The counters this query has accumulated so far.
@@ -93,7 +101,7 @@ impl<'a> ExecContext<'a> {
     ///
     /// [`checkpoint`]: ExecContext::checkpoint
     /// [`interrupted`]: ExecContext::interrupted
-    pub fn set_deadline(&mut self, deadline: std::time::Instant) {
+    pub fn set_deadline(&mut self, deadline: Instant) {
         self.deadline = Some(deadline);
     }
 
@@ -107,16 +115,41 @@ impl<'a> ExecContext<'a> {
     /// loops) — cheap enough for per-stage use, and deliberately not per
     /// pair, so kernels stay branch-free.
     pub fn checkpoint(&mut self) -> bool {
-        if self.interrupted {
-            return false;
+        keep_going(self.deadline, &mut self.interrupted)
+    }
+
+    /// Makes `nodes` sorted and distinct through this context's bitmap
+    /// words ([`xmlgraph::sort_distinct`]).
+    pub(crate) fn sort_distinct(&mut self, nodes: &mut Vec<NodeId>) {
+        xmlgraph::sort_distinct(nodes, &mut self.scratch.words);
+    }
+
+    /// One forward join stage: semijoins every `(id, extent)` of `stage`
+    /// against the sorted, distinct `frontier` and replaces the frontier
+    /// with the stage's sorted, distinct arrivals. The arrivals collect
+    /// in the context's node buffer, which keeps the old frontier's
+    /// allocation for the next stage.
+    pub(crate) fn advance<'e>(
+        &mut self,
+        frontier: &mut Vec<NodeId>,
+        space: Space,
+        stage: impl IntoIterator<Item = (u64, &'e SuccinctExtent)>,
+    ) {
+        let mut arrivals = std::mem::take(&mut self.scratch.nodes);
+        arrivals.clear();
+        for (id, extent) in stage {
+            semijoin(
+                self,
+                Ends::Slice(frontier),
+                space,
+                id,
+                extent,
+                &mut arrivals,
+            );
         }
-        if let Some(d) = self.deadline {
-            if std::time::Instant::now() >= d {
-                self.interrupted = true;
-                return false;
-            }
-        }
-        true
+        self.sort_distinct(&mut arrivals);
+        std::mem::swap(frontier, &mut arrivals);
+        self.scratch.nodes = arrivals;
     }
 
     /// The kernel policy governing this context's semijoins.
@@ -182,6 +215,15 @@ impl<'a> ExecContext<'a> {
             .ops
             .record(OpKind::IndexNav, false, [n, 0, 0, 0, 0, 0, 0, 0]);
     }
+}
+
+/// The deadline test behind [`ExecContext::checkpoint`]: `false` once
+/// `interrupted` is set or `deadline` has passed (which sets it).
+fn keep_going(deadline: Option<Instant>, interrupted: &mut bool) -> bool {
+    if !*interrupted && deadline.is_some_and(|d| Instant::now() >= d) {
+        *interrupted = true;
+    }
+    !*interrupted
 }
 
 /// Buffer-pool identity of block `k` of pair extent `id`: the extent id
@@ -279,10 +321,13 @@ impl<'a> ExtentScan<'a> {
     }
 }
 
-/// Scans several stored extents and merges them into one in-flight edge
-/// set — the seed of a QTYPE1 plan (the exact segment's class extents).
-/// This is where stored pairs are decoded wholesale; every later stage
-/// reads its extents through the kernels, block by block.
+/// Scans several stored extents and returns the sorted, distinct end
+/// nodes of their union — the seed frontier of a QTYPE1 plan (the exact
+/// segment's class extents). This is where stored extents are decoded
+/// wholesale, every source's end nodes into one buffer sized once, then
+/// made sorted and distinct in one pass; every later stage reads its
+/// extents through the kernels, block by block. Each source charges all
+/// of its pairs and all of its blocks.
 #[derive(Debug)]
 pub struct ExtentUnion<'a> {
     /// `(buffer id, extent)` sources, scanned in order.
@@ -292,26 +337,23 @@ pub struct ExtentUnion<'a> {
 }
 
 impl ExtentUnion<'_> {
-    /// Scans and merges every source.
-    pub fn run(self, ctx: &mut ExecContext<'_>) -> EdgeSet {
+    /// Scans every source; returns the union's sorted, distinct end
+    /// nodes.
+    pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.attributed(OpKind::ExtentUnion, |cost, buf, scratch| {
-            let mut out = EdgeSet::new();
+            let mut nodes = Vec::with_capacity(self.sources.iter().map(|s| s.1.len()).sum());
             for (id, set) in &self.sources {
                 cost.extent_pairs += set.len() as u64;
                 cost.pages_read += charge_all_blocks(buf, self.space, *id, set);
-                let part = EdgeSet::from_sorted(set.to_vec());
-                if out.is_empty() {
-                    out = part;
-                } else {
-                    out.union_in_place(&part, &mut scratch.union);
-                }
+                set.decode_nodes_into(&mut nodes);
             }
-            out
+            xmlgraph::sort_distinct(&mut nodes, &mut scratch.words);
+            nodes
         })
     }
 }
 
-/// One semijoin step: keeps the pairs of `extent` whose parent is one
+/// One semijoin step: matches the pairs of `extent` whose parent is one
 /// of the sorted, distinct `ends`, using the given [`Kernel`]. Faults
 /// only the blocks the kernel reads — a skipped block is never charged.
 /// Use [`semijoin`] to let the context's policy pick the kernel.
@@ -331,10 +373,12 @@ pub struct Semijoin<'a> {
 }
 
 impl Semijoin<'_> {
-    /// Runs the kernel, returning the matched pairs. Attributes to
-    /// [`OpKind::SemijoinMerge`] / [`OpKind::SemijoinGallop`] /
-    /// [`OpKind::SemijoinSkip`] according to the kernel that ran.
-    pub fn run(self, ctx: &mut ExecContext<'_>) -> EdgeSet {
+    /// Runs the kernel, appending the matched pairs' end nodes — in
+    /// pair order, so neither sorted nor distinct — to `out`. Attributes
+    /// to [`OpKind::SemijoinMerge`] / [`OpKind::SemijoinGallop`] /
+    /// [`OpKind::SemijoinSkip`] according to the kernel that ran; the
+    /// matched pairs themselves count as `join_output`.
+    pub fn run(self, ctx: &mut ExecContext<'_>, out: &mut Vec<NodeId>) {
         let kind = match self.kernel {
             Kernel::Merge => OpKind::SemijoinMerge,
             Kernel::Gallop => OpKind::SemijoinGallop,
@@ -353,22 +397,23 @@ impl Semijoin<'_> {
             cost.extent_pairs += report.pairs_read as u64;
             cost.join_work += report.work as u64;
             cost.join_output += scratch.semi.out.len() as u64;
-            // apex-lint: allow(hot-path-alloc): one copy per run hands the caller an owned result without dropping the scratch buffer's capacity
-            EdgeSet::from_sorted(scratch.semi.out.clone())
+            out.extend(scratch.semi.out.iter().map(|p| p.node));
         })
     }
 }
 
 /// Adaptive semijoin: the context's [`KernelPolicy`] picks the kernel
 /// from the size ratio of the two sides (the access-path choice every
-/// processor previously hand-rolled).
+/// processor previously hand-rolled). Appends the matched end nodes to
+/// `out`, like [`Semijoin::run`].
 pub fn semijoin(
     ctx: &mut ExecContext<'_>,
     ends: Ends<'_>,
     space: Space,
     id: u64,
     extent: &SuccinctExtent,
-) -> EdgeSet {
+    out: &mut Vec<NodeId>,
+) {
     let kernel = ctx.policy.choose(ends.len(), extent);
     Semijoin {
         ends,
@@ -377,13 +422,14 @@ pub fn semijoin(
         extent,
         kernel,
     }
-    .run(ctx)
+    .run(ctx, out)
 }
 
 /// The §6.1 QTYPE1 chain: union the exact segment's extents, then
-/// semijoin forward through the remaining segments. Composite — the
-/// union and semijoin work attributes to those operators; this one only
-/// counts its invocation.
+/// semijoin forward through the remaining segments, carrying a node
+/// frontier: each stage's arrivals, sorted and distinct, drive the next
+/// stage. Composite — the union and semijoin work attributes to those
+/// operators; this one only counts its invocation.
 #[derive(Debug)]
 pub struct MultiwayJoin<'a> {
     /// The exact segment's `(id, extent)` sources.
@@ -396,50 +442,61 @@ pub struct MultiwayJoin<'a> {
 }
 
 impl MultiwayJoin<'_> {
-    /// Executes the chain.
-    pub fn run(self, ctx: &mut ExecContext<'_>) -> EdgeSet {
+    /// Executes the chain, returning the sorted, distinct end nodes of
+    /// the last stage. A deadline that trips between stages leaves no
+    /// answer: the nodes reached so far end a prefix of the path.
+    pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.cost.ops.record(OpKind::MultiwayJoin, true, [0; 8]);
-        let mut cur = ExtentUnion {
+        let mut frontier = ExtentUnion {
             sources: self.seed,
             space: self.space,
         }
         .run(ctx);
-        // Borrow the context's union scratch for the stage merges (the
-        // semijoins inside the loop need `ctx` whole).
-        let mut scratch = std::mem::take(&mut ctx.scratch.union);
         for stage in self.stages {
-            if cur.is_empty() || !ctx.checkpoint() {
+            if frontier.is_empty() {
                 break;
             }
-            let mut next = EdgeSet::new();
-            for (id, extent) in stage {
-                let hit = semijoin(ctx, cur.end_nodes().into(), self.space, id, extent);
-                next.union_in_place(&hit, &mut scratch);
+            if !ctx.checkpoint() {
+                frontier.clear();
+                break;
             }
-            cur = next;
+            ctx.advance(&mut frontier, self.space, stage);
         }
-        ctx.scratch.union = scratch;
-        cur
+        frontier
     }
 }
 
-/// One QTYPE3 data-table value test through the buffer pool.
+/// The QTYPE3 value test (§6.1: "testing the nodes by looking up the
+/// data table"): one sorted pass of a query's candidates through the
+/// nid-sorted table ([`DataTable::filter_sorted`]). Charges one
+/// `table_probes` per candidate, the root page once and each distinct
+/// leaf page once.
 #[derive(Debug)]
 pub struct DataProbe<'a> {
     /// The `nid → value` table.
     pub table: &'a DataTable,
-    /// The node whose value is tested.
-    pub nid: NodeId,
     /// The expected value.
     pub value: &'a str,
 }
 
 impl DataProbe<'_> {
-    /// Probes; true when `nid` carries exactly `value`.
-    pub fn run(self, ctx: &mut ExecContext<'_>) -> bool {
+    /// Keeps the nodes of `nodes` (sorted, distinct) that carry exactly
+    /// `value`. The deadline is checked before every
+    /// [`apex_storage::datatable::PROBE_CHUNK`] candidates; once it
+    /// passes, the untested rest is dropped and the context reads
+    /// interrupted.
+    pub fn run(self, nodes: &mut Vec<NodeId>, ctx: &mut ExecContext<'_>) {
+        if nodes.is_empty() {
+            return;
+        }
+        let deadline = ctx.deadline;
+        let mut interrupted = ctx.interrupted;
         ctx.attributed(OpKind::DataProbe, |cost, buf, _| {
-            self.table.probe_buffered(buf, cost, self.nid, self.value)
-        })
+            self.table.filter_sorted(buf, cost, nodes, self.value, || {
+                keep_going(deadline, &mut interrupted)
+            })
+        });
+        ctx.interrupted = interrupted;
     }
 }
 
@@ -509,7 +566,11 @@ pub fn record_layout(record_bytes: impl Iterator<Item = usize>) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apex_storage::PageModel;
+    use apex_storage::{EdgePair, EdgeSet, PageModel};
+
+    fn ids(v: &[u32]) -> Vec<NodeId> {
+        v.iter().copied().map(NodeId).collect()
+    }
 
     fn stored(pairs: &[(u32, u32)]) -> SuccinctExtent {
         SuccinctExtent::from_pairs(EdgeSet::from_raw(pairs).pairs())
@@ -542,19 +603,23 @@ mod tests {
     #[test]
     fn union_merges_and_semijoin_adapts() {
         let buf = BufferHandle::unbounded();
-        let a = stored(&[(1, 2)]);
-        let b = stored(&[(3, 4)]);
+        // Overlapping sources whose end nodes are out of order and
+        // repeated within and across extents.
+        let a = stored(&[(1, 4), (2, 2), (3, 4)]);
+        let b = stored(&[(0, 9), (3, 2)]);
         let mut ctx = ExecContext::new(&buf);
         let u = ExtentUnion {
             sources: vec![(0, &a), (1, &b)],
             space: Space::ApexExtent,
         }
         .run(&mut ctx);
-        assert_eq!(u, EdgeSet::from_raw(&[(1, 2), (3, 4)]));
-        // 2 ends vs a 3-pair extent: same order, so the merge kernel runs.
+        assert_eq!(u, ids(&[2, 4, 9]));
+        assert_eq!(ctx.cost.extent_pairs, 5, "every source pair is charged");
+        // 3 ends vs a 3-pair extent: same order, so the merge kernel runs.
         let next = stored(&[(2, 7), (4, 9), (5, 5)]);
-        let hit = semijoin(&mut ctx, u.end_nodes().into(), Space::ApexExtent, 2, &next);
-        assert_eq!(hit, EdgeSet::from_raw(&[(2, 7), (4, 9)]));
+        let mut hit = Vec::new();
+        semijoin(&mut ctx, (&u).into(), Space::ApexExtent, 2, &next, &mut hit);
+        assert_eq!(hit, ids(&[7, 9]));
         let cost = ctx.finish();
         assert_eq!(cost.ops.get(OpKind::SemijoinMerge).invocations, 1);
         assert_eq!(cost.ops.get(OpKind::SemijoinGallop).invocations, 0);
@@ -585,7 +650,16 @@ mod tests {
             (KernelPolicy::Adaptive, adaptive_kind),
         ] {
             let mut ctx = ExecContext::with_policy(&buf, policy);
-            let hit = semijoin(&mut ctx, (&ends[..]).into(), Space::ApexExtent, 9, &extent);
+            let mut hit = Vec::new();
+            semijoin(
+                &mut ctx,
+                (&ends[..]).into(),
+                Space::ApexExtent,
+                9,
+                &extent,
+                &mut hit,
+            );
+            assert_eq!(hit, ids(&[11, 4_001]), "{}", policy.name());
             let cost = ctx.finish();
             assert_eq!(cost.ops.get(kind).invocations, 1, "{}", policy.name());
             match &want {
@@ -603,14 +677,16 @@ mod tests {
         let blocks = extent.num_blocks() as u64;
         assert!(blocks > 2);
         let mut ctx = ExecContext::new(&buf);
-        let hit = semijoin(
+        let mut hit = Vec::new();
+        semijoin(
             &mut ctx,
             (&[NodeId(1)][..]).into(),
             Space::ApexExtent,
             3,
             &extent,
+            &mut hit,
         );
-        assert_eq!(hit.len(), 1);
+        assert_eq!(hit, ids(&[2]));
         let probe_pages = ctx.cost.pages_read;
         assert!(
             probe_pages < blocks,
@@ -625,16 +701,20 @@ mod tests {
     fn multiway_join_attributes_to_inner_operators() {
         let buf = BufferHandle::unbounded();
         let seed = stored(&[(0, 1), (0, 2)]);
-        let s1 = stored(&[(1, 10), (2, 11), (9, 9)]);
+        // Two classes in the stage: their arrivals (11 twice, 10) are
+        // merged into one sorted, distinct frontier.
+        let s1 = stored(&[(1, 11), (2, 11), (9, 9)]);
+        let s2 = stored(&[(2, 10)]);
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
             seed: vec![(0, &seed)],
-            stages: vec![vec![(1, &s1)]],
+            stages: vec![vec![(1, &s1), (2, &s2)]],
             space: Space::ApexExtent,
         }
         .run(&mut ctx);
-        assert_eq!(out, EdgeSet::from_raw(&[(1, 10), (2, 11)]));
+        assert_eq!(out, ids(&[10, 11]));
         let cost = ctx.finish();
+        assert_eq!(cost.join_output, 3, "matched pairs, not distinct nodes");
         let mj = cost.ops.get(OpKind::MultiwayJoin);
         assert_eq!(mj.invocations, 1);
         // Composite: the pages/pairs live on the inner operators.
@@ -648,7 +728,7 @@ mod tests {
         .iter()
         .map(|&k| cost.ops.get(k).invocations)
         .sum();
-        assert_eq!(semijoins, 1);
+        assert_eq!(semijoins, 2);
         // Scalar totals equal the sum of the per-op attributions.
         let attributed: u64 = OpKind::ALL
             .iter()
@@ -672,6 +752,54 @@ mod tests {
         let cost = ctx.finish();
         assert_eq!(cost.ops.get(OpKind::SemijoinMerge).invocations, 0);
         assert_eq!(cost.extent_pairs, 0);
+    }
+
+    #[test]
+    fn an_interrupted_chain_answers_nothing() {
+        // The seed's end nodes end a prefix of the path, not the path:
+        // a deadline between stages must not pass them off as answers.
+        let buf = BufferHandle::unbounded();
+        let seed = stored(&[(0, 1)]);
+        let s1 = stored(&[(1, 10)]);
+        let mut ctx = ExecContext::new(&buf);
+        ctx.set_deadline(Instant::now());
+        let out = MultiwayJoin {
+            seed: vec![(0, &seed)],
+            stages: vec![vec![(1, &s1)]],
+            space: Space::ApexExtent,
+        }
+        .run(&mut ctx);
+        assert!(out.is_empty());
+        assert!(ctx.interrupted());
+    }
+
+    #[test]
+    fn data_probe_filters_in_one_pass_and_stops_at_the_deadline() {
+        let g = xmlgraph::builder::moviedb();
+        let t = DataTable::build(&g, PageModel::default());
+        let buf = BufferHandle::unbounded();
+        let probe = || DataProbe {
+            table: &t,
+            value: "Star Wars",
+        };
+        let mut ctx = ExecContext::new(&buf);
+        let mut nodes = ids(&[0, 10, 17]);
+        probe().run(&mut nodes, &mut ctx);
+        assert_eq!(nodes, ids(&[10]));
+        assert!(!ctx.interrupted());
+        assert_eq!(ctx.cost.table_probes, 3);
+        let op = *ctx.cost.ops.get(OpKind::DataProbe);
+        assert_eq!(op.invocations, 1, "one operator run per query");
+        assert_eq!(op.scalars[6], 3);
+        assert_eq!(op.pages_read(), ctx.cost.pages_read);
+        // An expired deadline drops every untested candidate.
+        let mut late = ExecContext::new(&buf);
+        late.set_deadline(Instant::now());
+        let mut nodes = ids(&[0, 10, 17]);
+        probe().run(&mut nodes, &mut late);
+        assert!(nodes.is_empty());
+        assert!(late.interrupted());
+        assert_eq!(late.cost.table_probes, 0);
     }
 
     #[test]

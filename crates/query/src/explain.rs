@@ -30,10 +30,10 @@ pub struct SegmentPlan {
     /// True if the prefix is itself a required path (exact — terminates
     /// the segmentation loop).
     pub exact: bool,
-    /// Predicted semijoin kernel for joining into this segment (the
-    /// adaptive policy applied to the previous segment's pair count and
-    /// this segment's largest extent). `None` for the seed segment,
-    /// which is unioned, not joined.
+    /// The planner's kernel for joining into this segment (`reverse`
+    /// for a stage the backward order reduces first). `None` for the
+    /// seed segment, which is unioned, not joined, and for every segment
+    /// of a statically empty plan, which joins nothing.
     pub kernel: Option<&'static str>,
 }
 
@@ -179,57 +179,34 @@ pub fn explain_apex(apex: &Apex, q: &Query) -> Plan {
     }
 }
 
+/// The QTYPE1/QTYPE3 plan as the planner builds it (over live extent
+/// statistics — `explain` has no snapshot): its segments and kernels are
+/// the planner's `PathPlan.stages` and `PathPlan.kernels`, not a second
+/// derivation, so the rendered plan is the one execution runs.
 fn plan_path(apex: &Apex, labels: &[LabelId], value_filter: bool) -> Plan {
-    let n = labels.len();
-    let mut raw = Vec::new();
-    let mut exact_found = false;
-    for j in (1..=n).rev() {
-        let seg = apex.segment_nodes(&labels[..j]);
-        if seg.exact {
-            exact_found = true;
-        }
-        raw.push((j, seg));
-        if exact_found {
-            break;
-        }
-    }
-    if !exact_found {
-        return Plan::Empty;
-    }
-    raw.reverse(); // exact seed first — evaluation order
-    let mut segments: Vec<SegmentPlan> = Vec::new();
-    for (i, (j, seg)) in raw.iter().enumerate() {
-        let extent_pairs = seg.xnodes.iter().map(|&x| apex.extent(x).len()).sum();
-        // Predict the join kernel from the previous segment's pair count
-        // (an upper bound on the ends flowing in) against this segment's
-        // largest extent — the same rule the executor applies.
-        let kernel = if i == 0 {
-            None
-        } else {
-            let est_ends = segments[i - 1].extent_pairs;
-            seg.xnodes
-                .iter()
-                .max_by_key(|&&x| apex.extent(x).len())
-                .map(|&x| {
-                    KernelPolicy::Adaptive
-                        .choose(est_ends, apex.extent(x))
-                        .name()
-                })
-        };
-        segments.push(SegmentPlan {
-            prefix_len: *j,
-            classes: seg.xnodes.len(),
-            extent_pairs,
-            exact: seg.exact,
-            kernel,
-        });
-    }
-    let joins = segments.len() - 1;
-    // Ask the cost-based planner which join order it would pick for
-    // this chain (over live extent statistics — `explain` has no
-    // snapshot), so the rendered plan matches what execution runs.
     let planned = Planner::new(apex, None, KernelPolicy::Adaptive, 0)
         .plan_path(labels, JoinOrderPolicy::Planned);
+    // No stage at all: the path's first label is unknown.
+    let Some(joins) = planned.stages.len().checked_sub(1) else {
+        return Plan::Empty;
+    };
+    // The decreasing-j loop stops at the first exact prefix, so the seed
+    // covers `labels[..n - joins]` and each later stage one label more.
+    let seed_len = labels.len() - joins;
+    let segments = planned
+        .stages
+        .iter()
+        .enumerate()
+        .map(|(i, classes)| SegmentPlan {
+            prefix_len: seed_len + i,
+            classes: classes.len(),
+            extent_pairs: classes.iter().map(|&x| apex.extent(x).len()).sum(),
+            exact: i == 0,
+            kernel: i
+                .checked_sub(1)
+                .and_then(|b| planned.kernels.get(b).copied()),
+        })
+        .collect();
     Plan::PathJoin {
         segments,
         joins,
@@ -297,6 +274,58 @@ mod tests {
             "{order}"
         );
         assert!(rendered.contains("join order: "), "{rendered}");
+    }
+
+    #[test]
+    fn explain_shows_the_planners_segments_and_kernels() {
+        // One derivation: for every generated path query, on APEX⁰ and a
+        // refined index, explain's segments and kernels are the plan the
+        // planner executes.
+        use crate::generator::{GeneratorConfig, QuerySets};
+        use apex_storage::{DataTable, PageModel};
+        let g = datagen::gedml(60, 7);
+        let t = DataTable::build(&g, PageModel::default());
+        let cfg = GeneratorConfig {
+            qtype1: 300,
+            qtype2: 0,
+            qtype3: 60,
+            seed: 0xE4,
+            ..GeneratorConfig::default()
+        };
+        let sets = QuerySets::generate(&g, &t, cfg);
+        let apex0 = Apex::build_initial(&g);
+        let mut refined = apex0.clone();
+        refined.refine(&g, &sets.workload, 0.01);
+        let mut joined = 0;
+        for idx in [&apex0, &refined] {
+            let planner = Planner::new(idx, None, KernelPolicy::Adaptive, 0);
+            for q in sets.qtype1.iter().chain(&sets.qtype3) {
+                let labels = q.labels().expect("path query");
+                let want = planner.plan_path(labels, JoinOrderPolicy::Planned);
+                let Plan::PathJoin {
+                    segments,
+                    joins,
+                    order,
+                    predicted_total,
+                    ..
+                } = explain_apex(idx, q)
+                else {
+                    assert!(want.stages.is_empty(), "{}", q.render(&g));
+                    continue;
+                };
+                let classes: Vec<usize> = want.stages.iter().map(Vec::len).collect();
+                let got: Vec<usize> = segments.iter().map(|s| s.classes).collect();
+                assert_eq!(got, classes, "{}", q.render(&g));
+                let kernels: Vec<&str> = segments.iter().filter_map(|s| s.kernel).collect();
+                assert_eq!(kernels, want.kernels, "{}", q.render(&g));
+                assert_eq!(joins, want.stages.len() - 1);
+                assert_eq!(segments.last().map(|s| s.prefix_len), Some(labels.len()));
+                assert_eq!(order, want.order.label());
+                assert_eq!(predicted_total, want.predicted_total);
+                joined += usize::from(joins > 0 && !want.static_empty);
+            }
+        }
+        assert!(joined > 0, "the sets include joined plans");
     }
 
     #[test]

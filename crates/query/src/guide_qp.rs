@@ -312,14 +312,11 @@ impl<I: RootedIndex> QueryProcessor for GuideProcessor<'_, I> {
             }
             Query::ValuePath { labels, value } => {
                 let mut nodes = self.eval_path(labels, &mut ctx);
-                nodes.retain(|&n| {
-                    DataProbe {
-                        table: self.table,
-                        nid: n,
-                        value,
-                    }
-                    .run(&mut ctx)
-                });
+                DataProbe {
+                    table: self.table,
+                    value,
+                }
+                .run(&mut nodes, &mut ctx);
                 nodes
             }
         };

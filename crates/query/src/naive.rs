@@ -87,8 +87,7 @@ impl<'a> NaiveProcessor<'a> {
     fn eval_path(&self, labels: &[LabelId], ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         let first = self.scan_postings(labels[0], ctx);
         let mut frontier: Vec<NodeId> = first.iter().map(|&(_, to)| to).collect();
-        frontier.sort_unstable();
-        frontier.dedup();
+        self.g.sort_doc_order(&mut frontier);
         for &l in &labels[1..] {
             let mut next = Vec::new();
             for &v in &frontier {
@@ -98,8 +97,7 @@ impl<'a> NaiveProcessor<'a> {
                     }
                 }
             }
-            next.sort_unstable();
-            next.dedup();
+            self.g.sort_doc_order(&mut next);
             frontier = next;
             if frontier.is_empty() {
                 break;
@@ -137,8 +135,7 @@ impl<'a> NaiveProcessor<'a> {
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        self.g.sort_doc_order(&mut out);
         out
     }
 }
@@ -157,14 +154,11 @@ impl QueryProcessor for NaiveProcessor<'_> {
             }
             Query::ValuePath { labels, value } => {
                 let mut nodes = self.eval_path(labels, &mut ctx);
-                nodes.retain(|&n| {
-                    DataProbe {
-                        table: self.table,
-                        nid: n,
-                        value,
-                    }
-                    .run(&mut ctx)
-                });
+                DataProbe {
+                    table: self.table,
+                    value,
+                }
+                .run(&mut nodes, &mut ctx);
                 nodes
             }
         };

@@ -41,7 +41,7 @@
 use apex::{Apex, ExtentStat, PlanStats, XNodeId};
 use apex_storage::bufmgr::Space;
 use apex_storage::kernels::reverse_semijoin_into;
-use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
+use apex_storage::{EdgeSet, Ends, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId};
 
 use crate::exec::{self, ExecContext, ExtentScan, ExtentUnion, MultiwayJoin};
@@ -668,17 +668,18 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Executes `plan`, returning the final edge set plus the report
-    /// pairing the plan's predictions with what actually ran.
+    /// Executes `plan`, returning the answer — the sorted, distinct end
+    /// nodes of the last stage — plus the report pairing the plan's
+    /// predictions with what actually ran.
     pub fn execute_path(
         &self,
         plan: &PathPlan,
         ctx: &mut ExecContext<'_>,
-    ) -> (EdgeSet, PlanReport) {
+    ) -> (Vec<NodeId>, PlanReport) {
         let before = ctx.cost.ops;
         ctx.note_hash_lookups(plan.hash_lookups);
-        let edges = if plan.static_empty {
-            EdgeSet::new()
+        let nodes = if plan.static_empty {
+            Vec::new()
         } else {
             match plan.order {
                 JoinOrder::Forward => self.run_forward(plan, ctx),
@@ -692,15 +693,15 @@ impl<'a> Planner<'a> {
             &before,
             &ctx.cost.ops,
         );
-        (edges, report)
+        (nodes, report)
     }
 
     /// Forward order: delegates to [`MultiwayJoin`], so the execution is
     /// identical to the legacy pipeline.
-    fn run_forward(&self, plan: &PathPlan, ctx: &mut ExecContext<'_>) -> EdgeSet {
+    fn run_forward(&self, plan: &PathPlan, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         let mut it = plan.stages.iter();
         let Some(seed) = it.next() else {
-            return EdgeSet::new();
+            return Vec::new();
         };
         MultiwayJoin {
             seed: seed.iter().map(|&x| self.source(x)).collect(),
@@ -738,34 +739,40 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Semijoin of the running frontier against an in-memory reduced
-    /// stage: merge or gallop on actual sizes, zero pages (reduced
-    /// stages are in-flight sets, not storage).
-    fn memory_join(&self, ctx: &mut ExecContext<'_>, cur: &EdgeSet, stage: &EdgeSet) -> EdgeSet {
-        let ends = cur.end_nodes();
-        let n = ends.len().max(1);
+    /// Semijoin of the sorted, distinct `frontier` against an in-memory
+    /// reduced stage: merge or gallop on actual sizes, zero pages
+    /// (reduced stages are in-flight sets, not storage). Leaves the
+    /// stage's sorted, distinct arrivals in `frontier`.
+    fn memory_join(&self, ctx: &mut ExecContext<'_>, frontier: &mut Vec<NodeId>, stage: &EdgeSet) {
+        let n = frontier.len().max(1);
         let m = stage.len();
         let gap_log = (usize::BITS - (m / n).max(1).leading_zeros()) as usize;
-        if m + n <= n * (2 * gap_log + 4) {
+        let ends = Ends::Slice(frontier);
+        let hit = if m + n <= n * (2 * gap_log + 4) {
             ctx.attributed(OpKind::SemijoinMerge, |cost, _, _| {
-                let (hit, work) = stage.semijoin_ends(ends.into());
+                let (hit, work) = stage.semijoin_ends(ends);
                 cost.join_work += work as u64;
                 cost.join_output += hit.len() as u64;
                 hit
             })
         } else {
             ctx.attributed(OpKind::SemijoinGallop, |cost, _, _| {
-                let (hit, probes) = stage.probe_by_parents(ends.into());
+                let (hit, probes) = stage.probe_by_parents(ends);
                 cost.join_work += probes as u64;
                 cost.join_output += hit.len() as u64;
                 hit
             })
-        }
+        };
+        frontier.clear();
+        frontier.extend(hit.iter().map(|p| p.node));
+        ctx.sort_distinct(frontier);
     }
 
     /// Backward reduction of the last `r` boundaries, then the forward
-    /// pass over the mixed stored/reduced chain.
-    fn run_backward(&self, plan: &PathPlan, r: usize, ctx: &mut ExecContext<'_>) -> EdgeSet {
+    /// pass over the mixed stored/reduced chain. The reduced stages stay
+    /// pair sets (the next one is joined by their parents); the forward
+    /// pass carries a node frontier, as [`MultiwayJoin`] does.
+    fn run_backward(&self, plan: &PathPlan, r: usize, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         let k = plan.stages.len() - 1;
         debug_assert!(r >= 1 && r <= k);
         let lo = k - r;
@@ -779,16 +786,15 @@ impl<'a> Planner<'a> {
             set.decode_into(&mut scratch);
             parents.extend(scratch.iter().map(|p| p.parent));
         }
-        parents.sort_unstable();
-        parents.dedup();
+        ctx.sort_distinct(&mut parents);
         if parents.is_empty() {
-            return EdgeSet::new();
+            return Vec::new();
         }
         // Reduce stages k-1 .. lo.
         let mut reduced: Vec<EdgeSet> = vec![EdgeSet::new(); k];
         for i in (lo..k).rev() {
             if !ctx.checkpoint() {
-                return EdgeSet::new();
+                return Vec::new();
             }
             let mut stage_red = EdgeSet::new();
             for &x in &plan.stages[i] {
@@ -800,18 +806,19 @@ impl<'a> Planner<'a> {
                 // Nothing upstream can extend into the reduced suffix:
                 // the answer is empty, skip the rest (including the
                 // seed union the forward order would have paid).
-                return EdgeSet::new();
+                return Vec::new();
             }
             parents.clear();
             parents.extend(stage_red.iter().map(|p| p.parent));
-            parents.sort_unstable();
-            parents.dedup();
+            ctx.sort_distinct(&mut parents);
             reduced[i] = stage_red;
         }
         // Forward pass.
         ctx.cost.ops.record(OpKind::MultiwayJoin, true, [0; 8]);
-        let mut cur: EdgeSet = if lo == 0 {
-            std::mem::take(&mut reduced[0])
+        let mut frontier: Vec<NodeId> = if lo == 0 {
+            let mut seed: Vec<NodeId> = reduced[0].iter().map(|p| p.node).collect();
+            ctx.sort_distinct(&mut seed);
+            seed
         } else {
             ExtentUnion {
                 sources: plan.stages[0].iter().map(|&x| self.source(x)).collect(),
@@ -822,23 +829,21 @@ impl<'a> Planner<'a> {
         // `i` indexes the parallel `reduced` / `plan.stages` slices.
         #[allow(clippy::needless_range_loop)]
         for i in 1..=k {
-            if cur.is_empty() || !ctx.checkpoint() {
+            if frontier.is_empty() {
+                break;
+            }
+            if !ctx.checkpoint() {
+                frontier.clear();
                 break;
             }
             if i >= lo && i < k {
-                cur = self.memory_join(ctx, &cur, &reduced[i]);
+                self.memory_join(ctx, &mut frontier, &reduced[i]);
             } else {
-                let mut next = EdgeSet::new();
-                for &x in &plan.stages[i] {
-                    let (id, extent) = self.source(x);
-                    let hit =
-                        exec::semijoin(ctx, cur.end_nodes().into(), Space::ApexExtent, id, extent);
-                    next.union_in_place(&hit, &mut scratch);
-                }
-                cur = next;
+                let stage = plan.stages[i].iter().map(|&x| self.source(x));
+                ctx.advance(&mut frontier, Space::ApexExtent, stage);
             }
         }
-        cur
+        frontier
     }
 
     /// Prunes the QTYPE2 query `//first//last` on `G_APEX` before any

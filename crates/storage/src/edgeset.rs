@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use xmlgraph::{NodeId, NULL_NODE};
+use xmlgraph::{sort_distinct, NodeId, NULL_NODE};
 
 use crate::succinct::{EndIndex, Ends};
 
@@ -205,8 +205,7 @@ impl EdgeSet {
     pub fn end_nodes(&self) -> &EndIndex {
         self.ends.get_or_init(|| {
             let mut v: Vec<NodeId> = self.pairs.iter().map(|p| p.node).collect();
-            v.sort_unstable();
-            v.dedup();
+            sort_distinct(&mut v, &mut Vec::new());
             EndIndex::from_sorted(&v)
         })
     }
@@ -292,7 +291,6 @@ impl FromIterator<EdgePair> for EdgeSet {
     }
 }
 
-// apex-lint: allow(panic-reachability): i and j are bounded by the merge loop's own length guards
 fn merge_union(a: &[EdgePair], b: &[EdgePair], out: &mut Vec<EdgePair>) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {

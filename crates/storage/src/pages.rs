@@ -4,8 +4,6 @@
 //! same page size for every storage structure so page counts are
 //! comparable across indexes.
 
-use crate::cost::Cost;
-
 /// Converts byte volumes into page reads at a fixed page size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageModel {
@@ -39,16 +37,6 @@ impl PageModel {
             bytes.div_ceil(self.page_size) as u64
         }
     }
-
-    /// Charges one data-table probe: a root-to-leaf descent of a paged
-    /// binary-searchable table with `entries` entries, ~`entry_bytes` per
-    /// entry. Models `ceil(log2(pages))+1` page touches, floored at 1.
-    pub fn charge_table_probe(&self, cost: &mut Cost, entries: usize, entry_bytes: usize) {
-        cost.table_probes += 1;
-        let pages = self.pages_for_bytes(entries * entry_bytes).max(1);
-        let touched = 64 - pages.leading_zeros() as u64; // ~log2(pages)+1
-        cost.pages_read += touched.max(1);
-    }
 }
 
 #[cfg(test)]
@@ -62,17 +50,6 @@ mod tests {
         assert_eq!(m.pages_for_bytes(1), 1);
         assert_eq!(m.pages_for_bytes(8192), 1);
         assert_eq!(m.pages_for_bytes(8193), 2);
-    }
-
-    #[test]
-    fn table_probe_is_logarithmic() {
-        let m = PageModel::default();
-        let mut small = Cost::new();
-        m.charge_table_probe(&mut small, 10, 16);
-        let mut big = Cost::new();
-        m.charge_table_probe(&mut big, 1_000_000, 16);
-        assert_eq!(small.table_probes, 1);
-        assert!(big.pages_read > small.pages_read);
     }
 
     #[test]

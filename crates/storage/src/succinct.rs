@@ -311,7 +311,7 @@ impl BlockSamples {
             let payload = image.block_payload(k).unwrap_or(&[]);
             let mut bc = BlockCursor::at_head(payload, h.count as usize);
             while let Some(slots) = stride.get_mut(..bc.remaining.min(SAMPLE_EVERY)) {
-                bc.decode(slots);
+                bc.decode(slots, decoded_pair);
                 for p in slots.iter() {
                     lo = lo.min(p.node.0);
                     hi = hi.max(p.node.0);
@@ -513,8 +513,8 @@ impl SuccinctExtent {
     }
 
     /// Appends every pair, in `(parent, node)` order, to `out` — the
-    /// whole-extent decode behind unions, scans and the open step of an
-    /// index update. Decodes straight into `out`'s tail, one block at a
+    /// whole-extent decode behind the planner's backward scans and the
+    /// open step of an index update. Decodes straight into `out`'s tail, one block at a
     /// time.
     pub fn decode_into(&self, out: &mut Vec<EdgePair>) {
         for k in 0..self.num_blocks() {
@@ -522,7 +522,22 @@ impl SuccinctExtent {
             let at = out.len();
             out.resize(at + bc.remaining, EdgePair::new(NodeId(0), NodeId(0)));
             if let Some(slots) = out.get_mut(at..) {
-                bc.decode(slots);
+                bc.decode(slots, decoded_pair);
+            }
+        }
+    }
+
+    /// Appends every pair's end node, in `(parent, node)` order — so
+    /// neither sorted nor distinct — to `out`: the same decode as
+    /// [`SuccinctExtent::decode_into`], keeping 4 bytes per pair. What a
+    /// node-set union reads of an extent.
+    pub fn decode_nodes_into(&self, out: &mut Vec<NodeId>) {
+        for k in 0..self.num_blocks() {
+            let mut bc = self.block_cursor(k);
+            let at = out.len();
+            out.resize(at + bc.remaining, NodeId(0));
+            if let Some(slots) = out.get_mut(at..) {
+                bc.decode(slots, |_, node| NodeId(node));
             }
         }
     }
@@ -638,13 +653,16 @@ impl<'a> BlockCursor<'a> {
         } else {
             window.truncate(taken);
         }
-        self.decode(window);
+        self.decode(window, decoded_pair);
         taken
     }
 
-    /// Decodes the next `slots.len()` pairs into `slots`; both callers
-    /// size `slots` to at most [`BlockCursor::remaining`].
-    fn decode(&mut self, slots: &mut [EdgePair]) {
+    /// Decodes the next `slots.len()` pairs, storing `emit(parent,
+    /// node)` of each in `slots`; every caller sizes `slots` to at most
+    /// [`BlockCursor::remaining`]. Generic so a caller that keeps only
+    /// end nodes runs the same loop without writing pairs.
+    #[inline]
+    fn decode<T>(&mut self, slots: &mut [T], emit: impl Fn(u32, u32) -> T) {
         debug_assert!(slots.len() <= self.remaining);
         let taken = slots.len();
         if taken == 0 {
@@ -667,7 +685,7 @@ impl<'a> BlockCursor<'a> {
             node = v;
             self.primed = true;
             if let Some(slot) = slots.next() {
-                *slot = decoded_pair(p, v);
+                *slot = emit(p, v);
             }
         }
         for slot in slots {
@@ -697,7 +715,7 @@ impl<'a> BlockCursor<'a> {
             let same = ((dp == 0) as u32).wrapping_neg();
             parent = parent.wrapping_add(dp);
             node = v.wrapping_add(node & same);
-            *slot = decoded_pair(parent, node);
+            *slot = emit(parent, node);
         }
         self.pos = pos;
         self.parent = parent;

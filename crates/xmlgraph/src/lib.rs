@@ -42,6 +42,6 @@ pub mod writer;
 pub use builder::GraphBuilder;
 pub use error::{BuildError, ParseError};
 pub use interner::Interner;
-pub use model::{Edge, LabelId, NodeId, XmlGraph, NULL_NODE};
+pub use model::{sort_distinct, Edge, LabelId, NodeId, XmlGraph, NULL_NODE};
 pub use paths::LabelPath;
 pub use stats::GraphStats;

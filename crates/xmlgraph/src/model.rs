@@ -174,9 +174,9 @@ impl XmlGraph {
 
     /// Sorts node ids by document order and removes duplicates — the
     /// post-processing step the paper applies to every query result.
+    /// Nids are document order, so this is [`sort_distinct`].
     pub fn sort_doc_order(&self, nodes: &mut Vec<NodeId>) {
-        nodes.sort_unstable();
-        nodes.dedup();
+        sort_distinct(nodes, &mut Vec::new());
     }
 
     /// Renders the label path of `path` as a dot-separated string
@@ -191,6 +191,55 @@ impl XmlGraph {
         }
         s
     }
+}
+
+/// Sorts `nodes` ascending and removes duplicates, in place — the one
+/// sorted-distinct routine behind every node set a query builds.
+///
+/// Ids that already strictly increase are left as they are. Otherwise
+/// one pass finds the smallest and largest id. If their span is dense,
+/// `(max − min + 1) / 64 ≤ len`, each id sets its bit in
+/// `words` (caller scratch, cleared and reused) and the set bits are
+/// read back in order over the input's own slots: linear in the input
+/// plus the span's words, which is at most `len`. Otherwise the ids are
+/// sparse and `sort_unstable` + `dedup` runs. The choice depends only
+/// on the input; every path gives the same result.
+pub fn sort_distinct(nodes: &mut Vec<NodeId>, words: &mut Vec<u64>) {
+    // Stops at the first descent, so an unsorted input pays little.
+    if nodes.iter().zip(nodes.iter().skip(1)).all(|(a, b)| a < b) {
+        return;
+    }
+    let (lo, hi) = nodes
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), n| (lo.min(n.0), hi.max(n.0)));
+    let span = u64::from(hi - lo) + 1;
+    if span / 64 > nodes.len() as u64 {
+        nodes.sort_unstable();
+        nodes.dedup();
+        return;
+    }
+    words.clear();
+    words.resize(span.div_ceil(64) as usize, 0);
+    for n in nodes.iter() {
+        let off = (n.0 - lo) as usize;
+        if let Some(w) = words.get_mut(off / 64) {
+            *w |= 1 << (off % 64);
+        }
+    }
+    // At most `len` bits are set, so the read-back never outgrows the
+    // slots it overwrites.
+    let mut len = 0;
+    for (i, &w) in words.iter().enumerate() {
+        let mut bits = w;
+        while bits != 0 {
+            if let Some(slot) = nodes.get_mut(len) {
+                *slot = NodeId(lo + i as u32 * 64 + bits.trailing_zeros());
+            }
+            len += 1;
+            bits &= bits - 1;
+        }
+    }
+    nodes.truncate(len);
 }
 
 #[cfg(test)]
@@ -238,6 +287,22 @@ mod tests {
         let mut v = vec![NodeId(4), NodeId(1), NodeId(4), NodeId(0)];
         g.sort_doc_order(&mut v);
         assert_eq!(v, vec![NodeId(0), NodeId(1), NodeId(4)]);
+    }
+
+    #[test]
+    fn sort_distinct_takes_either_path_to_the_same_answer() {
+        let mut words = Vec::new();
+        // Dense: 6 ids over a 131-id span (131 / 64 = 2 <= 6).
+        let mut dense: Vec<NodeId> = [140, 10, 75, 10, 11, 140].map(NodeId).to_vec();
+        sort_distinct(&mut dense, &mut words);
+        assert_eq!(dense, [10, 11, 75, 140].map(NodeId).to_vec());
+        assert_eq!(words.len(), 3, "the bitmap path ran");
+        // Sparse: 3 ids over the whole u32 range.
+        words.clear();
+        let mut sparse: Vec<NodeId> = [u32::MAX, 0, u32::MAX].map(NodeId).to_vec();
+        sort_distinct(&mut sparse, &mut words);
+        assert_eq!(sparse, vec![NodeId(0), NodeId(u32::MAX)]);
+        assert!(words.is_empty(), "the sort path ran");
     }
 
     #[test]

@@ -142,6 +142,40 @@ proptest! {
         }
     }
 
+    /// QTYPE3 equivalence: the sorted value test after APEX's and the
+    /// SDG's QTYPE1 answers keeps exactly naive's nodes.
+    #[test]
+    fn qtype3_equivalence(
+        rg in rand_graph(40),
+        workload_paths in rand_paths(3, 6),
+        query_paths in rand_paths(3, 10),
+        value in 0u8..5,
+        min_sup in 0.05f64..0.9,
+    ) {
+        let g = materialize(&rg);
+        let table = DataTable::build(&g, PageModel::default());
+        let naive = NaiveProcessor::new(&g, &table);
+        let sdg = DataGuide::build(&g);
+        let mut apex = Apex::build_initial(&g);
+        let wl = Workload::from_paths(
+            workload_paths.iter().filter_map(|p| to_label_path(&g, p)).collect(),
+        );
+        refine_checked(&g, &mut apex, &wl, min_sup);
+        let ap = ApexProcessor::new(&g, &apex, &table);
+        let gp = GuideProcessor::new(&g, &sdg, &table);
+        for qp in &query_paths {
+            let Some(path) = to_label_path(&g, qp) else { continue };
+            let q = apex_query::Query::ValuePath { labels: path.0.clone(), value: format!("v{value}") };
+            let expect = naive.eval(&q).nodes;
+            let out = ap.eval(&q);
+            prop_assert_eq!(&out.nodes, &expect, "APEX on {}", q.render(&g));
+            prop_assert_eq!(&gp.eval(&q).nodes, &expect, "SDG on {}", q.render(&g));
+            // One probe per QTYPE1 answer node.
+            let candidates = ap.eval(&apex_query::Query::PartialPath { labels: path.0 }).nodes;
+            prop_assert_eq!(out.cost.table_probes, candidates.len() as u64);
+        }
+    }
+
     /// QTYPE2 equivalence on random graphs.
     #[test]
     fn qtype2_equivalence(
@@ -374,8 +408,10 @@ mod edgeset_laws {
 mod exec_laws {
     use apex_query::exec::{self, ExecContext, ExtentScan, ExtentUnion};
     use apex_storage::bufmgr::{BufferHandle, Space};
+    use apex_storage::kernels::{self, KernelPolicy, SemijoinScratch};
     use apex_storage::{EdgePair, EdgeSet, OpKind, SuccinctExtent};
     use proptest::prelude::*;
+    use xmlgraph::NodeId;
 
     fn pairs(max: u32, count: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
         proptest::collection::vec((0..max, 0..max), 0..count)
@@ -384,6 +420,12 @@ mod exec_laws {
     /// The stored form of a raw pair list.
     fn stored(v: &[(u32, u32)]) -> SuccinctExtent {
         SuccinctExtent::from_pairs(EdgeSet::from_raw(v).pairs())
+    }
+
+    /// Sorted, distinct end nodes of the union of raw pair lists.
+    fn union_ends(lists: &[&[(u32, u32)]]) -> Vec<NodeId> {
+        let all: Vec<(u32, u32)> = lists.iter().flat_map(|l| l.iter().copied()).collect();
+        EdgeSet::from_raw(&all).end_nodes().to_vec()
     }
 
     proptest! {
@@ -395,14 +437,22 @@ mod exec_laws {
             let ends = sa.end_nodes();
             let buf = BufferHandle::unbounded();
             let mut ctx = ExecContext::new(&buf);
-            let hit = exec::semijoin(&mut ctx, ends.into(), Space::ApexExtent, 0, &sb);
+            let mut hit = Vec::new();
+            exec::semijoin(&mut ctx, ends.into(), Space::ApexExtent, 0, &sb, &mut hit);
             let ends_vec = ends.to_vec();
             let expect: Vec<EdgePair> = sb
                 .to_vec()
                 .into_iter()
                 .filter(|p| ends_vec.binary_search(&p.parent).is_ok())
                 .collect();
-            prop_assert_eq!(hit.pairs().to_vec(), expect);
+            // The operator hands on the matched pairs' end nodes…
+            let expect_nodes: Vec<NodeId> = expect.iter().map(|p| p.node).collect();
+            prop_assert_eq!(hit, expect_nodes);
+            // …and the kernel the policy picks matches exactly those pairs.
+            let mut scratch = SemijoinScratch::new();
+            let kernel = KernelPolicy::Adaptive.choose(ends.len(), &sb);
+            kernels::semijoin_into(kernel, &sb, ends.into(), &mut scratch);
+            prop_assert_eq!(&scratch.out, &expect);
             // Exactly one semijoin kernel ran.
             let cost = ctx.finish();
             let semijoins: u64 = [
@@ -427,8 +477,15 @@ mod exec_laws {
                 space: Space::ApexExtent,
             }
             .run(&mut ctx);
-            let ends = u.end_nodes();
-            let _ = exec::semijoin(&mut ctx, ends.into(), Space::ApexExtent, 2, &sb);
+            // The union is the sorted, distinct end nodes of both
+            // sources, and still charges every pair of each.
+            prop_assert_eq!(&u, &union_ends(&[&a, &b]));
+            prop_assert_eq!(
+                ctx.cost.ops.get(OpKind::ExtentUnion).extent_pairs(),
+                (sa.len() + sb.len()) as u64
+            );
+            let mut hit = Vec::new();
+            exec::semijoin(&mut ctx, (&u).into(), Space::ApexExtent, 2, &sb, &mut hit);
             let cost = ctx.finish();
             // Per-operator scalars sum exactly to the query totals.
             for (i, total) in cost.scalars().iter().enumerate() {
@@ -449,18 +506,114 @@ mod exec_laws {
                     space: Space::ApexExtent,
                 }
                 .run(&mut ctx);
-                let ends = u.end_nodes();
-                let hit = exec::semijoin(&mut ctx, ends.into(), Space::ApexExtent, 2, &sb);
-                (hit, ctx.finish())
+                let mut hit = Vec::new();
+                exec::semijoin(&mut ctx, (&u).into(), Space::ApexExtent, 2, &sb, &mut hit);
+                (u, hit, ctx.finish())
             };
-            let (cold_hit, cold) = run(&buf);
-            let (warm_hit, warm) = run(&buf);
+            let (cold_union, cold_hit, cold) = run(&buf);
+            let (warm_union, warm_hit, warm) = run(&buf);
+            prop_assert_eq!(cold_union, warm_union);
             prop_assert_eq!(cold_hit, warm_hit);
             prop_assert_eq!(warm.pages_read, 0);
             // Only I/O changes between runs; logical work is identical.
             prop_assert_eq!(warm.extent_pairs, cold.extent_pairs);
             prop_assert_eq!(warm.join_work, cold.join_work);
             prop_assert_eq!(warm.join_output, cold.join_output);
+        }
+    }
+}
+
+/// Laws of the node sets QTYPE1/QTYPE3 carry: the one sorted-distinct
+/// routine equals sort + dedup on both sides of its density rule, and
+/// the sorted data-table probe equals a per-node value filter.
+mod node_set_laws {
+    use super::{materialize, rand_graph};
+    use apex_storage::{BufferHandle, Cost, DataTable, PageModel};
+    use proptest::prelude::*;
+    use xmlgraph::{sort_distinct, NodeId};
+
+    fn reference(v: &[NodeId]) -> Vec<NodeId> {
+        let mut want = v.to_vec();
+        want.sort_unstable();
+        want.dedup();
+        want
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Ids drawn from `[top − span + 1, top]`: spans from 1 to 300 k
+        /// against up to 400 ids put inputs on both sides of the
+        /// `(max − min + 1) / 64 ≤ len` rule, small spans repeat ids,
+        /// `top` reaches `u32::MAX`, and lengths include 0 and 1.
+        #[test]
+        fn sort_distinct_equals_sort_dedup(
+            top in 0u32..=u32::MAX,
+            span in 1u32..300_000,
+            offsets in proptest::collection::vec(0u32..300_000, 0..400),
+            repeat in 0usize..3,
+        ) {
+            let lo = top.saturating_sub(span - 1);
+            let mut ids: Vec<NodeId> = offsets.iter().map(|&o| NodeId(lo + o % span)).collect();
+            let dup = ids[..ids.len() / 2].to_vec();
+            for _ in 0..repeat {
+                ids.extend_from_slice(&dup);
+            }
+            let want = reference(&ids);
+            let mut words = vec![u64::MAX; 3]; // stale scratch must not leak
+            sort_distinct(&mut ids, &mut words);
+            prop_assert_eq!(ids, want);
+        }
+
+        /// The sorted probe keeps exactly the candidates whose value is
+        /// the probed one, counts one probe per candidate, and reads the
+        /// root page plus at most one leaf per candidate.
+        #[test]
+        fn sorted_probe_equals_per_node_filter(
+            rg in rand_graph(60),
+            picks in proptest::collection::vec(0u32..70, 0..50),
+            value in 0u8..5,
+        ) {
+            let g = materialize(&rg);
+            let t = DataTable::build(&g, PageModel::new(64));
+            let value = format!("v{value}");
+            let candidates = reference(&picks.iter().map(|&p| NodeId(p)).collect::<Vec<_>>());
+            let want: Vec<NodeId> = candidates
+                .iter()
+                .copied()
+                .filter(|&n| t.value(n) == Some(value.as_str()))
+                .collect();
+            let buf = BufferHandle::unbounded();
+            let mut cost = Cost::new();
+            let mut kept = candidates.clone();
+            t.filter_sorted(&buf, &mut cost, &mut kept, &value, || true);
+            prop_assert_eq!(kept, want);
+            prop_assert_eq!(cost.table_probes, candidates.len() as u64);
+            prop_assert!(cost.pages_read <= 1 + candidates.len() as u64);
+            prop_assert_eq!(cost.pages_read == 0, candidates.is_empty());
+        }
+    }
+
+    #[test]
+    fn sort_distinct_at_the_density_boundary() {
+        // `len` ids, descending, spanning exactly `span`: dense while
+        // span / 64 <= len, sparse one id of span later.
+        for (len, span, dense) in [
+            (4u32, 256u32, true),
+            (4, 319, true),
+            (4, 320, false),
+            (2, 191, true),
+            (2, 192, false),
+        ] {
+            let mut ids: Vec<NodeId> = (0..len)
+                .rev()
+                .map(|i| NodeId(i * (span - 1) / (len - 1)))
+                .collect();
+            let want = reference(&ids);
+            let mut words = Vec::new();
+            sort_distinct(&mut ids, &mut words);
+            assert_eq!(ids, want, "len {len} span {span}");
+            assert_eq!(!words.is_empty(), dense, "len {len} span {span}");
         }
     }
 }
