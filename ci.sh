@@ -66,11 +66,12 @@ stress() {
 # The kernel microbench doubles as a smoke test: it runs the three
 # semijoin kernels over real dataset edge relations at end:extent ratios
 # 1:1 … 1:10^4 and *asserts* (a) the adaptive picker stays within 1.5x
-# of the best fixed kernel's work, and (b) the succinct representation
-# beats the full-decode baseline on wall clock at every ratio >= 1:10
-# (within 5% at 1:1) with resident bytes <= 50% of the decoded Vec —
-# a perf regression in the succinct path fails CI here. Runs in a temp
-# dir so its BENCH_kernels.json never lands in the tree.
+# of the best fixed kernel's work, and (b) the kernels over the stored
+# 128-pair bit-packed frames beat the full-decode baseline on wall
+# clock at every ratio >= 1:10 (within 5% at 1:1) with resident bytes
+# <= 1/3 of the decoded Vec — a perf or size regression in the stored
+# form fails CI here. Runs in a temp dir so its BENCH_kernels.json
+# never lands in the tree.
 kernel_smoke() {
     local out
     out=$(mktemp -d)

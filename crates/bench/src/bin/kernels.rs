@@ -5,23 +5,22 @@
 //! For every (dataset, ratio) the three fixed kernels run over the same
 //! inputs and report their logical `work` (comparisons), `pairs_read`
 //! (pairs resident in faulted blocks) and `decoded` (pairs actually
-//! materialized through the bounded decode window); the adaptive policy
-//! then picks a kernel from the size ratio alone. The run *asserts*
-//! that the adaptive pick's work never exceeds 1.5× the best fixed
-//! kernel (plus a constant slack for degenerate tiny inputs) — the
-//! guarantee the query processors rely on when they delegate the access
-//! path choice.
+//! unpacked from the frames); the adaptive policy then picks a kernel
+//! from the size ratio alone. The run *asserts* that the adaptive
+//! pick's work never exceeds 1.5× the best fixed kernel (plus a
+//! constant slack for degenerate tiny inputs) — the guarantee the query
+//! processors rely on when they delegate the access path choice.
 //!
 //! The same sweep then races the two extent representations on wall
-//! clock with the adaptive kernel: the *succinct* path queries the
-//! compressed blocks directly (rank/select headers, sampled restarts,
-//! batched branch-free varint decode), while the *full-decode* baseline
+//! clock with the adaptive kernel: the *stored* path queries the
+//! 128-pair bit-packed frames directly (rank/select block headers, a
+//! binary search over frame headers and packed parents, whole-frame
+//! unpacking into a bounded window), while the *full-decode* baseline
 //! pays a whole-extent decode into a `Vec` before running the
 //! pair-slice reference semijoin (`EdgeSet::semijoin_ends` /
-//! `probe_by_parents`). Asserted per row: the succinct path is
-//! strictly faster at every ratio ≥ 1:10, within 5% at 1:1, and its
-//! resident bytes stay ≤ 50% of the decoded-`Vec` baseline
-//! (8 bytes/pair).
+//! `probe_by_parents`). Asserted per row: the stored path is strictly
+//! faster at every ratio ≥ 1:10, within 5% at 1:1, and its resident
+//! bytes stay ≤ ⅓ of the decoded-`Vec` baseline (8 bytes/pair).
 //!
 //! Also writes `BENCH_kernels.json` with one row per (dataset, ratio),
 //! including `resident_bytes`, `decoded_pairs` and the timed columns.
@@ -38,7 +37,7 @@ use xmlgraph::NodeId;
 const RATIOS: [usize; 5] = [1, 10, 100, 1_000, 10_000];
 const SLACK: usize = 32;
 /// Timing samples per measurement; the minimum is reported.
-const SAMPLES: usize = 9;
+const SAMPLES: usize = 15;
 /// Target nanoseconds per sample — inner repetitions scale up until a
 /// sample takes at least this long, so tiny inputs still time stably.
 const SAMPLE_TARGET_NS: u64 = 400_000;
@@ -60,23 +59,31 @@ fn sample_ends(extent: &SuccinctExtent, ratio: usize) -> Vec<NodeId> {
     parents.into_iter().step_by(ratio).collect()
 }
 
-/// Min-of-`SAMPLES` wall-clock nanoseconds per call of `f`, with inner
-/// repetitions auto-scaled so each sample runs at least
-/// `SAMPLE_TARGET_NS`.
-fn time_ns(mut f: impl FnMut()) -> u64 {
-    let t = Instant::now();
-    f();
-    let once = (t.elapsed().as_nanos() as u64).max(1);
-    let reps = (SAMPLE_TARGET_NS / once).clamp(1, 50_000);
-    let mut best = u64::MAX;
-    for _ in 0..SAMPLES {
+/// Min-of-`SAMPLES` wall-clock nanoseconds per call of `a` and of `b`,
+/// with inner repetitions auto-scaled so each sample runs at least
+/// `SAMPLE_TARGET_NS`. The two alternate sample by sample, so a load
+/// change on a shared machine lands on both sides of the race.
+fn race_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
+    let reps_for = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        let once = (t.elapsed().as_nanos() as u64).max(1);
+        (SAMPLE_TARGET_NS / once).clamp(1, 50_000)
+    };
+    let (ra, rb) = (reps_for(&mut a), reps_for(&mut b));
+    let sample = |f: &mut dyn FnMut(), reps: u64| {
         let t = Instant::now();
         for _ in 0..reps {
             f();
         }
-        best = best.min(t.elapsed().as_nanos() as u64 / reps);
+        t.elapsed().as_nanos() as u64 / reps
+    };
+    let (mut best_a, mut best_b) = (u64::MAX, u64::MAX);
+    for _ in 0..SAMPLES {
+        best_a = best_a.min(sample(&mut a, ra));
+        best_b = best_b.min(sample(&mut b, rb));
     }
-    best
+    (best_a, best_b)
 }
 
 fn main() {
@@ -105,8 +112,8 @@ fn main() {
         let resident = extent.resident_bytes();
         let raw_bytes = extent.len() * std::mem::size_of::<EdgePair>();
         assert!(
-            resident * 2 <= raw_bytes,
-            "{}: succinct resident {resident} B exceeds 50% of the {raw_bytes} B decoded-Vec baseline",
+            resident * 3 <= raw_bytes,
+            "{}: stored resident {resident} B exceeds 1/3 of the {raw_bytes} B decoded-Vec baseline",
             d.name(),
         );
         for ratio in RATIOS {
@@ -114,12 +121,12 @@ fn main() {
             let mut works = Vec::new();
             let mut reads = Vec::new();
             for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::BlockSkip] {
-                let r = semijoin_into(kernel, &extent, (&ends[..]).into(), &mut scratch);
+                let r = semijoin_into(kernel, &extent, &ends, &mut scratch);
                 works.push(r.work);
                 reads.push(r.pairs_read);
             }
             let picked = KernelPolicy::Adaptive.choose(ends.len(), &extent);
-            let adaptive = semijoin_into(picked, &extent, (&ends[..]).into(), &mut scratch);
+            let adaptive = semijoin_into(picked, &extent, &ends, &mut scratch);
             let best = works.iter().copied().min().unwrap_or(0);
             assert!(
                 adaptive.work <= best + best / 2 + SLACK,
@@ -129,28 +136,30 @@ fn main() {
                 adaptive.work,
             );
             // Race the representations under the adaptive kernel.
-            let succ_ns = time_ns(|| {
-                let r = semijoin_into(picked, &extent, (&ends[..]).into(), &mut scratch);
-                std::hint::black_box(r.work);
-            });
-            let full_ns = time_ns(|| {
-                let full = EdgeSet::from_sorted(bx.decode().unwrap_or_default());
-                let (hit, work) = match picked {
-                    Kernel::Merge => full.semijoin_ends((&ends[..]).into()),
-                    Kernel::Gallop | Kernel::BlockSkip => full.probe_by_parents((&ends[..]).into()),
-                };
-                std::hint::black_box((hit.len(), work));
-            });
+            let (succ_ns, full_ns) = race_ns(
+                || {
+                    let r = semijoin_into(picked, &extent, &ends, &mut scratch);
+                    std::hint::black_box(r.work);
+                },
+                || {
+                    let full = EdgeSet::from_sorted(bx.decode());
+                    let (hit, work) = match picked {
+                        Kernel::Merge => full.semijoin_ends(&ends),
+                        Kernel::Gallop | Kernel::BlockSkip => full.probe_by_parents(&ends),
+                    };
+                    std::hint::black_box((hit.len(), work));
+                },
+            );
             if ratio >= 10 {
                 assert!(
                     succ_ns < full_ns,
-                    "{} ratio 1:{ratio}: succinct path ({succ_ns} ns) not faster than full decode ({full_ns} ns)",
+                    "{} ratio 1:{ratio}: stored path ({succ_ns} ns) not faster than full decode ({full_ns} ns)",
                     d.name(),
                 );
             } else {
                 assert!(
                     succ_ns <= full_ns + full_ns / 20,
-                    "{} ratio 1:{ratio}: succinct path ({succ_ns} ns) more than 5% behind full decode ({full_ns} ns)",
+                    "{} ratio 1:{ratio}: stored path ({succ_ns} ns) more than 5% behind full decode ({full_ns} ns)",
                     d.name(),
                 );
             }
@@ -200,5 +209,5 @@ fn main() {
         Err(e) => eprintln!("could not write report: {e}"),
     }
     println!("adaptive picker stayed within 1.5x of the best fixed kernel on every row");
-    println!("succinct path beat the full-decode baseline at every ratio >= 1:10 (parity at 1:1)");
+    println!("stored path beat the full-decode baseline at every ratio >= 1:10 (parity at 1:1)");
 }

@@ -78,8 +78,8 @@ fn main() {
             );
         }
         println!();
-        // Queryable in-memory footprint of the succinct form (payload +
-        // headers + rank/select directory + decode-restart samples).
+        // Queryable in-memory footprint of the stored form (payload +
+        // frame and block headers + rank/select directory).
         print!(
             "{:<18} {:<8} {:>9} {:>9} {:>8}",
             "",

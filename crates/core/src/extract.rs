@@ -17,7 +17,8 @@ use crate::workload::Workload;
 /// subpath never enters the tree, so the classes of entries it would
 /// have hung under stay valid. The `xnode` invalidations of §5.2 happen
 /// inside [`HashTree::prune`]; call [`crate::update::update_apex`]
-/// afterwards to re-materialize `G_APEX`.
+/// afterwards to re-materialize `G_APEX`. Paths are required in sorted
+/// order, so a refresh replays the same way every run.
 pub fn extract_frequent(ht: &mut HashTree, workload: &Workload, min_sup: f64) {
     let threshold = min_sup * workload.len() as f64;
     ht.reset_counts();

@@ -108,8 +108,11 @@ impl GApex {
     /// Ends a run: encodes each extent the run added to back into its
     /// node, once, however many steps touched it. Opened sets only grow,
     /// so one that is no longer than the stored extent is unchanged;
-    /// such nodes, like the ones never opened, keep their bytes.
+    /// such nodes, like the ones never opened, keep their bytes. Seals
+    /// in `XNodeId` order, so a run allocates the same way every time.
     pub(crate) fn seal(&mut self, open: HashMap<XNodeId, EdgeSet>) {
+        let mut open: Vec<(XNodeId, EdgeSet)> = open.into_iter().collect();
+        open.sort_unstable_by_key(|(x, _)| x.0);
         for (x, set) in open {
             if set.len() > self.extent(x).len() {
                 self.node_mut(x).extent = SuccinctExtent::from_pairs(set.pairs());

@@ -388,7 +388,8 @@ impl HashTree {
     /// Returns true if `h` ended up empty (no labeled entries).
     fn prune_node(&mut self, h: HNodeId, threshold: f64) -> bool {
         let is_head = h == self.head;
-        let labels: Vec<LabelId> = self.nodes[h.idx()].entries.keys().copied().collect();
+        let mut labels: Vec<LabelId> = self.nodes[h.idx()].entries.keys().copied().collect();
+        labels.sort_unstable(); // one order every run
         let mut saw_new_survivor = false;
         for label in labels {
             let e = self.nodes[h.idx()].entries[&label];

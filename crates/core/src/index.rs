@@ -47,13 +47,13 @@ pub struct IndexStats {
     pub max_required_len: usize,
     /// Total extent pairs stored on reachable nodes.
     pub extent_pairs: usize,
-    /// Stored size of the reachable extents in the compressed block
-    /// encoding (delta+varint payload plus skip-index headers).
+    /// Stored size of the reachable extents in the packed frame
+    /// encoding (frame headers plus payload words).
     pub extent_encoded_bytes: usize,
     /// Uncompressed size of the same extents (8 bytes per pair).
     pub extent_raw_bytes: usize,
-    /// Bytes the extents keep resident: compressed payload + in-memory
-    /// headers + the rank/select directory + decode-restart samples.
+    /// Bytes the extents keep resident: packed payload + in-memory
+    /// frame and block headers + the rank/select directory.
     /// This is all an index holds per extent — there is no decoded copy
     /// beside it.
     pub extent_resident_bytes: usize,

@@ -11,7 +11,7 @@
 //! Format (little-endian):
 //!
 //! ```text
-//! magic "APEXIDX" | u8 version (= 4) | u64 body_len | u64 seq | u64 generation
+//! magic "APEXIDX" | u8 version (= 5) | u64 body_len | u64 seq | u64 generation
 //! body (body_len bytes):
 //!   u32 xroot
 //!   u32 n_xnodes
@@ -40,7 +40,7 @@
 //! `H_APEX` `xnode`/`remainder` against `n_xnodes`; `next` against
 //! `n_hnodes`, and only forward, so the tree is acyclic), entries must
 //! ascend by label, and an extent image must be an encoder output
-//! ([`BlockExtent::check`]). Older formats — `APEXIDX` versions 1–3 and
+//! ([`BlockExtent::check`]). Older formats — `APEXIDX` versions 1–4 and
 //! the `APEXSNAP` envelope that used to wrap them — are refused by name
 //! ([`PersistError::VersionMismatch`], [`PersistError::BadMagic`]),
 //! never decoded. No input panics the decoder (`core::recover` is a
@@ -59,7 +59,7 @@ use crate::monitor::MonitorState;
 const MAGIC: &[u8; 7] = b"APEXIDX";
 
 /// Current format version, written after the magic.
-pub const FORMAT_VERSION: u8 = 4;
+pub const FORMAT_VERSION: u8 = 5;
 
 /// Magic, version, body length, seq, generation.
 const HEADER_BYTES: usize = 7 + 1 + 8 + 8 + 8;
@@ -346,8 +346,8 @@ pub(crate) fn decode(buf: &[u8]) -> Result<SnapshotImage, PersistError> {
     for _ in 0..n_xnodes {
         let x = ga.new_node(r.u32()?.checked_sub(1).map(LabelId));
         let image_len = r.u32()? as usize;
-        let image = BlockExtent::from_bytes(r.take(image_len)?)
-            .filter(BlockExtent::check)
+        let extent = BlockExtent::from_bytes(r.take(image_len)?)
+            .and_then(SuccinctExtent::open)
             .ok_or(PersistError::Corrupt(
                 "extent image is not an encoder output",
             ))?;
@@ -362,7 +362,7 @@ pub(crate) fn decode(buf: &[u8]) -> Result<SnapshotImage, PersistError> {
             edges.push((label, XNodeId(target)));
         }
         let node = ga.node_mut(x);
-        node.extent = SuccinctExtent::build(image);
+        node.extent = extent;
         node.edges = edges;
     }
 

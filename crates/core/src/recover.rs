@@ -446,6 +446,15 @@ mod tests {
         0, 1, 0, 0, 0, 6, 0, 0, 0,
     ];
 
+    /// Format version 4 (varint block images): magic, version, body
+    /// length 90, seq 1, generation 0, then xroot 0 and one node —
+    /// incoming none, a 30-byte image of one block with a 6-byte
+    /// payload.
+    const GOLDEN_V4_HEAD: [u8; 48] = [
+        b'A', b'P', b'E', b'X', b'I', b'D', b'X', 4, 90, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 30, 0, 0, 0,
+    ];
+
     /// The version-1 snapshot envelope that used to wrap an index
     /// image: magic, u32 version, seq 1, generation 0, three sections.
     const GOLDEN_SNAP_V1_HEAD: [u8; 32] = [
@@ -456,12 +465,15 @@ mod tests {
     #[test]
     fn snapshot_of_an_older_index_format_is_rejected_by_name_and_replayed_around() {
         type Expect = fn(&PersistError) -> bool;
-        let heads: [(&[u8], Expect); 3] = [
+        let heads: [(&[u8], Expect); 4] = [
             (&GOLDEN_V2_HEAD, |e| {
                 matches!(e, PersistError::VersionMismatch { found: 2 })
             }),
             (&GOLDEN_V3_HEAD, |e| {
                 matches!(e, PersistError::VersionMismatch { found: 3 })
+            }),
+            (&GOLDEN_V4_HEAD, |e| {
+                matches!(e, PersistError::VersionMismatch { found: 4 })
             }),
             (&GOLDEN_SNAP_V1_HEAD, |e| {
                 matches!(e, PersistError::BadMagic)

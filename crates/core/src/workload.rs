@@ -1,6 +1,6 @@
 //! Query workloads: the sets of label paths APEX adapts to.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use xmlgraph::{LabelPath, XmlGraph};
 
@@ -55,14 +55,16 @@ impl Workload {
     /// For every contiguous subpath of any query, the number of queries
     /// having it as a subpath — `support × len` for the whole window in
     /// one scan. A query counts each of its subpaths once (`subpaths()`
-    /// deduplicates), exactly the paper's definition of support.
-    pub fn subpath_counts(&self) -> HashMap<LabelPath, u32> {
+    /// deduplicates), exactly the paper's definition of support. Ordered
+    /// maps, so the scan — and a `refine` that walks its result —
+    /// allocates and iterates the same way on every run.
+    pub fn subpath_counts(&self) -> BTreeMap<LabelPath, u32> {
         // Windows repeat their hot queries: expand each distinct query once.
-        let mut distinct: HashMap<&LabelPath, u32> = HashMap::new();
+        let mut distinct: BTreeMap<&LabelPath, u32> = BTreeMap::new();
         for q in &self.queries {
             *distinct.entry(q).or_default() += 1;
         }
-        let mut counts: HashMap<LabelPath, u32> = HashMap::new();
+        let mut counts: BTreeMap<LabelPath, u32> = BTreeMap::new();
         for (q, n) in distinct {
             for sub in q.subpaths() {
                 *counts.entry(sub).or_default() += n;

@@ -34,7 +34,7 @@ use std::collections::BinaryHeap;
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::{BufferHandle, Space};
-use apex_storage::{DataTable, Ends, KernelPolicy, SuccinctExtent};
+use apex_storage::{DataTable, KernelPolicy, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
@@ -274,14 +274,7 @@ impl<'a> ApexProcessor<'a> {
                 }
                 let (id, extent) = self.source(y);
                 arrivals.clear();
-                exec::semijoin(
-                    ctx,
-                    Ends::Slice(&frontier),
-                    Space::ApexExtent,
-                    id,
-                    extent,
-                    &mut arrivals,
-                );
+                exec::semijoin(ctx, &frontier, Space::ApexExtent, id, extent, &mut arrivals);
                 if arrivals.is_empty() {
                     continue;
                 }

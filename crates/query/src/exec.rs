@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use apex_storage::bufmgr::{BufferHandle, ObjectId, Space};
 use apex_storage::kernels::{self, Kernel, KernelPolicy, SemijoinScratch};
-use apex_storage::{Cost, DataTable, Ends, OpKind, SuccinctExtent};
+use apex_storage::{Cost, DataTable, OpKind, SuccinctExtent};
 use fabric::IndexFabric;
 use xmlgraph::{LabelId, NodeId};
 
@@ -138,14 +138,7 @@ impl<'a> ExecContext<'a> {
         let mut arrivals = std::mem::take(&mut self.scratch.nodes);
         arrivals.clear();
         for (id, extent) in stage {
-            semijoin(
-                self,
-                Ends::Slice(frontier),
-                space,
-                id,
-                extent,
-                &mut arrivals,
-            );
+            semijoin(self, frontier, space, id, extent, &mut arrivals);
         }
         self.sort_distinct(&mut arrivals);
         std::mem::swap(frontier, &mut arrivals);
@@ -359,9 +352,8 @@ impl ExtentUnion<'_> {
 /// Use [`semijoin`] to let the context's policy pick the kernel.
 #[derive(Debug)]
 pub struct Semijoin<'a> {
-    /// Sorted, distinct end nodes driving the join — either a plain
-    /// slice or a succinct [`apex_storage::EndIndex`] view.
-    pub ends: Ends<'a>,
+    /// Sorted, distinct end nodes driving the join.
+    pub ends: &'a [NodeId],
     /// The address space of the extent.
     pub space: Space,
     /// Buffer id of the extent (block ids derive from it).
@@ -408,7 +400,7 @@ impl Semijoin<'_> {
 /// `out`, like [`Semijoin::run`].
 pub fn semijoin(
     ctx: &mut ExecContext<'_>,
-    ends: Ends<'_>,
+    ends: &[NodeId],
     space: Space,
     id: u64,
     extent: &SuccinctExtent,
@@ -618,7 +610,7 @@ mod tests {
         // 3 ends vs a 3-pair extent: same order, so the merge kernel runs.
         let next = stored(&[(2, 7), (4, 9), (5, 5)]);
         let mut hit = Vec::new();
-        semijoin(&mut ctx, (&u).into(), Space::ApexExtent, 2, &next, &mut hit);
+        semijoin(&mut ctx, &u, Space::ApexExtent, 2, &next, &mut hit);
         assert_eq!(hit, ids(&[7, 9]));
         let cost = ctx.finish();
         assert_eq!(cost.ops.get(OpKind::SemijoinMerge).invocations, 1);
@@ -651,14 +643,7 @@ mod tests {
         ] {
             let mut ctx = ExecContext::with_policy(&buf, policy);
             let mut hit = Vec::new();
-            semijoin(
-                &mut ctx,
-                (&ends[..]).into(),
-                Space::ApexExtent,
-                9,
-                &extent,
-                &mut hit,
-            );
+            semijoin(&mut ctx, &ends, Space::ApexExtent, 9, &extent, &mut hit);
             assert_eq!(hit, ids(&[11, 4_001]), "{}", policy.name());
             let cost = ctx.finish();
             assert_eq!(cost.ops.get(kind).invocations, 1, "{}", policy.name());
@@ -680,7 +665,7 @@ mod tests {
         let mut hit = Vec::new();
         semijoin(
             &mut ctx,
-            (&[NodeId(1)][..]).into(),
+            &[NodeId(1)],
             Space::ApexExtent,
             3,
             &extent,

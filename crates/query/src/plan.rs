@@ -41,7 +41,7 @@
 use apex::{Apex, ExtentStat, PlanStats, XNodeId};
 use apex_storage::bufmgr::Space;
 use apex_storage::kernels::reverse_semijoin_into;
-use apex_storage::{EdgeSet, Ends, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
+use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId};
 
 use crate::exec::{self, ExecContext, ExtentScan, ExtentUnion, MultiwayJoin};
@@ -747,7 +747,7 @@ impl<'a> Planner<'a> {
         let n = frontier.len().max(1);
         let m = stage.len();
         let gap_log = (usize::BITS - (m / n).max(1).leading_zeros()) as usize;
-        let ends = Ends::Slice(frontier);
+        let ends: &[NodeId] = frontier;
         let hit = if m + n <= n * (2 * gap_log + 4) {
             ctx.attributed(OpKind::SemijoinMerge, |cost, _, _| {
                 let (hit, work) = stage.semijoin_ends(ends);

@@ -1,10 +1,6 @@
 //! Edge pairs and in-flight edge sets (Definition 7).
 
-use std::sync::OnceLock;
-
 use xmlgraph::{sort_distinct, NodeId, NULL_NODE};
-
-use crate::succinct::{EndIndex, Ends};
 
 /// One element of an extent: the incoming edge `<parent, node>` of a node
 /// reachable by some label path. The root's pair is `<NULL, root>`.
@@ -44,25 +40,10 @@ impl EdgePair {
 /// `(parent, node)`) so unions and semijoins are linear merges, per the
 /// allocation-conscious style of the Rust Performance Book (buffers are
 /// reusable via the `*_into` variants).
-///
-/// One derived view is computed lazily and cached (`OnceLock`, so a set
-/// shared across query threads stays `Sync`): the distinct
-/// [`end_nodes`](EdgeSet::end_nodes) as a delta+varint [`EndIndex`],
-/// which the next semijoin of a chain takes as its driving side.
-/// Mutation (`insert`, `union_in_place`) invalidates it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeSet {
     pairs: Vec<EdgePair>,
-    ends: OnceLock<EndIndex>,
 }
-
-impl PartialEq for EdgeSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.pairs == other.pairs
-    }
-}
-
-impl Eq for EdgeSet {}
 
 impl EdgeSet {
     /// Empty set.
@@ -74,26 +55,14 @@ impl EdgeSet {
     pub fn from_pairs(mut pairs: Vec<EdgePair>) -> Self {
         pairs.sort_unstable();
         pairs.dedup();
-        EdgeSet {
-            pairs,
-            ..EdgeSet::default()
-        }
+        EdgeSet { pairs }
     }
 
     /// Builds from pairs already sorted by `(parent, node)` and
     /// duplicate-free — the output contract of the semijoin kernels.
     pub fn from_sorted(pairs: Vec<EdgePair>) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
-        EdgeSet {
-            pairs,
-            ..EdgeSet::default()
-        }
-    }
-
-    /// Drops the cached end-node view; must follow every mutation of
-    /// `pairs`.
-    fn invalidate(&mut self) {
-        self.ends = OnceLock::new();
+        EdgeSet { pairs }
     }
 
     /// Builds from `(parent, node)` raw u32 pairs — test convenience.
@@ -136,7 +105,6 @@ impl EdgeSet {
             Ok(_) => false,
             Err(i) => {
                 self.pairs.insert(i, pair);
-                self.invalidate();
                 true
             }
         }
@@ -157,14 +125,12 @@ impl EdgeSet {
         }
         if self.is_empty() {
             self.pairs.extend_from_slice(&other.pairs);
-            self.invalidate();
             return;
         }
         scratch.clear();
         scratch.reserve(self.len() + other.len());
         merge_union(&self.pairs, &other.pairs, scratch);
         std::mem::swap(&mut self.pairs, scratch);
-        self.invalidate();
     }
 
     /// `self \ other` as a new set.
@@ -197,63 +163,53 @@ impl EdgeSet {
         self.pairs.iter().all(|p| other.contains(*p))
     }
 
-    /// Distinct end nodes, sorted, as a succinct [`EndIndex`] view —
-    /// not a second materialized `Vec`. Computed once and cached;
-    /// mutation invalidates the cache. Iterate with
-    /// [`EndIndex::iter`]/[`EndIndex::cursor`], or pass straight to the
-    /// kernels as [`Ends`].
-    pub fn end_nodes(&self) -> &EndIndex {
-        self.ends.get_or_init(|| {
-            let mut v: Vec<NodeId> = self.pairs.iter().map(|p| p.node).collect();
-            sort_distinct(&mut v, &mut Vec::new());
-            EndIndex::from_sorted(&v)
-        })
+    /// Distinct end nodes, sorted: a fresh vector, the driving side a
+    /// semijoin over this set's successors takes.
+    pub fn end_nodes(&self) -> Vec<NodeId> {
+        let mut v: Vec<NodeId> = self.pairs.iter().map(|p| p.node).collect();
+        sort_distinct(&mut v, &mut Vec::new());
+        v
     }
 
     /// Merge semijoin over the materialized pairs: pairs of `self`
-    /// whose `parent` is in `ends` (sorted, distinct — slice or succinct
-    /// [`Ends`] form) via a linear merge — optimal when `ends` is of the
-    /// same order as the set. Returns matches and comparisons.
+    /// whose `parent` is in the sorted, distinct `ends`, via a linear
+    /// merge — optimal when `ends` is of the same order as the set.
+    /// Returns matches and comparisons.
     ///
     /// With [`EdgeSet::probe_by_parents`] this is the one pair-slice
     /// semijoin in the workspace: the planner runs it on reduced
     /// in-memory stages, and the kernels bench and property tests use
     /// it as the full-decode reference for [`crate::kernels`].
-    pub fn semijoin_ends(&self, ends: Ends<'_>) -> (EdgeSet, usize) {
-        let mut cur = ends.cursor();
+    pub fn semijoin_ends(&self, ends: &[NodeId]) -> (EdgeSet, usize) {
+        let mut ei = 0usize;
         let mut out = Vec::new();
         let mut work = 0usize;
         for p in &self.pairs {
             work += 1;
-            while let Some(e) = cur.peek() {
-                if e < p.parent {
-                    cur.advance();
-                } else {
-                    break;
-                }
-            }
-            match cur.peek() {
+            ei += ends
+                .get(ei..)
+                .map_or(0, |rest| rest.iter().take_while(|&&e| e < p.parent).count());
+            match ends.get(ei) {
                 None => break,
-                Some(e) if e == p.parent => out.push(*p),
+                Some(&e) if e == p.parent => out.push(*p),
                 Some(_) => {}
             }
         }
         (EdgeSet::from_sorted(out), work)
     }
 
-    /// Indexed semijoin: pairs of `self` whose `parent` is in `ends`
-    /// (sorted, distinct — slice or succinct [`Ends`] form). Because
-    /// pairs are sorted by `(parent, node)`, each end is
+    /// Indexed semijoin: pairs of `self` whose `parent` is in the
+    /// sorted, distinct `ends`. Because pairs are sorted by
+    /// `(parent, node)`, each end is
     /// located by a galloping search from the previous match (see
     /// [`crate::kernels`] for the block-aware variants over stored
     /// extents). Returns the matched pairs and the number of probes
     /// performed.
-    pub fn probe_by_parents(&self, ends: Ends<'_>) -> (EdgeSet, usize) {
+    pub fn probe_by_parents(&self, ends: &[NodeId]) -> (EdgeSet, usize) {
         let mut out = Vec::new();
         let mut probes = 0usize;
         let mut lo = 0usize;
-        let mut cur = ends.cursor();
-        while let Some(e) = cur.peek() {
+        for &e in ends {
             if lo >= self.pairs.len() {
                 break;
             }
@@ -274,7 +230,6 @@ impl EdgeSet {
                 i += 1;
             }
             lo = i;
-            cur.advance();
         }
         (EdgeSet::from_sorted(out), probes)
     }
@@ -360,7 +315,7 @@ mod tests {
         // a: edges ending at nodes 2 and 4; next: edges from 2 and from 9.
         let a = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
         let next = EdgeSet::from_raw(&[(2, 7), (2, 8), (9, 10), (4, 11)]);
-        let (j, work) = next.semijoin_ends(a.end_nodes().into());
+        let (j, work) = next.semijoin_ends(&a.end_nodes());
         assert_eq!(j, EdgeSet::from_raw(&[(2, 7), (2, 8), (4, 11)]));
         // The merge stops once the ends run out (at <9,10>).
         assert_eq!(work, 4);
@@ -371,16 +326,13 @@ mod tests {
         let a = EdgeSet::from_raw(&[(1, 2), (3, 4), (9, 9)]);
         let next = EdgeSet::from_raw(&[(2, 7), (2, 8), (9, 10), (4, 11), (5, 5)]);
         let ends = a.end_nodes();
-        let (probed, probes) = next.probe_by_parents(ends.into());
-        let (scanned, _) = next.semijoin_ends(ends.into());
+        let (probed, probes) = next.probe_by_parents(&ends);
+        let (scanned, _) = next.semijoin_ends(&ends);
         assert_eq!(probed, scanned);
         assert_eq!(probes, 3);
-        // The slice form of the same ends agrees with the packed form.
-        let slice = ends.to_vec();
-        assert_eq!(next.probe_by_parents((&slice).into()).0, probed);
         // Empty ends and empty extent.
-        assert!(next.probe_by_parents([].as_slice().into()).0.is_empty());
-        assert!(EdgeSet::new().probe_by_parents(ends.into()).0.is_empty());
+        assert!(next.probe_by_parents(&[]).0.is_empty());
+        assert!(EdgeSet::new().probe_by_parents(&ends).0.is_empty());
     }
 
     #[test]
@@ -388,40 +340,12 @@ mod tests {
         let p = EdgePair::root(NodeId(0));
         assert!(p.parent.is_null());
         let s = EdgeSet::from_pairs(vec![p]);
-        assert_eq!(s.end_nodes().to_vec(), vec![NodeId(0)]);
+        assert_eq!(s.end_nodes(), vec![NodeId(0)]);
     }
 
     #[test]
     fn end_nodes_dedup() {
         let s = EdgeSet::from_raw(&[(1, 5), (2, 5), (3, 6)]);
-        assert_eq!(s.end_nodes().to_vec(), vec![NodeId(5), NodeId(6)]);
-    }
-
-    #[test]
-    fn cached_views_invalidate_on_mutation() {
-        let mut s = EdgeSet::from_raw(&[(1, 5)]);
-        assert_eq!(s.end_nodes().to_vec(), vec![NodeId(5)]);
-        assert!(s.insert(EdgePair::new(NodeId(2), NodeId(9))));
-        assert_eq!(s.end_nodes().to_vec(), vec![NodeId(5), NodeId(9)]);
-        let mut scratch = Vec::new();
-        s.union_in_place(&EdgeSet::from_raw(&[(3, 11)]), &mut scratch);
-        assert_eq!(
-            s.end_nodes().to_vec(),
-            vec![NodeId(5), NodeId(9), NodeId(11)]
-        );
-        // A failed insert (duplicate) keeps the cache valid.
-        assert!(!s.insert(EdgePair::new(NodeId(3), NodeId(11))));
-        assert_eq!(s.end_nodes().len(), 3);
-    }
-
-    #[test]
-    fn clone_and_eq_ignore_caches() {
-        let a = EdgeSet::from_raw(&[(1, 2), (3, 4)]);
-        let _ = a.end_nodes();
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_eq!(b.end_nodes(), a.end_nodes());
-        // A cold set with the same pairs is the same set.
-        assert_eq!(a, EdgeSet::from_sorted(a.pairs().to_vec()));
+        assert_eq!(s.end_nodes(), vec![NodeId(5), NodeId(6)]);
     }
 }

@@ -2,24 +2,24 @@
 //!
 //! The join step of every QTYPE1/QTYPE2 plan semijoins a stored extent
 //! against the sorted, distinct end nodes of the running result. Three
-//! kernels implement it, all running directly over the compressed
-//! [`SuccinctExtent`] — blocks decode through bounded
-//! [`crate::succinct::WINDOW_PAIRS`]-pair windows in the caller's
-//! [`SemijoinScratch`], never into a whole-extent `Vec`:
+//! kernels implement it, all running directly over the packed frames of
+//! a [`SuccinctExtent`] — a kernel decodes at most one frame
+//! ([`crate::succinct::WINDOW_PAIRS`] pairs) at a time into the
+//! caller's [`SemijoinScratch`], never a whole-extent `Vec`:
 //!
-//! * [`Kernel::Merge`] — one linear pass over the extent, advancing an
-//!   end cursor. Work ≈ `pairs + ends`; touches every block (and stops
-//!   decoding once the ends are exhausted). Best when the two sides
-//!   are of the same order.
+//! * [`Kernel::Merge`] — one linear pass over the extent, frame by
+//!   frame, advancing through the ends. Work ≈ `pairs + ends`; touches
+//!   every block (and stops decoding once the ends are exhausted). Best
+//!   when the two sides are of the same order.
 //! * [`Kernel::Gallop`] — per end, a binary header search in the
-//!   rank/select directory locates the candidate block, a sampled
-//!   restart lands the decoder mid-block, and a galloping search over
-//!   the decode window finds the run. Work ≈ `ends · log`; decodes at
-//!   most a sample stride plus the run per end. Best when the ends are
-//!   much smaller than the extent.
+//!   rank/select directory locates the candidate block, a gallop from
+//!   the previous end's position over its frames' `min_parent` and then
+//!   over one frame's packed parents lands on the end's run without
+//!   decoding a pair, and only the run is read. Work ≈ `ends · log gap`.
+//!   Best when the ends are much smaller than the extent.
 //! * [`Kernel::BlockSkip`] — walks the directory linearly, discarding
 //!   whole blocks whose `[min_parent, max_parent]` range contains no
-//!   end without decoding a byte, probing the survivors like gallop
+//!   end without reading a word, probing the survivors like gallop
 //!   does. Adds one header probe per block; best when the ends are
 //!   sparse but numerous enough to amortize the header walk.
 //!
@@ -47,16 +47,16 @@
 use xmlgraph::NodeId;
 
 use crate::edgeset::EdgePair;
-use crate::succinct::{EndCursor, Ends, SuccinctExtent};
+use crate::succinct::SuccinctExtent;
 
 /// A concrete semijoin algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Linear sorted merge over the whole extent.
     Merge,
-    /// Per-end directory + sampled-window galloping search.
+    /// Per-end directory and frame search.
     Gallop,
-    /// Header-driven block skipping, galloping within blocks.
+    /// Header-driven block skipping, searching frames within blocks.
     BlockSkip,
 }
 
@@ -157,10 +157,9 @@ pub struct SemijoinScratch {
     /// merge faults all of them). The execution layer charges exactly
     /// these to the buffer pool.
     pub blocks: Vec<u32>,
-    /// Bounded decode window the kernels stream compressed blocks
-    /// through: at most [`crate::succinct::WINDOW_PAIRS`] pairs live
-    /// here at once, so its capacity is fixed after first use no
-    /// matter how large the extent is.
+    /// The decode window: one frame, at most
+    /// [`crate::succinct::WINDOW_PAIRS`] pairs, so its capacity is
+    /// fixed after first use no matter how large the extent is.
     pub window: Vec<EdgePair>,
 }
 
@@ -185,20 +184,20 @@ pub struct KernelReport {
     /// Extent pairs resident in the blocks the kernel faulted (the
     /// `extent_pairs` counter — skipped blocks are never read).
     pub pairs_read: usize,
-    /// Pairs actually decoded through the window — the succinct form's
-    /// saving over a full decode is `pairs - decoded`.
+    /// Pairs actually decoded — the packed form's saving over a full
+    /// decode is `pairs - decoded`.
     pub decoded: usize,
 }
 
 /// Runs `kernel` for the semijoin of `extent` against the sorted,
 /// distinct `ends`, leaving the matched pairs (sorted, duplicate-free)
 /// in `scratch.out` and the faulted block indices in `scratch.blocks`.
-/// Runs directly over the stored compressed form; only the
-/// intersecting stretches of the intersecting blocks are decoded.
+/// Runs directly over the stored frames; only the frames a kernel
+/// reaches are read.
 pub fn semijoin_into(
     kernel: Kernel,
     extent: &SuccinctExtent,
-    ends: Ends<'_>,
+    ends: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
     scratch.reset();
@@ -214,266 +213,134 @@ pub fn semijoin_into(
 
 fn merge_kernel(
     succ: &SuccinctExtent,
-    ends: Ends<'_>,
+    ends: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
-    let nb = succ.num_blocks();
-    scratch.blocks.extend(0..nb as u32);
-    let mut work = 0usize;
-    let mut decoded = 0usize;
-    // The merge's inner loop runs once per extent pair, so the end-side
-    // dispatch is specialized per representation: the slice form gets
-    // the baseline's tight index loop (no per-pair enum match), the
-    // packed form streams through its cursor. Both count `work` as one
-    // comparison per pair examined, so the two forms report identically.
-    match ends {
-        Ends::Slice(es) => {
-            let mut ei = 0usize;
-            'blocks: for k in 0..nb {
-                if ei >= es.len() {
-                    break;
-                }
-                let mut bc = succ.block_cursor(k);
-                loop {
-                    let n = bc.fill(&mut scratch.window);
-                    if n == 0 {
-                        break;
-                    }
-                    decoded += n;
-                    for p in &scratch.window {
-                        work += 1;
-                        while let Some(&e) = es.get(ei) {
-                            if e < p.parent {
-                                ei += 1;
-                            } else {
-                                if e == p.parent {
-                                    scratch.out.push(*p);
-                                }
-                                break;
-                            }
-                        }
-                        if ei >= es.len() {
-                            break 'blocks;
-                        }
-                    }
-                }
-            }
-        }
-        Ends::Packed(_) => {
-            let mut cur = ends.cursor();
-            'pblocks: for k in 0..nb {
-                if cur.peek().is_none() {
-                    break;
-                }
-                let mut bc = succ.block_cursor(k);
-                loop {
-                    let n = bc.fill(&mut scratch.window);
-                    if n == 0 {
-                        break;
-                    }
-                    decoded += n;
-                    for p in &scratch.window {
-                        work += 1;
-                        loop {
-                            match cur.peek() {
-                                None => break 'pblocks,
-                                Some(e) if e < p.parent => cur.advance(),
-                                Some(e) => {
-                                    if e == p.parent {
-                                        scratch.out.push(*p);
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    KernelReport {
-        work,
+    scratch.blocks.extend(0..succ.num_blocks() as u32);
+    let mut rep = KernelReport {
         pairs_read: succ.len(),
-        decoded,
+        ..KernelReport::default()
+    };
+    let mut ei = 0usize;
+    'frames: for f in 0..succ.num_frames() {
+        if ei >= ends.len() {
+            break;
+        }
+        succ.frame_into(f, &mut scratch.window);
+        rep.decoded += scratch.window.len();
+        for p in &scratch.window {
+            rep.work += 1;
+            while let Some(&e) = ends.get(ei) {
+                if e < p.parent {
+                    ei += 1;
+                } else {
+                    if e == p.parent {
+                        scratch.out.push(*p);
+                    }
+                    break;
+                }
+            }
+            if ei >= ends.len() {
+                break 'frames;
+            }
+        }
     }
+    rep
 }
 
 fn gallop_kernel(
     succ: &SuccinctExtent,
-    ends: Ends<'_>,
+    ends: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
     let dir = succ.directory();
     let nb = dir.num_blocks();
-    let mut work = 0usize;
-    let mut pairs_read = 0usize;
-    let mut decoded = 0usize;
-    let mut cur = ends.cursor();
-    let mut k = 0usize;
-    while k < nb {
-        let Some(e) = cur.peek() else { break };
+    let mut rep = KernelReport::default();
+    let (mut ei, mut k) = (0usize, 0usize);
+    while let Some(&e) = ends.get(ei) {
         // Header search: first block from k that can still contain e.
-        k = dir.first_block_reaching_from(k, e.0, &mut work);
+        k = dir.first_block_reaching_from(k, e.0, &mut rep.work);
         if k >= nb {
             break;
         }
-        work += 1;
+        rep.work += 1;
         if dir.min_parent(k) > e.0 {
             // e falls in the gap before block k: no extent pair has it.
-            cur.skip_below(dir.min_parent(k));
+            ei = skip_below(ends, ei, dir.min_parent(k));
             continue;
         }
-        scratch.blocks.push(k as u32);
-        pairs_read += dir.count(k);
-        probe_block(
-            succ,
-            k,
-            &mut cur,
-            &mut scratch.out,
-            &mut scratch.window,
-            &mut work,
-            &mut decoded,
-        );
+        probe_block(succ, k, ends, &mut ei, scratch, &mut rep);
         k += 1;
     }
-    KernelReport {
-        work,
-        pairs_read,
-        decoded,
-    }
+    rep
 }
 
 fn block_skip_kernel(
     succ: &SuccinctExtent,
-    ends: Ends<'_>,
+    ends: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
     let dir = succ.directory();
-    let nb = dir.num_blocks();
-    let mut work = 0usize;
-    let mut pairs_read = 0usize;
-    let mut decoded = 0usize;
-    let mut cur = ends.cursor();
-    for k in 0..nb {
-        work += 1; // header probe
-        cur.skip_below(dir.min_parent(k));
-        let Some(e) = cur.peek() else { break };
+    let mut rep = KernelReport::default();
+    let mut ei = 0usize;
+    for k in 0..dir.num_blocks() {
+        rep.work += 1; // header probe
+        ei = skip_below(ends, ei, dir.min_parent(k));
+        let Some(&e) = ends.get(ei) else { break };
         if e.0 > dir.max_parent(k) {
-            continue; // skip the whole block without decoding a byte
+            continue; // skip the whole block without reading a word
         }
-        scratch.blocks.push(k as u32);
-        pairs_read += dir.count(k);
-        probe_block(
-            succ,
-            k,
-            &mut cur,
-            &mut scratch.out,
-            &mut scratch.window,
-            &mut work,
-            &mut decoded,
-        );
+        probe_block(succ, k, ends, &mut ei, scratch, &mut rep);
     }
-    KernelReport {
-        work,
-        pairs_read,
-        decoded,
-    }
+    rep
 }
 
-/// Probes one block for the current run of ends: restarts the decoder
-/// at the latest sample before the first end, streams the block through
-/// the window, and locates each end's run with the shared galloping
-/// helper. On return the cursor sits at the first end `>= max_parent`
-/// of the block — an end equal to `max_parent` is left in place because
-/// its run may continue in the next block.
-// apex-lint: allow(panic-reachability): i is bounded by wp.len() checks before every wp[i] read
+/// The first end index `>= ei` whose end is `>= t`.
+fn skip_below(ends: &[NodeId], ei: usize, t: u32) -> usize {
+    ei + ends
+        .get(ei..)
+        .map_or(0, |rest| rest.partition_point(|e| e.0 < t))
+}
+
+/// Faults block `k` and resolves every end from `ends[*ei]` on that
+/// falls in its parent range: `SuccinctExtent::seek` lands on the end's
+/// run through the frame headers and packed parents, and only the run
+/// (plus the pair that ends it) is read; the run counts as decoded. An
+/// end equal to the block's `max_parent` is left in place, since its
+/// run may continue in the next block.
 fn probe_block(
     succ: &SuccinctExtent,
     k: usize,
-    cur: &mut EndCursor<'_>,
-    out: &mut Vec<EdgePair>,
-    window: &mut Vec<EdgePair>,
-    work: &mut usize,
-    decoded: &mut usize,
+    ends: &[NodeId],
+    ei: &mut usize,
+    scratch: &mut SemijoinScratch,
+    rep: &mut KernelReport,
 ) {
+    scratch.blocks.push(k as u32);
+    rep.pairs_read += succ.directory().count(k);
     let bound = succ.directory().max_parent(k);
-    let Some(e0) = cur.peek() else { return };
-    let mut bc = succ.block_cursor_at(k, e0.0);
-    loop {
-        let n = bc.fill(window);
-        if n == 0 {
-            break;
-        }
-        *decoded += n;
-        let mut lo = 0usize;
-        loop {
-            let Some(e) = cur.peek() else { return };
-            if e.0 > bound {
-                return; // later ends belong to later blocks
-            }
-            let wp: &[EdgePair] = window;
-            let start = gallop_lower_bound(wp, lo, e, work);
-            if start >= wp.len() {
-                break; // whole window below e: refill
-            }
-            let mut i = start;
-            while i < wp.len() && wp[i].parent == e {
-                *work += 1;
-                out.push(wp[i]);
+    let frames = succ.block_frames(k);
+    let (all, words) = (succ.image().frames(), succ.image().words());
+    let (mut at, mut i) = (frames.start, 0usize);
+    while let Some(&e) = ends.get(*ei).filter(|e| e.0 <= bound) {
+        (at, i) = succ.seek((at, i), frames.end, e.0, &mut rep.work);
+        'run: loop {
+            let Some(frame) = all.get(at).filter(|_| at < frames.end) else {
+                return; // the run reached the block's end: e == bound
+            };
+            while let Some(p) = frame.pair(words, i) {
+                rep.work += 1;
+                if p.parent != e {
+                    break 'run;
+                }
+                rep.decoded += 1;
+                scratch.out.push(p);
                 i += 1;
             }
-            lo = i;
-            if i >= wp.len() {
-                // The run touched the window's last pair: e may
-                // continue in the next window, so keep the cursor on it.
-                break;
-            }
-            cur.advance(); // e fully resolved inside this window
+            (at, i) = (at + 1, 0);
         }
+        *ei += 1;
     }
-    // Block exhausted: ends strictly below max_parent cannot match any
-    // later block (blocks are parent-ordered), so resolve them here.
-    cur.skip_below(bound);
-}
-
-/// Galloping lower bound: first index `i >= lo` with
-/// `pairs[i].parent >= target`, counting comparisons into `work`.
-/// The bracket-invariant search [`probe_block`] runs over each decode
-/// window.
-// apex-lint: allow(panic-reachability): hi/base+half stay inside [lo, n) by the gallop/binary-search bracket invariant
-fn gallop_lower_bound(pairs: &[EdgePair], lo: usize, target: NodeId, work: &mut usize) -> usize {
-    let n = pairs.len();
-    let mut step = 1usize;
-    let mut prev = lo;
-    let mut hi = lo;
-    // Exponential phase: bracket the target.
-    loop {
-        if hi >= n {
-            hi = n;
-            break;
-        }
-        *work += 1;
-        if pairs[hi].parent >= target {
-            break;
-        }
-        prev = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    // Binary phase within [prev, hi).
-    let mut size = hi - prev;
-    let mut base = prev;
-    while size > 0 {
-        let half = size / 2;
-        *work += 1;
-        if pairs[base + half].parent < target {
-            base += half + 1;
-            size -= half + 1;
-        } else {
-            size = half;
-        }
-    }
-    base
 }
 
 /// Right-to-left reduction kernel: keeps the pairs of `extent` whose
@@ -487,7 +354,7 @@ fn gallop_lower_bound(pairs: &[EdgePair], lo: usize, target: NodeId, work: &mut 
 ///
 /// Pairs are stored sorted by `(parent, node)`, so node order is
 /// arbitrary: every pair pays one binary search into `parents`
-/// (`log₂ + 1` comparisons), and the whole extent — every block — is
+/// (`log₂ + 1` comparisons), and the whole extent — every frame — is
 /// decoded through the window. Output keeps extent order, so it stays
 /// sorted and duplicate-free.
 pub fn reverse_semijoin_into(
@@ -499,32 +366,23 @@ pub fn reverse_semijoin_into(
     if succ.is_empty() {
         return KernelReport::default();
     }
-    let nb = succ.num_blocks();
-    scratch.blocks.extend(0..nb as u32);
+    scratch.blocks.extend(0..succ.num_blocks() as u32);
     let probe_cost = (usize::BITS - parents.len().leading_zeros()) as usize + 1;
-    let mut work = 0usize;
-    let mut decoded = 0usize;
-    for k in 0..nb {
-        let mut bc = succ.block_cursor(k);
-        loop {
-            let n = bc.fill(&mut scratch.window);
-            if n == 0 {
-                break;
-            }
-            decoded += n;
-            for p in &scratch.window {
-                work += probe_cost;
-                if parents.binary_search(&p.node).is_ok() {
-                    scratch.out.push(*p);
-                }
+    let mut rep = KernelReport {
+        pairs_read: succ.len(),
+        ..KernelReport::default()
+    };
+    for f in 0..succ.num_frames() {
+        succ.frame_into(f, &mut scratch.window);
+        rep.decoded += scratch.window.len();
+        for p in &scratch.window {
+            rep.work += probe_cost;
+            if parents.binary_search(&p.node).is_ok() {
+                scratch.out.push(*p);
             }
         }
     }
-    KernelReport {
-        work,
-        pairs_read: succ.len(),
-        decoded,
-    }
+    rep
 }
 
 /// Reusable cursor state for [`merge_sorted_into`]: one allocation per
@@ -543,8 +401,8 @@ impl MergeScratch {
 
 /// Galloping lower bound over a sorted `u32` slice: first index
 /// `i >= lo` with `xs[i] >= target`, counting comparisons into `work`.
-/// The `u32` twin of [`gallop_lower_bound`]; index-free, so it stays
-/// panic-free on the router's and the shard engine's serving paths.
+/// Index-free, so it stays panic-free on the router's and the shard
+/// engine's serving paths.
 pub fn gallop_lower_bound_u32(xs: &[u32], lo: usize, target: u32, work: &mut usize) -> usize {
     let mut step = 1usize;
     let mut prev = lo;
@@ -673,7 +531,7 @@ mod tests {
         let extent = &stored(set);
         let mut scratch = SemijoinScratch::new();
         for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::BlockSkip] {
-            let rep = semijoin_into(kernel, extent, ends.into(), &mut scratch);
+            let rep = semijoin_into(kernel, extent, ends, &mut scratch);
             assert_eq!(scratch.out, want, "{} output", kernel.name());
             assert!(
                 rep.pairs_read <= extent.len(),
@@ -687,15 +545,11 @@ mod tests {
             );
         }
         // The pair-slice reference agrees pair for pair.
-        assert_eq!(set.semijoin_ends(ends.into()).0.pairs(), want);
-        assert_eq!(set.probe_by_parents(ends.into()).0.pairs(), want);
+        assert_eq!(set.semijoin_ends(ends).0.pairs(), want);
+        assert_eq!(set.probe_by_parents(ends).0.pairs(), want);
         let kernel = KernelPolicy::Adaptive.choose(ends.len(), extent);
-        semijoin_into(kernel, extent, ends.into(), &mut scratch);
+        semijoin_into(kernel, extent, ends, &mut scratch);
         assert_eq!(scratch.out, want, "adaptive output");
-        // The packed end form agrees with the slice form.
-        let ix = crate::succinct::EndIndex::from_sorted(ends);
-        semijoin_into(kernel, extent, (&ix).into(), &mut scratch);
-        assert_eq!(scratch.out, want, "packed-ends output");
     }
 
     #[test]
@@ -710,22 +564,53 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_multiblock_runs() {
-        // Long same-parent runs crossing block boundaries.
+        // Long same-parent runs crossing frame and block boundaries.
         let extent = EdgeSet::from_pairs(
-            (0..30_000u32)
+            (0..60_000u32)
                 .map(|i| EdgePair::new(NodeId(i / 4000), NodeId(i)))
                 .collect(),
         );
         assert!(stored(&extent).num_blocks() > 2);
         check_all(&extent, &[NodeId(0), NodeId(3), NodeId(7)]);
         check_all(&extent, &[NodeId(2)]);
-        let every: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let every: Vec<NodeId> = (0..16).map(NodeId).collect();
         check_all(&extent, &every);
     }
 
-    /// 40 000 single-child parents: a multi-block extent.
+    #[test]
+    fn kernels_agree_when_ends_sit_on_frame_and_block_edges() {
+        // One pair per parent: pair i has parent i, so frame and block
+        // edges are parent ids.
+        let set = EdgeSet::from_pairs(
+            (0..60_000u32)
+                .map(|i| EdgePair::new(NodeId(i), NodeId(i / 2)))
+                .collect(),
+        );
+        let extent = stored(&set);
+        assert!(extent.num_blocks() > 2);
+        let mut edges = Vec::new();
+        for k in 0..extent.num_blocks() {
+            let first = extent.directory().pairs_before(k) as u32;
+            let last = first + extent.directory().count(k) as u32 - 1;
+            edges.extend([first, last]);
+            for f in extent.block_frames(k) {
+                let head = extent.pair_at(f, 0).unwrap().parent.0;
+                edges.extend([head, head + 127]);
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let ends: Vec<NodeId> = edges.iter().map(|&e| NodeId(e)).collect();
+        check_all(&set, &ends);
+        for e in &ends {
+            check_all(&set, &[*e]);
+        }
+        check_all(&set, &ends[..ends.len() / 2]);
+    }
+
+    /// 80 000 single-child parents: a multi-block extent.
     fn chain_extent() -> SuccinctExtent {
-        let pairs: Vec<EdgePair> = (0..40_000u32)
+        let pairs: Vec<EdgePair> = (0..80_000u32)
             .map(|i| EdgePair::new(NodeId(i), NodeId(i + 1)))
             .collect();
         SuccinctExtent::from_pairs(&pairs)
@@ -736,14 +621,14 @@ mod tests {
         // Multi-block extent with a probe far from most blocks.
         let extent = chain_extent();
         assert!(extent.num_blocks() > 2);
-        let ends = [NodeId(3), NodeId(39_999)];
+        let ends = [NodeId(3), NodeId(79_999)];
         let mut scratch = SemijoinScratch::new();
-        let skip = semijoin_into(Kernel::BlockSkip, &extent, ends[..].into(), &mut scratch);
+        let skip = semijoin_into(Kernel::BlockSkip, &extent, &ends, &mut scratch);
         assert_eq!(scratch.out.len(), 2);
         assert_eq!(scratch.blocks.len(), 2, "only first and last block fault");
         assert!(skip.pairs_read < extent.len());
         assert!(skip.decoded < extent.len(), "skipped blocks stay encoded");
-        let merge = semijoin_into(Kernel::Merge, &extent, ends[..].into(), &mut scratch);
+        let merge = semijoin_into(Kernel::Merge, &extent, &ends, &mut scratch);
         assert_eq!(scratch.blocks.len(), extent.num_blocks());
         assert!(skip.work < merge.work);
     }
@@ -753,9 +638,10 @@ mod tests {
         let extent = chain_extent();
         let ends = [NodeId(7), NodeId(20_000), NodeId(39_000)];
         let mut scratch = SemijoinScratch::new();
-        let rep = semijoin_into(Kernel::Gallop, &extent, ends[..].into(), &mut scratch);
+        let rep = semijoin_into(Kernel::Gallop, &extent, &ends, &mut scratch);
         assert_eq!(scratch.out.len(), 3);
-        // A sampled restart plus window per end, not whole blocks.
+        // Only the runs, not whole blocks or frames.
+        assert_eq!(rep.decoded, 3);
         assert!(
             rep.decoded * 10 < extent.len(),
             "decoded {} of {}",

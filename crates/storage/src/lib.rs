@@ -5,12 +5,13 @@
 //! reproduction a deterministic analogue:
 //!
 //! * [`succinct::SuccinctExtent`] — the *stored* extent (sets of
-//!   `<parent, node>` edge pairs, Definition 7): the compressed block
-//!   image plus a rank/select directory and decode-restart samples. One
-//!   form in memory, on disk and under the kernels;
-//! * [`block::BlockExtent`] — that image: page-sized blocks of
-//!   delta+varint encoded pairs under a `(min_parent, max_parent,
-//!   count)` skip index, with the byte form `apex::persist` writes;
+//!   `<parent, node>` edge pairs, Definition 7): the packed block image
+//!   plus a rank/select directory over its blocks. One form in memory,
+//!   on disk and under the kernels;
+//! * [`block::BlockExtent`] — that image: 128-pair bit-packed frames
+//!   (parent and node as fixed-width offsets) grouped into page-sized
+//!   blocks under a `(min_parent, max_parent, count)` skip index, with
+//!   the byte form `apex::persist` writes;
 //! * [`edgeset::EdgeSet`] — the *in-flight* edge set: the sorted pair
 //!   vector query operators pass between them and index updates mutate
 //!   before sealing, with merge/union/difference and the pair-slice
@@ -43,7 +44,7 @@ pub mod kernels;
 pub mod pages;
 pub mod succinct;
 
-pub use block::{BlockExtent, BlockHeader};
+pub use block::{BlockExtent, BlockHeader, Frame};
 pub use bufmgr::{BufferHandle, BufferManager, BufferStats, ObjectId, Space};
 pub use cost::{Cost, OpBreakdown, OpCost, OpKind};
 pub use datatable::DataTable;
@@ -53,4 +54,4 @@ pub use kernels::{
     SemijoinScratch,
 };
 pub use pages::PageModel;
-pub use succinct::{EndCursor, EndIndex, Ends, SuccinctExtent};
+pub use succinct::SuccinctExtent;

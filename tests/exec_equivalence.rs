@@ -7,7 +7,7 @@
 //! over the shared pool reproduce sequential aggregate costs.
 //!
 //! Every semijoin here runs over the *succinct* extent path (rank/select
-//! directory, sampled restarts, windowed decode) — the kernel-policy
+//! directory, frame search, frame-window decode) — the kernel-policy
 //! sweep below therefore also proves each kernel's succinct
 //! implementation equivalent to the naive oracle end to end.
 

@@ -287,6 +287,9 @@ mod persist_hostile_images {
     thread_local! {
         /// Bytes this thread has asked the allocator for.
         static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+        /// FNV-1a over the size of each allocation this thread made, in
+        /// order.
+        static TRACE: Cell<u64> = const { Cell::new(0) };
     }
 
     struct Counting;
@@ -298,6 +301,8 @@ mod persist_hostile_images {
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+            let _ = TRACE
+                .try_with(|h| h.set((h.get() ^ layout.size() as u64).wrapping_mul(0x100000001b3)));
             // SAFETY: `layout` is the caller's, passed through.
             unsafe { System.alloc(layout) }
         }
@@ -315,6 +320,55 @@ mod persist_hostile_images {
         let before = ALLOCATED.with(Cell::get);
         let out = f();
         (out, ALLOCATED.with(Cell::get) - before)
+    }
+
+    /// The allocation trace of `f`: the sizes it allocated, in order,
+    /// folded into one FNV-1a hash.
+    fn trace_of(f: impl FnOnce()) -> u64 {
+        TRACE.with(|h| h.set(0xcbf29ce484222325));
+        f();
+        TRACE.with(Cell::get)
+    }
+
+    /// `refine` is replayable: two refines of clones of one index over
+    /// the same drifted workload allocate the same sizes in the same
+    /// order — no hash-map iteration order leaks into what a refresh
+    /// allocates, so the memory it leaves behind is the same every run.
+    #[test]
+    fn a_drifted_refine_allocates_the_same_sizes_in_the_same_order() {
+        let g = datagen::gedml(40, 3);
+        let mut base = Apex::build_initial(&g);
+        let first = Workload::parse(&g, &["indi.name", "fam.@husb", "indi.name"]).unwrap();
+        base.refine(&g, &first, 0.3);
+        let drifted = [
+            "fam.@chil",
+            "indi.birt.date",
+            "fam.@chil",
+            "indi.@famc",
+            "indi.birt",
+        ];
+        let drifted = Workload::parse(&g, &drifted).unwrap();
+        let runs: Vec<(u64, Apex)> = (0..2)
+            .map(|_| {
+                let mut idx = base.clone();
+                let trace = trace_of(|| {
+                    idx.refine(&g, &drifted, 0.3);
+                });
+                (trace, idx)
+            })
+            .collect();
+        let before = base.required_paths(&g);
+        let after = runs[0].1.required_paths(&g);
+        let changed = after.iter().filter(|p| !before.contains(p)).count()
+            + before.iter().filter(|p| !after.contains(p)).count();
+        assert!(
+            changed >= 2,
+            "the drift changes classes: {before:?} -> {after:?}"
+        );
+        assert_eq!(
+            runs[0].0, runs[1].0,
+            "the two refines allocated differently"
+        );
     }
 
     /// A small refined index, and a checkpoint of it with a window.
@@ -395,9 +449,9 @@ mod persist_hostile_images {
                 }
             }
         }
-        // Counts, ids, flags, block headers and varints make most of
-        // the image structural; extent pairs, labels, frequencies and
-        // the header's seq/generation are free to be other values.
+        // Counts, ids, flags and frame headers make most of the image
+        // structural; packed pair bits, labels, frequencies and the
+        // header's seq/generation are free to be other values.
         assert!(refused > loaded && loaded > 64, "{refused} / {loaded}");
     }
 
