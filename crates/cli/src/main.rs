@@ -308,15 +308,14 @@ fn main() {
                 },
                 Err(e) => println!("cannot create {path}: {e}"),
             },
-            Ok(Command::Load(path)) => match std::fs::File::open(&path) {
-                Ok(mut f) => match persist::load(&mut f) {
-                    Ok(idx) => {
-                        index = idx;
-                        println!("loaded {path}: {:?}", index.stats());
-                    }
-                    Err(e) => println!("load failed: {e}"),
-                },
-                Err(e) => println!("cannot open {path}: {e}"),
+            // A saved file or any snapshot: a delta is read against the
+            // base snapshot beside it.
+            Ok(Command::Load(path)) => match recover::load_snapshot(Path::new(&path)) {
+                Ok(img) => {
+                    index = img.index;
+                    println!("loaded {path}: {:?}", index.stats());
+                }
+                Err(e) => println!("load failed: {e}"),
             },
             Ok(Command::Explain(text)) => match Query::parse(&g, &text) {
                 Ok(q) => {

@@ -1,6 +1,7 @@
 //! `G_APEX` — the graph half of APEX (Definition 10).
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use apex_storage::{EdgeSet, SuccinctExtent};
 use xmlgraph::LabelId;
@@ -21,14 +22,16 @@ impl XNodeId {
 ///
 /// By construction a node has at most one outgoing edge per label: the
 /// target is determined by `H_APEX` lookup of the extended path.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct XNode {
     /// The extent: incoming data edges of the nodes this class
     /// represents, in its one stored form — the block image the kernels
-    /// scan and `persist` writes. Immutable in place: a build or update
-    /// works on decoded copies ([`GApex::open_extent`]) and replaces
-    /// the extent once when it is done ([`GApex::seal`]).
-    pub extent: SuccinctExtent,
+    /// scan and `persist` writes. Immutable, so shared: a clone of the
+    /// graph copies the pointer, and a build or update works on decoded
+    /// copies ([`GApex::open_extent`]) and swaps in a new extent once
+    /// when it is done ([`GApex::seal`]); every extent it did not change
+    /// stays the one every earlier clone holds.
+    pub extent: Arc<SuccinctExtent>,
     /// Outgoing edges, at most one per label.
     pub edges: Vec<(LabelId, XNodeId)>,
     /// The last label of the node's incoming label path (`None` only for
@@ -36,6 +39,20 @@ pub struct XNode {
     pub incoming: Option<LabelId>,
     /// Traversal flag used by `updateAPEX` (reset before each update).
     pub visited: bool,
+}
+
+impl Default for XNode {
+    /// A node with no edges and the one shared empty extent: making one
+    /// allocates nothing.
+    fn default() -> XNode {
+        static EMPTY: OnceLock<Arc<SuccinctExtent>> = OnceLock::new();
+        XNode {
+            extent: Arc::clone(EMPTY.get_or_init(Arc::default)),
+            edges: Vec::new(),
+            incoming: None,
+            visited: false,
+        }
+    }
 }
 
 /// Arena of [`XNode`]s. Nodes orphaned by an incremental update are
@@ -52,14 +69,13 @@ impl GApex {
         Self::default()
     }
 
-    /// Allocates a node with the given incoming label.
+    /// Allocates a node with the given incoming label and the (shared)
+    /// empty extent.
     pub fn new_node(&mut self, incoming: Option<LabelId>) -> XNodeId {
         let id = XNodeId(self.nodes.len() as u32);
         self.nodes.push(XNode {
-            extent: SuccinctExtent::default(),
-            edges: Vec::new(),
             incoming,
-            visited: false,
+            ..XNode::default()
         });
         id
     }
@@ -115,7 +131,7 @@ impl GApex {
         open.sort_unstable_by_key(|(x, _)| x.0);
         for (x, set) in open {
             if set.len() > self.extent(x).len() {
-                self.node_mut(x).extent = SuccinctExtent::from_pairs(set.pairs());
+                self.node_mut(x).extent = Arc::new(SuccinctExtent::from_pairs(set.pairs()));
             }
         }
     }
@@ -267,10 +283,11 @@ mod tests {
         let root = g.new_node(None);
         let b = g.new_node(Some(LabelId(2)));
         let a = g.new_node(Some(LabelId(1)));
-        g.node_mut(a).extent = SuccinctExtent::from_pairs(&[apex_storage::EdgePair::new(
-            xmlgraph::NodeId(3),
-            xmlgraph::NodeId(4),
-        )]);
+        g.node_mut(a).extent =
+            Arc::new(SuccinctExtent::from_pairs(&[apex_storage::EdgePair::new(
+                xmlgraph::NodeId(3),
+                xmlgraph::NodeId(4),
+            )]));
         g.make_edge(root, b, LabelId(2));
         g.make_edge(root, a, LabelId(1));
         g.make_edge(b, a, LabelId(1));

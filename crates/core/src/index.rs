@@ -413,6 +413,49 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_every_extent_and_a_refine_replaces_only_what_it_changed() {
+        use std::sync::Arc;
+        let (g, idx) = figure2();
+        let ga = idx.graph();
+        let n = ga.allocated() as u32;
+        let held = |a: &Apex| {
+            (0..a.graph().allocated() as u32)
+                .map(|i| Arc::clone(&a.graph().node(XNodeId(i)).extent))
+                .collect::<Vec<_>>()
+        };
+        // A clone copies pointers, not extents.
+        let copy = idx.clone();
+        assert!(held(&idx)
+            .iter()
+            .zip(held(&copy))
+            .all(|(a, b)| Arc::ptr_eq(a, &b)));
+        // A refine that changes nothing keeps every extent it had.
+        let mut same = idx.clone();
+        let wl = Workload::parse(&g, &["director.movie", "@movie.movie", "actor.name"]).unwrap();
+        same.refine(&g, &wl, 0.1);
+        assert_eq!(same.graph().allocated() as u32, n);
+        assert!(held(&idx)
+            .iter()
+            .zip(held(&same))
+            .all(|(a, b)| Arc::ptr_eq(a, &b)));
+        // A drifted one re-encodes the classes it changed and keeps the
+        // rest as they were.
+        let mut drifted = idx.clone();
+        drifted.refine(&g, &Workload::parse(&g, &["movie.title"]).unwrap(), 0.5);
+        let before = held(&idx);
+        let after = held(&drifted);
+        let shared = after
+            .iter()
+            .filter(|e| before.iter().any(|o| Arc::ptr_eq(o, e)))
+            .count();
+        assert!(
+            shared > 1 && shared < after.len(),
+            "{shared} of {}",
+            after.len()
+        );
+    }
+
+    #[test]
     fn stats_reports_reachable_sizes() {
         let (_, idx) = figure2();
         let s = idx.stats();

@@ -44,7 +44,11 @@
 //! clean stop never needs replay — it captures the monitor state and
 //! rotates the log *under the monitor lock* ([`Wal::begin_checkpoint`]),
 //! then encodes and commits the verified snapshot outside any lock
-//! ([`Wal::commit_checkpoint`]). [`IndexCell::with_generation`] is the
+//! ([`crate::recover::commit_snapshot`]): a delta holding only the
+//! extents the last base snapshot lacks. A refresh's private copy
+//! shares every extent with the published index (`XNode::extent` is an
+//! `Arc`), so a generation costs, in memory and on disk, what it
+//! changed. [`IndexCell::with_generation`] is the
 //! matching boot path: [`crate::recover::recover`] hands back an index
 //! at the generation it had reached, and the cell resumes counting from
 //! there.
@@ -412,9 +416,10 @@ impl Drop for Refresher {
 /// ([`Wal::begin_checkpoint`]) happen under the *same* monitor lock, so
 /// the snapshot covers exactly the records in segments before the new
 /// sequence — nothing is double-applied or lost on replay. The
-/// expensive part (encoding the index, writing and fsyncing the file)
-/// runs after the lock is released; recorded traffic is never stalled
-/// behind a checkpoint.
+/// expensive part (encoding the image — a delta holding the extents
+/// the last base lacks, see [`crate::recover::commit_snapshot`] —
+/// writing and fsyncing the file) runs after the lock is released;
+/// recorded traffic is never stalled behind a checkpoint.
 pub fn write_checkpoint(
     cell: &IndexCell,
     monitor: &Mutex<WorkloadMonitor>,
@@ -429,8 +434,7 @@ pub fn write_checkpoint(
     // is the one checkpointing — the snapshot read here is the one the
     // captured monitor state was serving against.
     let snap = cell.snapshot();
-    let image = crate::persist::encode(token.seq(), snap.generation(), snap.index(), &state);
-    wal.commit_checkpoint(token, &image)
+    crate::recover::commit_snapshot(wal, token, snap.generation(), snap.index(), &state)
 }
 
 fn refresh_loop(
@@ -849,6 +853,16 @@ mod tests {
         assert_eq!(rec.report.applied, 0, "clean shutdown must not need replay");
         assert_eq!(rec.generation, 1);
         assert!(crate::update::extent_equivalent(&g, &rec.index, cell.snapshot().index()).is_ok());
+        // The shutdown checkpoint changed nothing since the cadence one:
+        // a delta over it that stores no extent.
+        let snaps = crate::wal::list_snapshots(&dir).unwrap();
+        let [(base, first), (_, last)] = &snaps[..] else {
+            panic!("two checkpoints: {snaps:?}")
+        };
+        let delta = crate::recover::load_snapshot(last).unwrap();
+        assert_eq!(delta.base, Some(*base));
+        let len = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
+        assert!(len(last) < len(first), "{} vs {}", len(last), len(first));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

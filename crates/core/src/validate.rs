@@ -295,7 +295,7 @@ mod tests {
                 0,
                 apex_storage::EdgePair::new(xmlgraph::NodeId(0), xmlgraph::NodeId(0)),
             );
-            ga.node_mut(x).extent = SuccinctExtent::from_pairs(&pairs);
+            ga.node_mut(x).extent = SuccinctExtent::from_pairs(&pairs).into();
         }
         let v = check(&g, &tampered);
         assert!(!v.is_empty(), "validator must flag the bogus pair");
@@ -312,7 +312,7 @@ mod tests {
         let x = apex.lookup(&[name]).xnode.unwrap();
         let mut pairs = apex.extent(x).to_vec();
         pairs.reverse();
-        apex.graph_mut_for_tests().node_mut(x).extent = SuccinctExtent::from_pairs(&pairs);
+        apex.graph_mut_for_tests().node_mut(x).extent = SuccinctExtent::from_pairs(&pairs).into();
         let v = check(&g, &apex);
         assert!(v.iter().any(|m| m.contains("not a sealed image")), "{v:#?}");
     }

@@ -35,7 +35,8 @@
 //! ```
 //!
 //! Word offsets and blocks are not stored: both follow from the frame
-//! headers.
+//! headers. An image is named by its [`BlockExtent::content_hash`]: one
+//! image per content, so one name per content.
 
 use xmlgraph::{NodeId, NULL_NODE};
 
@@ -446,6 +447,29 @@ impl BlockExtent {
             (lo, hi) = (lo.min(n_lo), hi.max(n_hi));
         }
         Some((lo, hi))
+    }
+
+    /// The image's 64-bit name: its frame and word counts, each frame
+    /// header (as two words) and each payload word, folded in by an xor,
+    /// an odd multiply and a xor-shift. Every step is a bijection of the
+    /// running hash and the fields sit at fixed places, so two images
+    /// that differ in one field always get different names.
+    pub fn content_hash(&self) -> u64 {
+        let fold = |h: u64, w: u64| {
+            let h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^ (h >> 29)
+        };
+        let counts = self.frames.len() as u64 | (self.words.len() as u64) << 32;
+        let headers = self.frames.iter().flat_map(|f| {
+            let mode = [f.w_p, f.w_n, f.zigzag as u8, f.count, 0, 0, 0, 0];
+            [
+                f.min_parent as u64 | (f.min_node as u64) << 32,
+                u64::from_le_bytes(mode),
+            ]
+        });
+        headers
+            .chain(self.words.iter().copied())
+            .fold(fold(0x243f_6a88_85a3_08d3, counts), fold)
     }
 
     /// Length of the image [`BlockExtent::write_to`] appends.

@@ -11,7 +11,8 @@
 //! * [`block::BlockExtent`] — that image: 128-pair bit-packed frames
 //!   (parent and node as fixed-width offsets) grouped into page-sized
 //!   blocks under a `(min_parent, max_parent, count)` skip index, with
-//!   the byte form `apex::persist` writes;
+//!   the byte form `apex::persist` writes, named by its content hash
+//!   ([`block::BlockExtent::content_hash`]);
 //! * [`edgeset::EdgeSet`] — the *in-flight* edge set: the sorted pair
 //!   vector query operators pass between them and index updates mutate
 //!   before sealing, with merge/union/difference and the pair-slice

@@ -6,8 +6,11 @@
 //! disk and under the kernels. It is immutable once built — an index
 //! build or refresh decodes the extents it changes into
 //! [`crate::edgeset::EdgeSet`]s, mutates those, and seals each back
-//! with [`SuccinctExtent::from_pairs`] once at the end. The packed
-//! frames are queryable in place through two layers:
+//! with [`SuccinctExtent::from_pairs`] once at the end. Sealing also
+//! names the image ([`SuccinctExtent::content_hash`]), once: a
+//! checkpoint stores each content once and a later one refers to it by
+//! that name. The packed frames are queryable in place through two
+//! layers:
 //!
 //! * [`BlockDirectory`] — a rank/select directory over the block skip
 //!   headers: bit-packed `min_parent` / `max_parent` / cumulative pair
@@ -274,16 +277,23 @@ impl BlockDirectory {
 /// Equality compares images. Every image in a `SuccinctExtent` comes
 /// from [`BlockExtent::encode`] or has passed [`BlockExtent::check`],
 /// so two extents are equal exactly when they hold the same pairs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SuccinctExtent {
     image: BlockExtent,
     dir: BlockDirectory,
     node_bounds: Option<(NodeId, NodeId)>,
+    hash: u64,
+}
+
+impl Default for SuccinctExtent {
+    fn default() -> SuccinctExtent {
+        SuccinctExtent::from_pairs(&[])
+    }
 }
 
 impl PartialEq for SuccinctExtent {
     fn eq(&self, other: &Self) -> bool {
-        self.image == other.image
+        self.hash == other.hash && self.image == other.image
     }
 }
 
@@ -293,6 +303,7 @@ impl SuccinctExtent {
     fn wrap(image: BlockExtent, (lo, hi): (u32, u32)) -> SuccinctExtent {
         SuccinctExtent {
             dir: BlockDirectory::build(&image),
+            hash: image.content_hash(),
             image,
             node_bounds: (lo <= hi).then_some((NodeId(lo), NodeId(hi))),
         }
@@ -312,6 +323,13 @@ impl SuccinctExtent {
     pub fn open(image: BlockExtent) -> Option<SuccinctExtent> {
         let bounds = image.scan()?;
         Some(SuccinctExtent::wrap(image, bounds))
+    }
+
+    /// The image's [`BlockExtent::content_hash`]: its name in a
+    /// checkpoint, computed once when the extent was sealed or opened.
+    #[inline]
+    pub fn content_hash(&self) -> u64 {
+        self.hash
     }
 
     /// The wrapped image (the disk/wire format owner).
@@ -616,6 +634,32 @@ mod tests {
         // Equality is image equality is pair-set equality.
         assert_eq!(succ, SuccinctExtent::from_pairs(&succ.to_vec()));
         assert_ne!(succ, SuccinctExtent::default());
+    }
+
+    #[test]
+    fn the_content_hash_names_the_content() {
+        let set = EdgeSet::from_raw(&[(1, 5), (2, 5), (3, 6), (7, 8)]);
+        let succ = SuccinctExtent::from_pairs(set.pairs());
+        assert_eq!(succ.content_hash(), succ.image().content_hash());
+        // Built or opened from its bytes: one content, one name.
+        let mut bytes = Vec::new();
+        succ.image().write_to(&mut bytes);
+        let opened = SuccinctExtent::open(BlockExtent::from_bytes(&bytes).unwrap()).unwrap();
+        assert_eq!(opened.content_hash(), succ.content_hash());
+        assert_ne!(
+            SuccinctExtent::default().content_hash(),
+            succ.content_hash()
+        );
+        // Any one flipped bit of an image that still frames renames it.
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                if let Some(bx) = BlockExtent::from_bytes(&flipped) {
+                    assert_ne!(bx.content_hash(), succ.content_hash(), "{at}/{bit}");
+                }
+            }
+        }
     }
 
     #[test]
