@@ -6,16 +6,14 @@
 # Criterion benches are gated behind the `bench-harness` feature and
 # are compile-checked here, not run.
 #
-# apex-lint (crates/lint) is the workspace's own invariant checker: it
-# walks crates/*/src and fails the gate on any finding — cost-counter
-# writes outside the storage/executor layers, panics reachable from the
-# serving roots (whole-workspace call graph), lock-order cycles and
-# blocking under two guards, allocation in the semijoin hot paths,
-# panicking calls in library code, missing #![forbid(unsafe_code)],
-# stray terminal output, direct process::exit, buffer pools constructed
-# outside storage/batch, and stale or unjustified suppressions. See
-# crates/lint/RULES.md. The lint_selfcheck step archives the machine
-# reports (SARIF + JSON) under results/.
+# The clippy step enforces [workspace.lints] (root Cargo.toml) with
+# -D warnings: no unsafe, no unwrap/expect/panic! in library code, no
+# prints outside apex-cli/apex-bench, no process::exit outside apex-cli.
+# apex-lint (crates/lint) checks what the compiler cannot: cost-counter
+# writes outside storage/executor, panics reachable from the serving
+# roots, lock-order cycles and blocking under two guards, hot-path
+# allocation, buffer pools built outside storage, and stale or
+# unjustified suppressions. See crates/lint/RULES.md.
 #
 # Five bench binaries double as smoke tests (kernels, planner, and
 # fig13/fig14/fig15 as path_smoke/qtype2_smoke: they assert their own
@@ -121,20 +119,6 @@ path_smoke() {
     rm -rf "$out"
 }
 
-# The self-check runs apex-lint over the workspace (its own sources
-# included) and archives the machine-readable reports under results/ for
-# code-scanning consumers. Text mode above is the human-facing gate;
-# this step proves the SARIF/JSON reporters stay wired and leaves an
-# artifact CI can upload.
-lint_selfcheck() {
-    mkdir -p results
-    cargo run --release --offline --quiet -p apex-lint -- \
-        --root . --format sarif >results/apex-lint.sarif
-    cargo run --release --offline --quiet -p apex-lint -- \
-        --root . --format json >results/apex-lint.json
-    echo "lint_selfcheck: reports in results/apex-lint.{sarif,json}"
-}
-
 # The crash-recovery suite is the durability gate: three fixed-seed
 # byte-offset sweeps (270 distinct crash points across append /
 # checkpoint / rename traffic) plus named-site kills, golden snapshot
@@ -223,7 +207,6 @@ run recovery_smoke
 run stress
 run cargo clippy --offline --workspace --all-targets -- "${CLIPPY_EXTRA[@]}" -D warnings
 run cargo run --release --offline --quiet -p apex-lint -- --root .
-run lint_selfcheck
 run cargo bench --offline --no-run --features apex-bench/bench-harness -p apex-bench
 run cargo fmt --check
 

@@ -12,6 +12,7 @@
 //! Also writes `BENCH_ablation.json` with the same rows.
 //!
 //! (`cargo run -p apex-bench --release --bin ablation [--scale paper]`)
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::time::Instant;
 

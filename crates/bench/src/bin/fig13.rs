@@ -7,6 +7,7 @@
 //! Doubles as the QTYPE1 smoke test: the run *asserts* that every
 //! series returns the same `results` count as the SDG on every dataset,
 //! so a node frontier that loses or invents an arrival fails here.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex_bench::report::{batch_row, BenchReport, Json};
 use apex_bench::{print_row, print_row_header, Experiment, Scale, MINSUPS};

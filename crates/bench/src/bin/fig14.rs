@@ -8,6 +8,7 @@
 //! Doubles as the QTYPE2 smoke test: the run *asserts* that all three
 //! series return the same `results` count on every dataset, so an
 //! evaluator that prunes or propagates wrongly fails here.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex_bench::report::{batch_row, BenchReport};
 use apex_bench::{print_row, print_row_header, Experiment, Scale};

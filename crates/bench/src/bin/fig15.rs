@@ -11,6 +11,7 @@
 //! APEX return the same `results` count on every dataset, and the Fabric
 //! too wherever its keys were not truncated (truncated keys cannot tell
 //! long paths apart, so its answers may differ there by design).
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex_bench::report::{batch_row, BenchReport};
 use apex_bench::{print_row, print_row_header, Experiment, Scale};

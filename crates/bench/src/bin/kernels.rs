@@ -26,6 +26,7 @@
 //! including `resident_bytes`, `decoded_pairs` and the timed columns.
 //!
 //! (`cargo run -p apex-bench --release --bin kernels`)
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex_bench::report::{BenchReport, Json};
 use apex_storage::kernels::{semijoin_into, Kernel, KernelPolicy, SemijoinScratch};

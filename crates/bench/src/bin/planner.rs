@@ -23,6 +23,7 @@
 //! Also writes `BENCH_planner.json` with one row per family.
 //!
 //! (`cargo run -p apex-bench --release --bin planner`)
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex::Apex;
 use apex_bench::report::{BenchReport, Json};

@@ -1,6 +1,7 @@
 //! Table 1: characteristics of the experiment data sets
 //! (`cargo run -p apex-bench --release --bin table1 [--scale paper]`).
 //! Also writes `BENCH_table1.json` with the same rows.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex_bench::report::{BenchReport, Json};
 use apex_bench::Scale;

@@ -4,6 +4,7 @@
 //! footprint of each APEX in the compressed block encoding.
 //! Also writes `BENCH_table2.json` with the same rows.
 //! (`cargo run -p apex-bench --release --bin table2 [--scale paper]`)
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use apex_bench::report::{index_row, BenchReport, Json};
 use apex_bench::{Experiment, Scale, MINSUPS};

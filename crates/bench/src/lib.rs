@@ -18,6 +18,8 @@
 //!   or `APEX_SCALE=paper`.
 
 #![forbid(unsafe_code)]
+// The harness prints the paper's tables and figures.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 use apex::{Apex, Workload};

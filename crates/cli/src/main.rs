@@ -58,6 +58,8 @@
 //! of the default unbounded pool.
 
 #![forbid(unsafe_code)]
+// The shell talks to a terminal and owns the exit code.
+#![allow(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, Write};

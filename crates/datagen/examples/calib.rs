@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 fn main() {
     for d in datagen::Dataset::all() {
         let big = matches!(

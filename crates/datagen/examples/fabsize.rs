@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 fn main() {
     for (name, g) in [
         ("4trag", datagen::shakespeare_scaled(4, 0xA11CE, 1.0)),

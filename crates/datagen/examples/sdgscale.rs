@@ -1,5 +1,6 @@
 //! Measures strong-DataGuide size over GedML corpus sizes (generator
 //! calibration aid; see DESIGN.md "Dataset calibration").
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 fn main() {
     for n in [150usize, 360, 1310] {

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 fn main() {
     for (name, g) in [
         ("ged150", datagen::gedml(150, 77)),

@@ -35,15 +35,21 @@ use xmlgraph::{GraphBuilder, NodeId, XmlGraph};
 /// Registers a generator-assigned id. Generator ids are sequence-numbered
 /// (`S0`, `F3`, …) and therefore unique by construction; a collision is a
 /// bug in the generator, not an input condition.
+#[expect(
+    clippy::expect_used,
+    reason = "generator-internal invariant (sequence-numbered ids), not input-dependent"
+)]
 pub(crate) fn register_unique(b: &mut GraphBuilder, node: NodeId, id: &str) {
-    // apex-lint: allow(no-panic): generator-internal invariant (sequence-numbered ids), not input-dependent
     b.register_id(node, id).expect("generator ids are unique");
 }
 
 /// Finalizes a generated graph. Every reference the generators emit
 /// targets an id registered in the same pass, so resolution cannot fail.
+#[expect(
+    clippy::expect_used,
+    reason = "generator-internal invariant (references target generated ids)"
+)]
 pub(crate) fn finish_generated(b: GraphBuilder) -> XmlGraph {
-    // apex-lint: allow(no-panic): generator-internal invariant (references target generated ids)
     b.finish().expect("generated references resolve")
 }
 

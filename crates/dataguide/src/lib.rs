@@ -55,8 +55,11 @@ impl DataGuide {
     /// # Panics
     /// Panics if the subset construction exceeds [`DEFAULT_NODE_LIMIT`]
     /// nodes (prevents runaway memory on pathological inputs).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; build_bounded is the non-panicking API"
+    )]
     pub fn build(g: &XmlGraph) -> Self {
-        // apex-lint: allow(no-panic): documented panic contract; build_bounded is the non-panicking API
         Self::build_bounded(g, DEFAULT_NODE_LIMIT).expect("DataGuide exceeded node limit")
     }
 

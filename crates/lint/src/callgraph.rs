@@ -31,14 +31,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::engine::{Finding, Severity, Workspace};
+use crate::engine::{Finding, Workspace};
 use crate::parse::FnItem;
 
 /// Files whose non-test functions are serving roots: the worker/reader
 /// loops of the socket server, the refresher, the query operators, and
 /// the boot-time recovery path (which must survive arbitrarily torn or
 /// corrupted logs without panicking).
-pub const ROOT_FILES: &[&str] = &[
+const ROOT_FILES: &[&str] = &[
     "crates/net/src/server.rs",
     "crates/core/src/serve.rs",
     "crates/core/src/recover.rs",
@@ -756,7 +756,6 @@ pub fn panic_reachability(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
             file: ws.files[node.file].ctx.rel_path.to_string(),
             line: item.line,
             rule: "panic-reachability",
-            severity: Severity::Error,
             message: format!(
                 "`{}` is reachable from the serving path ({}) and can panic: {}",
                 node.qname,

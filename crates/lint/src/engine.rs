@@ -25,7 +25,6 @@
 //! *error* — a dead allow is a hole an invariant can silently leak
 //! through, so it fails the gate just like a live violation.
 
-use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -33,25 +32,6 @@ use std::path::{Path, PathBuf};
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parse::{parse, ParsedFile};
 use crate::rules;
-
-/// How severe a finding is. Errors fail the build; warnings fail only
-/// under `--strict`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory; nonfatal unless `--strict`.
-    Warning,
-    /// A violated invariant; `apex-lint` exits nonzero.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
 
 /// One rule violation (or suppression problem) at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +42,6 @@ pub struct Finding {
     pub line: u32,
     /// Name of the violated rule.
     pub rule: &'static str,
-    /// Whether this fails the run.
-    pub severity: Severity,
     /// Human-readable description.
     pub message: String,
 }
@@ -74,8 +52,6 @@ pub struct FileCtx<'a> {
     pub rel_path: &'a str,
     /// The `crates/<dir>` component of the path, or `""` outside `crates/`.
     pub crate_dir: &'a str,
-    /// True for `crates/*/src/lib.rs` and `crates/*/src/main.rs`.
-    pub is_crate_root: bool,
     toks: Vec<Tok<'a>>,
     code: Vec<usize>,
     in_test: Vec<bool>,
@@ -95,11 +71,9 @@ impl<'a> FileCtx<'a> {
             .strip_prefix("crates/")
             .and_then(|rest| rest.split('/').next())
             .unwrap_or("");
-        let is_crate_root = rel_path.ends_with("/src/lib.rs") || rel_path.ends_with("/src/main.rs");
         let mut ctx = FileCtx {
             rel_path,
             crate_dir,
-            is_crate_root,
             in_test: vec![false; code.len()],
             toks,
             code,
@@ -309,7 +283,6 @@ fn parse_directive(
             file: file.to_string(),
             line,
             rule: "bad-suppression",
-            severity: Severity::Error,
             message: format!("{why}; expected `// apex-lint: allow(<rule>): <justification>`"),
         });
     };
@@ -346,7 +319,6 @@ fn parse_directive(
                 file: file.to_string(),
                 line,
                 rule: "bad-suppression",
-                severity: Severity::Error,
                 message: format!("suppression names unknown rule `{name}`"),
             });
         }
@@ -407,7 +379,6 @@ pub fn lint(ws: &Workspace<'_>) -> Vec<Finding> {
                 file: s.file.clone(),
                 line: s.line,
                 rule: "stale-allow",
-                severity: Severity::Error,
                 message: format!(
                     "suppression of `{}` silences nothing; remove the stale allow",
                     s.rule

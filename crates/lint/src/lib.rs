@@ -9,25 +9,25 @@
 //! functions, impl owners, parameters and lock-typed fields, a
 //! conservative call graph ([`callgraph`]) and lock-acquisition model
 //! ([`locks`]) built on top of it, a rule engine ([`engine`], [`rules`])
-//! with inline suppressions, and text/JSON/SARIF reporters ([`report`]).
+//! with inline suppressions, and a text reporter ([`report`]).
 //!
 //! The binary walks `crates/*/src`, applies the catalog, and exits
-//! nonzero on errors; `ci.sh` runs it as a hard gate after clippy, plus
-//! a timed self-check over this crate with a SARIF artifact.
+//! nonzero on any finding; `ci.sh` runs it as a hard gate after clippy.
 //!
 //! ## Rule catalog
 //!
 //! See [`rules::RULES`] and `crates/lint/RULES.md`. The per-file rules:
-//! `Cost` I/O counters may only be written by `apex-storage` and the
-//! executor/planner (`cost-io-writes`); library code is panic-free
-//! (`no-panic`) and print-free (`no-print`); semijoin kernel bodies
-//! never allocate (`hot-path-alloc`); every crate root forbids `unsafe`
-//! (`forbid-unsafe`); only the CLI may call `process::exit` (`no-exit`);
-//! buffer pools are constructed only by the storage and batch layers
-//! (`pool-discipline`). The whole-workspace rules: nothing reachable
-//! from the serving roots can panic (`panic-reachability`), and the
-//! lock-acquisition graph is cycle-free with no blocking call under two
-//! guards (`lock-order`).
+//! `Cost` I/O counters may only be written by `apex-storage`, the
+//! executor/planner and the WAL's recovery scan (`cost-io-writes`);
+//! semijoin kernel bodies never allocate (`hot-path-alloc`); buffer
+//! pools are constructed only by the storage layer (`pool-discipline`).
+//! The whole-workspace rules: nothing reachable from the serving roots
+//! can panic (`panic-reachability`), and the lock-acquisition graph is
+//! cycle-free with no blocking call under two guards (`lock-order`).
+//! What rustc and clippy can check themselves — no `unsafe`, no
+//! panicking calls in library code, no stray prints or
+//! `process::exit` — lives in the root `Cargo.toml`'s
+//! `[workspace.lints]` instead.
 //!
 //! ## Suppressions
 //!
@@ -52,5 +52,5 @@ pub mod parse;
 pub mod report;
 pub mod rules;
 
-pub use engine::{lint_str, lint_workspace, FileCtx, Finding, Severity, Workspace, WorkspaceFile};
-pub use report::{render_json, render_sarif, render_text, tally};
+pub use engine::{lint_str, lint_workspace, FileCtx, Finding, Workspace, WorkspaceFile};
+pub use report::render_text;

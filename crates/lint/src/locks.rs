@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::CallGraph;
-use crate::engine::{Finding, Severity, Workspace};
+use crate::engine::{Finding, Workspace};
 use crate::parse::FnItem;
 
 /// Method names that can block the calling thread. `join` is handled
@@ -215,7 +215,6 @@ pub fn lock_order(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
                             file: file.clone(),
                             line: e.line,
                             rule: "lock-order",
-                            severity: Severity::Error,
                             message: format!(
                                 "call into `{}` can block ({}) while {} lock guards are held \
                                  ({}); a parked thread holding a second lock can deadlock its \
@@ -237,7 +236,6 @@ pub fn lock_order(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
                     file: file.clone(),
                     line: b.line,
                     rule: "lock-order",
-                    severity: Severity::Error,
                     message: format!(
                         "`{}` blocks while {} lock guards are held ({}); blocking releases at \
                          most its own mutex, so the second guard deadlocks its peers",
@@ -327,7 +325,6 @@ fn dfs_cycles<'g>(
                 file: first.file.clone(),
                 line: first.line,
                 rule: "lock-order",
-                severity: Severity::Error,
                 message: format!(
                     "lock acquisition order cycle: {} (first edge in `{}`) — two threads \
                      taking these locks in opposite orders deadlock",

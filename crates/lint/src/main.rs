@@ -3,18 +3,11 @@
 //! findings, 2 usage/IO error.
 //!
 //! ```text
-//! apex-lint [--root <dir>] [--format text|json|sarif] [--only <prefix>]
-//!           [--strict] [--list-rules]
+//! apex-lint [--root <dir>] [--list-rules]
 //! ```
 //!
-//! `--only <prefix>` keeps findings whose file path starts with the
-//! given workspace-relative prefix (e.g. `crates/lint`); the analysis
-//! still runs over the whole workspace so cross-file rules see every
-//! caller, only the *report* is narrowed. CI uses it for the timed
-//! self-check gate over the analyzer's own crate.
-//!
-//! The binary holds itself to the catalog it enforces: no panicking
-//! calls, no print macros (output goes through `io::Write`), and no
+//! The binary holds itself to the workspace lints: no panicking calls,
+//! no print macros (output goes through `io::Write`), and no
 //! `process::exit` (`ExitCode` carries the verdict).
 
 #![forbid(unsafe_code)]
@@ -23,31 +16,18 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use apex_lint::{lint_workspace, render_json, render_sarif, render_text, rules, tally};
+use apex_lint::{lint_workspace, render_text, rules};
 
-const USAGE: &str = "usage: apex-lint [--root <dir>] [--format text|json|sarif] \
-                     [--only <prefix>] [--strict] [--list-rules]";
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+const USAGE: &str = "usage: apex-lint [--root <dir>] [--list-rules]";
 
 struct Opts {
     root: PathBuf,
-    format: Format,
-    only: Option<String>,
-    strict: bool,
     list_rules: bool,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         root: PathBuf::from("."),
-        format: Format::Text,
-        only: None,
-        strict: false,
         list_rules: false,
     };
     let mut it = args.iter();
@@ -57,17 +37,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 let v = it.next().ok_or("--root needs a path")?;
                 opts.root = PathBuf::from(v);
             }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.format = Format::Text,
-                Some("json") => opts.format = Format::Json,
-                Some("sarif") => opts.format = Format::Sarif,
-                _ => return Err("--format needs `text`, `json` or `sarif`".into()),
-            },
-            "--only" => {
-                let v = it.next().ok_or("--only needs a path prefix")?;
-                opts.only = Some(v.trim_end_matches('/').to_string());
-            }
-            "--strict" => opts.strict = true,
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
@@ -87,29 +56,18 @@ fn run(args: &[String]) -> io::Result<ExitCode> {
         }
     };
     if opts.list_rules {
-        for r in rules::RULES {
-            writeln!(stdout, "{:<20} {}  {}", r.name, r.severity, r.summary)?;
-        }
-        for (name, summary) in rules::META_RULES {
-            writeln!(stdout, "{name:<20} error  {summary}")?;
+        let catalog = rules::RULES.iter().map(|r| (r.name, r.summary));
+        for (name, summary) in catalog.chain(rules::META_RULES.iter().copied()) {
+            writeln!(stdout, "{name:<20} {summary}")?;
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let mut findings = lint_workspace(&opts.root)?;
-    if let Some(prefix) = &opts.only {
-        findings.retain(|f| f.file == *prefix || f.file.starts_with(&format!("{prefix}/")));
-    }
-    match opts.format {
-        Format::Json => writeln!(stdout, "{}", render_json(&findings))?,
-        Format::Sarif => writeln!(stdout, "{}", render_sarif(&findings))?,
-        Format::Text => write!(stdout, "{}", render_text(&findings))?,
-    }
-    let (errors, warnings) = tally(&findings);
-    let failing = errors > 0 || (opts.strict && warnings > 0);
-    Ok(if failing {
-        ExitCode::FAILURE
-    } else {
+    let findings = lint_workspace(&opts.root)?;
+    write!(stdout, "{}", render_text(&findings))?;
+    Ok(if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     })
 }
 

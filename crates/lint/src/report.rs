@@ -1,140 +1,27 @@
-//! Finding reporters: a compiler-style text form, a line-oriented JSON
-//! form for tooling, and a minimal SARIF 2.1.0 form for CI artifact
-//! upload.
+//! The finding reporter: a compiler-style text form.
 
 use std::fmt::Write as _;
 
-use crate::engine::{Finding, Severity};
-use crate::rules;
+use crate::engine::Finding;
 
 /// Renders findings like rustc diagnostics, one per line, followed by a
 /// summary line:
 ///
 /// ```text
-/// crates/foo/src/lib.rs:12: error[no-panic]: `.unwrap()` in library code …
-/// apex-lint: 1 error, 0 warnings
+/// crates/foo/src/lib.rs:12: error[lock-order]: lock acquisition order cycle: …
+/// apex-lint: 1 error
 /// ```
 pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         let _ = writeln!(
             out,
-            "{}:{}: {}[{}]: {}",
-            f.file, f.line, f.severity, f.rule, f.message
+            "{}:{}: error[{}]: {}",
+            f.file, f.line, f.rule, f.message
         );
     }
-    let (errors, warnings) = tally(findings);
-    let _ = writeln!(
-        out,
-        "apex-lint: {errors} error{}, {warnings} warning{}",
-        if errors == 1 { "" } else { "s" },
-        if warnings == 1 { "" } else { "s" },
-    );
-    out
-}
-
-/// Renders findings as one JSON object:
-/// `{"findings":[{"file":…,"line":…,"rule":…,"severity":…,"message":…}],
-///   "errors":N,"warnings":M}`.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
-            escape(&f.file),
-            f.line,
-            escape(f.rule),
-            f.severity,
-            escape(&f.message)
-        );
-    }
-    let (errors, warnings) = tally(findings);
-    let _ = write!(out, "],\"errors\":{errors},\"warnings\":{warnings}}}");
-    out
-}
-
-/// Renders findings as a minimal SARIF 2.1.0 log: one run, the rule
-/// catalog as `tool.driver.rules`, one `result` per finding with
-/// `level`, `message.text` and a physical location. Enough for CI
-/// annotation upload; no fixes, flows, or fingerprints.
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\"version\":\"2.1.0\",\
-         \"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"runs\":[{\"tool\":{\"driver\":{\"name\":\"apex-lint\",\
-         \"informationUri\":\"crates/lint/RULES.md\",\"rules\":[",
-    );
-    let mut first = true;
-    for (name, summary) in rules::RULES
-        .iter()
-        .map(|r| (r.name, r.summary))
-        .chain(rules::META_RULES.iter().copied())
-    {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            escape(name),
-            escape(summary)
-        );
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let level = match f.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
-        let _ = write!(
-            out,
-            "{{\"ruleId\":\"{}\",\"level\":\"{level}\",\
-             \"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\
-             \"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{}}}}}}}]}}",
-            escape(f.rule),
-            escape(&f.message),
-            escape(&f.file),
-            f.line.max(1)
-        );
-    }
-    out.push_str("]}]}");
-    out
-}
-
-/// Counts `(errors, warnings)`.
-pub fn tally(findings: &[Finding]) -> (usize, usize) {
-    let errors = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .count();
-    (errors, findings.len() - errors)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let n = findings.len();
+    let _ = writeln!(out, "apex-lint: {n} error{}", if n == 1 { "" } else { "s" });
     out
 }
 
@@ -147,15 +34,13 @@ mod tests {
             Finding {
                 file: "crates/x/src/lib.rs".into(),
                 line: 3,
-                rule: "no-panic",
-                severity: Severity::Error,
+                rule: "lock-order",
                 message: "a \"quoted\" problem".into(),
             },
             Finding {
                 file: "crates/x/src/lib.rs".into(),
                 line: 9,
-                rule: "unused-suppression",
-                severity: Severity::Warning,
+                rule: "stale-allow",
                 message: "stale".into(),
             },
         ]
@@ -164,41 +49,17 @@ mod tests {
     #[test]
     fn text_form_is_one_line_per_finding_plus_summary() {
         let txt = render_text(&sample());
-        assert!(txt.contains("crates/x/src/lib.rs:3: error[no-panic]: a \"quoted\" problem"));
-        assert!(txt.contains("crates/x/src/lib.rs:9: warning[unused-suppression]: stale"));
-        assert!(txt.ends_with("apex-lint: 1 error, 1 warning\n"));
-    }
-
-    #[test]
-    fn json_escapes_and_tallies() {
-        let js = render_json(&sample());
-        assert!(js.contains("\"message\":\"a \\\"quoted\\\" problem\""));
-        assert!(js.ends_with("\"errors\":1,\"warnings\":1}"));
-        assert!(js.starts_with("{\"findings\":["));
-    }
-
-    #[test]
-    fn sarif_has_rules_results_and_levels() {
-        let s = render_sarif(&sample());
-        assert!(s.contains("\"version\":\"2.1.0\""));
-        assert!(s.contains("\"name\":\"apex-lint\""));
-        // Catalog + meta rules are all declared.
-        assert!(s.contains("\"id\":\"panic-reachability\""));
-        assert!(s.contains("\"id\":\"stale-allow\""));
-        // Each finding becomes a result with level and location.
-        assert!(s.contains("\"ruleId\":\"no-panic\",\"level\":\"error\""));
-        assert!(s.contains("\"uri\":\"crates/x/src/lib.rs\""));
-        assert!(s.contains("\"startLine\":3"));
-        // It must be self-contained JSON (balanced braces at the ends).
-        assert!(s.starts_with('{') && s.ends_with('}'));
+        assert!(txt.contains("crates/x/src/lib.rs:3: error[lock-order]: a \"quoted\" problem"));
+        assert!(txt.contains("crates/x/src/lib.rs:9: error[stale-allow]: stale"));
+        assert!(txt.ends_with("apex-lint: 2 errors\n"));
+        assert_eq!(
+            render_text(&sample()[..1]).lines().last(),
+            Some("apex-lint: 1 error")
+        );
     }
 
     #[test]
     fn empty_report() {
-        assert_eq!(
-            render_json(&[]),
-            "{\"findings\":[],\"errors\":0,\"warnings\":0}"
-        );
-        assert_eq!(render_text(&[]), "apex-lint: 0 errors, 0 warnings\n");
+        assert_eq!(render_text(&[]), "apex-lint: 0 errors\n");
     }
 }

@@ -11,14 +11,15 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `cost-io-writes` | `Cost` I/O counters are written only by the storage layer (incl. `storage::block` / `storage::kernels`), the shared executor, the planner's attributed operators, and `core::wal`'s recovery scan |
-//! | `no-panic` | library code neither `.unwrap()`s, `.expect()`s nor `panic!`s (per-site; the serving-root files are covered transitively by `panic-reachability` instead) |
 //! | `panic-reachability` | nothing reachable from the serving roots (`net::server`, `core::serve`, `core::recover`, `query::exec`, `shard::router`) can panic — `panic!`, `unwrap`, `expect`, or `[…]` indexing |
 //! | `lock-order` | the lock-acquisition graph is cycle-free and nothing blocks while holding two guards |
 //! | `hot-path-alloc` | semijoin kernel bodies never allocate outside `*Scratch` constructors |
-//! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `no-print` | output macros live in `cli`/`bench` only |
-//! | `no-exit` | `std::process::exit` is the CLI's privilege |
-//! | `pool-discipline` | buffer pools are constructed by `storage` and the batch layer only |
+//! | `pool-discipline` | buffer pools are constructed by `storage` only |
+//!
+//! The generic rules — no `unsafe`, no `.unwrap()`/`.expect()`/`panic!`
+//! in library code, no prints outside `cli`/`bench`, no
+//! `process::exit` outside `cli` — are rustc/clippy lints in the root
+//! `Cargo.toml`'s `[workspace.lints]`, not rules here.
 //!
 //! Suppression hygiene is checked by the engine itself: `bad-suppression`
 //! (malformed or justification-free allows) and `stale-allow` (an allow
@@ -30,7 +31,7 @@
 //! `crates/lint/RULES.md` and `DESIGN.md`.
 
 use crate::callgraph;
-use crate::engine::{FileCtx, Finding, Severity, Workspace, WorkspaceFile};
+use crate::engine::{FileCtx, Finding, Workspace, WorkspaceFile};
 use crate::locks;
 
 /// How a rule inspects the workspace.
@@ -47,8 +48,6 @@ pub struct Rule {
     pub name: &'static str,
     /// One-line description for `--list-rules`.
     pub summary: &'static str,
-    /// Severity of its findings.
-    pub severity: Severity,
     /// The matcher.
     pub check: Check,
 }
@@ -60,29 +59,19 @@ pub const RULES: &[Rule] = &[
         summary: "Cost I/O counters (pages_read/extent_pairs/table_probes) are written \
                   only in apex-storage (incl. block/kernels), apex_query::exec, \
                   apex_query::plan and apex::wal's recovery scan",
-        severity: Severity::Error,
         check: Check::File(cost_io_writes),
-    },
-    Rule {
-        name: "no-panic",
-        summary: ".unwrap()/.expect()/panic! are banned in non-test library code \
-                  (cli exempt; the serving-root files are covered by panic-reachability)",
-        severity: Severity::Error,
-        check: Check::File(no_panic),
     },
     Rule {
         name: "panic-reachability",
         summary: "functions reachable from the serving roots (net::server, core::serve, \
                   core::recover, query::exec, shard::router) must not panic!, unwrap, \
                   expect, or index without get",
-        severity: Severity::Error,
         check: Check::Workspace(callgraph::panic_reachability),
     },
     Rule {
         name: "lock-order",
         summary: "the Mutex/RwLock acquisition graph must be cycle-free, and nothing may \
                   block (Condvar::wait, channel recv, accept, socket I/O) holding two guards",
-        severity: Severity::Error,
         check: Check::Workspace(locks::lock_order),
     },
     Rule {
@@ -90,31 +79,11 @@ pub const RULES: &[Rule] = &[
         summary: "storage::kernels, storage::succinct and query::exec semijoin bodies may \
                   not allocate (Vec::new/with_capacity/push-to-fresh/collect/to_vec/clone) \
                   outside *Scratch constructors and succinct builders",
-        severity: Severity::Error,
         check: Check::File(hot_path_alloc),
     },
     Rule {
-        name: "forbid-unsafe",
-        summary: "every crate root must carry #![forbid(unsafe_code)]",
-        severity: Severity::Error,
-        check: Check::File(forbid_unsafe),
-    },
-    Rule {
-        name: "no-print",
-        summary: "println!/eprintln!/print!/eprint! are banned outside cli and bench",
-        severity: Severity::Error,
-        check: Check::File(no_print),
-    },
-    Rule {
-        name: "no-exit",
-        summary: "std::process::exit is banned outside cli",
-        severity: Severity::Error,
-        check: Check::File(no_exit),
-    },
-    Rule {
         name: "pool-discipline",
-        summary: "BufferManager is constructed only in apex-storage and apex_query::batch",
-        severity: Severity::Error,
+        summary: "BufferManager is constructed only in apex-storage",
         check: Check::File(pool_discipline),
     },
 ];
@@ -139,7 +108,6 @@ fn emit(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, i: usize, rule: &'static str,
         file: ctx.rel_path.to_string(),
         line: ctx.code_tok(i).line,
         rule,
-        severity: Severity::Error,
         message,
     });
 }
@@ -186,46 +154,6 @@ fn cost_io_writes(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
                      breaks per-operator attribution",
                     ctx.text(i + 1)
                 ),
-            );
-        }
-    }
-}
-
-fn no_panic(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
-    let ctx = &file.ctx;
-    if ctx.crate_dir == "cli" {
-        return;
-    }
-    // The serving-root files get the transitive treatment instead: one
-    // panic-reachability finding per function, not one per site.
-    if callgraph::ROOT_FILES.contains(&ctx.rel_path) {
-        return;
-    }
-    for i in 0..ctx.code_len() {
-        if ctx.is_test(i) {
-            continue;
-        }
-        if ctx.text(i) == "."
-            && (ctx.ident_is(i + 1, "unwrap") || ctx.ident_is(i + 1, "expect"))
-            && ctx.text(i + 2) == "("
-        {
-            emit(
-                ctx,
-                out,
-                i + 1,
-                "no-panic",
-                format!(
-                    "`.{}()` in library code can panic; propagate a Result or restructure",
-                    ctx.text(i + 1)
-                ),
-            );
-        } else if ctx.ident_is(i, "panic") && ctx.text(i + 1) == "!" {
-            emit(
-                ctx,
-                out,
-                i,
-                "no-panic",
-                "`panic!` in library code; return an error instead".to_string(),
             );
         }
     }
@@ -401,89 +329,9 @@ fn scratch_receiver(ctx: &FileCtx<'_>, item: &crate::parse::FnItem, i: usize) ->
     item.params.iter().any(|p| p.name == root && p.by_mut_ref())
 }
 
-fn forbid_unsafe(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
-    let ctx = &file.ctx;
-    if !ctx.is_crate_root {
-        return;
-    }
-    for i in 0..ctx.code_len() {
-        if ctx.text(i) == "#"
-            && ctx.text(i + 1) == "!"
-            && ctx.text(i + 2) == "["
-            && ctx.ident_is(i + 3, "forbid")
-            && ctx.text(i + 4) == "("
-        {
-            // Accept any ident list containing unsafe_code before `)`.
-            let mut j = i + 5;
-            while j < ctx.code_len() && ctx.text(j) != ")" {
-                if ctx.ident_is(j, "unsafe_code") {
-                    return; // satisfied
-                }
-                j += 1;
-            }
-        }
-    }
-    out.push(Finding {
-        file: ctx.rel_path.to_string(),
-        line: 1,
-        rule: "forbid-unsafe",
-        severity: Severity::Error,
-        message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-    });
-}
-
-/// Crates whose job is terminal output.
-const PRINT_CRATES: &[&str] = &["cli", "bench"];
-
-fn no_print(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
-    let ctx = &file.ctx;
-    if PRINT_CRATES.contains(&ctx.crate_dir) {
-        return;
-    }
-    const MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
-    for i in 0..ctx.code_len() {
-        if MACROS.iter().any(|m| ctx.ident_is(i, m)) && ctx.text(i + 1) == "!" && !ctx.is_test(i) {
-            emit(
-                ctx,
-                out,
-                i,
-                "no-print",
-                format!(
-                    "`{}!` in a library crate; terminal output belongs to cli/bench",
-                    ctx.text(i)
-                ),
-            );
-        }
-    }
-}
-
-fn no_exit(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
-    let ctx = &file.ctx;
-    if ctx.crate_dir == "cli" {
-        return;
-    }
-    for i in 0..ctx.code_len() {
-        if ctx.ident_is(i, "process")
-            && ctx.text(i + 1) == "::"
-            && ctx.ident_is(i + 2, "exit")
-            && !ctx.is_test(i)
-        {
-            emit(
-                ctx,
-                out,
-                i + 2,
-                "no-exit",
-                "`std::process::exit` outside cli skips destructors and steals the \
-                 exit-code decision"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 fn pool_discipline(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
     let ctx = &file.ctx;
-    if ctx.crate_dir == "storage" || ctx.rel_path == "crates/query/src/batch.rs" {
+    if ctx.crate_dir == "storage" {
         return;
     }
     const CTORS: &[&str] = &[
@@ -505,8 +353,8 @@ fn pool_discipline(file: &WorkspaceFile<'_>, out: &mut Vec<Finding>) {
                 i,
                 "pool-discipline",
                 format!(
-                    "direct `{}::{}` outside apex-storage / apex_query::batch bypasses \
-                     the shared pool discipline",
+                    "direct `{}::{}` outside apex-storage bypasses the shared pool \
+                     discipline",
                     ctx.text(i),
                     ctx.text(i + 2)
                 ),

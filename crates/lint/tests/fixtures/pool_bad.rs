@@ -1,4 +1,4 @@
-// Fixture: private buffer pools constructed outside storage/batch.
+// Fixture: private buffer pools constructed outside storage.
 
 pub fn rogue_pools() {
     let a = BufferManager::unbounded(PageModel::default()); // line 4: finding

@@ -6,8 +6,3 @@ pub fn charge(cost: &mut Cost) {
     // apex-lint: allow(cost-io-writes): standalone comment covers the next line
     cost.extent_pairs += 2;
 }
-
-pub fn brittle(input: Option<u32>) -> u32 {
-    // apex-lint: allow(no-panic): fixture invariant, cannot be None here
-    input.unwrap()
-}

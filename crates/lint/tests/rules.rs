@@ -4,18 +4,10 @@
 //! synthetic workspace paths so the path-based allow-lists are exercised
 //! without touching the real tree.
 
-use apex_lint::{lint_str, tally, Finding, Severity};
+use apex_lint::{lint_str, Finding};
 
 const COST_IO_BAD: &str = include_str!("fixtures/cost_io_bad.rs");
 const COST_IO_CLEAN: &str = include_str!("fixtures/cost_io_clean.rs");
-const NO_PANIC_BAD: &str = include_str!("fixtures/no_panic_bad.rs");
-const NO_PANIC_CLEAN: &str = include_str!("fixtures/no_panic_clean.rs");
-const FORBID_UNSAFE_BAD: &str = include_str!("fixtures/forbid_unsafe_bad.rs");
-const FORBID_UNSAFE_CLEAN: &str = include_str!("fixtures/forbid_unsafe_clean.rs");
-const NO_PRINT_BAD: &str = include_str!("fixtures/no_print_bad.rs");
-const NO_PRINT_CLEAN: &str = include_str!("fixtures/no_print_clean.rs");
-const NO_EXIT_BAD: &str = include_str!("fixtures/no_exit_bad.rs");
-const NO_EXIT_CLEAN: &str = include_str!("fixtures/no_exit_clean.rs");
 const POOL_BAD: &str = include_str!("fixtures/pool_bad.rs");
 const POOL_CLEAN: &str = include_str!("fixtures/pool_clean.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
@@ -69,7 +61,6 @@ fn cost_io_writes_fires_outside_storage_and_exec() {
             ("cost-io-writes", 7),
         ]
     );
-    assert!(findings.iter().all(|f| f.severity == Severity::Error));
 }
 
 #[test]
@@ -89,90 +80,7 @@ fn cost_io_reads_and_compute_counters_are_clean() {
     assert_clean("crates/query/src/apex_qp.rs", COST_IO_CLEAN);
 }
 
-// --- rule 2: no-panic -------------------------------------------------------
-
-#[test]
-fn no_panic_fires_in_library_code_only() {
-    let findings = lint_str("crates/core/src/lib.rs", NO_PANIC_BAD);
-    // Line 6 unwrap, line 7 expect, line 9 panic!; the #[cfg(test)]
-    // module, doc comments, and string literals stay silent. The fixture
-    // is also a crate root without `#![forbid(unsafe_code)]`.
-    assert_eq!(
-        hits(&findings),
-        [
-            ("forbid-unsafe", 1),
-            ("no-panic", 6),
-            ("no-panic", 7),
-            ("no-panic", 9),
-        ]
-    );
-}
-
-#[test]
-fn no_panic_exempts_the_cli() {
-    assert_clean("crates/cli/src/util.rs", NO_PANIC_BAD);
-}
-
-#[test]
-fn no_panic_stays_silent_on_result_propagation() {
-    assert_clean("crates/core/src/sturdy.rs", NO_PANIC_CLEAN);
-}
-
-// --- rule 3: forbid-unsafe --------------------------------------------------
-
-#[test]
-fn forbid_unsafe_requires_the_crate_level_attribute() {
-    let findings = lint_str("crates/core/src/lib.rs", FORBID_UNSAFE_BAD);
-    assert_eq!(hits(&findings), [("forbid-unsafe", 1)]);
-
-    let findings = lint_str("crates/cli/src/main.rs", FORBID_UNSAFE_BAD);
-    assert_eq!(hits(&findings), [("forbid-unsafe", 1)]);
-}
-
-#[test]
-fn forbid_unsafe_accepts_the_attribute_and_skips_non_roots() {
-    assert_clean("crates/core/src/lib.rs", FORBID_UNSAFE_CLEAN);
-    // Not a crate root: the rule does not apply.
-    assert_clean("crates/core/src/inner.rs", FORBID_UNSAFE_BAD);
-}
-
-// --- rule 4: no-print -------------------------------------------------------
-
-#[test]
-fn no_print_fires_in_library_crates() {
-    let findings = lint_str("crates/core/src/out.rs", NO_PRINT_BAD);
-    assert_eq!(
-        hits(&findings),
-        [("no-print", 4), ("no-print", 5), ("no-print", 6)]
-    );
-}
-
-#[test]
-fn no_print_exempts_cli_and_bench() {
-    assert_clean("crates/cli/src/report.rs", NO_PRINT_BAD);
-    assert_clean("crates/bench/src/bin/b.rs", NO_PRINT_BAD);
-}
-
-#[test]
-fn no_print_stays_silent_on_writeln_to_a_writer() {
-    assert_clean("crates/core/src/out.rs", NO_PRINT_CLEAN);
-}
-
-// --- rule 5: no-exit --------------------------------------------------------
-
-#[test]
-fn no_exit_fires_in_library_crates() {
-    let findings = lint_str("crates/query/src/driver.rs", NO_EXIT_BAD);
-    assert_eq!(hits(&findings), [("no-exit", 4), ("no-exit", 9)]);
-}
-
-#[test]
-fn no_exit_exempts_the_cli_and_exit_codes() {
-    assert_clean("crates/cli/src/args.rs", NO_EXIT_BAD);
-    assert_clean("crates/query/src/driver.rs", NO_EXIT_CLEAN);
-}
-
-// --- rule 6: pool-discipline ------------------------------------------------
+// --- rule 2: pool-discipline ------------------------------------------------
 
 #[test]
 fn pool_discipline_fires_outside_storage_and_batch() {
@@ -189,9 +97,15 @@ fn pool_discipline_fires_outside_storage_and_batch() {
 }
 
 #[test]
-fn pool_discipline_allows_storage_and_batch() {
+fn pool_discipline_allows_storage_only() {
     assert_clean("crates/storage/src/pool.rs", POOL_BAD);
-    assert_clean("crates/query/src/batch.rs", POOL_BAD);
+    let findings = lint_str("crates/query/src/batch.rs", POOL_BAD);
+    assert_eq!(
+        findings.len(),
+        4,
+        "batch has no pool exemption: {:?}",
+        hits(&findings)
+    );
 }
 
 #[test]
@@ -199,7 +113,7 @@ fn pool_discipline_ignores_handle_use() {
     assert_clean("crates/query/src/plan.rs", POOL_CLEAN);
 }
 
-// --- rule 7: panic-reachability ---------------------------------------------
+// --- rule 3: panic-reachability ---------------------------------------------
 
 #[test]
 fn panic_reachability_flags_reachable_panics_only() {
@@ -245,7 +159,7 @@ fn panic_reachability_accepts_total_code() {
     assert!(findings.is_empty(), "unexpected: {:?}", hits(&findings));
 }
 
-// --- rule 8: lock-order -----------------------------------------------------
+// --- rule 4: lock-order -----------------------------------------------------
 
 #[test]
 fn lock_order_reports_cycles_and_blocking_under_two_guards() {
@@ -267,7 +181,7 @@ fn lock_order_accepts_consistent_order_and_single_guard_blocking() {
     assert_clean("crates/core/src/sync.rs", LOCK_ORDER_CLEAN);
 }
 
-// --- rule 9: hot-path-alloc -------------------------------------------------
+// --- rule 5: hot-path-alloc -------------------------------------------------
 
 #[test]
 fn hot_path_alloc_fires_in_kernels_outside_scratch_ctors() {
@@ -347,25 +261,50 @@ fn suppression_hygiene_is_itself_linted() {
             ("bad-suppression", 7),
         ]
     );
-    assert!(findings.iter().all(|f| f.severity == Severity::Error));
     // The suppressed cost write on line 4 must not reappear.
     assert!(findings.iter().all(|f| f.rule != "cost-io-writes"));
-}
-
-#[test]
-fn tally_counts_errors_and_warnings() {
-    let findings = lint_str("crates/query/src/apex_qp.rs", SUPPRESSION_PROBLEMS);
-    assert_eq!(tally(&findings), (3, 0));
+    // The generic rules are `[workspace.lints]`, not catalog rules: an
+    // allow naming one of them is an unknown rule, not a silent no-op.
+    for rule in ["forbid-unsafe", "no-panic", "no-print", "no-exit"] {
+        let src = format!("// apex-lint: allow({rule}): now a clippy lint\nfn f() {{}}\n");
+        let findings = lint_str("crates/core/src/lib.rs", &src);
+        assert_eq!(hits(&findings), [("bad-suppression", 1)], "{rule}");
+    }
 }
 
 // --- the real workspace stays clean ----------------------------------------
 
+/// The workspace root, two levels above this crate.
+fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+#[test]
+fn every_crate_takes_the_workspace_lints() {
+    let mut checked = 0;
+    for entry in std::fs::read_dir(workspace_root().join("crates")).expect("crates dir") {
+        let manifest = entry.expect("dir entry").path().join("Cargo.toml");
+        let Ok(toml) = std::fs::read_to_string(&manifest) else {
+            continue;
+        };
+        // `workspace = true` inside the `[lints]` table, before the next header.
+        let opted_in = toml.split("\n[").any(|table| {
+            let mut lines = table.lines().map(str::trim);
+            lines.next() == Some("lints]") && lines.any(|l| l == "workspace = true")
+        });
+        assert!(
+            opted_in,
+            "{} lacks `[lints] workspace = true`",
+            manifest.display()
+        );
+        checked += 1;
+    }
+    assert!(checked > 10, "only {checked} crate manifests found");
+}
+
 #[test]
 fn workspace_is_lint_clean() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let findings = apex_lint::lint_workspace(&root).expect("workspace walk");
+    let findings = apex_lint::lint_workspace(&workspace_root()).expect("workspace walk");
     let rendered = apex_lint::render_text(&findings);
     assert!(findings.is_empty(), "workspace has findings:\n{rendered}");
 }

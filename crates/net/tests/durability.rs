@@ -2,6 +2,7 @@
 //! socket must be in the WAL by the time their response is read
 //! (log-before-ack), and a recovery from that directory must rebuild
 //! the same adapted index the server was serving.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier, Mutex};

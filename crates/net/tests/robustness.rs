@@ -3,6 +3,7 @@
 //! server, never an accounting hole. Each scenario attacks a live
 //! server on a loopback socket, then proves the server still serves a
 //! well-behaved client and drains balanced.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};

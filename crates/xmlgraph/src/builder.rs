@@ -290,13 +290,17 @@ impl RawGraphBuilder {
     ///
     /// # Panics
     /// Panics if a declared nid gap exists or an edge endpoint is missing.
+    #[expect(
+        clippy::panic,
+        clippy::expect_used,
+        reason = "finish() documents its panic contract for hand-built graphs"
+    )]
     pub fn finish(self, idref_labels: &[&str]) -> XmlGraph {
         let mut out: Vec<Vec<Edge>> = vec![Vec::new(); self.nodes.len()];
         let mut values = Vec::with_capacity(self.nodes.len());
         let mut tags = Vec::with_capacity(self.nodes.len());
         let mut tree_parent = Vec::with_capacity(self.nodes.len());
         for (nid, slot) in self.nodes.into_iter().enumerate() {
-            // apex-lint: allow(no-panic): finish() documents its panic contract for hand-built graphs
             let (tag, parent, value) = slot.unwrap_or_else(|| panic!("nid {nid} not declared"));
             tags.push(tag);
             tree_parent.push(parent);
@@ -312,7 +316,6 @@ impl RawGraphBuilder {
         }
         let mut idrefs: Vec<LabelId> = idref_labels
             .iter()
-            // apex-lint: allow(no-panic): same documented panic contract as the nid check above
             .map(|s| self.labels.get(s).expect("idref label not used in graph"))
             .collect();
         idrefs.sort_unstable();

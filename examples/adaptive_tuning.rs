@@ -7,6 +7,7 @@
 //! ```bash
 //! cargo run -p apex-suite --example adaptive_tuning --release
 //! ```
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 use apex::{Apex, Workload};
 use apex_query::apex_qp::ApexProcessor;

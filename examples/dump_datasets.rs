@@ -5,6 +5,7 @@
 //! ```bash
 //! cargo run -p apex-suite --example dump_datasets --release -- [out_dir]
 //! ```
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
 

@@ -6,6 +6,7 @@
 //! ```bash
 //! cargo run -p apex-suite --example genealogy_workload --release
 //! ```
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 use apex::Apex;
 use apex_query::apex_qp::ApexProcessor;

@@ -4,6 +4,7 @@
 //! ```bash
 //! cargo run -p apex-suite --example quickstart
 //! ```
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 use apex::{Apex, Workload};
 use apex_query::apex_qp::ApexProcessor;

@@ -4,6 +4,7 @@
 //! ```bash
 //! cargo run -p apex-suite --example save_load_index --release
 //! ```
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};

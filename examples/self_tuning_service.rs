@@ -9,6 +9,7 @@
 //! ```bash
 //! cargo run -p apex-suite --example self_tuning_service --release
 //! ```
+#![allow(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used)]
 
 use apex::{Apex, RefreshPolicy, WorkloadMonitor};
 use apex_query::apex_qp::ApexProcessor;

@@ -7,6 +7,7 @@
 //! joins; the DataGuide and 1-index answers from automaton products over
 //! quotient graphs; the fabric's from trie traversal — all must agree
 //! with direct evaluation over `G_XML`.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use apex::{Apex, ExtentStat, PlanStats};
 use apex_query::batch::QueryProcessor;

@@ -10,6 +10,7 @@
 //! directory, frame search, frame-window decode) — the kernel-policy
 //! sweep below therefore also proves each kernel's succinct
 //! implementation equivalent to the naive oracle end to end.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use apex_query::batch::{run_batch, run_batch_parallel, QueryProcessor};
 use apex_query::generator::GeneratorConfig;

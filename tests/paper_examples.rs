@@ -2,6 +2,7 @@
 //! Figure 1 (MovieDB data), Figure 2 (the APEX instance), Figure 3
 //! (strong DataGuide / 1-index comparison), §4's q1 cost argument, and
 //! the Figure 7 / Figure 12 workload-drift walkthrough.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use apex::{extent_equivalent, Apex, Workload};
 use apex_query::batch::QueryProcessor;

@@ -1,6 +1,7 @@
 //! Serialization fidelity: generated datasets written to XML text and
 //! re-parsed must produce structurally identical graphs, and indexes
 //! built over the re-parsed graphs must behave identically.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use apex::Apex;
 use xmlgraph::parser::{parse_with, ParserConfig};
@@ -298,6 +299,7 @@ mod persist_hostile_images {
     // `alloc_zeroed` through the default bodies, which call `alloc`);
     // the counter is a thread-local `Cell` with a const initialiser, so
     // touching it neither allocates nor runs a destructor.
+    #[allow(unsafe_code, reason = "counting allocations needs a GlobalAlloc")]
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));

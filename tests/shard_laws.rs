@@ -8,6 +8,7 @@
 //! 3-shard × 2-replica cluster per family and compares every merged
 //! response — status, exact totals, and the sorted 64-row sample —
 //! against a 1-shard runtime that owns the whole graph.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -18,6 +18,7 @@
 //! that lost extent rows on GedML before `updateAPEX` verified a class
 //! node ahead of its first delta pass — and is checked after **every**
 //! transition, not only at the end.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use apex::{extent_equivalent, Apex, RefreshPolicy, Workload, WorkloadMonitor};
 use apex_query::generator::{GeneratorConfig, QuerySets};
