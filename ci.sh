@@ -21,7 +21,8 @@
 # harness here: net_smoke, shard_smoke, recovery_smoke and stress
 # repeat their thread tests under a timeout, the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
-# (built and tested by perf_gate).
+# (built and tested by perf_gate, which also serves one second of its
+# solo-mixed workload).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -189,9 +190,14 @@ shard_smoke() {
 # step above or below compiles it: an API change in crates/* can break
 # the benchmark while everything else stays green. Build it and run its
 # own tests against the tree as it is (into perf/target, git-ignored).
+# Then serve one second of solo-mixed: the only place CI runs QTYPE3 at
+# scale (Ged03's pool through Engine::execute, a sample re-answered by
+# the naive scan; the figure smoke tests use default scale). apex-perf
+# exits non-zero on a wrong answer or an invalid run, failing the step.
 perf_gate() {
     cargo build --release --offline --manifest-path perf/Cargo.toml
     cargo test --offline --manifest-path perf/Cargo.toml --quiet
+    bash perf/run.sh --workload solo-mixed --seed 1 --seconds 1 --trace 0
 }
 
 run cargo build --release --offline --workspace

@@ -21,9 +21,11 @@
 //!   live class. Equivalent to enumerating the rewritten label paths
 //!   and joining per path, but it terminates on cyclic class graphs and
 //!   never reads an extent that cannot lead to an answer.
-//! * **QTYPE3** — QTYPE1 followed by the value test: the sorted answer
-//!   goes through the nid-sorted data table in one merge
-//!   ([`crate::exec::DataProbe`]), touching each leaf page once.
+//! * **QTYPE3** — QTYPE1 followed by the value test: the path is
+//!   evaluated first, then its sorted answer is merged through the data
+//!   table's holder list for the value ([`crate::exec::DataProbe`]),
+//!   charged one probe per candidate and each leaf page of the
+//!   nid-sorted table once.
 //!
 //! All physical work — extent I/O, unions, semijoins, table probes —
 //! runs through the shared operators in [`crate::exec`] over a

@@ -460,9 +460,10 @@ impl MultiwayJoin<'_> {
 
 /// The QTYPE3 value test (§6.1: "testing the nodes by looking up the
 /// data table"): one sorted pass of a query's candidates through the
-/// nid-sorted table ([`DataTable::filter_sorted`]). Charges one
+/// table ([`DataTable::filter_sorted`]), which resolves the value to its
+/// holder list once and merges the candidates through it. Charges one
 /// `table_probes` per candidate, the root page once and each distinct
-/// leaf page once.
+/// leaf page of the nid-sorted table once, as a per-node lookup would.
 #[derive(Debug)]
 pub struct DataProbe<'a> {
     /// The `nid → value` table.

@@ -126,17 +126,18 @@ impl QuerySets {
 
         // QTYPE3: suffix of the tree path of a random valued node, plus
         // its value (non-empty by construction; no dereference since tree
-        // paths never cross @attr reference edges).
-        let valued: Vec<(NodeId, String)> = table.iter().map(|(n, v)| (n, v.to_string())).collect();
+        // paths never cross @attr reference edges). Seeds borrow the
+        // table's strings; only a drawn value is copied.
+        let valued: Vec<(NodeId, &str)> = table.iter().collect();
         let mut qtype3 = Vec::with_capacity(cfg.qtype3);
         if !valued.is_empty() {
             for _ in 0..cfg.qtype3 {
-                let (node, value) = &valued[rng.gen_range(0..valued.len())];
-                let path = tree_path(g, *node);
+                let (node, value) = valued[rng.gen_range(0..valued.len())];
+                let path = tree_path(g, node);
                 let start = rng.gen_range(0..path.len());
                 qtype3.push(Query::ValuePath {
                     labels: path[start..].to_vec(),
-                    value: value.clone(),
+                    value: value.to_string(),
                 });
             }
         }

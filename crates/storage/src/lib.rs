@@ -31,7 +31,9 @@
 //!   extents, node-record pages, data-table pages and trie blocks, with
 //!   hit/miss/eviction counters;
 //! * [`datatable::DataTable`] — the `nid → value` table used by QTYPE3
-//!   queries.
+//!   queries, stored as columns (sorted nids, a value id per slot, each
+//!   distinct value once, holders grouped by value) so the value test
+//!   merges candidates through one holder list.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
 //! Incremental construction of [`XmlGraph`]s with ID/IDREF resolution.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use crate::error::BuildError;
 use crate::interner::Interner;
@@ -20,10 +21,63 @@ pub struct GraphBuilder {
     values: Vec<Option<Box<str>>>,
     tags: Vec<LabelId>,
     tree_parent: Vec<NodeId>,
-    ids: HashMap<String, NodeId>,
-    pending_refs: Vec<(NodeId, String)>,
+    ids: IdTable,
+    /// Target ids of the references not yet resolved, back to back, for
+    /// the same reason as [`IdTable`].
+    ref_text: String,
+    /// Per pending reference: its `@attr` node and the end of its target
+    /// id in `ref_text` (it starts where the previous one ends).
+    pending_refs: Vec<(NodeId, usize)>,
     idref_label_set: Vec<LabelId>,
     edge_count: usize,
+}
+
+/// The declared ids, with no allocation per id: their text back to back
+/// in one string, and a map from an id's hash to the newest id with that
+/// hash, each id linking to the previous one with the same hash. The
+/// builder drops it in [`GraphBuilder::finish`], while the graph keeps
+/// every node value: a `String` per id would leave that many small holes
+/// among the values, and the allocator serves later small requests from
+/// them, scattered over the heap.
+#[derive(Debug, Default)]
+struct IdTable {
+    text: String,
+    /// Per id: its end in `text` (it starts where the previous id ends),
+    /// its node, and the previous id with the same hash.
+    entries: Vec<(usize, NodeId, Option<u32>)>,
+    newest: HashMap<u64, u32>,
+}
+
+impl IdTable {
+    /// The node declared under `id`.
+    fn get(&self, id: &str) -> Option<NodeId> {
+        let mut at = self.newest.get(&self.newest.hasher().hash_one(id)).copied();
+        while let Some(i) = at {
+            let i = i as usize;
+            let start = i
+                .checked_sub(1)
+                .and_then(|p| self.entries.get(p))
+                .map_or(0, |e| e.0);
+            let &(end, node, prev) = self.entries.get(i)?;
+            if self.text.get(start..end) == Some(id) {
+                return Some(node);
+            }
+            at = prev;
+        }
+        None
+    }
+
+    /// Declares `id` for `node`; false if `id` is already declared.
+    fn insert(&mut self, id: &str, node: NodeId) -> bool {
+        if self.get(id).is_some() {
+            return false;
+        }
+        let index = self.entries.len() as u32;
+        let prev = self.newest.insert(self.newest.hasher().hash_one(id), index);
+        self.text.push_str(id);
+        self.entries.push((self.text.len(), node, prev));
+        true
+    }
 }
 
 impl GraphBuilder {
@@ -37,7 +91,8 @@ impl GraphBuilder {
             values: vec![None],
             tags: vec![root_label],
             tree_parent: vec![NULL_NODE],
-            ids: HashMap::new(),
+            ids: IdTable::default(),
+            ref_text: String::new(),
             pending_refs: Vec::new(),
             idref_label_set: Vec::new(),
             edge_count: 0,
@@ -92,7 +147,7 @@ impl GraphBuilder {
 
     /// Declares `id` for `node`, so IDREFs can target it.
     pub fn register_id(&mut self, node: NodeId, id: &str) -> Result<(), BuildError> {
-        if self.ids.insert(id.to_string(), node).is_some() {
+        if !self.ids.insert(id, node) {
             return Err(BuildError::DuplicateId { id: id.to_string() });
         }
         Ok(())
@@ -110,7 +165,8 @@ impl GraphBuilder {
             self.idref_label_set.push(l);
         }
         let attr_node = self.new_node(element, l);
-        self.pending_refs.push((attr_node, target_id.to_string()));
+        self.ref_text.push_str(target_id);
+        self.pending_refs.push((attr_node, self.ref_text.len()));
         attr_node
     }
 
@@ -126,11 +182,14 @@ impl GraphBuilder {
     /// Resolves all pending references and produces the final graph.
     pub fn finish(mut self) -> Result<XmlGraph, BuildError> {
         let refs = std::mem::take(&mut self.pending_refs);
-        for (attr_node, target_id) in refs {
-            let Some(&target) = self.ids.get(&target_id) else {
+        let mut start = 0;
+        for (attr_node, end) in refs {
+            let target_id = self.ref_text.get(start..end).unwrap_or_default();
+            start = end;
+            let Some(target) = self.ids.get(target_id) else {
                 return Err(BuildError::UnresolvedRef {
                     attr_node: attr_node.0,
-                    target_id,
+                    target_id: target_id.to_string(),
                 });
             };
             let tag = self.tags[target.idx()];
@@ -376,6 +435,29 @@ mod tests {
         let m2 = b.add_child(root, "movie");
         b.register_id(m1, "x").unwrap();
         assert!(b.register_id(m2, "x").is_err());
+    }
+
+    #[test]
+    fn ids_resolve_among_many_and_stay_unique() {
+        let mut b = GraphBuilder::new("db");
+        let root = b.root();
+        let movies: Vec<NodeId> = (0..500)
+            .map(|i| {
+                let m = b.add_child(root, "movie");
+                b.register_id(m, &format!("m{i}")).unwrap();
+                m
+            })
+            .collect();
+        assert!(b.register_id(movies[0], "m499").is_err());
+        let a = b.add_child(root, "actor");
+        let refs: Vec<NodeId> = (0..500)
+            .rev()
+            .map(|i| b.add_idref(a, "movie", &format!("m{i}")))
+            .collect();
+        let g = b.finish().unwrap();
+        for (attr, &m) in refs.iter().zip(movies.iter().rev()) {
+            assert_eq!(g.out_edges(*attr)[0].to, m);
+        }
     }
 
     #[test]

@@ -291,24 +291,28 @@ mod persist_hostile_images {
         /// FNV-1a over the size of each allocation this thread made, in
         /// order.
         static TRACE: Cell<u64> = const { Cell::new(0) };
+        /// Blocks this thread allocated less blocks it freed.
+        static LIVE: Cell<isize> = const { Cell::new(0) };
     }
 
     struct Counting;
 
     // SAFETY: every call goes to `System` unchanged (`realloc` and
-    // `alloc_zeroed` through the default bodies, which call `alloc`);
-    // the counter is a thread-local `Cell` with a const initialiser, so
-    // touching it neither allocates nor runs a destructor.
+    // `alloc_zeroed` through the default bodies, which call `alloc` and
+    // `dealloc`); each counter is a thread-local `Cell` with a const
+    // initialiser, so touching it neither allocates nor runs a destructor.
     #[allow(unsafe_code, reason = "counting allocations needs a GlobalAlloc")]
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
             let _ = TRACE
                 .try_with(|h| h.set((h.get() ^ layout.size() as u64).wrapping_mul(0x100000001b3)));
+            let _ = LIVE.try_with(|n| n.set(n.get() + 1));
             // SAFETY: `layout` is the caller's, passed through.
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            let _ = LIVE.try_with(|n| n.set(n.get() - 1));
             // SAFETY: `ptr` came from `System.alloc` with this `layout`.
             unsafe { System.dealloc(ptr, layout) }
         }
@@ -322,6 +326,14 @@ mod persist_hostile_images {
         let before = ALLOCATED.with(Cell::get);
         let out = f();
         (out, ALLOCATED.with(Cell::get) - before)
+    }
+
+    /// Runs `f`, returning its result and how many more heap blocks this
+    /// thread holds after it than before: what the result keeps alive.
+    pub(super) fn live_blocks_after<T>(f: impl FnOnce() -> T) -> (T, isize) {
+        let before = LIVE.with(Cell::get);
+        let out = f();
+        (out, LIVE.with(Cell::get) - before)
     }
 
     /// The allocation trace of `f`: the sizes it allocated, in order,
@@ -501,5 +513,37 @@ mod persist_hostile_images {
                 refused_or_faithful(&g, &buf, &format!("word at {at} := {huge}"));
             }
         }
+    }
+}
+
+/// The data table is columns: building it leaves a few flat arrays
+/// behind, never a block per entry (as a boxed value per row would).
+mod datatable_blocks {
+    use std::collections::HashSet;
+
+    use apex_storage::{DataTable, PageModel};
+    use xmlgraph::XmlGraph;
+
+    use super::persist_hostile_images::live_blocks_after;
+
+    /// Asserts that the table built over `g` holds at most
+    /// 2 × (distinct values) + 64 heap blocks.
+    fn assert_few_blocks(g: &XmlGraph, what: &str) {
+        let values: Vec<&str> = g.nodes().filter_map(|n| g.value(n)).collect();
+        let distinct = values.iter().collect::<HashSet<_>>().len();
+        let (table, live) = live_blocks_after(|| DataTable::build(g, PageModel::default()));
+        assert_eq!(table.len(), values.len(), "{what}");
+        let bound = 2 * distinct as isize + 64;
+        assert!(
+            live <= bound,
+            "{what}: {live} live blocks for {} entries of {distinct} distinct values (bound {bound})",
+            values.len()
+        );
+    }
+
+    #[test]
+    fn building_the_table_allocates_no_block_per_entry() {
+        assert_few_blocks(&datagen::gedml(60, 7), "gedml(60, 7)");
+        assert_few_blocks(&datagen::shakespeare(1, 7), "shakespeare(1, 7)");
     }
 }
