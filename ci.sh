@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, lint, static analysis, format.
+# Offline CI gate: build, test, lint, docs, format.
 #
 # Everything runs with --offline against the vendored shims in shims/
 # (rand / proptest / criterion), so no network access is required.
@@ -9,11 +9,17 @@
 # The clippy step enforces [workspace.lints] (root Cargo.toml) with
 # -D warnings: no unsafe, no unwrap/expect/panic! in library code, no
 # prints outside apex-cli/apex-bench, no process::exit outside apex-cli.
-# apex-lint (crates/lint) checks what the compiler cannot: cost-counter
-# writes outside storage/executor, panics reachable from the serving
-# roots, lock-order cycles and blocking under two guards, hot-path
-# allocation, buffer pools built outside storage, and stale or
-# unjustified suppressions. See crates/lint/RULES.md.
+# The serving and recovery modules also deny indexing and unreachable!
+# (each justified site carries an #[expect] with its invariant, and a
+# stale one fails the step), and clippy.toml disallows bare Mutex::lock
+# and Condvar waits, so every library lock goes through
+# apex_storage::rank, whose rank checks run in every debug build. The
+# other workspace invariants are tests: tests/source_rules.rs (only the
+# page layer and the executor charge I/O cost; every crate takes the
+# workspace lints), tests/roundtrip.rs's steady-state allocation test
+# for the query kernels, and a compile_fail doctest that keeps buffer
+# pools private to apex-storage. The rustdoc step fails on broken or
+# private doc links.
 #
 # Five bench binaries double as smoke tests (kernels, planner, and
 # fig13/fig14/fig15 as path_smoke/qtype2_smoke: they assert their own
@@ -51,8 +57,12 @@ CLIPPY_EXTRA=(
 # The concurrency stress suite must pass deterministically, not just
 # once: 20 consecutive release-mode runs under a hard timeout. A single
 # flake (torn snapshot, unattributed buffer traffic, stuck refresher)
-# fails the gate.
+# fails the gate. The release runs compile the lock-rank checks out of
+# the crates under test, so one debug-mode run first takes every lock
+# with its rank checked.
 stress() {
+    timeout 60 cargo test --offline -p apex-suite --test concurrency_stress --quiet \
+        || { echo "stress debug-mode run failed"; exit 1; }
     cargo test --release --offline -p apex-suite --test concurrency_stress --quiet
     for i in $(seq 1 20); do
         timeout 60 cargo test --release --offline -p apex-suite \
@@ -200,6 +210,12 @@ perf_gate() {
     bash perf/run.sh --workload solo-mixed --seed 1 --seconds 1 --trace 0
 }
 
+# Rustdoc with warnings denied: a doc link to a deleted or private item,
+# or one that names a function and a module at once, fails the gate.
+docs() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+}
+
 run cargo build --release --offline --workspace
 run cargo test --offline --workspace --quiet
 run perf_gate
@@ -212,7 +228,7 @@ run shard_smoke
 run recovery_smoke
 run stress
 run cargo clippy --offline --workspace --all-targets -- "${CLIPPY_EXTRA[@]}" -D warnings
-run cargo run --release --offline --quiet -p apex-lint -- --root .
+run docs
 run cargo bench --offline --no-run --features apex-bench/bench-harness -p apex-bench
 run cargo fmt --check
 

@@ -11,7 +11,7 @@
 //!
 //! `--wal-dir <dir>` makes the session durable: startup recovers the
 //! index from the newest verified snapshot in `<dir>` plus a replay of
-//! the WAL tail ([`apex::recover`]), every recorded query and refresh
+//! the WAL tail ([`apex::recover()`]), every recorded query and refresh
 //! swap is logged before it is acknowledged, the refresher (or the
 //! shell, on `quit`) checkpoints back into the directory, and the next
 //! start resumes at the generation this one reached. Works for both
@@ -76,6 +76,7 @@ use apex_query::explain::explain_apex;
 use apex_query::stats::percentile;
 use apex_query::Query;
 use apex_storage::bufmgr::BufferHandle;
+use apex_storage::rank::{self, Rank};
 use apex_storage::{DataTable, PageModel};
 use xmlgraph::{LabelPath, XmlGraph};
 
@@ -500,10 +501,7 @@ fn serve(
     }
     // Adopt the final published index and the replay's monitor state.
     *index = cell.snapshot().index().clone();
-    *monitor = shared_monitor
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone();
+    *monitor = rank::lock(&shared_monitor, Rank::Monitor).clone();
     println!("adopted gen {} as the session index", cell.generation());
     serve_stats.refreshes
 }

@@ -5,6 +5,8 @@
 //! length two of the data (like the 1-Representative Object the paper
 //! cites). `H_APEX` is a flat head node: one entry per label.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashMap;
 
 use apex_storage::{EdgePair, EdgeSet};

@@ -1,5 +1,7 @@
 //! `G_APEX` — the graph half of APEX (Definition 10).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -28,8 +30,8 @@ pub struct XNode {
     /// represents, in its one stored form — the block image the kernels
     /// scan and `persist` writes. Immutable, so shared: a clone of the
     /// graph copies the pointer, and a build or update works on decoded
-    /// copies ([`GApex::open_extent`]) and swaps in a new extent once
-    /// when it is done ([`GApex::seal`]); every extent it did not change
+    /// copies (`GApex::open_extent`) and swaps in a new extent once
+    /// when it is done (`GApex::seal`); every extent it did not change
     /// stays the one every earlier clone holds.
     pub extent: Arc<SuccinctExtent>,
     /// Outgoing edges, at most one per label.
@@ -88,21 +90,30 @@ impl GApex {
 
     /// Immutable node access.
     #[inline]
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes — xroot, edge target, H_APEX xnode or remainder); the accessor is the class-node hot path
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes — xroot, edge target, H_APEX xnode or remainder); the accessor is the class-node hot path"
+    )]
     pub fn node(&self, x: XNodeId) -> &XNode {
         &self.nodes[x.idx()]
     }
 
     /// Mutable node access.
     #[inline]
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes)"
+    )]
     pub fn node_mut(&mut self, x: XNodeId) -> &mut XNode {
         &mut self.nodes[x.idx()]
     }
 
     /// The extent of `x`.
     #[inline]
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "XNodeIds are minted by this arena and index it by construction (persist::decode refuses any image holding an id at or past n_xnodes)"
+    )]
     pub fn extent(&self, x: XNodeId) -> &SuccinctExtent {
         &self.nodes[x.idx()].extent
     }
@@ -137,6 +148,10 @@ impl GApex {
     }
 
     /// The child of `x` along `label`, if wired.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "XNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn child(&self, x: XNodeId, label: LabelId) -> Option<XNodeId> {
         self.nodes[x.idx()]
             .edges
@@ -149,7 +164,10 @@ impl GApex {
     /// labeled `l`; if `x` already has an `l`-edge to a *different* node,
     /// it is retargeted to `y` (Figure 11's retargeting step). Returns
     /// true if anything changed.
-    // apex-lint: allow(panic-reachability): XNodeIds are minted by this arena and index it by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "XNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn make_edge(&mut self, x: XNodeId, y: XNodeId, label: LabelId) -> bool {
         let edges = &mut self.nodes[x.idx()].edges;
         if let Some(slot) = edges.iter_mut().find(|(l, _)| *l == label) {
@@ -177,6 +195,10 @@ impl GApex {
     /// depends on the graph's shape alone, not on the update history.
     /// Returns the old-arena-index → new-id map (`None` = dropped) for
     /// rewriting the pointers `H_APEX` holds.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`root` and every edge target are ids of this arena, and `map` has one slot per arena node"
+    )]
     pub fn compact(&mut self, root: XNodeId) -> Vec<Option<XNodeId>> {
         let mut map: Vec<Option<XNodeId>> = vec![None; self.nodes.len()];
         // Old ids in their new order; position = new id.
@@ -205,6 +227,10 @@ impl GApex {
 
     /// Nodes and edges reachable from `root` — the index size that
     /// Table 2 of the paper reports.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`root` and every edge target are ids of this arena, and `seen` has one slot per arena node"
+    )]
     pub fn reachable_stats(&self, root: XNodeId) -> (usize, usize) {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![root];
@@ -224,6 +250,10 @@ impl GApex {
     }
 
     /// Ids of nodes reachable from `root`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`root` and every edge target are ids of this arena, and `seen` has one slot per arena node"
+    )]
     pub fn reachable(&self, root: XNodeId) -> Vec<XNodeId> {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![root];

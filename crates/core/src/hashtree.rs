@@ -11,6 +11,8 @@
 //!
 //! Invariant (§5.3): an entry never has both `next` and `xnode` non-NULL.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashMap;
 
 use xmlgraph::LabelId;
@@ -136,6 +138,10 @@ impl HashTree {
     }
 
     /// Immutable access to a hash node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "HNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn node(&self, h: HNodeId) -> &HNode {
         &self.nodes[h.idx()]
     }
@@ -157,31 +163,47 @@ impl HashTree {
     }
 
     /// Sets a node's remainder pointer directly (persistence load path).
-    // apex-lint: allow(panic-reachability): load passes HNodeIds from its own loop over the arena it just allocated
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "load passes HNodeIds from its own loop over the arena it just allocated"
+    )]
     pub fn set_remainder_raw(&mut self, h: HNodeId, remainder: Option<XNodeId>) {
         self.nodes[h.idx()].remainder = remainder;
     }
 
     /// Inserts an entry verbatim (persistence load path).
-    // apex-lint: allow(panic-reachability): load passes HNodeIds from its own loop over the arena it just allocated
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "load passes HNodeIds from its own loop over the arena it just allocated"
+    )]
     pub fn insert_entry_raw(&mut self, h: HNodeId, label: LabelId, entry: Entry) {
         self.nodes[h.idx()].entries.insert(label, entry);
     }
 
     /// Entry for `label` in `h`, if present.
-    // apex-lint: allow(panic-reachability): HNodeIds are minted by this arena and index it by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "HNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn entry(&self, h: HNodeId, label: LabelId) -> Option<&Entry> {
         self.nodes[h.idx()].entries.get(&label)
     }
 
     /// Mutable entry access.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "HNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn entry_mut(&mut self, h: HNodeId, label: LabelId) -> Option<&mut Entry> {
         self.nodes[h.idx()].entries.get_mut(&label)
     }
 
     /// Ensures a head-level entry exists for `label` (length-1 paths are
     /// always required — Definition 6). Returns whether it was created.
-    // apex-lint: allow(panic-reachability): `head` is minted in the constructor against the arena it indexes
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` is minted in the constructor against the arena it indexes"
+    )]
     pub fn ensure_head_entry(&mut self, label: LabelId) -> bool {
         let head = self.head;
         let fresh = !self.nodes[head.idx()].entries.contains_key(&label);
@@ -190,6 +212,10 @@ impl HashTree {
     }
 
     /// Reads an entry through an [`EntryRef`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "HNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn xnode_of(&self, r: EntryRef) -> Option<XNodeId> {
         match r {
             EntryRef::Label(h, l) => self.entry(h, l).and_then(|e| e.xnode),
@@ -199,7 +225,10 @@ impl HashTree {
 
     /// Writes the `xnode` field through an [`EntryRef`] (the paper's
     /// `hash.append`).
-    // apex-lint: allow(panic-reachability): EntryRefs are minted against entries of this arena and index it by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "EntryRefs are minted against entries of this arena and index it by construction"
+    )]
     pub fn set_xnode(&mut self, r: EntryRef, x: XNodeId) {
         match r {
             EntryRef::Label(h, l) => {
@@ -224,6 +253,10 @@ impl HashTree {
     /// Returns `None` only if the last label of `path` has no head entry
     /// (a label the index has never seen). The `hash_lookups` out-param
     /// counts probes for cost accounting.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` runs over `0..n` with `n = path.len()`"
+    )]
     pub fn locate(&self, path: &[LabelId], hash_lookups: &mut u64) -> Option<Located> {
         let mut hnode = self.head;
         let n = path.len();
@@ -266,7 +299,10 @@ impl HashTree {
     /// Collects every `xnode` in the subtree rooted at `h` (labeled
     /// entries recursively, plus remainders). The union of their extents
     /// is exactly `T(p)` for the suffix `p` that `h` represents.
-    // apex-lint: allow(panic-reachability): HNodeIds are minted by this arena and index it by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "HNodeIds are minted by this arena and index it by construction"
+    )]
     pub fn subtree_xnodes(&self, h: HNodeId, out: &mut Vec<XNodeId>) {
         let mut stack = vec![h];
         while let Some(id) = stack.pop() {
@@ -288,7 +324,10 @@ impl HashTree {
     /// The `G_APEX` nodes a *query* on `path` must read (§6.1's "union of
     /// extents of nodes which can be located using H_APEX"), plus whether
     /// that union is exactly `T(path)`.
-    // apex-lint: allow(panic-reachability): hnode walks entry.next links, which only ever point at live arena nodes
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hnode walks entry.next links, which only ever point at live arena nodes"
+    )]
     pub fn query_nodes(&self, path: &[LabelId]) -> QueryNodes {
         let mut q = QueryNodes::default();
         let mut hnode = self.head;
@@ -343,6 +382,10 @@ impl HashTree {
     /// `new = true`. Extraction counts the window *beside* the tree and
     /// calls this for frequent paths only, so no transient chain ever
     /// hangs under an entry whose class is still valid.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` and every `next` link are ids of this arena; `path` is non-empty (asserted), so `path[0]` and `path[1..]` exist"
+    )]
     pub fn require(&mut self, path: &[LabelId], count: u32) {
         debug_assert!(!path.is_empty());
         let fresh = Entry {
@@ -386,6 +429,10 @@ impl HashTree {
     }
 
     /// Returns true if `h` ended up empty (no labeled entries).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`h` is the head or a `next` link, both ids of this arena; `label` was just read from the node's own key set"
+    )]
     fn prune_node(&mut self, h: HNodeId, threshold: f64) -> bool {
         let is_head = h == self.head;
         let mut labels: Vec<LabelId> = self.nodes[h.idx()].entries.keys().copied().collect();
@@ -431,6 +478,10 @@ impl HashTree {
     /// `xmap` (old `G_APEX` arena index → new id, as returned by
     /// [`crate::graph::GApex::compact`]). The numbering depends on the
     /// tree's shape alone, not on the history that produced it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` and every `next` link index the old arena being drained, each exactly once"
+    )]
     pub fn compact(&mut self, xmap: &[Option<XNodeId>]) {
         let remap = |x: Option<XNodeId>| x.and_then(|x| xmap.get(x.idx()).copied().flatten());
         let mut old = std::mem::take(&mut self.nodes);
@@ -469,6 +520,10 @@ impl HashTree {
     /// Maximum chain depth (longest required path length). Lookups never
     /// inspect more than this many trailing labels, which lets
     /// `updateAPEX` carry bounded rolling paths on cyclic data.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` and every `next` link are ids of this arena"
+    )]
     pub fn max_depth(&self) -> usize {
         let mut depth = 1usize;
         let mut stack = vec![(self.head, 1usize)];
@@ -485,6 +540,10 @@ impl HashTree {
 
     /// Number of labeled entries in the whole tree that are reachable
     /// from the head (diagnostics).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` and every `next` link are ids of this arena"
+    )]
     pub fn entry_count(&self) -> usize {
         let mut count = 0usize;
         let mut stack = vec![self.head];
@@ -503,6 +562,10 @@ impl HashTree {
     /// Renders the set of required paths the tree currently encodes, as
     /// reversed-label chains (`label` vectors in natural path order).
     /// Used by tests to assert against the paper's worked examples.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`head` and every `next` link are ids of this arena"
+    )]
     pub fn required_paths(&self) -> Vec<Vec<LabelId>> {
         let mut out = Vec::new();
         // DFS carrying the suffix built so far (natural order).

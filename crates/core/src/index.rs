@@ -1,5 +1,7 @@
 //! The [`Apex`] facade: lifecycle, lookup and query-support API.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use apex_storage::SuccinctExtent;
 use xmlgraph::{LabelId, XmlGraph};
 
@@ -95,7 +97,8 @@ impl Apex {
             {
                 let mut held = Vec::new();
                 self.ht.subtree_xnodes(self.ht.head(), &mut held);
-                held.iter().all(|x| xmap[x.idx()].is_some())
+                held.iter()
+                    .all(|x| xmap.get(x.idx()).is_some_and(Option::is_some))
             },
             "H_APEX holds a class node that xroot does not reach"
         );

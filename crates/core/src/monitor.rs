@@ -9,6 +9,8 @@
 //! N queries) or on *drift* (the windowed support of currently-required
 //! multi-label paths decays below the threshold).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -39,6 +41,10 @@ impl PlanFeedback {
 
     /// Records one executed plan's per-operator `(kind, predicted,
     /// actual)` forecast outcomes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slot(kind)` enumerates the OpKind variants; `predicted` and `actual` are sized to match"
+    )]
     pub fn record(&mut self, ops: impl IntoIterator<Item = (OpKind, u64, u64)>) {
         self.plans += 1;
         for (kind, predicted, actual) in ops {
@@ -54,6 +60,10 @@ impl PlanFeedback {
     }
 
     /// `(predicted, actual)` accumulated for one operator kind.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slot(kind)` enumerates the OpKind variants; `predicted` and `actual` are sized to match"
+    )]
     pub fn per_op(&self, kind: OpKind) -> (u64, u64) {
         let i = Self::slot(kind);
         (self.predicted[i], self.actual[i])

@@ -13,7 +13,7 @@
 //! *delta* over one base, which stores only the extents that base lacks
 //! and names the rest: a checkpoint after a refresh that changed a few
 //! classes writes those classes' extents and the skeleton, not the
-//! index. [`encode_checkpoint`] picks which: a delta only over a base
+//! index. `encode_checkpoint` picks which: a delta only over a base
 //! that is still at least half live.
 //!
 //! Format (little-endian):
@@ -64,8 +64,10 @@
 //! formats — `APEXIDX` versions 1–5 and the `APEXSNAP` envelope that
 //! used to wrap them — are refused by name
 //! ([`PersistError::VersionMismatch`], [`PersistError::BadMagic`]),
-//! never decoded. No input panics the decoder (`core::recover` is a
-//! `panic-reachability` root).
+//! never decoded. No input panics the decoder: the module denies
+//! indexing and `unreachable!`, like the recovery path that calls it.
+
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
 
 use std::collections::hash_map::{self, HashMap};
 use std::fs::File;

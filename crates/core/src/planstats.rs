@@ -14,6 +14,8 @@
 //! background [`Refresher`](crate::serve::Refresher) keeps the planner's
 //! view fresh under live traffic with no extra locking.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashMap;
 
 use apex_storage::SuccinctExtent;

@@ -46,6 +46,8 @@
 //! too ([`commit_snapshot`]), so that `retain` recovery points share no
 //! snapshot file: one corrupt base costs one point, not every delta.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::fs;
 use std::io;
 use std::path::Path;

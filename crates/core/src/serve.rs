@@ -53,12 +53,15 @@
 //! at the generation it had reached, and the cell resumes counting from
 //! there.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use apex_storage::rank::{self, Guard, Rank};
 use xmlgraph::XmlGraph;
 
 use crate::index::Apex;
@@ -143,10 +146,10 @@ impl IndexCell {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Arc<Snapshot>> {
+    fn lock(&self) -> Guard<'_, Arc<Snapshot>> {
         // The cell content is a single Arc, replaced atomically; a
         // panicking publisher cannot leave it half-written.
-        self.current.lock().unwrap_or_else(|p| p.into_inner())
+        rank::lock(&self.current, Rank::Snapshot)
     }
 
     /// The current version (an `Arc` clone; never blocks on a rebuild).
@@ -266,10 +269,10 @@ struct RefreshShared {
 }
 
 impl RefreshShared {
-    fn lock(&self) -> MutexGuard<'_, RefreshState> {
+    fn lock(&self) -> Guard<'_, RefreshState> {
         // State transitions are single-field writes; a panicking worker
         // cannot leave them torn, so poison recovery is sound.
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+        rank::lock(&self.state, Rank::RefreshState)
     }
 }
 
@@ -353,7 +356,7 @@ impl Refresher {
     pub fn wait_idle(&self) {
         let mut st = self.shared.lock();
         while st.pending || st.in_flight {
-            st = self.shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            st = rank::wait(&self.shared.cv, st);
         }
     }
 
@@ -426,7 +429,7 @@ pub fn write_checkpoint(
     wal: &Wal,
 ) -> Result<u64, WalError> {
     let (token, state) = {
-        let m = monitor.lock().unwrap_or_else(|p| p.into_inner());
+        let m = rank::lock(monitor, Rank::Monitor);
         let token = wal.begin_checkpoint()?;
         (token, m.durable_state())
     };
@@ -437,6 +440,23 @@ pub fn write_checkpoint(
     crate::recover::commit_snapshot(wal, token, snap.generation(), snap.index(), &state)
 }
 
+/// Ends the refresher's cycle if its thread unwinds: `wait_idle` callers
+/// wake instead of waiting on a cycle that will never finish, and the
+/// panic surfaces where [`Refresher::shutdown`] joins the thread.
+struct EndCycleOnUnwind<'a>(&'a RefreshShared);
+
+impl Drop for EndCycleOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut st = self.0.lock();
+            st.pending = false;
+            st.in_flight = false;
+            st.shutdown = true;
+            self.0.cv.notify_all();
+        }
+    }
+}
+
 fn refresh_loop(
     g: &XmlGraph,
     cell: &IndexCell,
@@ -444,6 +464,7 @@ fn refresh_loop(
     shared: &RefreshShared,
     wal: Option<&Wal>,
 ) {
+    let _unwind = EndCycleOnUnwind(shared);
     let checkpoint_every = wal.map(|w| w.config().checkpoint_every).unwrap_or(0);
     let mut swaps_since_checkpoint: u64 = 0;
     loop {
@@ -459,7 +480,7 @@ fn refresh_loop(
                 if st.shutdown {
                     break false;
                 }
-                st = shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+                st = rank::wait(&shared.cv, st);
             };
             if !claimed {
                 break; // fall through to the final shutdown checkpoint
@@ -470,7 +491,7 @@ fn refresh_loop(
         // recorded) against the published snapshot the whole time.
         let started = Instant::now();
         let (workload, min_sup) = {
-            let mut m = monitor.lock().unwrap_or_else(|p| p.into_inner());
+            let mut m = rank::lock(monitor, Rank::Monitor);
             m.drain_for_refresh()
         };
         let record = if workload.is_empty() {
@@ -533,6 +554,7 @@ fn refresh_loop(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::monitor::RefreshPolicy;

@@ -41,8 +41,8 @@
 //!
 //! **Extents are opened, mutated, sealed.** A class node's stored
 //! extent is an immutable block image. The first time a run adds to a
-//! node it decodes that image into an `EdgeSet` ([`GApex::open_extent`]);
-//! every later step works on the decoded set; [`GApex::seal`] encodes
+//! node it decodes that image into an `EdgeSet` (`GApex::open_extent`);
+//! every later step works on the decoded set; `GApex::seal` encodes
 //! each opened node once when the worklist is empty. A node the run
 //! only *reads* (a verification pass over its whole extent) is decoded
 //! for that read and not kept; a node the run does not reach — every

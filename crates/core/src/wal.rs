@@ -16,10 +16,10 @@
 //! * [`Wal`] — an appender over length-prefixed, CRC-framed records in
 //!   numbered segment files (`wal-NNNNNN.log`), fsync'd on a
 //!   configurable group-commit interval. Checkpoints rotate to a fresh
-//!   segment and write a verified snapshot (see [`crate::recover`]) —
+//!   segment and write a verified snapshot (see [`crate::recover`](mod@crate::recover)) —
 //!   a base image, or a delta over the last base this writer
 //!   committed — through a temp-file + atomic-rename protocol.
-//!   Pruning carries out the retention [`crate::recover`] decides: it
+//!   Pruning carries out the retention [`crate::recover`](mod@crate::recover) decides: it
 //!   deletes what no recovery point needs and retires segments only a
 //!   fallback needs to `wal-NNNNNN.old`.
 //! * [`CrashPlan`] — deterministic fault injection threaded through
@@ -43,12 +43,15 @@
 //! detected by length or CRC and truncated on recovery, never decoded
 //! as garbage.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 
+use apex_storage::rank::{self, Guard, Rank};
 use apex_storage::{Cost, PageModel};
 use xmlgraph::{LabelId, LabelPath};
 
@@ -81,6 +84,10 @@ const TAG_SWAP: u8 = 2;
 // CRC32 (IEEE), table generated at compile time — no dependencies.
 // ---------------------------------------------------------------------------
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < 256` is the loop condition over a 256-entry table"
+)]
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -381,7 +388,7 @@ impl CrashPlan {
         if p.dead.load(Ordering::Acquire) {
             return Err(Crashed);
         }
-        let mut budget = p.budget.lock().unwrap_or_else(|e| e.into_inner());
+        let mut budget = rank::lock(&p.budget, Rank::CrashPlan);
         match budget.as_mut() {
             None => Ok(want),
             Some(b) => {
@@ -406,7 +413,7 @@ impl CrashPlan {
         if p.dead.load(Ordering::Acquire) {
             return Err(Crashed);
         }
-        let mut seen = p.seen.lock().unwrap_or_else(|e| e.into_inner());
+        let mut seen = rank::lock(&p.seen, Rank::CrashPlan);
         if let Some(slot) = seen.get_mut(s.idx()) {
             *slot += 1;
             if let Some((target, nth)) = p.site {
@@ -462,7 +469,7 @@ impl From<Crashed> for WalError {
 }
 
 /// Durability accounting. Writer-side counters are maintained by
-/// [`Wal`]; `replayed` is filled in from a [`crate::recover`] pass via
+/// [`Wal`]; `replayed` is filled in from a [`crate::recover()`] pass via
 /// [`Stats::after_recovery`]. The contract every crash-harness run
 /// asserts: `appended == pruned + replayed + truncated_tail` — with
 /// pruning disabled (`retain == 0`, the harness default) this is the
@@ -724,17 +731,17 @@ impl Wal {
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, WalInner> {
+    fn lock(&self) -> Guard<'_, WalInner> {
         // Appends are single frames; a panicking appender leaves the
         // wedged flag set before anything torn can be extended.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        rank::lock(&self.inner, Rank::WalLog)
     }
 
     /// The last base snapshot committed through this writer, which the
     /// next delta checkpoint may build on. A checkpoint holds it from
     /// encode to commit.
-    pub(crate) fn base_image(&self) -> MutexGuard<'_, Option<Base>> {
-        self.base.lock().unwrap_or_else(|e| e.into_inner())
+    pub(crate) fn base_image(&self) -> Guard<'_, Option<Base>> {
+        rank::lock(&self.base, Rank::WalBase)
     }
 
     /// The durability directory.
@@ -821,17 +828,17 @@ impl Wal {
     }
 
     /// Locks the log once no fsync is in flight; `Wedged` if one failed.
-    fn idle(&self) -> Result<MutexGuard<'_, WalInner>, WalError> {
+    fn idle(&self) -> Result<Guard<'_, WalInner>, WalError> {
         let mut inner = self.lock();
         while inner.leader {
-            inner = self.flushed.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner = rank::wait(&self.flushed, inner);
         }
         (!inner.wedged).then_some(inner).ok_or(WalError::Wedged)
     }
 
     /// Leads one fsync with the log lock released: claims every frame
     /// written so far and moves the batch boundary to `covered`.
-    fn lead(&self, mut inner: MutexGuard<'_, WalInner>, covered: u64) -> Result<(), WalError> {
+    fn lead(&self, mut inner: Guard<'_, WalInner>, covered: u64) -> Result<(), WalError> {
         let (seg, upto) = (Arc::clone(&inner.seg), inner.written);
         inner.covered = covered;
         inner.leader = true;

@@ -1,5 +1,7 @@
 //! Query workloads: the sets of label paths APEX adapts to.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::BTreeMap;
 
 use xmlgraph::{LabelPath, XmlGraph};

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
 
 pub mod trie;
 
@@ -80,6 +81,10 @@ impl IndexFabric {
     }
 
     /// Builds with explicit enumeration limits.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`on_path` and `paths_per_node` have one slot per node of `g` and are indexed by g's own NodeIds; `edges[next]` is guarded by `next < edges.len()`"
+    )]
     pub fn build_with(g: &XmlGraph, limits: FabricLimits) -> Self {
         let mut trie = Trie::new();
         let mut keys: Vec<(Vec<LabelId>, NodeId, Box<str>)> = Vec::new();
@@ -163,7 +168,10 @@ impl IndexFabric {
         let mut key = Vec::with_capacity(path.len() * 2 + 2 + value.len());
         encode_key(path, value, &mut key);
         let payloads = self.trie.lookup(&key, cost);
-        let mut out: Vec<NodeId> = payloads.iter().map(|&p| self.keys[p as usize].1).collect();
+        let mut out: Vec<NodeId> = payloads
+            .iter()
+            .filter_map(|&p| self.keys.get(p as usize).map(|k| k.1))
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -176,7 +184,9 @@ impl IndexFabric {
     pub fn search_partial(&self, suffix: &[LabelId], value: &str, cost: &mut Cost) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = Vec::new();
         self.trie.traverse_all(cost, |payload| {
-            let (path, node, v) = &self.keys[payload as usize];
+            let Some((path, node, v)) = self.keys.get(payload as usize) else {
+                return;
+            };
             if path.len() >= suffix.len() && path.ends_with(suffix) && v.as_ref() == value {
                 out.push(*node);
             }
@@ -187,7 +197,10 @@ impl IndexFabric {
     }
 
     /// [`IndexFabric::search_exact`] through a shared buffer pool.
-    // apex-lint: allow(panic-reachability): trie payloads are indices into `keys`, written together at build time
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "trie payloads are indices into `keys`, written together at build time"
+    )]
     pub fn search_exact_buffered(
         &self,
         buf: &apex_storage::BufferHandle,
@@ -207,7 +220,10 @@ impl IndexFabric {
     /// [`IndexFabric::search_partial`] through a shared buffer pool:
     /// the traversal still visits every trie node, but blocks resident
     /// from earlier queries are buffer hits instead of page reads.
-    // apex-lint: allow(panic-reachability): trie payloads are indices into `keys`, written together at build time
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "trie payloads are indices into `keys`, written together at build time"
+    )]
     pub fn search_partial_buffered(
         &self,
         buf: &apex_storage::BufferHandle,

@@ -1,6 +1,8 @@
 //! A path-compressed byte trie (Patricia-style radix tree) with DFS block
 //! packing and block-read accounting.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use apex_storage::bufmgr::{BufferHandle, ObjectId, Space};
 use apex_storage::Cost;
 
@@ -40,7 +42,10 @@ impl Trie {
         self.blocks as usize
     }
 
-    // apex-lint: allow(panic-reachability): node ids come from the builder's arena and index it by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids come from the builder's arena and index it by construction"
+    )]
     fn child(&self, node: u32, byte: u8) -> Option<u32> {
         self.nodes[node as usize]
             .children
@@ -50,6 +55,10 @@ impl Trie {
     }
 
     /// Inserts `key` with `payload`. Duplicate keys accumulate payloads.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids come from the builder's arena and index it by construction; `rest[0]`, `tail[0]` and `rest[common..]` follow the emptiness checks and `common <= rest.len()`"
+    )]
     pub fn insert(&mut self, key: &[u8], payload: u32) {
         let mut node = 0u32;
         let mut rest = key;
@@ -103,6 +112,10 @@ impl Trie {
     }
 
     /// Exact key lookup, charging visited trie nodes and distinct blocks.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids come from the builder's arena and index it by construction; `rest` slicing is guarded by the emptiness and length checks before it"
+    )]
     pub fn lookup(&self, key: &[u8], cost: &mut Cost) -> &[u32] {
         let mut node = 0u32;
         let mut rest = key;
@@ -111,7 +124,7 @@ impl Trie {
             cost.trie_nodes += 1;
             let blk = self.nodes[node as usize].block;
             if blk != last_block {
-                // apex-lint: allow(cost-io-writes): the trie is its own block store; Fabric I/O is charged here, not in exec
+                // The trie is its own block store; Fabric I/O is charged here, not in exec
                 cost.pages_read += 1;
                 last_block = blk;
             }
@@ -135,7 +148,10 @@ impl Trie {
     /// [`Trie::lookup`] through a shared buffer pool: blocks along the
     /// descent are charged only when absent from the pool, so repeated
     /// searches of a hot key region become buffer hits.
-    // apex-lint: allow(panic-reachability): node ids index the builder's arena; `rest` slicing is guarded by explicit length checks in the descent loop
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids index the builder's arena; `rest` slicing is guarded by explicit length checks in the descent loop"
+    )]
     pub fn lookup_buffered(&self, buf: &BufferHandle, key: &[u8], cost: &mut Cost) -> &[u32] {
         let mut node = 0u32;
         let mut rest = key;
@@ -144,7 +160,7 @@ impl Trie {
             cost.trie_nodes += 1;
             let blk = self.nodes[node as usize].block;
             if blk != last_block {
-                // apex-lint: allow(cost-io-writes): the trie is its own block store; Fabric I/O is charged here, not in exec
+                // The trie is its own block store; Fabric I/O is charged here, not in exec
                 cost.pages_read += buf.touch(ObjectId::new(Space::TrieBlock, blk as u64), 0);
                 last_block = blk;
             }
@@ -175,7 +191,7 @@ impl Trie {
     ) {
         cost.trie_nodes += self.nodes.len() as u64;
         for b in 0..self.blocks.max(1) as u64 {
-            // apex-lint: allow(cost-io-writes): the trie is its own block store; Fabric I/O is charged here, not in exec
+            // The trie is its own block store; Fabric I/O is charged here, not in exec
             cost.pages_read += buf.touch(ObjectId::new(Space::TrieBlock, b), 0);
         }
         for n in &self.nodes {
@@ -189,7 +205,7 @@ impl Trie {
     /// charging every node and block.
     pub fn traverse_all(&self, cost: &mut Cost, mut visit: impl FnMut(u32)) {
         cost.trie_nodes += self.nodes.len() as u64;
-        // apex-lint: allow(cost-io-writes): the trie is its own block store; Fabric I/O is charged here, not in exec
+        // The trie is its own block store; Fabric I/O is charged here, not in exec
         cost.pages_read += self.blocks.max(1) as u64;
         for n in &self.nodes {
             for &p in &n.payloads {
@@ -201,6 +217,10 @@ impl Trie {
     /// Packs nodes into blocks of `block_size` bytes in DFS order
     /// (size model: prefix bytes + 8 bytes per child + 4 per payload +
     /// 16 fixed).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node ids come from the builder's arena and index it by construction, and `seen` has one slot per node"
+    )]
     pub fn assign_blocks(&mut self, block_size: usize) {
         let mut block = 0u32;
         let mut used = 0usize;

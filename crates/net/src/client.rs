@@ -22,6 +22,8 @@
 //! server's own end-to-end tests and the scatter-gather router's
 //! per-replica connections.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;

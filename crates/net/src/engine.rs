@@ -12,6 +12,8 @@
 //! share one `Engine` through the server's `Arc`; every handle inside
 //! is `Sync` or internally locked.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -19,6 +21,7 @@ use apex::{IndexCell, Refresher, WorkloadMonitor};
 use apex_query::apex_qp::ApexProcessor;
 use apex_query::batch::recordable_path;
 use apex_query::{Query, QueryProcessor};
+use apex_storage::rank::{self, Rank};
 use apex_storage::{gallop_lower_bound_u32, BufferHandle, DataTable};
 use xmlgraph::XmlGraph;
 
@@ -204,7 +207,7 @@ impl Engine {
         if path.is_some() || out.plan.is_some() {
             let mut commit = None;
             let due = {
-                let mut m = self.monitor.lock().unwrap_or_else(|p| p.into_inner());
+                let mut m = rank::lock(&self.monitor, Rank::Monitor);
                 if let Some(rep) = &out.plan {
                     m.record_plan(rep.feedback());
                 }
@@ -258,6 +261,7 @@ fn filter_owned(nodes: &mut Vec<xmlgraph::NodeId>, owned: &[u32]) {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use apex::{Apex, RefreshPolicy};

@@ -54,14 +54,18 @@
 //! to each connection, so peers see EOF only after every accepted
 //! request has been answered.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::VecDeque;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use apex_storage::rank::{self, Guard, Rank};
 
 use crate::engine::Engine;
 use crate::wire::{
@@ -201,7 +205,7 @@ impl Conn {
     fn respond(&self, shared: &Shared, resp: &Response) {
         self.stats.count(resp.status);
         shared.counters.count(resp.status);
-        let mut frame = self.frame.lock().unwrap_or_else(|p| p.into_inner());
+        let mut frame = rank::lock(&self.frame, Rank::ResponseFrame);
         if resp.encode_frame(&mut frame).is_err() {
             return;
         }
@@ -281,8 +285,8 @@ impl JobQueue {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    fn lock(&self) -> Guard<'_, QueueState> {
+        rank::lock(&self.state, Rank::JobQueue)
     }
 
     /// Decides one accepted request. `pipelined`: the connection has a
@@ -317,7 +321,7 @@ impl JobQueue {
             if st.closed && st.jobs.is_empty() {
                 return None;
             }
-            st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            st = rank::wait(&self.cv, st);
         }
     }
 
@@ -430,11 +434,7 @@ impl Server {
     /// Per-connection accounting, in accept order. Closed connections
     /// keep their final counts; usable during serving and after drain.
     pub fn connection_stats(&self) -> Vec<ConnStats> {
-        let conns = self
-            .shared
-            .conn_stats
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let conns = rank::lock(&self.shared.conn_stats, Rank::ConnStats);
         conns.iter().map(|c| c.snapshot()).collect()
     }
 
@@ -461,7 +461,7 @@ impl Server {
         // Connection threads exit within one poll interval; joining
         // them first guarantees nothing is pushed after the queue closes.
         let conns = {
-            let mut c = self.conns.lock().unwrap_or_else(|p| p.into_inner());
+            let mut c = rank::lock(&self.conns, Rank::Conns);
             std::mem::take(&mut *c)
         };
         for h in conns {
@@ -520,7 +520,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<J
         shared.connections.fetch_add(1, Ordering::Relaxed);
         let stats = Arc::new(Counters::default());
         {
-            let mut cs = shared.conn_stats.lock().unwrap_or_else(|p| p.into_inner());
+            let mut cs = rank::lock(&shared.conn_stats, Rank::ConnStats);
             cs.push(Arc::clone(&stats));
         }
         let conn = Arc::new(Conn {
@@ -533,7 +533,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<J
             .name("apex-net-conn".into())
             .spawn(move || conn_loop(&conn, &s));
         if let Ok(h) = spawned {
-            let mut c = conns.lock().unwrap_or_else(|p| p.into_inner());
+            let mut c = rank::lock(conns, Rank::Conns);
             c.push(h);
         }
     }

@@ -48,6 +48,8 @@
 //! short or trailing body bytes, invalid UTF-8) and never panics — the
 //! robustness suite and a proptest roundtrip in this module pin that.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};

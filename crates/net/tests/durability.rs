@@ -2,7 +2,12 @@
 //! socket must be in the WAL by the time their response is read
 //! (log-before-ack), and a recovery from that directory must rebuild
 //! the same adapted index the server was serving.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods
+)]
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier, Mutex};

@@ -31,6 +31,8 @@
 //! runs through the shared operators in [`crate::exec`] over a
 //! cross-query [`BufferHandle`] pool.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -191,7 +193,10 @@ impl<'a> ApexProcessor<'a> {
     }
 
     /// Charges the first visit of class node `x`'s page-packed record.
-    // apex-lint: allow(panic-reachability): `touched` and `node_offsets` are sized n and n+1 over the same class-node count
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`touched` and `node_offsets` are sized n and n+1 over the same class-node count"
+    )]
     fn nav_node(&self, x: XNodeId, touched: &mut [bool], ctx: &mut ExecContext<'_>) {
         let i = x.0 as usize;
         if !touched[i] {
@@ -366,9 +371,7 @@ impl QueryProcessor for ApexProcessor<'_> {
             Query::PartialPath { labels } => self.eval_path(labels, &mut ctx),
             Query::AncestorDescendant { first, last } => {
                 let before = ctx.cost.ops;
-                // Typed, so apex-lint's call graph follows the pruning
-                // walk into H_APEX (panic-reachability).
-                let planner: Planner<'_> = self.planner();
+                let planner = self.planner();
                 let plan = planner.plan_anc_desc(*first, *last);
                 let nodes = self.eval_anc_desc(&plan, &mut ctx);
                 let (digest, predicted) = planner.forecast_anc_desc(&plan);

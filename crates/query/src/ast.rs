@@ -1,5 +1,7 @@
 //! The query model: the three query types of the evaluation (§6.1).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use xmlgraph::{LabelId, XmlGraph};
 
 /// A label-path query.

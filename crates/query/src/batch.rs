@@ -4,6 +4,8 @@
 //! live query — snapshot, evaluate, record, nudge the refresher — is
 //! `apex_net::Engine::execute`, the one place that step exists.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::time::{Duration, Instant};
 
 use apex_storage::bufmgr::{BufferHandle, BufferStats};

@@ -38,6 +38,8 @@
 //! | [`IndexNav`] | index-graph navigation I/O (page-packed records) |
 //! | [`TrieSearch`] | Index Fabric key search / traversal |
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::time::Instant;
 
 use apex_storage::bufmgr::{BufferHandle, ObjectId, Space};

@@ -38,6 +38,8 @@
 //! mispredict ratio `Σ|predicted − actual| / Σactual` that the
 //! feedback layer pushes back into the workload monitor.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use apex::{Apex, ExtentStat, PlanStats, XNodeId};
 use apex_storage::bufmgr::Space;
 use apex_storage::kernels::reverse_semijoin_into;
@@ -441,6 +443,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Predicts the forward order over `ests`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a path plan has at least one stage, so `ests` is non-empty"
+    )]
     fn predict_forward(&self, ests: &[StageEst]) -> (Forecast, Vec<&'static str>) {
         let mut f = Forecast::default();
         let seed = &ests[0];
@@ -466,6 +472,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Predicts the backward order with `reduce = r` over `ests`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass `1 <= r <= k = ests.len() - 1`, so `k`, `lo..k` and every stage index are in `ests`, and `red` has a slot per reduced stage"
+    )]
     fn predict_backward(&self, ests: &[StageEst], r: usize) -> (Forecast, Vec<&'static str>) {
         let k = ests.len() - 1;
         let lo = k - r;
@@ -541,6 +551,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Plans `labels` (a QTYPE1/3 chain) under `policy`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`1 <= j <= n = labels.len()` by the loop bounds"
+    )]
     pub fn plan_path(&self, labels: &[LabelId], policy: JoinOrderPolicy) -> PathPlan {
         let n = labels.len();
         let mut segments: Vec<Vec<XNodeId>> = Vec::new();
@@ -772,6 +786,10 @@ impl<'a> Planner<'a> {
     /// pass over the mixed stored/reduced chain. The reduced stages stay
     /// pair sets (the next one is joined by their parents); the forward
     /// pass carries a node frontier, as [`MultiwayJoin`] does.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass `1 <= r <= k = stages.len() - 1` (asserted), so `k`, `lo..k` and `1..=k` index `plan.stages`, and `reduced` has a slot per stage below `k`"
+    )]
     fn run_backward(&self, plan: &PathPlan, r: usize, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         let k = plan.stages.len() - 1;
         debug_assert!(r >= 1 && r <= k);

@@ -16,6 +16,8 @@
 //! sets of an `n`-shard map tile the node space exactly — the
 //! disjointness the scatter-gather merge relies on.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;

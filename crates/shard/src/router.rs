@@ -47,6 +47,8 @@
 //! [`RouterStats::balanced`] checks both, so no request is silently
 //! dropped on either side of the router.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,6 +58,7 @@ use std::time::{Duration, Instant};
 
 use apex_net::wire::{DEFAULT_MAX_FRAME, MAX_ROW_SAMPLE};
 use apex_net::{AwakeRead, Client, FrameReader, Message, Request, Response, ShardGen, Status};
+use apex_storage::rank::{self, Rank};
 use apex_storage::{merge_sorted_into, MergeScratch};
 
 use crate::map::ShardMap;
@@ -388,7 +391,7 @@ impl Router {
     pub fn set_replica_addr(&self, shard: u16, replica: usize, addr: SocketAddr) {
         if let Some(slot) = self.slot(shard, replica) {
             {
-                let mut a = slot.addr.lock().unwrap_or_else(|p| p.into_inner());
+                let mut a = rank::lock(&slot.addr, Rank::ShardAddr);
                 *a = addr;
             }
             slot.epoch.fetch_add(1, Ordering::SeqCst);
@@ -419,7 +422,7 @@ impl Router {
             join_thread(h);
         }
         let conns = {
-            let mut c = self.conns.lock().unwrap_or_else(|p| p.into_inner());
+            let mut c = rank::lock(&self.conns, Rank::Conns);
             std::mem::take(&mut *c)
         };
         for h in conns {
@@ -478,7 +481,7 @@ fn accept_loop(
             .name("apex-shard-conn".into())
             .spawn(move || conn_loop(stream, conn_id as usize, &s));
         if let Ok(h) = spawned {
-            let mut c = conns.lock().unwrap_or_else(|p| p.into_inner());
+            let mut c = rank::lock(conns, Rank::Conns);
             c.push(h);
         }
     }
@@ -489,11 +492,8 @@ fn accept_loop(
 fn probe_loop(state: &Arc<RouterState>) {
     loop {
         {
-            let guard = state.parked.lock().unwrap_or_else(|p| p.into_inner());
-            let _ = state
-                .wake
-                .wait_timeout(guard, state.cfg.probe_interval)
-                .unwrap_or_else(|p| p.into_inner());
+            let guard = rank::lock(&state.parked, Rank::ProberPark);
+            let _ = rank::wait_timeout(&state.wake, guard, state.cfg.probe_interval);
         }
         if state.closing.load(Ordering::SeqCst) {
             return;
@@ -503,7 +503,7 @@ fn probe_loop(state: &Arc<RouterState>) {
                 if !slot.down.load(Ordering::SeqCst) {
                     continue;
                 }
-                let addr = *slot.addr.lock().unwrap_or_else(|p| p.into_inner());
+                let addr = *rank::lock(&slot.addr, Rank::ShardAddr);
                 if TcpStream::connect_timeout(&addr, Duration::from_millis(50)).is_ok() {
                     slot.down.store(false, Ordering::SeqCst);
                 }
@@ -620,7 +620,7 @@ fn ensure_conn<'a>(
         *entry = None;
     }
     if entry.is_none() {
-        let addr = *slot.addr.lock().unwrap_or_else(|p| p.into_inner());
+        let addr = *rank::lock(&slot.addr, Rank::ShardAddr);
         match Client::connect(addr) {
             Ok(client) => {
                 let _ = client.set_read_timeout(Some(state.cfg.gather_timeout));
@@ -847,7 +847,7 @@ fn merge_responses(id: u64, finals: Vec<Option<Response>>, scratch: &mut MergeSc
     out.rows = rows;
     for (s, r) in &parts {
         out.total_rows = out.total_rows.saturating_add(r.total_rows);
-        // apex-lint: allow(cost-io-writes): sums the shards' already-attributed wire counters into the merged response; no new I/O is charged here
+        // Sums the shards' already-attributed wire counters into the merged response; no new I/O is charged here
         out.pages_read = out.pages_read.saturating_add(r.pages_read);
         out.join_work = out.join_work.saturating_add(r.join_work);
         out.server_us = out.server_us.max(r.server_us);

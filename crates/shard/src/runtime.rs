@@ -2,7 +2,7 @@
 //!
 //! Every shard holds the complete graph and its own adaptively-refined
 //! index, and answers any query — but filters results to the node set
-//! the [`ShardMap`](crate::ShardMap) assigns it. That makes per-shard
+//! the [`ShardMap`] assigns it. That makes per-shard
 //! answers disjoint by construction, so a router's union of them is
 //! exactly the single-process answer (the equivalence the suite's
 //! `shard_laws` and `shard_equivalence` tests pin down).

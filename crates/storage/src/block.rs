@@ -38,6 +38,8 @@
 //! headers. An image is named by its [`BlockExtent::content_hash`]: one
 //! image per content, so one name per content.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use xmlgraph::{NodeId, NULL_NODE};
 
 use crate::edgeset::EdgePair;
@@ -325,6 +327,10 @@ impl BlockExtent {
 
     /// Header of block `k`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`k` must name a block of this extent (the documented contract); every caller iterates `0..num_blocks()` or a directory hit"
+    )]
     pub fn header(&self, k: usize) -> &BlockHeader {
         &self.blocks[k]
     }

@@ -12,12 +12,15 @@
 //! node records, posting lists, table pages and trie blocks never
 //! collide in the pool.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::{Arc, Mutex};
 
 use crate::pages::PageModel;
+use crate::rank::{self, Guard, Rank};
 
 /// Storage address spaces sharing one buffer pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,6 +151,15 @@ struct Frame {
 ///
 /// `touch` returns the pages read (0 on a hit); eviction drops whole
 /// objects from the least-recently-used end until the pool fits.
+///
+/// Only this crate builds a pool: every other crate shares one through
+/// a [`BufferHandle`], so no query can keep a private pool whose traffic
+/// the cross-query counters never see.
+///
+/// ```compile_fail,E0624
+/// use apex_storage::{BufferManager, PageModel};
+/// let private = BufferManager::new(PageModel::default(), 64);
+/// ```
 #[derive(Debug)]
 pub struct BufferManager {
     model: PageModel,
@@ -163,7 +175,7 @@ pub struct BufferManager {
 
 impl BufferManager {
     /// A pool holding at most `capacity_pages` pages.
-    pub fn new(model: PageModel, capacity_pages: u64) -> Self {
+    pub(crate) fn new(model: PageModel, capacity_pages: u64) -> Self {
         assert!(capacity_pages > 0, "buffer capacity must be non-zero");
         BufferManager {
             model,
@@ -179,7 +191,7 @@ impl BufferManager {
     }
 
     /// A pool that never evicts.
-    pub fn unbounded(model: PageModel) -> Self {
+    pub(crate) fn unbounded(model: PageModel) -> Self {
         Self::new(model, u64::MAX)
     }
 
@@ -209,6 +221,10 @@ impl BufferManager {
     /// this one touch (exactly one of `hits`/`misses` is 1; `evictions`
     /// are attributed to the touch that forced them). Scoped handles sum
     /// these so per-worker deltas partition the pool-level delta.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "frame slots come from `map`, `free` or `frames.len() - 1` and the LRU links only ever hold live slots, so every index is in `frames`"
+    )]
     fn touch_pages_delta(&mut self, id: ObjectId, pages: u64) -> BufferStats {
         let mut delta = BufferStats::default();
         if let Some(&slot) = self.map.get(&id) {
@@ -290,6 +306,10 @@ impl BufferManager {
         self.stats = BufferStats::default();
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slot` and its LRU neighbours are live frame slots: links are set only by `push_front` to slots in `frames`"
+    )]
     fn unlink(&mut self, slot: usize) {
         let (prev, next) = (self.frames[slot].prev, self.frames[slot].next);
         if prev == NIL {
@@ -310,6 +330,10 @@ impl BufferManager {
         self.frames[slot].next = NIL;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slot` is a live frame slot and `head` is NIL or one, checked before use"
+    )]
     fn push_front(&mut self, slot: usize) {
         self.frames[slot].prev = NIL;
         self.frames[slot].next = self.head;
@@ -346,7 +370,7 @@ pub struct BufferHandle {
 
 impl BufferHandle {
     /// Wraps a manager.
-    pub fn new(mgr: BufferManager) -> Self {
+    pub(crate) fn new(mgr: BufferManager) -> Self {
         BufferHandle {
             pool: Arc::new(Mutex::new(mgr)),
             local: Arc::new(Mutex::new(BufferStats::default())),
@@ -373,15 +397,15 @@ impl BufferHandle {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BufferManager> {
+    fn lock(&self) -> Guard<'_, BufferManager> {
         // A worker panicking mid-touch leaves only counters in an
         // arguable state; the pool structure is updated atomically per
         // touch, so continuing past a poison is sound.
-        self.pool.lock().unwrap_or_else(|p| p.into_inner())
+        rank::lock(&self.pool, Rank::BufferPool)
     }
 
     fn note_local(&self, delta: BufferStats) {
-        let mut local = self.local.lock().unwrap_or_else(|p| p.into_inner());
+        let mut local = rank::lock(&self.local, Rank::BufferLocal);
         *local += delta;
     }
 
@@ -420,12 +444,12 @@ impl BufferHandle {
     /// since creation or the last [`BufferHandle::reset_scoped_stats`].
     /// Handles from [`BufferHandle::scoped`] tally independently.
     pub fn scoped_stats(&self) -> BufferStats {
-        *self.local.lock().unwrap_or_else(|p| p.into_inner())
+        *rank::lock(&self.local, Rank::BufferLocal)
     }
 
     /// Zeroes this handle's local counters (pool counters unaffected).
     pub fn reset_scoped_stats(&self) {
-        let mut local = self.local.lock().unwrap_or_else(|p| p.into_inner());
+        let mut local = rank::lock(&self.local, Rank::BufferLocal);
         *local = BufferStats::default();
     }
 
@@ -612,5 +636,54 @@ mod tests {
         assert_eq!((d.hits, d.misses), (1, 1));
         assert_eq!(d.hit_rate(), 0.5);
         assert!(format!("{d}").contains("hit_rate=50.0%"));
+    }
+
+    /// LRU buffer-manager laws: hits + misses partition the touches, the
+    /// resident set respects capacity, and an unbounded pool never evicts.
+    mod bufmgr_laws {
+        use super::super::{BufferManager, ObjectId, Space};
+        use crate::PageModel;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+            #[test]
+            fn capacity_and_counter_invariants(
+                capacity in 1u64..12,
+                touches in proptest::collection::vec((0u64..16, 0usize..40_000), 1..120),
+            ) {
+                let mut pool = BufferManager::new(PageModel::default(), capacity);
+                let mut max_obj = 0u64;
+                for &(id, bytes) in &touches {
+                    pool.touch(ObjectId::new(Space::Raw, id), bytes);
+                    // A just-missed object is never evicted, so residency may
+                    // exceed capacity only when one object is itself larger
+                    // than the pool.
+                    max_obj = max_obj.max(pool.model().pages_for_bytes(bytes).max(1));
+                    prop_assert!(pool.resident_pages() <= capacity.max(max_obj));
+                }
+                let s = pool.stats();
+                prop_assert_eq!(s.hits + s.misses, touches.len() as u64);
+                prop_assert_eq!(s.pages_read > 0, s.misses > 0);
+            }
+
+            #[test]
+            fn unbounded_pool_never_evicts_and_rereads(
+                touches in proptest::collection::vec((0u64..16, 0usize..40_000), 1..120),
+            ) {
+                let mut pool = BufferManager::unbounded(PageModel::default());
+                for &(id, bytes) in &touches {
+                    pool.touch(ObjectId::new(Space::Raw, id), bytes);
+                }
+                let distinct: std::collections::HashSet<u64> =
+                    touches.iter().map(|&(id, _)| id).collect();
+                let s = pool.stats();
+                prop_assert_eq!(s.evictions, 0);
+                // Every distinct object misses exactly once.
+                prop_assert_eq!(s.misses, distinct.len() as u64);
+                prop_assert_eq!(pool.objects(), distinct.len());
+            }
+        }
     }
 }

@@ -4,6 +4,8 @@
 //! *shapes* robustly, every query processor in this reproduction
 //! accumulates machine-independent counters alongside wall time.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -124,7 +126,10 @@ pub struct OpBreakdown {
 
 impl OpBreakdown {
     /// Records `delta` (and one invocation if `invoked`) against `kind`.
-    // apex-lint: allow(panic-reachability): kind.idx() enumerates the 10 OpKind variants; per_op is sized to match
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "kind.idx() enumerates the 10 OpKind variants; per_op is sized to match"
+    )]
     pub fn record(&mut self, kind: OpKind, invoked: bool, delta: [u64; 8]) {
         let slot = &mut self.per_op[kind.idx()];
         if invoked {
@@ -136,16 +141,20 @@ impl OpBreakdown {
     }
 
     /// The accumulated cost of one operator kind.
-    // apex-lint: allow(panic-reachability): kind.idx() enumerates the 10 OpKind variants; per_op is sized to match
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "kind.idx() enumerates the 10 OpKind variants; per_op is sized to match"
+    )]
     pub fn get(&self, kind: OpKind) -> &OpCost {
         &self.per_op[kind.idx()]
     }
 
     /// Iterates `(kind, cost)` over operators that did any work.
     pub fn active(&self) -> impl Iterator<Item = (OpKind, &OpCost)> {
+        // `ALL` lists the kinds in `idx()` order, the order of `per_op`.
         OpKind::ALL
-            .iter()
-            .map(|&k| (k, &self.per_op[k.idx()]))
+            .into_iter()
+            .zip(&self.per_op)
             .filter(|(_, c)| c.invocations != 0 || c.scalars.iter().any(|&s| s != 0))
     }
 

@@ -1,5 +1,7 @@
 //! Edge pairs and in-flight edge sets (Definition 7).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use xmlgraph::{sort_distinct, NodeId, NULL_NODE};
 
 /// One element of an extent: the incoming edge `<parent, node>` of a node
@@ -61,7 +63,7 @@ impl EdgeSet {
     /// Builds from pairs already sorted by `(parent, node)` and
     /// duplicate-free — the output contract of the semijoin kernels.
     pub fn from_sorted(pairs: Vec<EdgePair>) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(pairs.windows(2).all(|w| matches!(w, [a, b] if a < b)));
         EdgeSet { pairs }
     }
 
@@ -134,7 +136,10 @@ impl EdgeSet {
     }
 
     /// `self \ other` as a new set.
-    // apex-lint: allow(panic-reachability): i and j are bounds-checked by the loop and branch conditions before every index
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i and j are bounds-checked by the loop and branch conditions before every index"
+    )]
     pub fn difference(&self, other: &EdgeSet) -> EdgeSet {
         let mut out = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
@@ -205,6 +210,10 @@ impl EdgeSet {
     /// [`crate::kernels`] for the block-aware variants over stored
     /// extents). Returns the matched pairs and the number of probes
     /// performed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`lo < len` is checked at the top of each round, `hi` is clamped to `len` before slicing, and the scan loop checks `i < len`"
+    )]
     pub fn probe_by_parents(&self, ends: &[NodeId]) -> (EdgeSet, usize) {
         let mut out = Vec::new();
         let mut probes = 0usize;
@@ -246,6 +255,10 @@ impl FromIterator<EdgePair> for EdgeSet {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < a.len()` and `j < b.len()` are the loop condition, and the tails start at those same bounds"
+)]
 fn merge_union(a: &[EdgePair], b: &[EdgePair], out: &mut Vec<EdgePair>) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {

@@ -44,6 +44,8 @@
 //! faulted, which is where the `pages_read` win of the skip index
 //! comes from.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use xmlgraph::NodeId;
 
 use crate::edgeset::EdgePair;

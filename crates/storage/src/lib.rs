@@ -33,7 +33,10 @@
 //! * [`datatable::DataTable`] — the `nid → value` table used by QTYPE3
 //!   queries, stored as columns (sorted nids, a value id per slot, each
 //!   distinct value once, holders grouped by value) so the value test
-//!   merges candidates through one holder list.
+//!   merges candidates through one holder list;
+//! * [`rank`] — the workspace's lock ranks: every library lock is taken
+//!   through [`rank::lock`], which checks in debug builds that ranks
+//!   ascend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +48,7 @@ pub mod datatable;
 pub mod edgeset;
 pub mod kernels;
 pub mod pages;
+pub mod rank;
 pub mod succinct;
 
 pub use block::{BlockExtent, BlockHeader, Frame};

@@ -4,6 +4,8 @@
 //! same page size for every storage structure so page counts are
 //! comparable across indexes.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 /// Converts byte volumes into page reads at a fixed page size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageModel {

@@ -30,6 +30,8 @@
 //! the crate root) and panic-free on arbitrary bytes: a corrupt payload
 //! decodes to garbage pairs, never to a crash.
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::ops::Range;
 
 use xmlgraph::NodeId;

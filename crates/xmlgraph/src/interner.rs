@@ -5,6 +5,8 @@
 //! operations and keeps extents compact (see the Rust Performance Book's
 //! advice on shrinking hot types).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashMap;
 
 use crate::model::LabelId;
@@ -46,6 +48,10 @@ impl Interner {
     ///
     /// # Panics
     /// Panics if `id` was not produced by this interner.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "LabelIds are minted by this interner and index `names` by construction; a foreign id is the documented panic"
+    )]
     pub fn resolve(&self, id: LabelId) -> &str {
         &self.names[id.0 as usize]
     }

@@ -1,5 +1,7 @@
 //! The directed labeled edge graph `G_XML` (Definition 1 of the paper).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use crate::interner::Interner;
 
 /// Node identifier (`nid`). Dense, assigned in document order.
@@ -93,31 +95,50 @@ impl XmlGraph {
 
     /// Outgoing edges of `n` in document order of their targets.
     #[inline]
-    // apex-lint: allow(panic-reachability): NodeIds are indices into `out`, which is built with one slot per node
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are indices into `out`, which is built with one slot per node"
+    )]
     pub fn out_edges(&self, n: NodeId) -> &[Edge] {
         &self.out[n.idx()]
     }
 
     /// The value of a leaf node, if any.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are indices into `values`, which is built with one slot per node"
+    )]
     pub fn value(&self, n: NodeId) -> Option<&str> {
         self.values[n.idx()].as_deref()
     }
 
     /// True if `n` has no outgoing edges.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are indices into `out`, which is built with one slot per node"
+    )]
     pub fn is_leaf(&self, n: NodeId) -> bool {
         self.out[n.idx()].is_empty()
     }
 
     /// The tag of `n` (label of its incoming tree edge).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are indices into `tags`, which is built with one slot per node"
+    )]
     pub fn tag(&self, n: NodeId) -> LabelId {
         self.tags[n.idx()]
     }
 
     /// Tree parent of `n` (`NULL_NODE` for the root).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are indices into `tree_parent`, which is built with one slot per node"
+    )]
     pub fn tree_parent(&self, n: NodeId) -> NodeId {
         self.tree_parent[n.idx()]
     }

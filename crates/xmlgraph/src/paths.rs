@@ -1,5 +1,7 @@
 //! Label paths and data paths (Definitions 2–5 of the paper).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use std::collections::HashSet;
 
 use crate::model::{LabelId, NodeId, XmlGraph};
@@ -65,6 +67,10 @@ impl LabelPath {
     }
 
     /// All non-empty contiguous subpaths, deduplicated.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "0 <= i < j <= len by the loop bounds"
+    )]
     pub fn subpaths(&self) -> Vec<LabelPath> {
         let n = self.0.len();
         let mut set = HashSet::new();
@@ -114,6 +120,10 @@ impl Default for EnumLimits {
 /// current stack (simple data paths), collecting each distinct label
 /// sequence once, subject to `limits`. Deterministic: edges are visited in
 /// adjacency order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`on_path` has one slot per node of `g` and is indexed by g's own NodeIds; `edges[next]` is guarded by `next < edges.len()`"
+)]
 pub fn rooted_label_paths(g: &XmlGraph, limits: EnumLimits) -> Vec<LabelPath> {
     let mut seen: HashSet<Vec<LabelId>> = HashSet::new();
     let mut out: Vec<LabelPath> = Vec::new();

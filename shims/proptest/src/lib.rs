@@ -174,7 +174,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Element-count specification for [`vec`].
+    /// Element-count specification for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

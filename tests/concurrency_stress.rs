@@ -31,6 +31,7 @@ use apex_query::apex_qp::ApexProcessor;
 use apex_query::batch::QueryProcessor;
 use apex_query::Query;
 use apex_storage::bufmgr::BufferHandle;
+use apex_storage::rank::{self, Rank};
 use apex_storage::{BufferStats, DataTable, PageModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -251,10 +252,7 @@ fn refresher_publishes_while_workers_record_and_read() {
                     barrier.wait();
                     let p = LabelPath::parse(g, phase_path).expect("path");
                     for _ in 0..8 {
-                        monitor
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .record(p.clone());
+                        rank::lock(monitor, Rank::Monitor).record(p.clone());
                         // Reads interleave with recording; the snapshot
                         // is always a complete, queryable index.
                         let snap = cell.snapshot();

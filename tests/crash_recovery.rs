@@ -26,7 +26,12 @@
 //! (sharding, replication) can copy — any subsystem that claims
 //! durability should die at every offset of its write path and prove
 //! convergence the same way.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};

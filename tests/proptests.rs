@@ -981,55 +981,6 @@ mod succinct_laws {
     }
 }
 
-/// LRU buffer-manager laws: hits + misses partition the touches, the
-/// resident set respects capacity, and an unbounded pool never evicts.
-mod bufmgr_laws {
-    use apex_storage::bufmgr::{BufferManager, ObjectId, Space};
-    use apex_storage::PageModel;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
-
-        #[test]
-        fn capacity_and_counter_invariants(
-            capacity in 1u64..12,
-            touches in proptest::collection::vec((0u64..16, 0usize..40_000), 1..120),
-        ) {
-            let mut pool = BufferManager::new(PageModel::default(), capacity);
-            let mut max_obj = 0u64;
-            for &(id, bytes) in &touches {
-                pool.touch(ObjectId::new(Space::Raw, id), bytes);
-                // A just-missed object is never evicted, so residency may
-                // exceed capacity only when one object is itself larger
-                // than the pool.
-                max_obj = max_obj.max(pool.model().pages_for_bytes(bytes).max(1));
-                prop_assert!(pool.resident_pages() <= capacity.max(max_obj));
-            }
-            let s = pool.stats();
-            prop_assert_eq!(s.hits + s.misses, touches.len() as u64);
-            prop_assert_eq!(s.pages_read > 0, s.misses > 0);
-        }
-
-        #[test]
-        fn unbounded_pool_never_evicts_and_rereads(
-            touches in proptest::collection::vec((0u64..16, 0usize..40_000), 1..120),
-        ) {
-            let mut pool = BufferManager::unbounded(PageModel::default());
-            for &(id, bytes) in &touches {
-                pool.touch(ObjectId::new(Space::Raw, id), bytes);
-            }
-            let distinct: std::collections::HashSet<u64> =
-                touches.iter().map(|&(id, _)| id).collect();
-            let s = pool.stats();
-            prop_assert_eq!(s.evictions, 0);
-            // Every distinct object misses exactly once.
-            prop_assert_eq!(s.misses, distinct.len() as u64);
-            prop_assert_eq!(pool.objects(), distinct.len());
-        }
-    }
-}
-
 /// Persistence: saving and loading any refined index preserves lookups.
 mod persist_roundtrip {
     use super::{materialize, rand_graph, rand_paths, refine_checked, to_label_path};

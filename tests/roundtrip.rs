@@ -293,6 +293,8 @@ mod persist_hostile_images {
         static TRACE: Cell<u64> = const { Cell::new(0) };
         /// Blocks this thread allocated less blocks it freed.
         static LIVE: Cell<isize> = const { Cell::new(0) };
+        /// Blocks this thread has allocated.
+        static BLOCKS: Cell<usize> = const { Cell::new(0) };
     }
 
     struct Counting;
@@ -308,6 +310,7 @@ mod persist_hostile_images {
             let _ = TRACE
                 .try_with(|h| h.set((h.get() ^ layout.size() as u64).wrapping_mul(0x100000001b3)));
             let _ = LIVE.try_with(|n| n.set(n.get() + 1));
+            let _ = BLOCKS.try_with(|n| n.set(n.get() + 1));
             // SAFETY: `layout` is the caller's, passed through.
             unsafe { System.alloc(layout) }
         }
@@ -334,6 +337,14 @@ mod persist_hostile_images {
         let before = LIVE.with(Cell::get);
         let out = f();
         (out, LIVE.with(Cell::get) - before)
+    }
+
+    /// Runs `f`, returning its result and the heap blocks it allocated
+    /// (a growing `Vec` counts each reallocation).
+    pub(super) fn blocks_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = BLOCKS.with(Cell::get);
+        let out = f();
+        (out, BLOCKS.with(Cell::get) - before)
     }
 
     /// The allocation trace of `f`: the sizes it allocated, in order,
@@ -545,5 +556,158 @@ mod datatable_blocks {
     fn building_the_table_allocates_no_block_per_entry() {
         assert_few_blocks(&datagen::gedml(60, 7), "gedml(60, 7)");
         assert_few_blocks(&datagen::shakespeare(1, 7), "shakespeare(1, 7)");
+    }
+}
+
+/// The query-time kernels and operators reuse caller-owned buffers: once
+/// a call has warmed them, repeating it on the same input allocates
+/// nothing, in the operator or anything it calls. The operators that
+/// return a node list may allocate that list and nothing else.
+mod steady_state_alloc {
+    use apex_query::exec::{ExecContext, ExtentUnion, MultiwayJoin, Semijoin};
+    use apex_storage::kernels::{reverse_semijoin_into, semijoin_into};
+    use apex_storage::{
+        gallop_lower_bound_u32, merge_sorted_into, BufferHandle, EdgePair, Kernel, MergeScratch,
+        SemijoinScratch, Space, SuccinctExtent,
+    };
+    use xmlgraph::NodeId;
+
+    use super::persist_hostile_images::blocks_by;
+
+    /// Runs `f` once to warm its buffers, then returns the heap blocks
+    /// a second run allocates.
+    fn warm_blocks(mut f: impl FnMut()) -> usize {
+        f();
+        blocks_by(&mut f).1
+    }
+
+    /// An extent of several blocks: parents `from..from + 4000`, three
+    /// children each, numbered from `to`.
+    fn extent(from: u32, to: u32) -> SuccinctExtent {
+        let pairs: Vec<EdgePair> = (0..4000u32)
+            .flat_map(|p| {
+                (0..3).map(move |c| EdgePair {
+                    parent: NodeId(from + p),
+                    node: NodeId(to + 3 * p + c),
+                })
+            })
+            .collect();
+        SuccinctExtent::from_pairs(&pairs)
+    }
+
+    /// Sorted, distinct ends: every `step`-th parent.
+    fn ends(step: u32) -> Vec<NodeId> {
+        (0..4000).step_by(step as usize).map(NodeId).collect()
+    }
+
+    #[test]
+    fn kernels_allocate_nothing_once_warm() {
+        let ext = extent(0, 10_000);
+        assert!(ext.num_blocks() > 2, "{} blocks", ext.num_blocks());
+        let mut scratch = SemijoinScratch::new();
+        for step in [1, 7, 400] {
+            let ends = ends(step);
+            for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::BlockSkip] {
+                let n = warm_blocks(|| {
+                    semijoin_into(kernel, &ext, &ends, &mut scratch);
+                });
+                assert_eq!(n, 0, "semijoin_into({}) at 1:{step}", kernel.name());
+            }
+            let n = warm_blocks(|| {
+                reverse_semijoin_into(&ext, &ends, &mut scratch);
+            });
+            assert_eq!(n, 0, "reverse_semijoin_into at 1:{step}");
+        }
+
+        let lists: Vec<Vec<u32>> = (0..4u32)
+            .map(|s| (0..2000).map(|i| 4 * i + s).collect())
+            .collect();
+        let heads: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+        let (mut merge, mut out, mut work) = (MergeScratch::new(), Vec::new(), 0usize);
+        let n = warm_blocks(|| merge_sorted_into(&heads, &mut merge, &mut out, &mut work));
+        assert_eq!(n, 0, "merge_sorted_into");
+        assert_eq!(out.len(), 8000);
+        let (hit, n) = blocks_by(|| gallop_lower_bound_u32(&out, 0, 4321, &mut work));
+        assert_eq!((hit, n), (4321, 0), "gallop_lower_bound_u32");
+    }
+
+    #[test]
+    fn succinct_query_surface_allocates_nothing_once_warm() {
+        let ext = extent(0, 10_000);
+        let (mut pairs, mut nodes, mut window) = (Vec::new(), Vec::new(), Vec::new());
+        let mut seen = 0usize;
+        let n = warm_blocks(|| {
+            pairs.clear();
+            nodes.clear();
+            ext.decode_into(&mut pairs);
+            ext.decode_nodes_into(&mut nodes);
+            seen = ext.len() + usize::from(ext.is_empty()) + ext.num_frames();
+            seen += usize::from(ext.parent_bounds().is_some() && ext.node_bounds().is_some());
+            seen += ext.content_hash() as usize % 2 + ext.resident_bytes() % 2;
+            let dir = ext.directory();
+            let mut work = 0usize;
+            for k in 0..ext.num_blocks() {
+                seen += dir.count(k) + dir.pairs_before(k) + dir.byte_range(k).1;
+                seen += dir.first_block_reaching_from(0, dir.min_parent(k), &mut work);
+                seen += dir.block_of_pair(dir.pairs_before(k)) + dir.max_parent(k) as usize;
+                for f in ext.block_frames(k) {
+                    ext.frame_into(f, &mut window);
+                    seen += usize::from(ext.pair_at(f, 0).is_some());
+                }
+            }
+        });
+        assert_eq!(n, 0, "SuccinctExtent query surface");
+        assert_eq!((pairs.len(), nodes.len()), (ext.len(), ext.len()));
+        assert!(seen > 0);
+    }
+
+    #[test]
+    fn operators_allocate_only_what_they_return() {
+        // A chain: a's nodes are b's parents, b's nodes are c's.
+        let (a, b, c) = (
+            extent(0, 10_000),
+            extent(10_000, 30_000),
+            extent(30_000, 50_000),
+        );
+        let buf = BufferHandle::unbounded();
+        let mut ctx = ExecContext::new(&buf);
+        let ends = ends(3);
+        let mut out = Vec::new();
+        for kernel in [Kernel::Merge, Kernel::Gallop, Kernel::BlockSkip] {
+            let n = warm_blocks(|| {
+                out.clear();
+                Semijoin {
+                    ends: &ends,
+                    space: Space::ApexExtent,
+                    id: 1,
+                    extent: &a,
+                    kernel,
+                }
+                .run(&mut ctx, &mut out);
+            });
+            assert_eq!(n, 0, "Semijoin::run({}) into a reused out", kernel.name());
+        }
+
+        let union = || ExtentUnion {
+            sources: vec![(1, &a), (2, &b)],
+            space: Space::ApexExtent,
+        };
+        let join = || MultiwayJoin {
+            seed: vec![(1, &a)],
+            stages: vec![vec![(2, &b)], vec![(3, &c)]],
+            space: Space::ApexExtent,
+        };
+        // The operator descriptions are built outside the measurement;
+        // only `run` is counted, after one warm-up round.
+        for round in 0..2 {
+            let op = union();
+            let (nodes, n) = blocks_by(|| op.run(&mut ctx));
+            assert_eq!(nodes.len(), a.len() + b.len());
+            assert!(round == 0 || n <= 1, "ExtentUnion::run made {n} blocks");
+            let op = join();
+            let (nodes, n) = blocks_by(|| op.run(&mut ctx));
+            assert_eq!(nodes.len(), c.len());
+            assert!(round == 0 || n <= 1, "MultiwayJoin::run made {n} blocks");
+        }
     }
 }
