@@ -21,9 +21,10 @@
 # pools private to apex-storage. The rustdoc step fails on broken or
 # private doc links.
 #
-# Five bench binaries double as smoke tests (kernels, planner, and
-# fig13/fig14/fig15 as path_smoke/qtype2_smoke: they assert their own
-# guarantees). The serving layers have no load
+# Six bench binaries double as smoke tests (kernels, planner, and
+# fig13/fig14/fig15/table2 as path_smoke/qtype2_smoke: they assert their
+# own guarantees; table2 that every APEX column survives a persist round
+# trip with the same sizes and distinct extents). The serving layers have no load
 # harness here: net_smoke, shard_smoke, recovery_smoke and stress
 # repeat their thread tests under a timeout, the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
@@ -121,12 +122,17 @@ qtype2_smoke() {
 # return the same results count on every dataset (in Figure 15 the
 # Fabric only where its keys were not truncated), so a node frontier
 # that loses an arrival or a value test that drops a candidate fails
-# here. Runs in a temp dir so the BENCH_fig1{3,5}.json never land in the
+# here. Table 2 rides along (well under a second): it *asserts* that
+# every APEX column reads back from `persist::save` → `persist::load`
+# with the same IndexStats, distinct extents included, so a build or
+# refine that stops sharing one extent per content fails here. Runs in
+# a temp dir so the BENCH_{fig13,fig15,table2}.json never land in the
 # tree.
 path_smoke() {
     local out
     out=$(mktemp -d)
-    (cd "$out" && "$OLDPWD/target/release/fig13" && "$OLDPWD/target/release/fig15")
+    (cd "$out" && "$OLDPWD/target/release/fig13" && "$OLDPWD/target/release/fig15" \
+        && "$OLDPWD/target/release/table2")
     rm -rf "$out"
 }
 

@@ -4,10 +4,30 @@
 //! footprint of each APEX in the compressed block encoding.
 //! Also writes `BENCH_table2.json` with the same rows.
 //! (`cargo run -p apex-bench --release --bin table2 [--scale paper]`)
+//!
+//! Doubles as the persistence smoke test: the run *asserts* that every
+//! APEX column survives `persist::save` → `persist::load` with the same
+//! `IndexStats`, so its decoded image holds as many distinct extents as
+//! the live index and reports the same bytes.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
+use apex::{persist, Apex, IndexStats};
 use apex_bench::report::{index_row, BenchReport, Json};
 use apex_bench::{Experiment, Scale, MINSUPS};
+
+/// Asserts that `idx`, whose sizes are `s`, reads back from its
+/// `persist` image with the same sizes.
+fn assert_round_trip(dataset: &str, index: &str, idx: &Apex, s: &IndexStats) {
+    let mut image = Vec::new();
+    let loaded = persist::save(idx, &mut image)
+        .ok()
+        .and_then(|()| persist::load(&mut image.as_slice()).ok());
+    assert_eq!(
+        loaded.map(|l| l.stats()),
+        Some(*s),
+        "{dataset} {index}: the persist round trip differs from the live index"
+    );
+}
 
 fn main() {
     let scale = Scale::from_env();
@@ -26,6 +46,10 @@ fn main() {
         let oneidx = ex.oneindex();
         let apexes: Vec<_> = MINSUPS.iter().map(|&ms| ex.apex_at(ms)).collect();
         let s0 = ex.apex0.stats();
+        assert_round_trip(d.name(), "APEX0", &ex.apex0, &s0);
+        for (ms, a) in MINSUPS.iter().zip(&apexes) {
+            assert_round_trip(d.name(), &format!("APEX({ms})"), a, &a.stats());
+        }
         print!(
             "{:<18} {:<8} {:>9} {:>9} {:>8}",
             d.name(),
@@ -91,6 +115,16 @@ fn main() {
         );
         for a in &apexes {
             print!(" {:>8}", a.stats().extent_resident_bytes / 1024);
+        }
+        println!();
+        // Distinct extents held: one per content, however many classes
+        // share it.
+        print!(
+            "{:<18} {:<8} {:>9} {:>9} {:>8}",
+            "", "extents", "-", "-", s0.extents
+        );
+        for a in &apexes {
+            print!(" {:>8}", a.stats().extents);
         }
         println!();
 

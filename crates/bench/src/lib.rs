@@ -375,6 +375,7 @@ pub mod report {
                 "extent_resident_bytes",
                 Json::U64(s.extent_resident_bytes as u64),
             ),
+            ("extents", Json::U64(s.extents as u64)),
         ])
     }
 }

@@ -2,7 +2,8 @@
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use apex_storage::{EdgeSet, SuccinctExtent};
@@ -19,6 +20,24 @@ impl XNodeId {
     }
 }
 
+/// An extent as [`GApex::seal`]'s interner keys it: found by its
+/// content hash, equal only to the same bytes.
+struct Interned(Arc<SuccinctExtent>);
+
+impl Hash for Interned {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.content_hash().hash(state);
+    }
+}
+
+impl PartialEq for Interned {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Interned {}
+
 /// A node of `G_APEX`: an extent (the target edge set `T^R(p)` of its
 /// incoming label path) plus labeled edges to other nodes.
 ///
@@ -32,7 +51,8 @@ pub struct XNode {
     /// graph copies the pointer, and a build or update works on decoded
     /// copies (`GApex::open_extent`) and swaps in a new extent once
     /// when it is done (`GApex::seal`); every extent it did not change
-    /// stays the one every earlier clone holds.
+    /// stays the one every earlier clone holds, and classes with one
+    /// content hold one `Arc`.
     pub extent: Arc<SuccinctExtent>,
     /// Outgoing edges, at most one per label.
     pub edges: Vec<(LabelId, XNodeId)>,
@@ -137,13 +157,37 @@ impl GApex {
     /// so one that is no longer than the stored extent is unchanged;
     /// such nodes, like the ones never opened, keep their bytes. Seals
     /// in `XNodeId` order, so a run allocates the same way every time.
+    ///
+    /// Sealing hash-conses: a content some node already holds is shared,
+    /// not held twice, so build and refine give one `Arc` per content,
+    /// as `persist::decode` does. Contents are found by
+    /// [`SuccinctExtent::content_hash`] and compared byte for byte, so
+    /// two contents under one name stay two extents.
     pub(crate) fn seal(&mut self, open: HashMap<XNodeId, EdgeSet>) {
-        let mut open: Vec<(XNodeId, EdgeSet)> = open.into_iter().collect();
-        open.sort_unstable_by_key(|(x, _)| x.0);
-        for (x, set) in open {
-            if set.len() > self.extent(x).len() {
-                self.node_mut(x).extent = Arc::new(SuccinctExtent::from_pairs(set.pairs()));
-            }
+        let mut grown: Vec<(XNodeId, EdgeSet)> = open
+            .into_iter()
+            .filter(|(x, set)| set.len() > self.extent(*x).len())
+            .collect();
+        if grown.is_empty() {
+            return;
+        }
+        grown.sort_unstable_by_key(|(x, _)| x.0);
+        let mut held: HashSet<Interned> = self
+            .nodes
+            .iter()
+            .map(|n| Interned(Arc::clone(&n.extent)))
+            .collect();
+        for (x, set) in grown {
+            let sealed = Interned(Arc::new(SuccinctExtent::from_pairs(set.pairs())));
+            let extent = match held.get(&sealed) {
+                Some(same) => Arc::clone(&same.0),
+                None => {
+                    let extent = Arc::clone(&sealed.0);
+                    held.insert(sealed);
+                    extent
+                }
+            };
+            self.node_mut(x).extent = extent;
         }
     }
 

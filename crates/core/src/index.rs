@@ -2,6 +2,8 @@
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
+use std::sync::Arc;
+
 use apex_storage::SuccinctExtent;
 use xmlgraph::{LabelId, XmlGraph};
 
@@ -25,17 +27,6 @@ pub struct Lookup {
 /// the hash tree's result type.
 pub type SegmentNodes = QueryNodes;
 
-/// A stored extent together with its stable storage identity — what
-/// the execution layer's operators take, so every access is
-/// attributable to one buffer-pool object.
-#[derive(Debug, Clone, Copy)]
-pub struct ExtentRef<'a> {
-    /// Buffer-pool object id (the class node's arena index).
-    pub id: u64,
-    /// The stored extent.
-    pub set: &'a SuccinctExtent,
-}
-
 /// Size of the index as reported in Table 2 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
@@ -55,10 +46,13 @@ pub struct IndexStats {
     /// Uncompressed size of the same extents (8 bytes per pair).
     pub extent_raw_bytes: usize,
     /// Bytes the extents keep resident: packed payload + in-memory
-    /// frame and block headers + the rank/select directory.
-    /// This is all an index holds per extent — there is no decoded copy
-    /// beside it.
+    /// frame and block headers + the rank/select directory, each
+    /// content once however many classes share it — what the process
+    /// holds. There is no decoded copy beside it.
     pub extent_resident_bytes: usize,
+    /// Distinct extents the reachable classes hold: one per content,
+    /// shared by every class with that content.
+    pub extents: usize,
 }
 
 /// The adaptive path index (graph + hash tree + root).
@@ -146,17 +140,6 @@ impl Apex {
         self.ga.extent(x)
     }
 
-    /// Extent of a class node as a storage handle: the stored extent
-    /// plus the buffer-pool identity the execution layer charges reads
-    /// against.
-    #[inline]
-    pub fn extent_ref(&self, x: XNodeId) -> ExtentRef<'_> {
-        ExtentRef {
-            id: x.0 as u64,
-            set: self.ga.extent(x),
-        }
-    }
-
     /// Outgoing `G_APEX` edges of a class node.
     #[inline]
     pub fn out_edges(&self, x: XNodeId) -> &[(LabelId, XNodeId)] {
@@ -191,14 +174,18 @@ impl Apex {
         let mut extent_pairs = 0;
         let mut extent_encoded_bytes = 0;
         let mut extent_raw_bytes = 0;
-        let mut extent_resident_bytes = 0;
+        let mut held = Vec::new();
         for &x in &self.ga.reachable(self.xroot) {
-            let e = self.ga.extent(x);
+            let e = &self.ga.node(x).extent;
             extent_pairs += e.len();
             extent_encoded_bytes += e.image().encoded_bytes();
             extent_raw_bytes += e.len() * std::mem::size_of::<(u32, u32)>();
-            extent_resident_bytes += e.resident_bytes();
+            held.push(e);
         }
+        held.sort_unstable_by_key(|e| Arc::as_ptr(e));
+        held.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        let extent_resident_bytes = held.iter().map(|e| e.resident_bytes()).sum();
+        let extents = held.len();
         IndexStats {
             nodes,
             edges,
@@ -208,6 +195,7 @@ impl Apex {
             extent_encoded_bytes,
             extent_raw_bytes,
             extent_resident_bytes,
+            extents,
         }
     }
 

@@ -72,7 +72,7 @@ pub mod workload;
 
 pub use graph::{GApex, XNodeId};
 pub use hashtree::{EntryRef, HNodeId, HashTree};
-pub use index::{Apex, ExtentRef, IndexStats, Lookup, SegmentNodes};
+pub use index::{Apex, IndexStats, Lookup, SegmentNodes};
 pub use monitor::{MonitorState, PlanFeedback, RefreshPolicy, WorkloadMonitor};
 pub use persist::PersistError;
 pub use planstats::{ExtentStat, PlanStats};

@@ -71,7 +71,6 @@
 
 use std::collections::hash_map::{self, HashMap};
 use std::fs::File;
-use std::hash::{Hash, Hasher};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -238,24 +237,6 @@ impl From<HNodeId> for u32 {
     }
 }
 
-/// An extent keyed by its name alone: a set of them finds the content
-/// first stored under a name, at one pointer a name.
-struct Named<'a>(&'a Arc<SuccinctExtent>);
-
-impl Hash for Named<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.content_hash().hash(state);
-    }
-}
-
-impl PartialEq for Named<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.content_hash() == other.0.content_hash()
-    }
-}
-
-impl Eq for Named<'_> {}
-
 fn name_collision() -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -271,12 +252,12 @@ fn distinct_extents(apex: &Apex) -> io::Result<Vec<&Arc<SuccinctExtent>>> {
     let mut seen = HashMap::new();
     let mut out = Vec::new();
     for e in (0..ga.allocated() as u32).map(|i| &ga.node(XNodeId(i)).extent) {
-        match seen.entry(Named(e)) {
+        match seen.entry(e.content_hash()) {
             hash_map::Entry::Vacant(slot) => {
-                slot.insert(());
+                slot.insert(e);
                 out.push(e);
             }
-            hash_map::Entry::Occupied(first) if first.key().0 == e => {}
+            hash_map::Entry::Occupied(first) if *first.get() == e => {}
             hash_map::Entry::Occupied(_) => return Err(name_collision()),
         }
     }

@@ -80,7 +80,6 @@ pub struct PlanStats {
     generation: u64,
     extents: HashMap<u32, ExtentStat>,
     total_pairs: u64,
-    total_resident_bytes: u64,
     supports: HashMap<LabelPath, f64>,
     resident_pages: u64,
 }
@@ -92,19 +91,15 @@ impl PlanStats {
     pub fn assemble(index: &Apex) -> PlanStats {
         let mut extents = HashMap::new();
         let mut total_pairs = 0u64;
-        let mut total_resident_bytes = 0u64;
         for x in index.graph().reachable(index.xroot()) {
             let set = index.extent(x);
             total_pairs += set.len() as u64;
-            let stat = ExtentStat::of(set);
-            total_resident_bytes += stat.resident_bytes as u64;
-            extents.insert(x.0, stat);
+            extents.insert(x.0, ExtentStat::of(set));
         }
         PlanStats {
             generation: 0,
             extents,
             total_pairs,
-            total_resident_bytes,
             supports: HashMap::new(),
             resident_pages: 0,
         }
@@ -161,13 +156,6 @@ impl PlanStats {
         self.total_pairs
     }
 
-    /// Total resident extent bytes across all summarized extents — the
-    /// succinct in-memory footprint the buffer-residency inputs and the
-    /// bench reports surface (never the decoded 8-bytes-per-pair size).
-    pub fn total_resident_bytes(&self) -> u64 {
-        self.total_resident_bytes
-    }
-
     /// Windowed support of `p` (0.0 when unseen or no workload folded).
     pub fn path_support(&self, p: &LabelPath) -> f64 {
         self.supports.get(p).copied().unwrap_or(0.0)
@@ -217,13 +205,6 @@ mod tests {
             }
         }
         assert_eq!(st.total_pairs(), pairs);
-        let resident: u64 = idx
-            .graph()
-            .reachable(idx.xroot())
-            .iter()
-            .map(|&x| idx.extent(x).resident_bytes() as u64)
-            .sum();
-        assert_eq!(st.total_resident_bytes(), resident);
         assert!(!st.is_empty());
     }
 

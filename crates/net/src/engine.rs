@@ -4,11 +4,12 @@
 //! graph, data table, [`IndexCell`], workload monitor, optional
 //! refresher — and exposes a single [`Engine::execute`], the serving
 //! step of APEX's adaptive loop: snapshot the cell, evaluate through
-//! the shared operators against that snapshot's generation-tagged
-//! buffer identity, record the query into the monitor, and nudge the
-//! refresher when the policy says a refine is due. It is the only
-//! place that step exists: the socket server, the shard runtimes and
-//! the CLI's `serve` replay all call it. Workers on different threads
+//! the shared operators against that snapshot (extents read the
+//! engine's buffer pool under their content names, node records under
+//! the snapshot's generation), record the query into the monitor, and
+//! nudge the refresher when the policy says a refine is due. It is the
+//! only place that step exists: the socket server, the shard runtimes
+//! and the CLI's `serve` replay all call it. Workers on different threads
 //! share one `Engine` through the server's `Arc`; every handle inside
 //! is `Sync` or internally locked.
 
@@ -357,6 +358,31 @@ mod tests {
         e.execute("//movie/title", None);
         let after = e.monitor.lock().expect("monitor").total_recorded();
         assert_eq!(after - before, 2);
+    }
+
+    #[test]
+    fn serves_at_any_generation() {
+        // 2^24 is where a generation times a 2^40-byte layout stride
+        // leaves u64: node-record pages are named by generation and page,
+        // never by one product of the two.
+        let g = Arc::new(moviedb());
+        let table = Arc::new(DataTable::build(&g, PageModel::default()));
+        for generation in [1 << 24, u64::MAX] {
+            let index = Apex::build_initial(&g);
+            let cell = Arc::new(IndexCell::with_generation(index, generation));
+            let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(
+                100,
+                0.3,
+                RefreshPolicy::Manual,
+            )));
+            let e = Engine::new(Arc::clone(&g), Arc::clone(&table), cell, monitor);
+            for q in ["//movie//name", "//actor/name"] {
+                let out = e.execute(q, None);
+                assert_eq!(out.status, Status::Ok, "{q}");
+                assert_eq!(out.generation, generation);
+                assert!(out.total_rows > 0, "{q}");
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::collections::BinaryHeap;
 
 use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::bufmgr::{BufferHandle, Space};
-use apex_storage::{DataTable, KernelPolicy, SuccinctExtent};
+use apex_storage::{DataTable, KernelPolicy};
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
@@ -46,28 +46,21 @@ use crate::batch::{QueryOutput, QueryProcessor};
 use crate::exec::{self, DataProbe, ExecContext, ExtentScan, IndexNav};
 use crate::plan::{self, AncDescPlan, JoinOrderPolicy, PlanReport, Planner};
 
-/// Byte stride separating the page-packed node layouts of successive
-/// index generations inside [`Space::ApexNode`] (1 TiB per generation —
-/// far above any real layout, and a multiple of every page size in use,
-/// so the derived page ids of distinct generations never collide).
-const NAV_TAG_STRIDE: u64 = 1 << 40;
-
 /// Query processor over an [`Apex`] index.
 pub struct ApexProcessor<'a> {
     g: &'a XmlGraph,
     apex: &'a Apex,
     table: &'a DataTable,
     buf: BufferHandle,
-    /// Generation tag mixed into every buffer-pool identity (high 32
-    /// bits of extent object ids; `NAV_TAG_STRIDE` byte offset of the
-    /// node layout). A rebuilt index reuses `XNodeId`s for different
-    /// extents, so snapshot swaps without distinct tags would score
-    /// phantom pool hits on stale cached objects.
+    /// The generation whose node-record layout [`IndexNav`] charges: a
+    /// refined index reuses `XNodeId`s for other records, so each
+    /// generation's layout is its own pool object. Extents need no tag —
+    /// they name their pages by content.
     tag: u64,
     /// Page-packed byte offsets of `G_APEX` node records (16 bytes
     /// header + 8 per edge): node `x` occupies
-    /// `node_offsets[x]..node_offsets[x+1]` of [`Space::ApexNode`],
-    /// shifted by the generation tag's stride.
+    /// `node_offsets[x]..node_offsets[x+1]` of layout `tag` in
+    /// [`Space::ApexNode`].
     node_offsets: Vec<u64>,
     /// Kernel policy for every semijoin this processor runs.
     policy: KernelPolicy,
@@ -103,8 +96,8 @@ impl<'a> ApexProcessor<'a> {
     /// Creates a processor charging against a shared buffer pool under a
     /// generation tag — used by adaptive serving, where processors over
     /// different index snapshots share one pool and `tag` is the
-    /// snapshot's generation (must be `< 2³²`; generations are swap
-    /// counts, far below that).
+    /// snapshot's generation, which names its node-record pages (any
+    /// `u64`).
     pub fn with_buffer_tagged(
         g: &'a XmlGraph,
         apex: &'a Apex,
@@ -112,13 +105,9 @@ impl<'a> ApexProcessor<'a> {
         buf: BufferHandle,
         tag: u64,
     ) -> Self {
-        let mut node_offsets = exec::record_layout(
+        let node_offsets = exec::record_layout(
             (0..apex.graph().allocated()).map(|i| 16 + 8 * apex.out_edges(XNodeId(i as u32)).len()),
         );
-        let base = tag * NAV_TAG_STRIDE;
-        for off in &mut node_offsets {
-            *off += base;
-        }
         ApexProcessor {
             g,
             apex,
@@ -167,12 +156,6 @@ impl<'a> ApexProcessor<'a> {
         Planner::new(self.apex, self.stats, self.policy, self.tag)
     }
 
-    /// `(buffer id, extent)` source for class node `x`.
-    fn source(&self, x: XNodeId) -> (u64, &'a SuccinctExtent) {
-        let r = self.apex.extent_ref(x);
-        ((self.tag << 32) | r.id, r.set)
-    }
-
     /// QTYPE1 evaluation returning the answer nodes, in document order,
     /// and the plan report.
     ///
@@ -203,6 +186,7 @@ impl<'a> ApexProcessor<'a> {
             touched[i] = true;
             IndexNav {
                 space: Space::ApexNode,
+                layout: self.tag,
                 bytes: self.node_offsets[i]..self.node_offsets[i + 1],
             }
             .run(ctx);
@@ -241,8 +225,8 @@ impl<'a> ApexProcessor<'a> {
         let mut fresh: Vec<NodeId> = Vec::new();
         let mut merged: Vec<NodeId> = Vec::new();
         for &x in &plan.seeds {
-            let (id, set) = self.source(x);
-            ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
+            let set = self.apex.extent(x);
+            ExtentScan::pairs(set).run(ctx);
             let (Some(k), Some(p)) = (known.get_mut(x.0 as usize), pending.get_mut(x.0 as usize))
             else {
                 continue;
@@ -279,9 +263,8 @@ impl<'a> ApexProcessor<'a> {
                 if label != plan.last && !live {
                     continue;
                 }
-                let (id, extent) = self.source(y);
                 arrivals.clear();
-                exec::semijoin(ctx, &frontier, Space::ApexExtent, id, extent, &mut arrivals);
+                exec::semijoin(ctx, &frontier, self.apex.extent(y), &mut arrivals);
                 if arrivals.is_empty() {
                     continue;
                 }
@@ -772,23 +755,75 @@ mod tests {
         assert!(ap.eval(&q).nodes.is_empty());
     }
 
+    /// Pages an extent block read, summed over the extent operators.
+    fn extent_pages(cost: &apex_storage::Cost) -> u64 {
+        cost.pages_read - cost.ops.get(OpKind::IndexNav).pages_read()
+    }
+
     #[test]
-    fn generation_tags_partition_the_shared_pool() {
+    fn extents_share_pages_across_generations_and_node_records_do_not() {
         let g = moviedb();
         let (idx, t) = setup(&g, &["actor.name"]);
         let buf = BufferHandle::unbounded();
-        let q = q1(&g, "actor.name");
-        let gen0 = ApexProcessor::with_buffer_tagged(&g, &idx, &t, buf.clone(), 0);
-        let cold0 = gen0.eval(&q);
-        assert!(cold0.cost.pages_read > 0);
-        assert_eq!(gen0.eval(&q).cost.pages_read, 0, "same tag re-runs hit");
-        // A processor over the *same* index under a different tag models
-        // a freshly published snapshot: its objects are distinct, so the
-        // first run must miss instead of phantom-hitting gen-0 pages.
-        let gen1 = ApexProcessor::with_buffer_tagged(&g, &idx, &t, buf.clone(), 1);
-        let cold1 = gen1.eval(&q);
-        assert_eq!(cold1.cost.pages_read, cold0.cost.pages_read);
-        assert_eq!(gen1.eval(&q).cost.pages_read, 0);
+        let label = |s| g.label_id(s).unwrap();
+        let queries = [
+            q1(&g, "actor.name"),
+            q1(&g, "director.movie.title"),
+            anc_desc(label("movie"), label("name")),
+        ];
+        let run = |idx: &Apex, tag| {
+            let p = ApexProcessor::with_buffer_tagged(&g, idx, &t, buf.clone(), tag);
+            queries.iter().map(|q| p.eval(q).cost).collect::<Vec<_>>()
+        };
+        let cold = run(&idx, 0);
+        assert!(cold.iter().all(|c| extent_pages(c) > 0));
+        assert!(run(&idx, 0).iter().all(|c| c.pages_read == 0));
+        // The same index as a freshly published generation: its node
+        // records are another layout and miss, every extent block hits.
+        // 2^24 is the generation whose node pages a packed
+        // `generation × 2^40 + offset` name would wrap onto generation 0's.
+        let next = run(&idx, 1 << 24);
+        assert!(next.iter().all(|c| extent_pages(c) == 0));
+        let nav: u64 = next.iter().map(|c| c.pages_read).sum();
+        assert!(nav > 0, "generation 1 re-reads its node records");
+        assert_eq!(
+            nav,
+            cold.iter().map(|c| c.pages_read - extent_pages(c)).sum()
+        );
+
+        // After a refine that changes classes, a scan of every class
+        // reads exactly the blocks of the contents that are new.
+        let mut refined = idx.clone();
+        let wl = Workload::parse(&g, &["director.movie", "movie.title"]).unwrap();
+        refined.refine(&g, &wl, 0.1);
+        let contents = |a: &Apex| {
+            let mut held: Vec<(u64, usize)> = a
+                .graph()
+                .reachable(a.xroot())
+                .iter()
+                .map(|&x| (a.extent(x).content_hash(), a.extent(x).num_blocks()))
+                .collect();
+            held.sort_unstable();
+            held.dedup();
+            held
+        };
+        let scan_all = |a: &Apex| {
+            let mut ctx = ExecContext::new(&buf);
+            for x in a.graph().reachable(a.xroot()) {
+                ExtentScan::pairs(a.extent(x)).run(&mut ctx);
+            }
+            ctx.finish().pages_read
+        };
+        scan_all(&idx);
+        let old = contents(&idx);
+        let changed: Vec<_> = contents(&refined)
+            .into_iter()
+            .filter(|c| !old.contains(c))
+            .collect();
+        assert!(!changed.is_empty(), "the refine changes classes");
+        assert!(changed.len() < old.len());
+        let blocks: usize = changed.iter().map(|c| c.1).sum();
+        assert_eq!(scan_all(&refined), blocks as u64);
     }
 
     #[test]

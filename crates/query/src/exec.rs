@@ -15,9 +15,11 @@
 //!
 //! Pair extents are charged at *block* granularity: each page-sized
 //! compressed block of an extent (see `apex_storage::block`) is its own
-//! pool object, so a kernel that skips a block via the skip index never
+//! pool page, so a kernel that skips a block via the skip index never
 //! faults its page, and `pages_read` reflects both the compression and
-//! the skipping.
+//! the skipping. A stored extent names its pages itself, by its content
+//! hash ([`SuccinctExtent::content_hash`]): one content is one set of
+//! pool pages, whichever class or index generation holds it.
 //!
 //! Operators *read* stored extents as [`SuccinctExtent`] (what the
 //! index holds; the kernels scan its blocks in place) and *hand each
@@ -126,7 +128,7 @@ impl<'a> ExecContext<'a> {
         xmlgraph::sort_distinct(nodes, &mut self.scratch.words);
     }
 
-    /// One forward join stage: semijoins every `(id, extent)` of `stage`
+    /// One forward join stage: semijoins every extent of `stage`
     /// against the sorted, distinct `frontier` and replaces the frontier
     /// with the stage's sorted, distinct arrivals. The arrivals collect
     /// in the context's node buffer, which keeps the old frontier's
@@ -134,13 +136,12 @@ impl<'a> ExecContext<'a> {
     pub(crate) fn advance<'e>(
         &mut self,
         frontier: &mut Vec<NodeId>,
-        space: Space,
-        stage: impl IntoIterator<Item = (u64, &'e SuccinctExtent)>,
+        stage: impl IntoIterator<Item = &'e SuccinctExtent>,
     ) {
         let mut arrivals = std::mem::take(&mut self.scratch.nodes);
         arrivals.clear();
-        for (id, extent) in stage {
-            semijoin(self, frontier, space, id, extent, &mut arrivals);
+        for extent in stage {
+            semijoin(self, frontier, extent, &mut arrivals);
         }
         self.sort_distinct(&mut arrivals);
         std::mem::swap(frontier, &mut arrivals);
@@ -221,23 +222,19 @@ fn keep_going(deadline: Option<Instant>, interrupted: &mut bool) -> bool {
     !*interrupted
 }
 
-/// Buffer-pool identity of block `k` of pair extent `id`: the extent id
-/// shifted into the high bits with the block index below it. Extent ids
-/// must stay below 2⁴⁸ — they are `(generation_tag << 32) | xnode`, so
-/// this bounds generation tags to 2¹⁶ (snapshot swap counts, far
-/// below).
+/// Buffer-pool name of block `k` of the stored extent `set`: page `k`
+/// of the object its content hash names.
 #[inline]
-pub(crate) fn block_oid(space: Space, id: u64, k: u32) -> ObjectId {
-    debug_assert!(id < 1 << 48, "extent id {id:#x} overflows block ids");
-    ObjectId::new(space, (id << 16) | k as u64)
+pub(crate) fn block_oid(set: &SuccinctExtent, k: u32) -> ObjectId {
+    ObjectId::paged(Space::ApexExtent, set.content_hash(), k as u64)
 }
 
 /// Charges every block of `set` (a full scan), returning pages read.
-fn charge_all_blocks(buf: &BufferHandle, space: Space, id: u64, set: &SuccinctExtent) -> u64 {
+fn charge_all_blocks(buf: &BufferHandle, set: &SuccinctExtent) -> u64 {
     let bx = set.image();
     let mut pages = 0;
     for k in 0..bx.num_blocks() {
-        pages += buf.touch(block_oid(space, id, k as u32), bx.block_bytes(k));
+        pages += buf.touch(block_oid(set, k as u32), bx.block_bytes(k));
     }
     pages
 }
@@ -247,11 +244,7 @@ fn charge_all_blocks(buf: &BufferHandle, space: Space, id: u64, set: &SuccinctEx
 /// (posting lists, adjacency lists).
 #[derive(Debug, Clone)]
 enum ScanTarget<'a> {
-    Blocks {
-        space: Space,
-        id: u64,
-        set: &'a SuccinctExtent,
-    },
+    Blocks(&'a SuccinctExtent),
     Object {
         id: ObjectId,
         bytes: usize,
@@ -276,9 +269,9 @@ pub struct ExtentScan<'a> {
 impl<'a> ExtentScan<'a> {
     /// Scan of an edge-pair extent, stored as compressed blocks: every
     /// block is faulted (it's a full scan) at its encoded size.
-    pub fn pairs(space: Space, id: u64, set: &'a SuccinctExtent) -> Self {
+    pub fn pairs(set: &'a SuccinctExtent) -> Self {
         ExtentScan {
-            target: ScanTarget::Blocks { space, id, set },
+            target: ScanTarget::Blocks(set),
             len: set.len(),
         }
     }
@@ -308,9 +301,9 @@ impl<'a> ExtentScan<'a> {
         ctx.attributed(OpKind::ExtentScan, |cost, buf, _| {
             cost.extent_pairs += self.len as u64;
             cost.pages_read += match self.target {
-                ScanTarget::Blocks { space, id, set } => charge_all_blocks(buf, space, id, set),
+                ScanTarget::Blocks(set) => charge_all_blocks(buf, set),
                 ScanTarget::Object { id, bytes } => buf.touch(id, bytes),
-                ScanTarget::Packed { space, bytes } => buf.touch_byte_range(space, bytes),
+                ScanTarget::Packed { space, bytes } => buf.touch_byte_range(space, 0, bytes),
             };
         })
     }
@@ -325,10 +318,8 @@ impl<'a> ExtentScan<'a> {
 /// of its pairs and all of its blocks.
 #[derive(Debug)]
 pub struct ExtentUnion<'a> {
-    /// `(buffer id, extent)` sources, scanned in order.
-    pub sources: Vec<(u64, &'a SuccinctExtent)>,
-    /// The address space the ids live in.
-    pub space: Space,
+    /// The extents, scanned in order.
+    pub sources: Vec<&'a SuccinctExtent>,
 }
 
 impl ExtentUnion<'_> {
@@ -336,10 +327,10 @@ impl ExtentUnion<'_> {
     /// nodes.
     pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.attributed(OpKind::ExtentUnion, |cost, buf, scratch| {
-            let mut nodes = Vec::with_capacity(self.sources.iter().map(|s| s.1.len()).sum());
-            for (id, set) in &self.sources {
+            let mut nodes = Vec::with_capacity(self.sources.iter().map(|s| s.len()).sum());
+            for set in &self.sources {
                 cost.extent_pairs += set.len() as u64;
-                cost.pages_read += charge_all_blocks(buf, self.space, *id, set);
+                cost.pages_read += charge_all_blocks(buf, set);
                 set.decode_nodes_into(&mut nodes);
             }
             xmlgraph::sort_distinct(&mut nodes, &mut scratch.words);
@@ -356,10 +347,6 @@ impl ExtentUnion<'_> {
 pub struct Semijoin<'a> {
     /// Sorted, distinct end nodes driving the join.
     pub ends: &'a [NodeId],
-    /// The address space of the extent.
-    pub space: Space,
-    /// Buffer id of the extent (block ids derive from it).
-    pub id: u64,
     /// The joined extent.
     pub extent: &'a SuccinctExtent,
     /// The kernel to run.
@@ -383,10 +370,7 @@ impl Semijoin<'_> {
                 kernels::semijoin_into(self.kernel, self.extent, self.ends, &mut scratch.semi);
             let bx = self.extent.image();
             for &k in &scratch.semi.blocks {
-                cost.pages_read += buf.touch(
-                    block_oid(self.space, self.id, k),
-                    bx.block_bytes(k as usize),
-                );
+                cost.pages_read += buf.touch(block_oid(self.extent, k), bx.block_bytes(k as usize));
             }
             cost.extent_pairs += report.pairs_read as u64;
             cost.join_work += report.work as u64;
@@ -403,16 +387,12 @@ impl Semijoin<'_> {
 pub fn semijoin(
     ctx: &mut ExecContext<'_>,
     ends: &[NodeId],
-    space: Space,
-    id: u64,
     extent: &SuccinctExtent,
     out: &mut Vec<NodeId>,
 ) {
     let kernel = ctx.policy.choose(ends.len(), extent);
     Semijoin {
         ends,
-        space,
-        id,
         extent,
         kernel,
     }
@@ -426,13 +406,11 @@ pub fn semijoin(
 /// operators; this one only counts its invocation.
 #[derive(Debug)]
 pub struct MultiwayJoin<'a> {
-    /// The exact segment's `(id, extent)` sources.
-    pub seed: Vec<(u64, &'a SuccinctExtent)>,
+    /// The exact segment's class extents.
+    pub seed: Vec<&'a SuccinctExtent>,
     /// One entry per later segment: the class extents semijoined
     /// against the running result.
-    pub stages: Vec<Vec<(u64, &'a SuccinctExtent)>>,
-    /// The address space of every id.
-    pub space: Space,
+    pub stages: Vec<Vec<&'a SuccinctExtent>>,
 }
 
 impl MultiwayJoin<'_> {
@@ -441,11 +419,7 @@ impl MultiwayJoin<'_> {
     /// answer: the nodes reached so far end a prefix of the path.
     pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.cost.ops.record(OpKind::MultiwayJoin, true, [0; 8]);
-        let mut frontier = ExtentUnion {
-            sources: self.seed,
-            space: self.space,
-        }
-        .run(ctx);
+        let mut frontier = ExtentUnion { sources: self.seed }.run(ctx);
         for stage in self.stages {
             if frontier.is_empty() {
                 break;
@@ -454,7 +428,7 @@ impl MultiwayJoin<'_> {
                 frontier.clear();
                 break;
             }
-            ctx.advance(&mut frontier, self.space, stage);
+            ctx.advance(&mut frontier, stage);
         }
         frontier
     }
@@ -501,6 +475,10 @@ impl DataProbe<'_> {
 pub struct IndexNav {
     /// The record space (e.g. [`Space::GuideNode`]).
     pub space: Space,
+    /// The record layout within `space`: an index generation's, where
+    /// generations reuse node ids for other records (APEX); 0 where an
+    /// index has one layout.
+    pub layout: u64,
     /// Byte range of the visited record(s) in the packed layout.
     pub bytes: std::ops::Range<u64>,
 }
@@ -509,7 +487,7 @@ impl IndexNav {
     /// Charges the record pages.
     pub fn run(self, ctx: &mut ExecContext<'_>) {
         ctx.attributed(OpKind::IndexNav, |cost, buf, _| {
-            cost.pages_read += buf.touch_byte_range(self.space, self.bytes);
+            cost.pages_read += buf.touch_byte_range(self.space, self.layout, self.bytes);
         })
     }
 }
@@ -584,8 +562,8 @@ mod tests {
         let buf = BufferHandle::unbounded();
         let set = stored(&[(1, 2), (3, 4)]);
         let mut ctx = ExecContext::new(&buf);
-        ExtentScan::pairs(Space::ApexExtent, 7, &set).run(&mut ctx);
-        ExtentScan::pairs(Space::ApexExtent, 7, &set).run(&mut ctx);
+        ExtentScan::pairs(&set).run(&mut ctx);
+        ExtentScan::pairs(&set).run(&mut ctx);
         let cost = ctx.finish();
         assert_eq!(cost.extent_pairs, 4);
         assert_eq!(cost.pages_read, 1, "second scan hits the pool");
@@ -604,8 +582,7 @@ mod tests {
         let b = stored(&[(0, 9), (3, 2)]);
         let mut ctx = ExecContext::new(&buf);
         let u = ExtentUnion {
-            sources: vec![(0, &a), (1, &b)],
-            space: Space::ApexExtent,
+            sources: vec![&a, &b],
         }
         .run(&mut ctx);
         assert_eq!(u, ids(&[2, 4, 9]));
@@ -613,7 +590,7 @@ mod tests {
         // 3 ends vs a 3-pair extent: same order, so the merge kernel runs.
         let next = stored(&[(2, 7), (4, 9), (5, 5)]);
         let mut hit = Vec::new();
-        semijoin(&mut ctx, &u, Space::ApexExtent, 2, &next, &mut hit);
+        semijoin(&mut ctx, &u, &next, &mut hit);
         assert_eq!(hit, ids(&[7, 9]));
         let cost = ctx.finish();
         assert_eq!(cost.ops.get(OpKind::SemijoinMerge).invocations, 1);
@@ -646,7 +623,7 @@ mod tests {
         ] {
             let mut ctx = ExecContext::with_policy(&buf, policy);
             let mut hit = Vec::new();
-            semijoin(&mut ctx, &ends, Space::ApexExtent, 9, &extent, &mut hit);
+            semijoin(&mut ctx, &ends, &extent, &mut hit);
             assert_eq!(hit, ids(&[11, 4_001]), "{}", policy.name());
             let cost = ctx.finish();
             assert_eq!(cost.ops.get(kind).invocations, 1, "{}", policy.name());
@@ -666,14 +643,7 @@ mod tests {
         assert!(blocks > 2);
         let mut ctx = ExecContext::new(&buf);
         let mut hit = Vec::new();
-        semijoin(
-            &mut ctx,
-            &[NodeId(1)],
-            Space::ApexExtent,
-            3,
-            &extent,
-            &mut hit,
-        );
+        semijoin(&mut ctx, &[NodeId(1)], &extent, &mut hit);
         assert_eq!(hit, ids(&[2]));
         let probe_pages = ctx.cost.pages_read;
         assert!(
@@ -681,7 +651,7 @@ mod tests {
             "a point probe must not fault all {blocks} blocks"
         );
         // A full scan faults the remaining blocks.
-        ExtentScan::pairs(Space::ApexExtent, 3, &extent).run(&mut ctx);
+        ExtentScan::pairs(&extent).run(&mut ctx);
         assert_eq!(ctx.finish().pages_read, blocks);
     }
 
@@ -695,9 +665,8 @@ mod tests {
         let s2 = stored(&[(2, 10)]);
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
-            seed: vec![(0, &seed)],
-            stages: vec![vec![(1, &s1), (2, &s2)]],
-            space: Space::ApexExtent,
+            seed: vec![&seed],
+            stages: vec![vec![&s1, &s2]],
         }
         .run(&mut ctx);
         assert_eq!(out, ids(&[10, 11]));
@@ -732,8 +701,7 @@ mod tests {
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
             seed: vec![],
-            stages: vec![vec![(1, &s1)]],
-            space: Space::ApexExtent,
+            stages: vec![vec![&s1]],
         }
         .run(&mut ctx);
         assert!(out.is_empty());
@@ -752,9 +720,8 @@ mod tests {
         let mut ctx = ExecContext::new(&buf);
         ctx.set_deadline(Instant::now());
         let out = MultiwayJoin {
-            seed: vec![(0, &seed)],
-            stages: vec![vec![(1, &s1)]],
-            space: Space::ApexExtent,
+            seed: vec![&seed],
+            stages: vec![vec![&s1]],
         }
         .run(&mut ctx);
         assert!(out.is_empty());
@@ -799,11 +766,13 @@ mod tests {
         let mut ctx = ExecContext::new(&buf);
         IndexNav {
             space: Space::GuideNode,
+            layout: 0,
             bytes: offsets[0]..offsets[1],
         }
         .run(&mut ctx);
         IndexNav {
             space: Space::GuideNode,
+            layout: 0,
             bytes: offsets[1]..offsets[2],
         }
         .run(&mut ctx);
@@ -811,6 +780,7 @@ mod tests {
         assert_eq!(ctx.cost.pages_read, 1);
         IndexNav {
             space: Space::GuideNode,
+            layout: 0,
             bytes: offsets[2]..offsets[3],
         }
         .run(&mut ctx);

@@ -173,6 +173,7 @@ impl<'a, I: RootedIndex> GuideProcessor<'a, I> {
             touched[i] = true;
             IndexNav {
                 space: I::node_space(),
+                layout: 0,
                 bytes: self.node_offsets[i]..self.node_offsets[i + 1],
             }
             .run(ctx);

@@ -41,7 +41,6 @@
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
 use apex::{Apex, ExtentStat, PlanStats, XNodeId};
-use apex_storage::bufmgr::Space;
 use apex_storage::kernels::reverse_semijoin_into;
 use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId};
@@ -354,38 +353,32 @@ pub struct PathPlan {
 }
 
 /// The cost-based planner: borrows the index, an optional statistics
-/// snapshot (falling back to the stored extents themselves), the
-/// kernel policy in force, and the generation tag that scopes buffer
-/// identities.
+/// snapshot (falling back to the stored extents themselves) and the
+/// kernel policy in force.
 pub struct Planner<'a> {
     apex: &'a Apex,
     stats: Option<&'a PlanStats>,
     policy: KernelPolicy,
-    tag: u64,
 }
 
 impl<'a> Planner<'a> {
     /// A planner over `apex`, optionally reading `stats` instead of the
     /// live extents.
+    ///
+    /// `_generation` is unused: extents name their buffer pages by
+    /// content, so a plan is the same in every generation. It stays
+    /// only because `perf/src/trace.rs` passes it.
     pub fn new(
         apex: &'a Apex,
         stats: Option<&'a PlanStats>,
         policy: KernelPolicy,
-        tag: u64,
+        _generation: u64,
     ) -> Self {
         Planner {
             apex,
             stats,
             policy,
-            tag,
         }
-    }
-
-    /// `(buffer id, extent)` source for class node `x` under this
-    /// planner's generation tag.
-    fn source(&self, x: XNodeId) -> (u64, &'a SuccinctExtent) {
-        let r = self.apex.extent_ref(x);
-        ((self.tag << 32) | r.id, r.set)
     }
 
     /// Summarizes one stage from the snapshot, or (per missing extent)
@@ -718,11 +711,10 @@ impl<'a> Planner<'a> {
             return Vec::new();
         };
         MultiwayJoin {
-            seed: seed.iter().map(|&x| self.source(x)).collect(),
+            seed: seed.iter().map(|&x| self.apex.extent(x)).collect(),
             stages: it
-                .map(|classes| classes.iter().map(|&x| self.source(x)).collect())
+                .map(|classes| classes.iter().map(|&x| self.apex.extent(x)).collect())
                 .collect(),
-            space: Space::ApexExtent,
         }
         .run(ctx)
     }
@@ -732,7 +724,6 @@ impl<'a> Planner<'a> {
     /// reduction is a scan-side pass).
     fn reverse_step(
         &self,
-        id: u64,
         set: &SuccinctExtent,
         parents: &[NodeId],
         ctx: &mut ExecContext<'_>,
@@ -741,10 +732,7 @@ impl<'a> Planner<'a> {
             let report = reverse_semijoin_into(set, parents, &mut scratch.semi);
             let bx = set.image();
             for &kb in &scratch.semi.blocks {
-                cost.pages_read += buf.touch(
-                    exec::block_oid(Space::ApexExtent, id, kb),
-                    bx.block_bytes(kb as usize),
-                );
+                cost.pages_read += buf.touch(exec::block_oid(set, kb), bx.block_bytes(kb as usize));
             }
             cost.extent_pairs += report.pairs_read as u64;
             cost.join_work += report.work as u64;
@@ -798,8 +786,8 @@ impl<'a> Planner<'a> {
         let mut parents: Vec<NodeId> = Vec::new();
         let mut scratch = Vec::new();
         for &x in &plan.stages[k] {
-            let (id, set) = self.source(x);
-            ExtentScan::pairs(Space::ApexExtent, id, set).run(ctx);
+            let set = self.apex.extent(x);
+            ExtentScan::pairs(set).run(ctx);
             scratch.clear();
             set.decode_into(&mut scratch);
             parents.extend(scratch.iter().map(|p| p.parent));
@@ -816,8 +804,7 @@ impl<'a> Planner<'a> {
             }
             let mut stage_red = EdgeSet::new();
             for &x in &plan.stages[i] {
-                let (id, set) = self.source(x);
-                let hit = self.reverse_step(id, set, &parents, ctx);
+                let hit = self.reverse_step(self.apex.extent(x), &parents, ctx);
                 stage_red.union_in_place(&hit, &mut scratch);
             }
             if stage_red.is_empty() {
@@ -839,8 +826,10 @@ impl<'a> Planner<'a> {
             seed
         } else {
             ExtentUnion {
-                sources: plan.stages[0].iter().map(|&x| self.source(x)).collect(),
-                space: Space::ApexExtent,
+                sources: plan.stages[0]
+                    .iter()
+                    .map(|&x| self.apex.extent(x))
+                    .collect(),
             }
             .run(ctx)
         };
@@ -857,8 +846,8 @@ impl<'a> Planner<'a> {
             if i >= lo && i < k {
                 self.memory_join(ctx, &mut frontier, &reduced[i]);
             } else {
-                let stage = plan.stages[i].iter().map(|&x| self.source(x));
-                ctx.advance(&mut frontier, Space::ApexExtent, stage);
+                let stage = plan.stages[i].iter().map(|&x| self.apex.extent(x));
+                ctx.advance(&mut frontier, stage);
             }
         }
         frontier
@@ -1201,11 +1190,10 @@ mod tests {
         let mut it = segments.into_iter().rev();
         let seed = it.next().unwrap();
         let legacy = MultiwayJoin {
-            seed: seed.iter().map(|&x| planner.source(x)).collect(),
+            seed: seed.iter().map(|&x| planner.apex.extent(x)).collect(),
             stages: it
-                .map(|cs| cs.iter().map(|&x| planner.source(x)).collect())
+                .map(|cs| cs.iter().map(|&x| planner.apex.extent(x)).collect())
                 .collect(),
-            space: Space::ApexExtent,
         }
         .run(&mut ctx2);
         assert_eq!(out, legacy);

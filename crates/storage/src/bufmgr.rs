@@ -7,10 +7,11 @@
 //! [`BufferManager`] models exactly that: a page-capacity-bounded LRU
 //! over storage objects with hit/miss/eviction counters.
 //!
-//! Objects are addressed by [`ObjectId`] — a storage-space tag plus a
-//! numeric id — so extents of different index structures, page-packed
-//! node records, posting lists, table pages and trie blocks never
-//! collide in the pool.
+//! Objects are addressed by [`ObjectId`] — a storage-space tag, the
+//! object within that space and a page within the object — so extents
+//! of different index structures, page-packed node records, posting
+//! lists, table pages and trie blocks never collide in the pool, and no
+//! two of those numbers are packed into one.
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
@@ -25,9 +26,11 @@ use crate::rank::{self, Guard, Rank};
 /// Storage address spaces sharing one buffer pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Space {
-    /// `G_APEX` class-node extents (keyed by `XNodeId`).
+    /// `G_APEX` class-node extents (keyed by content hash, one page per
+    /// block).
     ApexExtent,
-    /// Page-packed `G_APEX` node records (keyed by page number).
+    /// Page-packed `G_APEX` node records (keyed by index generation,
+    /// then page number).
     ApexNode,
     /// Strong-DataGuide node extents (keyed by `DgNodeId`).
     GuideExtent,
@@ -49,20 +52,29 @@ pub enum Space {
     Raw,
 }
 
-/// A buffered storage object: one extent, record page, table page, …
+/// A buffered storage object: one extent block, record page, table
+/// page, …
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectId {
     /// Which structure the object belongs to.
     pub space: Space,
     /// Object id within that space.
     pub id: u64,
+    /// Page within the object (0 for an object held as one).
+    pub page: u64,
 }
 
 impl ObjectId {
-    /// Convenience constructor.
+    /// Object `id` of `space`, held as one.
     #[inline]
     pub fn new(space: Space, id: u64) -> Self {
-        ObjectId { space, id }
+        Self::paged(space, id, 0)
+    }
+
+    /// Page `page` of object `id` of `space`.
+    #[inline]
+    pub fn paged(space: Space, id: u64, page: u64) -> Self {
+        ObjectId { space, id, page }
     }
 }
 
@@ -420,9 +432,10 @@ impl BufferHandle {
         delta.pages_read
     }
 
-    /// Touches every page overlapping `bytes` (half-open) in a
-    /// page-packed `space`; returns pages read. Empty ranges are free.
-    pub fn touch_byte_range(&self, space: Space, bytes: std::ops::Range<u64>) -> u64 {
+    /// Touches every page overlapping `bytes` (half-open) of the
+    /// page-packed object `id` of `space`; returns pages read. Empty
+    /// ranges are free.
+    pub fn touch_byte_range(&self, space: Space, id: u64, bytes: std::ops::Range<u64>) -> u64 {
         if bytes.start >= bytes.end {
             return 0;
         }
@@ -432,7 +445,7 @@ impl BufferHandle {
             let (first, last) = (bytes.start / psz, (bytes.end - 1) / psz);
             let mut delta = BufferStats::default();
             for page in first..=last {
-                delta += mgr.touch_pages_delta(ObjectId::new(space, page), 1);
+                delta += mgr.touch_pages_delta(ObjectId::paged(space, id, page), 1);
             }
             delta
         };
@@ -541,15 +554,20 @@ mod tests {
     fn byte_ranges_touch_pages_once() {
         let h = BufferHandle::unbounded();
         // Pages 0..=2.
-        assert_eq!(h.touch_byte_range(Space::GraphAdjacency, 0..3 * 8192), 3);
+        assert_eq!(h.touch_byte_range(Space::GraphAdjacency, 0, 0..3 * 8192), 3);
         // Overlapping range: page 2 is resident, page 3 is new.
         assert_eq!(
-            h.touch_byte_range(Space::GraphAdjacency, 2 * 8192..4 * 8192),
+            h.touch_byte_range(Space::GraphAdjacency, 0, 2 * 8192..4 * 8192),
             1
         );
-        assert_eq!(h.touch_byte_range(Space::GraphAdjacency, 5..5), 0);
+        assert_eq!(h.touch_byte_range(Space::GraphAdjacency, 0, 5..5), 0);
+        // The same pages of another object are other pages, at any id.
+        assert_eq!(
+            h.touch_byte_range(Space::GraphAdjacency, u64::MAX, 0..8192),
+            1
+        );
         let s = h.stats();
-        assert_eq!(s.misses, 4);
+        assert_eq!(s.misses, 5);
         assert_eq!(s.hits, 1);
     }
 

@@ -402,7 +402,7 @@ mod edgeset_laws {
 /// results.
 mod exec_laws {
     use apex_query::exec::{self, ExecContext, ExtentScan, ExtentUnion};
-    use apex_storage::bufmgr::{BufferHandle, Space};
+    use apex_storage::bufmgr::BufferHandle;
     use apex_storage::kernels::{self, KernelPolicy, SemijoinScratch};
     use apex_storage::{EdgePair, EdgeSet, OpKind, SuccinctExtent};
     use proptest::prelude::*;
@@ -433,7 +433,7 @@ mod exec_laws {
             let buf = BufferHandle::unbounded();
             let mut ctx = ExecContext::new(&buf);
             let mut hit = Vec::new();
-            exec::semijoin(&mut ctx, &ends, Space::ApexExtent, 0, &sb, &mut hit);
+            exec::semijoin(&mut ctx, &ends, &sb, &mut hit);
             let expect: Vec<EdgePair> = sb
                 .to_vec()
                 .into_iter()
@@ -465,10 +465,9 @@ mod exec_laws {
             let (sa, sb) = (stored(&a), stored(&b));
             let buf = BufferHandle::unbounded();
             let mut ctx = ExecContext::new(&buf);
-            ExtentScan::pairs(Space::ApexExtent, 0, &sa).run(&mut ctx);
+            ExtentScan::pairs(&sa).run(&mut ctx);
             let u = ExtentUnion {
-                sources: vec![(0, &sa), (1, &sb)],
-                space: Space::ApexExtent,
+                sources: vec![&sa, &sb],
             }
             .run(&mut ctx);
             // The union is the sorted, distinct end nodes of both
@@ -479,7 +478,7 @@ mod exec_laws {
                 (sa.len() + sb.len()) as u64
             );
             let mut hit = Vec::new();
-            exec::semijoin(&mut ctx, &u, Space::ApexExtent, 2, &sb, &mut hit);
+            exec::semijoin(&mut ctx, &u, &sb, &mut hit);
             let cost = ctx.finish();
             // Per-operator scalars sum exactly to the query totals.
             for (i, total) in cost.scalars().iter().enumerate() {
@@ -496,12 +495,11 @@ mod exec_laws {
             let run = |buf: &BufferHandle| {
                 let mut ctx = ExecContext::new(buf);
                 let u = ExtentUnion {
-                    sources: vec![(0, &sa), (1, &sb)],
-                    space: Space::ApexExtent,
+                    sources: vec![&sa, &sb],
                 }
                 .run(&mut ctx);
                 let mut hit = Vec::new();
-                exec::semijoin(&mut ctx, &u, Space::ApexExtent, 2, &sb, &mut hit);
+                exec::semijoin(&mut ctx, &u, &sb, &mut hit);
                 (u, hit, ctx.finish())
             };
             let (cold_union, cold_hit, cold) = run(&buf);

@@ -147,6 +147,55 @@ fn double_roundtrip_is_stable() {
     assert_write_stable(&g2);
 }
 
+/// Extents a live index and its `persist` round trip hold, counted as
+/// `(Arcs, distinct content hashes)` over every class node.
+fn held_extents(idx: &Apex) -> (usize, usize) {
+    let ga = idx.graph();
+    let extents: Vec<_> = (0..ga.allocated() as u32)
+        .map(|i| &ga.node(apex::XNodeId(i)).extent)
+        .collect();
+    let mut arcs: Vec<_> = extents.iter().map(|e| std::sync::Arc::as_ptr(e)).collect();
+    let mut names: Vec<u64> = extents.iter().map(|e| e.content_hash()).collect();
+    arcs.sort_unstable();
+    arcs.dedup();
+    names.sort_unstable();
+    names.dedup();
+    (arcs.len(), names.len())
+}
+
+/// Live equals recovered: build and refine hash-cons what they seal, as
+/// the decoder does, so APEX⁰ and a refined index of every family hold
+/// one `Arc` per content, the same number as their round trip, and
+/// report the same sizes.
+#[test]
+fn a_live_index_holds_what_its_round_trip_holds() {
+    use apex_query::generator::GeneratorConfig;
+    use apex_suite::{small, Fixture};
+    let cfg = GeneratorConfig {
+        qtype1: 200,
+        qtype2: 0,
+        qtype3: 0,
+        seed: 0xA9E,
+        ..GeneratorConfig::default()
+    };
+    for (family, g) in [
+        ("gedml", small::ged()),
+        ("flix", small::flix()),
+        ("shakespeare", small::play()),
+    ] {
+        let fx = Fixture::build(g, cfg);
+        for (kind, live) in [("APEX0", fx.apex0.clone()), ("refined", fx.apex_at(0.005))] {
+            let mut image = Vec::new();
+            apex::persist::save(&live, &mut image).unwrap();
+            let loaded = apex::persist::load(&mut image.as_slice()).unwrap();
+            let (arcs, contents) = held_extents(&live);
+            assert_eq!(arcs, contents, "{family} {kind}: one Arc per content");
+            assert_eq!(held_extents(&loaded), (arcs, contents), "{family} {kind}");
+            assert_eq!(live.stats(), loaded.stats(), "{family} {kind}");
+        }
+    }
+}
+
 /// Persistence fidelity under randomization: `persist::save` →
 /// `persist::load` must preserve extents, the hash tree's required
 /// paths, and the answers of every query — for arbitrary graphs,
@@ -568,7 +617,7 @@ mod steady_state_alloc {
     use apex_storage::kernels::{reverse_semijoin_into, semijoin_into};
     use apex_storage::{
         gallop_lower_bound_u32, merge_sorted_into, BufferHandle, EdgePair, Kernel, MergeScratch,
-        SemijoinScratch, Space, SuccinctExtent,
+        SemijoinScratch, SuccinctExtent,
     };
     use xmlgraph::NodeId;
 
@@ -678,8 +727,6 @@ mod steady_state_alloc {
                 out.clear();
                 Semijoin {
                     ends: &ends,
-                    space: Space::ApexExtent,
-                    id: 1,
                     extent: &a,
                     kernel,
                 }
@@ -689,13 +736,11 @@ mod steady_state_alloc {
         }
 
         let union = || ExtentUnion {
-            sources: vec![(1, &a), (2, &b)],
-            space: Space::ApexExtent,
+            sources: vec![&a, &b],
         };
         let join = || MultiwayJoin {
-            seed: vec![(1, &a)],
-            stages: vec![vec![(2, &b)], vec![(3, &c)]],
-            space: Space::ApexExtent,
+            seed: vec![&a],
+            stages: vec![vec![&b], vec![&c]],
         };
         // The operator descriptions are built outside the measurement;
         // only `run` is counted, after one warm-up round.
