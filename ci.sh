@@ -29,7 +29,7 @@
 # repeat their thread tests under a timeout, the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
 # (built and tested by perf_gate, which also serves one second of its
-# solo-mixed workload).
+# solo-mixed workload, untraced and traced).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -208,12 +208,17 @@ shard_smoke() {
 # own tests against the tree as it is (into perf/target, git-ignored).
 # Then serve one second of solo-mixed: the only place CI runs QTYPE3 at
 # scale (Ged03's pool through Engine::execute, a sample re-answered by
-# the naive scan; the figure smoke tests use default scale). apex-perf
-# exits non-zero on a wrong answer or an invalid run, failing the step.
+# the naive scan; the figure smoke tests use default scale). Then one
+# traced second: the traced path replicates Engine::execute and a
+# refresh step by step through the public API, and is the only caller
+# of the statistics shims, so it has to run, not just compile. apex-perf
+# exits non-zero on a wrong answer, an invalid run, or a traced metric
+# that is set but not listed in BENCHMARK.json, failing the step.
 perf_gate() {
     cargo build --release --offline --manifest-path perf/Cargo.toml
     cargo test --offline --manifest-path perf/Cargo.toml --quiet
     bash perf/run.sh --workload solo-mixed --seed 1 --seconds 1 --trace 0
+    bash perf/run.sh --workload solo-mixed --seed 1 --seconds 1 --trace 1
 }
 
 # Rustdoc with warnings denied: a doc link to a deleted or private item,

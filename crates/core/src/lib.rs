@@ -62,7 +62,6 @@ pub mod hashtree;
 pub mod index;
 pub mod monitor;
 pub mod persist;
-pub mod planstats;
 pub mod recover;
 pub mod serve;
 pub mod update;
@@ -75,9 +74,10 @@ pub use hashtree::{EntryRef, HNodeId, HashTree};
 pub use index::{Apex, IndexStats, Lookup, SegmentNodes};
 pub use monitor::{MonitorState, PlanFeedback, RefreshPolicy, WorkloadMonitor};
 pub use persist::PersistError;
-pub use planstats::{ExtentStat, PlanStats};
 pub use recover::{recover, RecoverError, RecoverOptions, Recovered, RecoveryReport};
-pub use serve::{write_checkpoint, IndexCell, RefreshRecord, Refresher, ServeStats, Snapshot};
+pub use serve::{
+    write_checkpoint, IndexCell, PlanStats, RefreshRecord, Refresher, ServeStats, Snapshot,
+};
 pub use update::{extent_equivalent, update_apex};
 pub use wal::{CrashPlan, CrashSite, DurabilityConfig, Record, Stats, Wal, WalError};
 pub use workload::Workload;

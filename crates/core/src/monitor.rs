@@ -100,10 +100,10 @@ pub enum RefreshPolicy {
     EveryN(usize),
     /// Refine only when [`WorkloadMonitor::refresh_due`] detects drift:
     /// some multi-label required path's windowed support fell below
-    /// `min_sup × slack`, or a non-required subpath's support rose above
-    /// `min_sup / slack`.
+    /// `min_sup / slack`, or a non-required multi-label subpath's
+    /// support reached `min_sup × slack`.
     OnDrift {
-        /// Tolerance factor (> 1.0); larger = fewer refreshes.
+        /// Tolerance factor (≥ 1.0); larger = fewer refreshes.
         slack: f64,
     },
     /// Never refresh automatically (by request only).

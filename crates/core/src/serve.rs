@@ -66,16 +66,20 @@ use xmlgraph::XmlGraph;
 
 use crate::index::Apex;
 use crate::monitor::WorkloadMonitor;
-use crate::planstats::PlanStats;
 use crate::wal::{Wal, WalError};
 use crate::workload::Workload;
 
 /// One published index version: the immutable unit query workers hold.
+///
+/// It is the index and its generation, nothing more. The planner's
+/// inputs — each class's pair and block counts and parent and node
+/// bounds — are exact O(1) reads of the index's own stored extents, so
+/// a version carries no statistics beside them and publishing one costs
+/// a pointer swap.
 #[derive(Debug)]
 pub struct Snapshot {
     generation: u64,
     index: Apex,
-    stats: PlanStats,
 }
 
 impl Snapshot {
@@ -92,15 +96,19 @@ impl Snapshot {
         &self.index
     }
 
-    /// Planning statistics assembled when this version was published —
-    /// same generation stamp, same lifetime, so a planner reading them
-    /// never mixes statistics of one generation with the extents of
-    /// another.
+    /// The empty [`PlanStats`]; the planner reads the extents instead.
+    /// Kept only because `perf/src/trace.rs` calls it.
     #[inline]
     pub fn stats(&self) -> &PlanStats {
-        &self.stats
+        &PlanStats
     }
 }
+
+/// Empty: the planner reads its statistics off the stored extents. The
+/// type stays only because `perf/src/trace.rs` names it, through
+/// [`Snapshot::stats`], `Planner::new` and `ApexProcessor::with_plan_stats`.
+#[derive(Debug)]
+pub struct PlanStats;
 
 /// Versioned snapshot cell: one `Arc<Snapshot>` swapped atomically
 /// under a short mutex, with a lock-free generation mirror for cheap
@@ -120,28 +128,15 @@ pub struct IndexCell {
 impl IndexCell {
     /// Installs `index` as generation 0.
     pub fn new(index: Apex) -> IndexCell {
-        let stats = PlanStats::assemble(&index);
-        IndexCell {
-            current: Mutex::new(Arc::new(Snapshot {
-                generation: 0,
-                index,
-                stats,
-            })),
-            generation: AtomicU64::new(0),
-        }
+        IndexCell::with_generation(index, 0)
     }
 
     /// Installs a recovered index at the generation it had already
     /// reached — the boot-from-[`crate::recover::recover`] constructor,
     /// so generations stay monotonic across a crash/restart boundary.
     pub fn with_generation(index: Apex, generation: u64) -> IndexCell {
-        let stats = PlanStats::assemble(&index).with_generation(generation);
         IndexCell {
-            current: Mutex::new(Arc::new(Snapshot {
-                generation,
-                index,
-                stats,
-            })),
+            current: Mutex::new(Arc::new(Snapshot { generation, index })),
             generation: AtomicU64::new(generation),
         }
     }
@@ -165,39 +160,21 @@ impl IndexCell {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Number of swaps since construction (generation 0 is not a swap).
-    #[inline]
-    pub fn swaps(&self) -> u64 {
-        self.generation()
-    }
-
     /// Atomically publishes `index` as the next generation; returns the
-    /// generation it received. Planning statistics are assembled from
-    /// the new index (outside the swap lock) and published with it.
+    /// generation it received. One `Arc` allocation and one swap under
+    /// the cell lock: nothing is read off the index.
     pub fn publish(&self, index: Apex) -> u64 {
-        let stats = PlanStats::assemble(&index);
-        self.publish_with(index, stats)
-    }
-
-    /// Like [`IndexCell::publish`], but folds the drained workload
-    /// window's path supports into the statistics — the refresher's
-    /// publish path, so the planner sees the same frequencies that drove
-    /// the refinement it plans against.
-    pub fn publish_with_workload(&self, index: Apex, wl: &Workload) -> u64 {
-        let stats = PlanStats::assemble(&index).with_workload(wl);
-        self.publish_with(index, stats)
-    }
-
-    fn publish_with(&self, index: Apex, stats: PlanStats) -> u64 {
         let mut cur = self.lock();
         let generation = cur.generation + 1;
-        *cur = Arc::new(Snapshot {
-            generation,
-            index,
-            stats: stats.with_generation(generation),
-        });
+        *cur = Arc::new(Snapshot { generation, index });
         self.generation.store(generation, Ordering::Release);
         generation
+    }
+
+    /// [`IndexCell::publish`]; the window is not read. Kept only because
+    /// `perf/src/trace.rs` calls it.
+    pub fn publish_with_workload(&self, index: Apex, _wl: &Workload) -> u64 {
+        self.publish(index)
     }
 }
 
@@ -500,7 +477,7 @@ fn refresh_loop(
             let snapshot = cell.snapshot();
             let mut index = snapshot.index().clone();
             let steps = index.refine(g, &workload, min_sup);
-            let generation = cell.publish_with_workload(index, &workload);
+            let generation = cell.publish(index);
             Some(RefreshRecord {
                 generation,
                 steps,
@@ -558,7 +535,6 @@ fn refresh_loop(
 mod tests {
     use super::*;
     use crate::monitor::RefreshPolicy;
-    use crate::workload::Workload;
     use xmlgraph::builder::moviedb;
     use xmlgraph::LabelPath;
 
@@ -579,7 +555,6 @@ mod tests {
         refined.refine(&g, &wl, 0.1);
         assert_eq!(cell.publish(refined), 1);
         assert_eq!(cell.generation(), 1);
-        assert_eq!(cell.swaps(), 1);
 
         // The old snapshot is untouched by the swap.
         assert_eq!(before.generation(), 0);
@@ -587,6 +562,11 @@ mod tests {
         let after = cell.snapshot();
         assert_eq!(after.generation(), 1);
         assert!(after.index().stats().nodes > nodes0);
+
+        // A recovered cell resumes counting where its log left off.
+        let recovered = IndexCell::with_generation(after.index().clone(), 7);
+        assert_eq!(recovered.generation(), 7);
+        assert_eq!(recovered.publish(before.index().clone()), 8);
     }
 
     #[test]
@@ -778,47 +758,6 @@ mod tests {
             assert_eq!(stats.refreshes, 1);
             assert_eq!(monitor.lock().unwrap().since_refresh(), 0);
         }
-    }
-
-    #[test]
-    fn snapshot_stats_track_the_published_generation() {
-        let g = moviedb();
-        let cell = IndexCell::new(Apex::build_initial(&g));
-        let s0 = cell.snapshot();
-        assert_eq!(s0.stats().generation(), 0);
-        assert_eq!(
-            s0.stats().len(),
-            s0.index().graph().reachable(s0.index().xroot()).len()
-        );
-        let mut refined = s0.index().clone();
-        let wl = Workload::parse(&g, &["actor.name"]).unwrap();
-        refined.refine(&g, &wl, 0.1);
-        cell.publish_with_workload(refined, &wl);
-        let s1 = cell.snapshot();
-        assert_eq!(s1.stats().generation(), 1);
-        assert_eq!(
-            s1.stats().len(),
-            s1.index().graph().reachable(s1.index().xroot()).len()
-        );
-        assert!(s1.stats().len() > s0.stats().len());
-        let an = LabelPath::parse(&g, "actor.name").unwrap();
-        assert!((s1.stats().path_support(&an) - 1.0).abs() < 1e-9);
-        // The refresher path publishes workload-bearing stats too.
-        let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(
-            100,
-            0.1,
-            crate::monitor::RefreshPolicy::Manual,
-        )));
-        monitor.lock().unwrap().record(an.clone());
-        let cell = Arc::new(cell);
-        let refresher =
-            Refresher::spawn(Arc::new(moviedb()), Arc::clone(&cell), monitor).expect("spawn");
-        refresher.request_refresh();
-        refresher.wait_idle();
-        let s2 = cell.snapshot();
-        assert_eq!(s2.stats().generation(), s2.generation());
-        assert_eq!(s2.stats().workload_paths(), 1);
-        drop(refresher);
     }
 
     #[test]

@@ -185,8 +185,7 @@ impl Engine {
             &self.table,
             self.buf.clone(),
             generation,
-        )
-        .with_plan_stats(snap.stats());
+        );
         if let Some(d) = deadline {
             p = p.with_deadline(d);
         }

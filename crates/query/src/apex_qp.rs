@@ -68,10 +68,6 @@ pub struct ApexProcessor<'a> {
     /// processor creates (the network serving layer sets this; batch and
     /// bench runs leave it unset).
     deadline: Option<std::time::Instant>,
-    /// Statistics snapshot the planner reads (adaptive serving passes
-    /// the published snapshot's stats; `None` reads the same numbers
-    /// off the stored extents at plan time).
-    stats: Option<&'a PlanStats>,
     /// Join-order selection: cost-based by default; benches force the
     /// fixed orders through this.
     order: JoinOrderPolicy,
@@ -117,7 +113,6 @@ impl<'a> ApexProcessor<'a> {
             node_offsets,
             policy: KernelPolicy::Adaptive,
             deadline: None,
-            stats: None,
             order: JoinOrderPolicy::Planned,
         }
     }
@@ -137,10 +132,10 @@ impl<'a> ApexProcessor<'a> {
         self
     }
 
-    /// Plans against `stats` (a published snapshot's statistics)
-    /// instead of reading the stored extents.
-    pub fn with_plan_stats(mut self, stats: &'a PlanStats) -> Self {
-        self.stats = Some(stats);
+    /// Returns `self`: the planner reads the stored extents, so there
+    /// are no statistics to pass. Kept only because `perf/src/trace.rs`
+    /// calls it.
+    pub fn with_plan_stats(self, _stats: &PlanStats) -> Self {
         self
     }
 
@@ -153,7 +148,7 @@ impl<'a> ApexProcessor<'a> {
 
     /// The cost-based planner for this processor's index view.
     fn planner(&self) -> Planner<'a> {
-        Planner::new(self.apex, self.stats, self.policy, self.tag)
+        Planner::new(self.apex, None, self.policy, self.tag)
     }
 
     /// QTYPE1 evaluation returning the answer nodes, in document order,
@@ -161,7 +156,7 @@ impl<'a> ApexProcessor<'a> {
     ///
     /// The §6.1 decreasing-j segmentation runs inside the planner, which
     /// then chooses the join order (forward, or a backward reduction of
-    /// the last stages) and the kernels from the statistics snapshot; a
+    /// the last stages) and the kernels from the stored extents; a
     /// forward plan executes the seed-union +
     /// [`crate::exec::MultiwayJoin`] pipeline. Either way the last
     /// stage's frontier is sorted and distinct — already the answer.

@@ -179,8 +179,8 @@ pub fn explain_apex(apex: &Apex, q: &Query) -> Plan {
     }
 }
 
-/// The QTYPE1/QTYPE3 plan as the planner builds it (over live extent
-/// statistics — `explain` has no snapshot): its segments and kernels are
+/// The QTYPE1/QTYPE3 plan as the planner builds it (over the stored
+/// extents, as serving does): its segments and kernels are
 /// the planner's `PathPlan.stages` and `PathPlan.kernels`, not a second
 /// derivation, so the rendered plan is the one execution runs.
 fn plan_path(apex: &Apex, labels: &[LabelId], value_filter: bool) -> Plan {

@@ -1,9 +1,10 @@
-//! Cost-based query planning over live statistics.
+//! Cost-based query planning over the index's own statistics.
 //!
 //! The planner sits between parsing and [`crate::exec`]: instead of the
 //! fixed left-to-right §6.1 pipeline, a QTYPE1/3 segment chain is first
-//! *planned* against a [`PlanStats`] snapshot (or, absent one, the same
-//! numbers read off the stored extents), then executed.
+//! *planned* against the stored extents of its classes — pair count,
+//! block count, parent and node bounds, each an exact O(1) read of a
+//! [`SuccinctExtent`] — then executed.
 //!
 //! The plan space is deliberately small and fully enumerable:
 //!
@@ -40,7 +41,7 @@
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
-use apex::{Apex, ExtentStat, PlanStats, XNodeId};
+use apex::{Apex, PlanStats, XNodeId};
 use apex_storage::kernels::reverse_semijoin_into;
 use apex_storage::{EdgeSet, Kernel, KernelPolicy, OpBreakdown, OpKind, SuccinctExtent};
 use xmlgraph::{LabelId, NodeId};
@@ -244,12 +245,13 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Cheap summary of one stage (the union of its class extents).
+/// Cheap summary of one stage (the union of its class extents). Its
+/// pair count doubles as the bound on its distinct end nodes: the exact
+/// figure would cost a sort of every extent.
 #[derive(Debug, Clone, Copy, Default)]
 struct StageEst {
     pairs: u64,
     blocks: u64,
-    ends: u64,
     parent_bounds: Option<(NodeId, NodeId)>,
     node_bounds: Option<(NodeId, NodeId)>,
 }
@@ -352,49 +354,38 @@ pub struct PathPlan {
     predicted: Vec<(OpKind, u64, u64)>,
 }
 
-/// The cost-based planner: borrows the index, an optional statistics
-/// snapshot (falling back to the stored extents themselves) and the
-/// kernel policy in force.
+/// The cost-based planner: borrows the index, whose stored extents are
+/// its statistics, and the kernel policy in force.
 pub struct Planner<'a> {
     apex: &'a Apex,
-    stats: Option<&'a PlanStats>,
     policy: KernelPolicy,
 }
 
 impl<'a> Planner<'a> {
-    /// A planner over `apex`, optionally reading `stats` instead of the
-    /// live extents.
+    /// A planner over `apex`.
     ///
-    /// `_generation` is unused: extents name their buffer pages by
-    /// content, so a plan is the same in every generation. It stays
-    /// only because `perf/src/trace.rs` passes it.
+    /// `_stats` and `_generation` are unused: the planner reads the
+    /// stored extents, and extents name their buffer pages by content,
+    /// so a plan is the same in every generation. Both stay only because
+    /// `perf/src/trace.rs` passes them.
     pub fn new(
         apex: &'a Apex,
-        stats: Option<&'a PlanStats>,
+        _stats: Option<&PlanStats>,
         policy: KernelPolicy,
         _generation: u64,
     ) -> Self {
-        Planner {
-            apex,
-            stats,
-            policy,
-        }
+        Planner { apex, policy }
     }
 
-    /// Summarizes one stage from the snapshot, or (per missing extent)
-    /// from the stored extent — identical numbers either way.
+    /// Summarizes one stage off its classes' stored extents.
     fn stage_est(&self, classes: &[XNodeId]) -> StageEst {
         let mut e = StageEst::default();
         for &x in classes {
-            let st = match self.stats.and_then(|s| s.extent(x.0)) {
-                Some(st) => *st,
-                None => ExtentStat::of(self.apex.extent(x)),
-            };
-            e.pairs += st.pairs as u64;
-            e.blocks += st.blocks as u64;
-            e.ends += st.ends as u64;
-            e.parent_bounds = merge_bounds(e.parent_bounds, st.parent_bounds);
-            e.node_bounds = merge_bounds(e.node_bounds, st.node_bounds);
+            let set = self.apex.extent(x);
+            e.pairs += set.len() as u64;
+            e.blocks += set.num_blocks() as u64;
+            e.parent_bounds = merge_bounds(e.parent_bounds, set.parent_bounds());
+            e.node_bounds = merge_bounds(e.node_bounds, set.node_bounds());
         }
         e
     }
@@ -445,7 +436,7 @@ impl<'a> Planner<'a> {
         let seed = &ests[0];
         f.add(OpKind::ExtentUnion, seed.pairs, seed.blocks);
         let mut fp = seed.pairs;
-        let mut fe = seed.ends.min(seed.pairs);
+        let mut fe = seed.pairs;
         let mut fnb = seed.node_bounds;
         let mut kernels = Vec::new();
         for st in &ests[1..] {
@@ -458,7 +449,7 @@ impl<'a> Planner<'a> {
             f.add(kind, work, pages);
             kernels.push(kernel.name());
             fp = matched;
-            fe = matched.min(st.ends);
+            fe = matched.min(st.pairs);
             fnb = if matched > 0 { st.node_bounds } else { None };
         }
         (f, kernels)
@@ -501,12 +492,12 @@ impl<'a> Planner<'a> {
         let (mut fp, mut fe, mut fnb);
         if lo == 0 {
             fp = red[0];
-            fe = red[0].min(ests[0].ends);
+            fe = red[0].min(ests[0].pairs);
             fnb = ests[0].node_bounds;
         } else {
             f.add(OpKind::ExtentUnion, ests[0].pairs, ests[0].blocks);
             fp = ests[0].pairs;
-            fe = ests[0].ends.min(ests[0].pairs);
+            fe = ests[0].pairs;
             fnb = ests[0].node_bounds;
         }
         let mut kernels = Vec::new();
@@ -525,7 +516,7 @@ impl<'a> Planner<'a> {
                 f.add(kind, work + matched, 0);
                 kernels.push("reverse");
                 fp = matched;
-                fe = matched.min(st.ends);
+                fe = matched.min(st.pairs);
             } else {
                 let (kernel, work, pages, matched) = self.predict_semijoin(fp, fe, fnb, st);
                 let kind = match kernel {
@@ -536,7 +527,7 @@ impl<'a> Planner<'a> {
                 f.add(kind, work, pages);
                 kernels.push(kernel.name());
                 fp = matched;
-                fe = matched.min(st.ends);
+                fe = matched.min(st.pairs);
             }
             fnb = if fp > 0 { st.node_bounds } else { None };
         }
@@ -1067,8 +1058,7 @@ mod tests {
     fn forward_and_backward_orders_agree() {
         let g = moviedb();
         let idx = setup(&g, &[]);
-        let stats = PlanStats::assemble(&idx);
-        let planner = Planner::new(&idx, Some(&stats), KernelPolicy::Adaptive, 0);
+        let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
         for p in [
             "actor.name",
             "director.movie.title",
@@ -1129,8 +1119,7 @@ mod tests {
     fn unknown_label_and_zero_stage_plans_are_static_empty() {
         let g = moviedb();
         let idx = setup(&g, &[]);
-        let stats = PlanStats::assemble(&idx);
-        let planner = Planner::new(&idx, Some(&stats), KernelPolicy::Adaptive, 0);
+        let planner = Planner::new(&idx, None, KernelPolicy::Adaptive, 0);
         // `title.actor` exists label-wise but has an empty class list in
         // some stage only if cardinality is zero; craft the guaranteed
         // case instead: a stage whose extents are all empty cannot occur

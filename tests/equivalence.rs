@@ -9,14 +9,16 @@
 //! with direct evaluation over `G_XML`.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use apex::{Apex, ExtentStat, PlanStats};
+use apex::Apex;
 use apex_query::batch::QueryProcessor;
 use apex_query::generator::GeneratorConfig;
 use apex_query::naive::NaiveProcessor;
+use apex_query::plan::{JoinOrder, JoinOrderPolicy, Planner};
 use apex_query::{apex_qp::ApexProcessor, fabric_qp::FabricProcessor, guide_qp::GuideProcessor};
+use apex_storage::KernelPolicy;
 use apex_suite::{small, Fixture};
 use xmlgraph::paths::EnumLimits;
-use xmlgraph::XmlGraph;
+use xmlgraph::{LabelId, XmlGraph};
 
 fn cfg(seed: u64) -> GeneratorConfig {
     GeneratorConfig {
@@ -32,13 +34,12 @@ fn cfg(seed: u64) -> GeneratorConfig {
     }
 }
 
-/// The planner's per-extent statistics, in class-node order.
-fn extent_stats(idx: &Apex) -> Vec<ExtentStat> {
-    let stats = PlanStats::assemble(idx);
-    let mut classes = idx.graph().reachable(idx.xroot());
-    classes.sort_unstable();
-    let of = |x: &apex::XNodeId| *stats.extent(x.0).expect("reachable class summarized");
-    classes.iter().map(of).collect()
+/// What the planner chooses for a path on `idx`: digest, order, kernels
+/// and predicted total.
+fn plan_of(idx: &Apex, labels: &[LabelId]) -> (u64, JoinOrder, Vec<&'static str>, u64) {
+    let plan = Planner::new(idx, None, KernelPolicy::Adaptive, 0)
+        .plan_path(labels, JoinOrderPolicy::Planned);
+    (plan.digest, plan.order, plan.kernels, plan.predicted_total)
 }
 
 fn check_dataset(g: XmlGraph, seed: u64) {
@@ -54,8 +55,8 @@ fn check_dataset(g: XmlGraph, seed: u64) {
     for idx in indexes {
         apex::validate::assert_valid(&fx.g, idx);
     }
-    // What the planner would be told about a copy nothing has queried.
-    let cold: Vec<Vec<ExtentStat>> = indexes.map(|idx| extent_stats(&idx.clone())).into();
+    // Copies nothing will query, to plan against after serving.
+    let cold = indexes.map(Apex::clone);
 
     let processors: Vec<Box<dyn QueryProcessor + '_>> = vec![
         Box::new(ApexProcessor::new(&fx.g, &fx.apex0, &fx.table)),
@@ -87,10 +88,19 @@ fn check_dataset(g: XmlGraph, seed: u64) {
         }
     }
 
-    // Statistics are a function of the index, not of what it has served:
-    // after the whole query set they read exactly as on the fresh copy.
+    // Plans are a function of the index, not of what it has served:
+    // after the whole query set every path query plans exactly as on a
+    // copy nothing has queried.
     for (idx, cold) in indexes.iter().zip(&cold) {
-        assert_eq!(&extent_stats(idx), cold, "statistics moved with use");
+        for q in fx.queries.qtype1.iter().chain(&fx.queries.qtype3) {
+            let labels = q.labels().expect("QTYPE1/3 queries carry a label path");
+            assert_eq!(
+                plan_of(idx, labels),
+                plan_of(cold, labels),
+                "plan moved with use: {}",
+                q.render(&fx.g)
+            );
+        }
     }
 
     // Fabric: QTYPE3 only. On reference-dense graph data the fabric's

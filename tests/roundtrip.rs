@@ -608,6 +608,45 @@ mod datatable_blocks {
     }
 }
 
+/// A publish is one pointer swap: it allocates the new `Snapshot`'s
+/// `Arc` and nothing else, whatever the index holds. The planner reads
+/// the extents themselves, so no statistics are assembled beside them.
+mod publish_alloc {
+    use apex::IndexCell;
+    use apex_query::generator::GeneratorConfig;
+    use apex_suite::{small, Fixture};
+
+    use super::persist_hostile_images::blocks_by;
+
+    #[test]
+    fn a_publish_allocates_one_block() {
+        let cfg = GeneratorConfig {
+            qtype1: 200,
+            qtype2: 0,
+            qtype3: 0,
+            seed: 0xA9E,
+            ..GeneratorConfig::default()
+        };
+        let fx = Fixture::build(small::ged(), cfg);
+        let wl = &fx.queries.workload;
+        for (kind, idx) in [
+            ("APEX0", fx.apex0.clone()),
+            ("APEX(0.005)", fx.apex_at(0.005)),
+        ] {
+            let cell = IndexCell::new(idx.clone());
+            // Takes the cell lock once, so a debug build's lock-rank
+            // bookkeeping has its buffer before the counted calls.
+            drop(cell.snapshot());
+            let next = idx.clone();
+            let (generation, n) = blocks_by(|| cell.publish(next));
+            assert_eq!((generation, n), (1, 1), "{kind}: publish");
+            let next = idx.clone();
+            let (generation, n) = blocks_by(|| cell.publish_with_workload(next, wl));
+            assert_eq!((generation, n), (2, 1), "{kind}: publish_with_workload");
+        }
+    }
+}
+
 /// The query-time kernels and operators reuse caller-owned buffers: once
 /// a call has warmed them, repeating it on the same input allocates
 /// nothing, in the operator or anything it calls. The operators that
