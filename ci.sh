@@ -227,6 +227,26 @@ docs() {
     RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 }
 
+# Reporting only, never a gate: the non-test lines of each crate, the
+# size a simplification is judged by. A file's non-test lines are those
+# before its first `#[cfg(test)]` line, the rule
+# tests/source_rules.rs::library_sources applies.
+loc_report() {
+    local src n total=0
+    for src in crates/*/src; do
+        n=$(find "$src" -name '*.rs' -exec awk '
+            FNR == 1 { in_test = 0 }
+            { line = $0; gsub(/^[ \t\r]+|[ \t\r]+$/, "", line) }
+            line == "#[cfg(test)]" { in_test = 1 }
+            !in_test { n++ }
+            END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
+        printf '  %6d  %s\n' "$n" "${src%/src}"
+        total=$((total + n))
+    done
+    printf '  %6d  total\n' "$total"
+}
+
+run loc_report
 run cargo build --release --offline --workspace
 run cargo test --offline --workspace --quiet
 run perf_gate

@@ -13,8 +13,8 @@
 //!
 //! The same sweep then races the two extent representations on wall
 //! clock with the adaptive kernel: the *stored* path queries the
-//! 128-pair bit-packed frames directly (rank/select block headers, a
-//! binary search over frame headers and packed parents, whole-frame
+//! 128-pair bit-packed frames directly (a binary search over the block
+//! headers, a gallop over frame headers and packed parents, whole-frame
 //! unpacking into a bounded window), while the *full-decode* baseline
 //! pays a whole-extent decode into a `Vec` before running the
 //! pair-slice reference semijoin (`EdgeSet::semijoin_ends` /

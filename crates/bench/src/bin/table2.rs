@@ -104,7 +104,7 @@ fn main() {
         }
         println!();
         // Queryable in-memory footprint of the stored form (payload +
-        // frame and block headers + rank/select directory).
+        // frame and block headers).
         print!(
             "{:<18} {:<8} {:>9} {:>9} {:>8}",
             "",

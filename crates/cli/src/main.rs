@@ -337,7 +337,7 @@ fn main() {
                 Err(e) => println!("parse error: {e}"),
             },
             Ok(Command::Serve(n)) => {
-                generation += serve(&g, &table, &mut index, &mut monitor, n);
+                generation = serve(&g, &table, &mut index, &mut monitor, generation, n).generation;
             }
             Ok(Command::Eval(text)) => match Query::parse(&g, &text) {
                 Ok(q) => {
@@ -399,20 +399,27 @@ fn main() {
 /// [`Refresher`] adapts it as the replay re-records the queries, and
 /// the final snapshot + monitor state move back into the shell when the
 /// run completes. The replay charges the engine's own buffer pool, not
-/// the session's. Returns the number of generations the run published
-/// (the shell's durable generation counter advances by the same amount
-/// — matching what WAL replay will reconstruct).
+/// the session's. The cell starts at the session's `generation`, so
+/// the replay publishes `generation + 1` on; the returned
+/// [`Replayed::generation`] is the session's from then on (matching what
+/// WAL replay will reconstruct).
 fn serve(
     g: &Arc<XmlGraph>,
     table: &Arc<DataTable>,
     index: &mut Apex,
     monitor: &mut WorkloadMonitor,
+    generation: u64,
     n: usize,
-) -> u64 {
+) -> Replayed {
+    let unchanged = Replayed {
+        generation,
+        refreshes: 0,
+        answered: BTreeSet::new(),
+    };
     let window: Vec<LabelPath> = monitor.workload().iter().cloned().collect();
     if window.is_empty() {
         println!("no recorded workload — run some queries first");
-        return 0;
+        return unchanged;
     }
     if matches!(monitor.policy(), RefreshPolicy::Manual) {
         println!("note: refresh policy is manual; start with --refresh-every N to see swaps");
@@ -428,7 +435,7 @@ fn serve(
             .render(g)
         })
         .collect();
-    let cell = Arc::new(IndexCell::new(index.clone()));
+    let cell = Arc::new(IndexCell::with_generation(index.clone(), generation));
     let shared_monitor = Arc::new(Mutex::new(monitor.clone()));
     let refresher = match Refresher::spawn(
         Arc::clone(g),
@@ -438,7 +445,7 @@ fn serve(
         Ok(r) => Arc::new(r),
         Err(e) => {
             println!("cannot spawn refresher: {e}");
-            return 0;
+            return unchanged;
         }
     };
     let engine = apex_net::Engine::new(
@@ -449,13 +456,13 @@ fn serve(
     )
     .with_refresher(Arc::clone(&refresher));
     let mut latencies = Vec::with_capacity(queries.len());
-    let mut generations = BTreeSet::new();
+    let mut answered = BTreeSet::new();
     let (mut ok, mut rows, mut pages, mut join_work) = (0usize, 0u64, 0u64, 0u64);
     for q in &queries {
         let started = std::time::Instant::now();
         let out = engine.execute(q, None);
         latencies.push(started.elapsed());
-        generations.insert(out.generation);
+        answered.insert(out.generation);
         ok += usize::from(out.status == apex_net::Status::Ok);
         rows += u64::from(out.total_rows);
         pages += out.pages_read;
@@ -465,9 +472,14 @@ fn serve(
     refresher.wait_idle();
     let Some(refresher) = Arc::into_inner(refresher) else {
         println!("refresher still shared after the replay");
-        return 0;
+        return unchanged;
     };
     let serve_stats = refresher.shutdown();
+    let run = Replayed {
+        generation: cell.generation(),
+        refreshes: serve_stats.refreshes,
+        answered,
+    };
     latencies.sort_unstable();
     println!(
         "served {} queries ({ok} ok): {rows} result rows, pages={pages} join-work={join_work} \
@@ -478,13 +490,13 @@ fn serve(
     );
     println!(
         "generations: first {}, last {}, {} distinct",
-        generations.first().copied().unwrap_or_default(),
-        generations.last().copied().unwrap_or_default(),
-        generations.len()
+        run.answered.first().copied().unwrap_or_default(),
+        run.answered.last().copied().unwrap_or_default(),
+        run.answered.len()
     );
     println!(
         "refreshes: {} published, {} coalesced, {} empty windows | swap wall total {:.2} ms, max {:.2} ms",
-        serve_stats.refreshes,
+        run.refreshes,
         serve_stats.coalesced,
         serve_stats.empty_windows,
         apex_query::stats::millis(serve_stats.swap_total()),
@@ -502,8 +514,18 @@ fn serve(
     // Adopt the final published index and the replay's monitor state.
     *index = cell.snapshot().index().clone();
     *monitor = rank::lock(&shared_monitor, Rank::Monitor).clone();
-    println!("adopted gen {} as the session index", cell.generation());
-    serve_stats.refreshes
+    println!("adopted gen {} as the session index", run.generation);
+    run
+}
+
+/// Where a [`serve`] replay left the session.
+struct Replayed {
+    /// The cell's generation when the replay ended.
+    generation: u64,
+    /// Generations the refresher published during the replay.
+    refreshes: u64,
+    /// Generations the replayed queries were answered at.
+    answered: BTreeSet<u64>,
 }
 
 /// `listen` subcommand configuration.
@@ -982,5 +1004,33 @@ fn load_graph(args: &[String]) -> Result<XmlGraph, String> {
         "flix" | "flixml" => Ok(datagen::flixml(size.max(30), 42)),
         "ged" | "gedml" => Ok(datagen::gedml(size.max(60), 42)),
         other => Err(format!("unknown dataset `{other}`")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A replay from a session at generation 7 goes on from there: its
+    /// queries are answered at generation 7 or later, and the
+    /// generation it hands back is 7 plus what it published.
+    #[test]
+    fn a_replay_continues_the_session_generation() {
+        let g = Arc::new(datagen::flixml(30, 42));
+        let table = Arc::new(DataTable::build(&g, PageModel::default()));
+        let mut index = Apex::build_initial(&g);
+        let mut monitor = WorkloadMonitor::new(1000, 0.1, RefreshPolicy::EveryN(1));
+        for text in ["//leadcast/male/name", "//review/title"] {
+            let q = Query::parse(&g, text).unwrap();
+            monitor.record(LabelPath::new(q.labels().unwrap().to_vec()));
+        }
+        let run = serve(&g, &table, &mut index, &mut monitor, 7, 20);
+        assert!(run.refreshes > 0, "EveryN(1) refreshes during the replay");
+        assert_eq!(run.generation, 7 + run.refreshes);
+        assert!(
+            run.answered.first().is_some_and(|&first| first >= 7),
+            "answered at {:?}",
+            run.answered
+        );
     }
 }

@@ -60,11 +60,6 @@ impl HNode {
     pub fn entries_iter(&self) -> impl Iterator<Item = (LabelId, Entry)> + '_ {
         self.entries.iter().map(|(&l, &e)| (l, e))
     }
-
-    /// Number of labeled entries.
-    pub fn entry_len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// Location of an entry, as returned by [`HashTree::locate`].
@@ -187,15 +182,6 @@ impl HashTree {
     )]
     pub fn entry(&self, h: HNodeId, label: LabelId) -> Option<&Entry> {
         self.nodes[h.idx()].entries.get(&label)
-    }
-
-    /// Mutable entry access.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "HNodeIds are minted by this arena and index it by construction"
-    )]
-    pub fn entry_mut(&mut self, h: HNodeId, label: LabelId) -> Option<&mut Entry> {
-        self.nodes[h.idx()].entries.get_mut(&label)
     }
 
     /// Ensures a head-level entry exists for `label` (length-1 paths are
@@ -504,17 +490,6 @@ impl HashTree {
             i += 1;
         }
         self.head = HNodeId(0);
-    }
-
-    /// Clears every `xnode` pointer and remainder in the tree (used when
-    /// rebuilding `G_APEX` from scratch in tests/ablations).
-    pub fn clear_xnodes(&mut self) {
-        for n in &mut self.nodes {
-            n.remainder = None;
-            for e in n.entries.values_mut() {
-                e.xnode = None;
-            }
-        }
     }
 
     /// Maximum chain depth (longest required path length). Lookups never

@@ -46,9 +46,9 @@ pub struct IndexStats {
     /// Uncompressed size of the same extents (8 bytes per pair).
     pub extent_raw_bytes: usize,
     /// Bytes the extents keep resident: packed payload + in-memory
-    /// frame and block headers + the rank/select directory, each
-    /// content once however many classes share it — what the process
-    /// holds. There is no decoded copy beside it.
+    /// frame and block headers, each content once however many classes
+    /// share it — what the process holds. There is no decoded copy
+    /// beside it.
     pub extent_resident_bytes: usize,
     /// Distinct extents the reachable classes hold: one per content,
     /// shared by every class with that content.

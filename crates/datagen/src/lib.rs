@@ -167,14 +167,6 @@ impl Dataset {
         }
     }
 
-    /// True for the tree-structured Shakespeare family.
-    pub fn is_tree(self) -> bool {
-        matches!(
-            self,
-            Dataset::FourTragedy | Dataset::Shakes11 | Dataset::ShakesAll
-        )
-    }
-
     /// Generates the dataset (deterministic; seeds are fixed per dataset).
     pub fn generate(self) -> XmlGraph {
         use Dataset::*;

@@ -172,14 +172,6 @@ impl ShardCluster {
         self.runtimes.iter().map(|rt| rt.generation()).collect()
     }
 
-    /// Live per-replica accounting, `[shard][replica]`.
-    pub fn net_stats(&self) -> Vec<Vec<NetStats>> {
-        self.servers
-            .iter()
-            .map(|reps| reps.iter().map(|s| s.stats()).collect())
-            .collect()
-    }
-
     /// Drains replica `(shard, replica)` gracefully — every accepted
     /// request answered, final stats retained in the retired ledger —
     /// and starts a fresh listener over the same runtime on a new

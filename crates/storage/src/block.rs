@@ -56,13 +56,13 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 
 /// Mask of the low `width` bits (`width ≤ 32`).
 #[inline]
-pub(crate) fn mask(width: u32) -> u64 {
+fn mask(width: u32) -> u64 {
     (1u64 << (width & 63)) - 1
 }
 
 /// The 64 bits of `words` from bit `bit` on, zero past the end.
 #[inline]
-pub(crate) fn bits_at(words: &[u64], bit: usize) -> u64 {
+fn bits_at(words: &[u64], bit: usize) -> u64 {
     let (w, s) = (bit / 64, (bit % 64) as u32);
     let lo = words.get(w).copied().unwrap_or(0);
     let hi = words.get(w + 1).copied().unwrap_or(0);
@@ -70,11 +70,10 @@ pub(crate) fn bits_at(words: &[u64], bit: usize) -> u64 {
     lo >> s | (hi << 1) << (63 - s)
 }
 
-/// ORs `v` into `words` from bit `bit` on — the one packing routine of
-/// frames and [`crate::succinct::PackedU32s`]; the bits it lands on
-/// must be clear.
+/// ORs `v` into `words` from bit `bit` on; the bits it lands on must
+/// be clear.
 #[inline]
-pub(crate) fn put_bits(words: &mut [u64], bit: usize, v: u64) {
+fn put_bits(words: &mut [u64], bit: usize, v: u64) {
     let (w, s) = (bit / 64, bit % 64);
     if let Some(x) = words.get_mut(w) {
         *x |= v << s;
@@ -86,7 +85,7 @@ pub(crate) fn put_bits(words: &mut [u64], bit: usize, v: u64) {
 
 /// Bits needed to store `v`.
 #[inline]
-pub(crate) fn bit_width(v: u32) -> u8 {
+fn bit_width(v: u32) -> u8 {
     (32 - v.leading_zeros()) as u8
 }
 
@@ -323,16 +322,6 @@ impl BlockExtent {
     #[inline]
     pub fn headers(&self) -> &[BlockHeader] {
         &self.blocks
-    }
-
-    /// Header of block `k`.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`k` must name a block of this extent (the documented contract); every caller iterates `0..num_blocks()` or a directory hit"
-    )]
-    pub fn header(&self, k: usize) -> &BlockHeader {
-        &self.blocks[k]
     }
 
     /// Stored bytes of block `k` (0 out of range).
@@ -640,7 +629,7 @@ mod tests {
             72,
             "the root pair does not join the short frame"
         );
-        assert_eq!(bx.header(0).max_parent, u32::MAX);
+        assert_eq!(bx.headers()[0].max_parent, u32::MAX);
         roundtrip(&[EdgePair::root(NodeId(7))]);
     }
 

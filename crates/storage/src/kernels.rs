@@ -11,13 +11,13 @@
 //!   frame, advancing through the ends. Work ≈ `pairs + ends`; touches
 //!   every block (and stops decoding once the ends are exhausted). Best
 //!   when the two sides are of the same order.
-//! * [`Kernel::Gallop`] — per end, a binary header search in the
-//!   rank/select directory locates the candidate block, a gallop from
+//! * [`Kernel::Gallop`] — per end, a binary search over the block
+//!   headers locates the candidate block, a gallop from
 //!   the previous end's position over its frames' `min_parent` and then
 //!   over one frame's packed parents lands on the end's run without
 //!   decoding a pair, and only the run is read. Work ≈ `ends · log gap`.
 //!   Best when the ends are much smaller than the extent.
-//! * [`Kernel::BlockSkip`] — walks the directory linearly, discarding
+//! * [`Kernel::BlockSkip`] — walks the block headers linearly, discarding
 //!   whole blocks whose `[min_parent, max_parent]` range contains no
 //!   end without reading a word, probing the survivors like gallop
 //!   does. Adds one header probe per block; best when the ends are
@@ -48,15 +48,16 @@
 
 use xmlgraph::NodeId;
 
+use crate::block::BlockHeader;
 use crate::edgeset::EdgePair;
-use crate::succinct::SuccinctExtent;
+use crate::succinct::{gallop_in, SuccinctExtent};
 
 /// A concrete semijoin algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Linear sorted merge over the whole extent.
     Merge,
-    /// Per-end directory and frame search.
+    /// Per-end header and frame search.
     Gallop,
     /// Header-driven block skipping, searching frames within blocks.
     BlockSkip,
@@ -255,23 +256,20 @@ fn gallop_kernel(
     ends: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
-    let dir = succ.directory();
-    let nb = dir.num_blocks();
+    let headers = succ.image().headers();
     let mut rep = KernelReport::default();
     let (mut ei, mut k) = (0usize, 0usize);
     while let Some(&e) = ends.get(ei) {
         // Header search: first block from k that can still contain e.
-        k = dir.first_block_reaching_from(k, e.0, &mut rep.work);
-        if k >= nb {
-            break;
-        }
+        k = succ.first_block_reaching(k, e.0, &mut rep.work);
+        let Some(h) = headers.get(k) else { break };
         rep.work += 1;
-        if dir.min_parent(k) > e.0 {
+        if h.min_parent > e.0 {
             // e falls in the gap before block k: no extent pair has it.
-            ei = skip_below(ends, ei, dir.min_parent(k));
+            ei = skip_below(ends, ei, h.min_parent);
             continue;
         }
-        probe_block(succ, k, ends, &mut ei, scratch, &mut rep);
+        probe_block(succ, k, h, ends, &mut ei, scratch, &mut rep);
         k += 1;
     }
     rep
@@ -282,17 +280,16 @@ fn block_skip_kernel(
     ends: &[NodeId],
     scratch: &mut SemijoinScratch,
 ) -> KernelReport {
-    let dir = succ.directory();
     let mut rep = KernelReport::default();
     let mut ei = 0usize;
-    for k in 0..dir.num_blocks() {
+    for (k, h) in succ.image().headers().iter().enumerate() {
         rep.work += 1; // header probe
-        ei = skip_below(ends, ei, dir.min_parent(k));
+        ei = skip_below(ends, ei, h.min_parent);
         let Some(&e) = ends.get(ei) else { break };
-        if e.0 > dir.max_parent(k) {
+        if e.0 > h.max_parent {
             continue; // skip the whole block without reading a word
         }
-        probe_block(succ, k, ends, &mut ei, scratch, &mut rep);
+        probe_block(succ, k, h, ends, &mut ei, scratch, &mut rep);
     }
     rep
 }
@@ -304,23 +301,24 @@ fn skip_below(ends: &[NodeId], ei: usize, t: u32) -> usize {
         .map_or(0, |rest| rest.partition_point(|e| e.0 < t))
 }
 
-/// Faults block `k` and resolves every end from `ends[*ei]` on that
-/// falls in its parent range: `SuccinctExtent::seek` lands on the end's
-/// run through the frame headers and packed parents, and only the run
-/// (plus the pair that ends it) is read; the run counts as decoded. An
-/// end equal to the block's `max_parent` is left in place, since its
-/// run may continue in the next block.
+/// Faults block `k`, whose header is `h`, and resolves every end from
+/// `ends[*ei]` on that falls in its parent range: `SuccinctExtent::seek`
+/// lands on the end's run through the frame headers and packed parents,
+/// and only the run (plus the pair that ends it) is read; the run counts
+/// as decoded. An end equal to the block's `max_parent` is left in
+/// place, since its run may continue in the next block.
 fn probe_block(
     succ: &SuccinctExtent,
     k: usize,
+    h: &BlockHeader,
     ends: &[NodeId],
     ei: &mut usize,
     scratch: &mut SemijoinScratch,
     rep: &mut KernelReport,
 ) {
     scratch.blocks.push(k as u32);
-    rep.pairs_read += succ.directory().count(k);
-    let bound = succ.directory().max_parent(k);
+    rep.pairs_read += h.count as usize;
+    let bound = h.max_parent;
     let frames = succ.block_frames(k);
     let (all, words) = (succ.image().frames(), succ.image().words());
     let (mut at, mut i) = (frames.start, 0usize);
@@ -402,45 +400,12 @@ impl MergeScratch {
 }
 
 /// Galloping lower bound over a sorted `u32` slice: first index
-/// `i >= lo` with `xs[i] >= target`, counting comparisons into `work`.
-/// Index-free, so it stays panic-free on the router's and the shard
-/// engine's serving paths.
+/// `i >= lo` with `xs[i] >= target`, counting comparisons into `work` —
+/// the frame search's gallop over a plain slice. Index-free, so it stays
+/// panic-free on the router's and the shard engine's serving paths.
 pub fn gallop_lower_bound_u32(xs: &[u32], lo: usize, target: u32, work: &mut usize) -> usize {
-    let mut step = 1usize;
-    let mut prev = lo;
-    let mut hi = lo;
-    // Exponential phase: bracket the target.
-    loop {
-        match xs.get(hi) {
-            None => {
-                hi = xs.len();
-                break;
-            }
-            Some(&v) => {
-                *work += 1;
-                if v >= target {
-                    break;
-                }
-                prev = hi + 1;
-                hi += step;
-                step *= 2;
-            }
-        }
-    }
-    // Binary phase within [prev, hi).
-    let mut base = prev;
-    let mut size = hi - base;
-    while size > 0 {
-        let half = size / 2;
-        *work += 1;
-        if xs.get(base + half).is_some_and(|&v| v < target) {
-            base += half + 1;
-            size -= half + 1;
-        } else {
-            size = half;
-        }
-    }
-    base
+    let below = |i: usize| xs.get(i).is_some_and(|&v| v < target);
+    gallop_in(lo, xs.len(), below, work)
 }
 
 /// K-way union of sorted-ascending `u32` lists into `out` (cleared
@@ -591,9 +556,8 @@ mod tests {
         let extent = stored(&set);
         assert!(extent.num_blocks() > 2);
         let mut edges = Vec::new();
-        for k in 0..extent.num_blocks() {
-            let first = extent.directory().pairs_before(k) as u32;
-            let last = first + extent.directory().count(k) as u32 - 1;
+        for (k, h) in extent.image().headers().iter().enumerate() {
+            let (first, last) = (h.first, h.first + h.count - 1);
             edges.extend([first, last]);
             for f in extent.block_frames(k) {
                 let head = extent.pair_at(f, 0).unwrap().parent.0;

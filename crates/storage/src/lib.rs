@@ -5,9 +5,9 @@
 //! reproduction a deterministic analogue:
 //!
 //! * [`succinct::SuccinctExtent`] — the *stored* extent (sets of
-//!   `<parent, node>` edge pairs, Definition 7): the packed block image
-//!   plus a rank/select directory over its blocks. One form in memory,
-//!   on disk and under the kernels;
+//!   `<parent, node>` edge pairs, Definition 7): the packed block image,
+//!   whose block headers are its one skip index. One form in memory, on
+//!   disk and under the kernels;
 //! * [`block::BlockExtent`] — that image: 128-pair bit-packed frames
 //!   (parent and node as fixed-width offsets) grouped into page-sized
 //!   blocks under a `(min_parent, max_parent, count)` skip index, with

@@ -12,14 +12,12 @@
 //! that name. The packed frames are queryable in place through two
 //! layers:
 //!
-//! * [`BlockDirectory`] — a rank/select directory over the block skip
-//!   headers: bit-packed `min_parent` / `max_parent` / cumulative pair
-//!   count / cumulative byte offset arrays, binary-searchable without
-//!   touching any payload word. `pairs_before` is *rank* (pairs before
-//!   block `k`), [`BlockDirectory::block_of_pair`] is *select* (which
-//!   block holds pair `i`), and
-//!   [`BlockDirectory::first_block_reaching`] is the header search that
-//!   lets gallop land on a candidate block in `O(log blocks)`.
+//! * the image's block headers ([`BlockExtent::headers`]) — the one
+//!   skip index: each block's `min_parent`, `max_parent`, pair count and
+//!   first pair. [`SuccinctExtent::first_block_reaching`] binary-searches
+//!   their `max_parent` without touching any payload word, so gallop
+//!   lands on a candidate block in `O(log blocks)`, and the extent's
+//!   length and parent bounds are reads of the first and last header.
 //! * the frames themselves — every pair of a frame sits at a fixed bit
 //!   offset, so `SuccinctExtent::seek` gallops over the frame headers'
 //!   `min_parent` and then over one frame's packed parents, and a
@@ -36,7 +34,7 @@ use std::ops::Range;
 
 use xmlgraph::NodeId;
 
-use crate::block::{bits_at, mask, pair, put_bits, BlockExtent, BlockHeader, Frame, FRAME_PAIRS};
+use crate::block::{pair, BlockExtent, BlockHeader, Frame, FRAME_PAIRS};
 use crate::edgeset::EdgePair;
 
 /// Pairs a kernel decodes at once: one frame.
@@ -68,7 +66,12 @@ fn partition_point_in(
 /// Galloping [`partition_point_in`]: probes `lo`, `lo + 1`, `lo + 3`,
 /// … until `pred` turns false, then binary-searches the last step, so
 /// an answer `d` places past `lo` costs `O(log d)` probes.
-fn gallop_in(lo: usize, hi: usize, mut pred: impl FnMut(usize) -> bool, work: &mut usize) -> usize {
+pub(crate) fn gallop_in(
+    lo: usize,
+    hi: usize,
+    mut pred: impl FnMut(usize) -> bool,
+    work: &mut usize,
+) -> usize {
     let (mut prev, mut bound, mut step) = (lo, lo, 1usize);
     while bound < hi {
         *work += 1;
@@ -82,197 +85,10 @@ fn gallop_in(lo: usize, hi: usize, mut pred: impl FnMut(usize) -> bool, work: &m
     partition_point_in(prev, bound.min(hi), pred, work)
 }
 
-// ---------------------------------------------------------------------------
-// Bit-packed u32 arrays
-// ---------------------------------------------------------------------------
-
-/// A fixed-width bit-packed array of `u32` values: the width is the
-/// smallest that fits the largest value, so a directory over blocks of
-/// small ids costs a fraction of a plain `Vec<u32>`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PackedU32s {
-    words: Vec<u64>,
-    width: u32,
-    len: usize,
-}
-
-impl PackedU32s {
-    /// Packs `values` at the minimal common bit width (≥ 1).
-    pub fn pack(values: &[u32]) -> PackedU32s {
-        let width = values.iter().map(|&v| v | 1).max().unwrap_or(1);
-        let width = crate::block::bit_width(width) as u32;
-        let mut words = vec![0u64; (values.len() * width as usize).div_ceil(64)];
-        for (i, &v) in values.iter().enumerate() {
-            put_bits(&mut words, i * width as usize, v as u64);
-        }
-        PackedU32s {
-            words,
-            width,
-            len: values.len(),
-        }
-    }
-
-    /// Number of packed values.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no values are packed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Value at `i` (0 when out of range — callers keep `i < len`).
-    #[inline]
-    pub fn get(&self, i: usize) -> u32 {
-        (bits_at(&self.words, i * self.width as usize) & mask(self.width)) as u32
-    }
-
-    /// `partition_point` over `lo..hi`: first index where `pred` turns
-    /// false, assuming `pred` is monotone over the packed values. Each
-    /// probe counts one comparison into `work`.
-    pub fn partition_point_in(
-        &self,
-        lo: usize,
-        hi: usize,
-        mut pred: impl FnMut(u32) -> bool,
-        work: &mut usize,
-    ) -> usize {
-        partition_point_in(lo, hi, |i| pred(self.get(i)), work)
-    }
-
-    /// Heap bytes held by the packed words.
-    pub fn resident_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rank/select directory over block headers
-// ---------------------------------------------------------------------------
-
-/// Bit-packed rank/select directory over an extent's block skip
-/// headers: answers "which blocks can contain parent `p`", "how many
-/// pairs precede block `k`" (rank) and "which block holds pair `i`"
-/// (select) without touching a single payload word.
-#[derive(Debug, Clone, Default)]
-pub struct BlockDirectory {
-    min_parent: PackedU32s,
-    max_parent: PackedU32s,
-    /// Cumulative pair counts; `len = blocks + 1`, `cum_pairs[0] = 0`.
-    cum_pairs: PackedU32s,
-    /// Cumulative stored byte offsets; `len = blocks + 1`.
-    cum_bytes: PackedU32s,
-}
-
-impl BlockDirectory {
-    /// Builds the directory from an encoded image's headers.
-    pub fn build(image: &BlockExtent) -> BlockDirectory {
-        let hs = image.headers();
-        let mins: Vec<u32> = hs.iter().map(|h| h.min_parent).collect();
-        let maxs: Vec<u32> = hs.iter().map(|h| h.max_parent).collect();
-        let mut cp = Vec::with_capacity(hs.len() + 1);
-        let mut cb = Vec::with_capacity(hs.len() + 1);
-        let (mut pairs, mut bytes) = (0u32, 0u32);
-        cp.push(0);
-        cb.push(0);
-        for h in hs {
-            pairs = pairs.saturating_add(h.count);
-            bytes = bytes.saturating_add(h.len);
-            cp.push(pairs);
-            cb.push(bytes);
-        }
-        BlockDirectory {
-            min_parent: PackedU32s::pack(&mins),
-            max_parent: PackedU32s::pack(&maxs),
-            cum_pairs: PackedU32s::pack(&cp),
-            cum_bytes: PackedU32s::pack(&cb),
-        }
-    }
-
-    /// Number of blocks.
-    #[inline]
-    pub fn num_blocks(&self) -> usize {
-        self.min_parent.len()
-    }
-
-    /// Smallest parent in block `k` (`u32::MAX` encodes `NULL_NODE`).
-    #[inline]
-    pub fn min_parent(&self, k: usize) -> u32 {
-        self.min_parent.get(k)
-    }
-
-    /// Largest parent in block `k`.
-    #[inline]
-    pub fn max_parent(&self, k: usize) -> u32 {
-        self.max_parent.get(k)
-    }
-
-    /// Rank: number of pairs in blocks before `k`.
-    #[inline]
-    pub fn pairs_before(&self, k: usize) -> usize {
-        self.cum_pairs.get(k) as usize
-    }
-
-    /// Pairs in block `k`.
-    #[inline]
-    pub fn count(&self, k: usize) -> usize {
-        (self.cum_pairs.get(k + 1) - self.cum_pairs.get(k)) as usize
-    }
-
-    /// Stored byte range of block `k` within the image.
-    #[inline]
-    pub fn byte_range(&self, k: usize) -> (usize, usize) {
-        (
-            self.cum_bytes.get(k) as usize,
-            self.cum_bytes.get(k + 1) as usize,
-        )
-    }
-
-    /// Select: index of the block holding pair `i` (the inverse of
-    /// [`BlockDirectory::pairs_before`]); `i` must be `< num_pairs`.
-    pub fn block_of_pair(&self, i: usize) -> usize {
-        let mut w = 0usize;
-        self.cum_pairs
-            .partition_point_in(0, self.cum_pairs.len(), |c| c as usize <= i, &mut w)
-            .saturating_sub(1)
-    }
-
-    /// Header search: first block `>= lo` whose `max_parent >= p` — the
-    /// only block range that can contain parent `p`. Returns
-    /// `num_blocks` when no block reaches `p`; comparisons count into
-    /// `work`.
-    pub fn first_block_reaching_from(&self, lo: usize, p: u32, work: &mut usize) -> usize {
-        self.max_parent
-            .partition_point_in(lo, self.max_parent.len(), |m| m < p, work)
-    }
-
-    /// [`BlockDirectory::first_block_reaching_from`] from block 0,
-    /// without work accounting.
-    pub fn first_block_reaching(&self, p: u32) -> usize {
-        let mut w = 0usize;
-        self.first_block_reaching_from(0, p, &mut w)
-    }
-
-    /// Heap bytes of the packed arrays.
-    pub fn resident_bytes(&self) -> usize {
-        self.min_parent.resident_bytes()
-            + self.max_parent.resident_bytes()
-            + self.cum_pairs.resident_bytes()
-            + self.cum_bytes.resident_bytes()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The succinct extent
-// ---------------------------------------------------------------------------
-
-/// The stored form of an extent: the packed [`BlockExtent`] image,
-/// wrapped in a [`BlockDirectory`] (skip + rank/select without payload
-/// access). Kernels decode only the frames a query actually intersects.
-/// Cardinalities, block counts and bounds are exact and O(1):
+/// The stored form of an extent: the packed [`BlockExtent`] image, its
+/// content hash and its end-node bounds. Kernels skip blocks on the
+/// image's headers and decode only the frames a query actually
+/// intersects. Cardinalities, block counts and bounds are exact and O(1):
 /// statistics read off a stored extent do not depend on what has been
 /// queried before.
 ///
@@ -282,7 +98,6 @@ impl BlockDirectory {
 #[derive(Debug, Clone)]
 pub struct SuccinctExtent {
     image: BlockExtent,
-    dir: BlockDirectory,
     node_bounds: Option<(NodeId, NodeId)>,
     hash: u64,
 }
@@ -304,7 +119,6 @@ impl Eq for SuccinctExtent {}
 impl SuccinctExtent {
     fn wrap(image: BlockExtent, (lo, hi): (u32, u32)) -> SuccinctExtent {
         SuccinctExtent {
-            dir: BlockDirectory::build(&image),
             hash: image.content_hash(),
             image,
             node_bounds: (lo <= hi).then_some((NodeId(lo), NodeId(hi))),
@@ -340,16 +154,10 @@ impl SuccinctExtent {
         &self.image
     }
 
-    /// The rank/select directory.
-    #[inline]
-    pub fn directory(&self) -> &BlockDirectory {
-        &self.dir
-    }
-
     /// Number of blocks.
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.dir.num_blocks()
+        self.image.num_blocks()
     }
 
     /// Number of frames.
@@ -358,26 +166,37 @@ impl SuccinctExtent {
         self.image.frames().len()
     }
 
-    /// Number of pairs (rank of the one-past-last block).
+    /// Number of pairs: the last block's first pair plus its count.
     #[inline]
     pub fn len(&self) -> usize {
-        self.dir.pairs_before(self.dir.num_blocks())
+        self.image
+            .headers()
+            .last()
+            .map_or(0, |h| h.first as usize + h.count as usize)
     }
 
     /// True when the extent holds no pair.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.dir.num_blocks() == 0
+        self.image.headers().is_empty()
     }
 
     /// Smallest and largest parent, read off the first and last block
     /// headers. `None` when empty.
     pub fn parent_bounds(&self) -> Option<(NodeId, NodeId)> {
-        let last = self.dir.num_blocks().checked_sub(1)?;
-        Some((
-            NodeId(self.dir.min_parent(0)),
-            NodeId(self.dir.max_parent(last)),
-        ))
+        let hs = self.image.headers();
+        let (first, last) = (hs.first()?, hs.last()?);
+        Some((NodeId(first.min_parent), NodeId(last.max_parent)))
+    }
+
+    /// Header search: the first block `>= lo` whose `max_parent >= p` —
+    /// the only block range that can contain parent `p` — by binary
+    /// search over the block headers; `num_blocks` when no block reaches
+    /// `p`. Each probe counts one comparison into `work`.
+    pub fn first_block_reaching(&self, lo: usize, p: u32, work: &mut usize) -> usize {
+        let hs = self.image.headers();
+        let below = |k: usize| hs.get(k).is_some_and(|h| h.max_parent < p);
+        partition_point_in(lo, hs.len(), below, work)
     }
 
     /// Smallest and largest *end node*, recorded when the extent was
@@ -465,13 +284,12 @@ impl SuccinctExtent {
     }
 
     /// Bytes this representation keeps resident to answer queries: the
-    /// packed payload, the in-memory frame and block headers, and the
-    /// packed directory — against 8 bytes per pair for a decoded `Vec`.
+    /// packed payload and the in-memory frame and block headers —
+    /// against 8 bytes per pair for a decoded `Vec`.
     pub fn resident_bytes(&self) -> usize {
         self.image.payload_bytes()
             + self.num_frames() * std::mem::size_of::<Frame>()
             + self.image.num_blocks() * std::mem::size_of::<BlockHeader>()
-            + self.dir.resident_bytes()
     }
 }
 
@@ -493,23 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_u32s_roundtrip() {
-        for vals in [
-            vec![],
-            vec![0],
-            vec![1, 2, 3],
-            vec![u32::MAX, 0, 7],
-            (0..1000u32).map(|i| i * 31).collect(),
-        ] {
-            let p = PackedU32s::pack(&vals);
-            assert_eq!(p.len(), vals.len());
-            for (i, v) in vals.iter().enumerate() {
-                assert_eq!(p.get(i), *v, "index {i}");
-            }
-        }
-    }
-
-    #[test]
     fn windowed_decode_matches_block_decode() {
         let pairs: Vec<EdgePair> = (0..20_000u32)
             .map(|i| EdgePair::new(NodeId(i / 3), NodeId(i)))
@@ -523,36 +324,6 @@ mod tests {
         let mut nodes = Vec::new();
         succ.decode_nodes_into(&mut nodes);
         assert!(nodes.iter().zip(&pairs).all(|(n, p)| *n == p.node));
-    }
-
-    #[test]
-    fn directory_rank_select_identity() {
-        let pairs: Vec<EdgePair> = (0..60_000u32)
-            .map(|i| EdgePair::new(NodeId(i / 7), NodeId(i)))
-            .collect();
-        let succ = SuccinctExtent::from_pairs(&pairs);
-        let dir = succ.directory();
-        assert!(dir.num_blocks() > 1);
-        let mut bytes = 0;
-        for k in 0..dir.num_blocks() {
-            assert_eq!(dir.block_of_pair(dir.pairs_before(k)), k);
-            let hdr = succ.image().header(k);
-            assert_eq!(dir.min_parent(k), hdr.min_parent);
-            assert_eq!(dir.max_parent(k), hdr.max_parent);
-            assert_eq!(dir.count(k), hdr.count as usize);
-            assert_eq!(dir.byte_range(k), (bytes, bytes + hdr.len as usize));
-            bytes += hdr.len as usize;
-        }
-        // Header search agrees with a linear scan for a spread of targets.
-        for p in [0u32, 1, 100, 1000, 2000, 2856, 8570, u32::MAX] {
-            let want = succ
-                .image()
-                .headers()
-                .iter()
-                .position(|h| h.max_parent >= p)
-                .unwrap_or(dir.num_blocks());
-            assert_eq!(dir.first_block_reaching(p), want, "target {p}");
-        }
     }
 
     #[test]
@@ -575,14 +346,12 @@ mod tests {
             );
             assert!(work <= 4 * 10, "{target}: {work} comparisons");
             // Within one block's frames, the search stays in them.
-            for k in 0..succ.num_blocks() {
+            for (k, h) in succ.image().headers().iter().enumerate() {
                 let frames = succ.block_frames(k);
                 let (f, i) = succ.seek((frames.start, 0), frames.end, target, &mut work);
                 assert!(frames.contains(&f) || (f, i) == (frames.end, 0));
-                let first = pairs.iter().skip(succ.directory().pairs_before(k));
-                let want = first
-                    .take(succ.directory().count(k))
-                    .find(|p| p.parent.0 >= target);
+                let first = pairs.iter().skip(h.first as usize);
+                let want = first.take(h.count as usize).find(|p| p.parent.0 >= target);
                 assert_eq!(at((f, i)).filter(|_| f < frames.end), want.copied());
             }
             // From any earlier pair of the answer's frame or the one
@@ -603,11 +372,14 @@ mod tests {
         assert_eq!((succ.parent_bounds(), succ.node_bounds()), (None, None));
         assert_eq!(decode_all(&succ), vec![]);
         assert_eq!(succ.seek((0, 0), 0, 5, &mut 0), (0, 0));
+        assert_eq!(succ.first_block_reaching(0, 5, &mut 0), 0);
         assert_eq!(SuccinctExtent::open(BlockExtent::default()), Some(succ));
         let one = EdgeSet::from_pairs(vec![EdgePair::root(NodeId(0))]);
         let succ = SuccinctExtent::from_pairs(one.pairs());
         assert_eq!(decode_all(&succ), one.pairs());
-        assert_eq!(succ.directory().min_parent(0), u32::MAX);
+        assert_eq!(succ.image().headers()[0].min_parent, u32::MAX);
+        assert_eq!(succ.parent_bounds(), Some((NULL_NODE, NULL_NODE)));
+        assert_eq!(succ.first_block_reaching(0, u32::MAX, &mut 0), 0);
     }
 
     #[test]

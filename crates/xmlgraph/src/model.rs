@@ -143,13 +143,6 @@ impl XmlGraph {
         self.tree_parent[n.idx()]
     }
 
-    /// Document order of `n`. Nids are assigned in document order, so the
-    /// nid itself serves as the document-order key.
-    #[inline]
-    pub fn doc_order(&self, n: NodeId) -> u32 {
-        n.0
-    }
-
     /// The label interner.
     #[inline]
     pub fn labels(&self) -> &Interner {

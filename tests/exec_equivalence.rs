@@ -6,8 +6,8 @@
 //! pool absorbs repeated I/O across processors, and parallel batches
 //! over the shared pool reproduce sequential aggregate costs.
 //!
-//! Every semijoin here runs over the *succinct* extent path (rank/select
-//! directory, frame search, frame-window decode) — the kernel-policy
+//! Every semijoin here runs over the *succinct* extent path (block
+//! header search, frame search, frame-window decode) — the kernel-policy
 //! sweep below therefore also proves each kernel's succinct
 //! implementation equivalent to the naive oracle end to end.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

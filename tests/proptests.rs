@@ -852,15 +852,16 @@ mod block_kernel_laws {
     }
 }
 
-/// Laws of the stored extent: the rank/select directory agrees with
-/// linear scans over the skip headers, the per-frame window decode
+/// Laws of the stored extent: the header search agrees with linear
+/// scans over the block headers, the slice gallop with
+/// `partition_point`, the per-frame window decode
 /// reproduces the image's whole decode, and every kernel over the
 /// packed frames equals the pair-slice reference semijoin on arbitrary
 /// inputs — including ends on the first and last pair of a frame and
 /// of a block.
 mod succinct_laws {
     use apex_storage::kernels::{self, Kernel, SemijoinScratch};
-    use apex_storage::{EdgePair, EdgeSet, SuccinctExtent};
+    use apex_storage::{gallop_lower_bound_u32, EdgePair, EdgeSet, SuccinctExtent};
     use proptest::prelude::*;
     use xmlgraph::NodeId;
 
@@ -871,34 +872,52 @@ mod succinct_laws {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
 
-        /// select ∘ rank identity plus header-search ≡ linear-scan: the
-        /// bit-packed directory answers exactly what a walk over the
-        /// raw block headers would.
+        /// The counted header search ≡ a linear scan over the block
+        /// headers, from every start block, and the O(1) length is the
+        /// headers' pair count is the decoded length.
         #[test]
-        fn directory_rank_select_laws(a in pairs(200_000, 300)) {
+        fn header_search_laws(a in pairs(200_000, 6_000)) {
             let s = EdgeSet::from_raw(&a);
             let succ = &SuccinctExtent::from_pairs(s.pairs());
-            let dir = succ.directory();
             let headers = succ.image().headers();
-            prop_assert_eq!(dir.num_blocks(), headers.len());
-            for (k, h) in headers.iter().enumerate() {
-                prop_assert_eq!(dir.count(k), h.count as usize);
-                // Select inverts rank across the whole block.
-                for i in [dir.pairs_before(k), dir.pairs_before(k) + h.count as usize - 1] {
-                    prop_assert_eq!(dir.block_of_pair(i), k);
+            prop_assert_eq!(succ.num_blocks(), headers.len());
+            let counted: usize = headers.iter().map(|h| h.count as usize).sum();
+            prop_assert_eq!(succ.len(), counted);
+            prop_assert_eq!(succ.len(), succ.to_vec().len());
+            prop_assert_eq!(succ.len(), s.len());
+            // Probing each block's parent bounds and a sample of the
+            // parents, plus their off-by-one neighbours.
+            let bounds = headers.iter().flat_map(|h| [h.min_parent, h.max_parent]);
+            for p in bounds.chain(a.iter().take(64).map(|&(p, _)| p)) {
+                for probe in [p.saturating_sub(1), p, p.saturating_add(1)] {
+                    for lo in 0..=headers.len() {
+                        let linear = (lo..headers.len())
+                            .find(|&k| headers[k].max_parent >= probe)
+                            .unwrap_or(headers.len());
+                        let mut work = 0;
+                        let got = succ.first_block_reaching(lo, probe, &mut work);
+                        prop_assert_eq!(got, linear, "probe {} from {}", probe, lo);
+                        // One comparison per halving of the range.
+                        let span = headers.len() - lo;
+                        prop_assert!(work <= (usize::BITS - span.leading_zeros()) as usize);
+                    }
                 }
             }
-            prop_assert_eq!(dir.pairs_before(dir.num_blocks()), s.len());
-            // Header search against the linear reference, probing every
-            // distinct parent plus off-by-one neighbours.
-            for &(p, _) in &a {
-                for probe in [p.saturating_sub(1), p, p.saturating_add(1)] {
-                    let linear = headers
-                        .iter()
-                        .position(|h| h.max_parent >= probe)
-                        .unwrap_or(headers.len());
-                    prop_assert_eq!(dir.first_block_reaching(probe), linear, "probe {}", probe);
-                }
+        }
+
+        /// The counted gallop over a sorted `u32` slice lands where
+        /// `partition_point` does, from every start.
+        #[test]
+        fn gallop_lower_bound_equals_partition_point(
+            raw in proptest::collection::vec(0u32..500, 0..200),
+            t in 0u32..520,
+        ) {
+            let mut xs = raw.clone();
+            xs.sort_unstable();
+            for lo in 0..=xs.len() {
+                let want = lo + xs[lo..].partition_point(|&v| v < t);
+                let mut work = 0;
+                prop_assert_eq!(gallop_lower_bound_u32(&xs, lo, t, &mut work), want, "from {}", lo);
             }
         }
 
@@ -912,9 +931,9 @@ mod succinct_laws {
             prop_assert_eq!(succ.to_vec(), s.pairs().to_vec());
             let whole = succ.image().decode();
             let mut window = Vec::new();
-            for k in 0..succ.num_blocks() {
-                let first = succ.directory().pairs_before(k);
-                let want = &whole[first..first + succ.directory().count(k)];
+            for (k, h) in succ.image().headers().iter().enumerate() {
+                let first = h.first as usize;
+                let want = &whole[first..first + h.count as usize];
                 let mut got: Vec<EdgePair> = Vec::new();
                 for f in succ.block_frames(k) {
                     succ.frame_into(f, &mut window);

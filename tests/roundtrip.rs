@@ -608,6 +608,38 @@ mod datatable_blocks {
     }
 }
 
+/// A stored extent is its image: block headers, frame headers and
+/// payload words — three heap blocks at any size, none when empty. No
+/// second index mirrors the block headers.
+mod extent_blocks {
+    use apex_storage::{EdgePair, SuccinctExtent};
+    use xmlgraph::NodeId;
+
+    use super::persist_hostile_images::live_blocks_after;
+
+    /// Seals `pairs`, returning the extent's block count and the heap
+    /// blocks it holds.
+    fn sealed(pairs: &[EdgePair]) -> (usize, isize) {
+        let (ext, live) = live_blocks_after(|| SuccinctExtent::from_pairs(pairs));
+        assert_eq!(ext.len(), pairs.len());
+        (ext.num_blocks(), live)
+    }
+
+    #[test]
+    fn a_sealed_extent_holds_three_heap_blocks() {
+        let chain = |n: u32| -> Vec<EdgePair> {
+            (0..n)
+                .map(|i| EdgePair::new(NodeId(i / 3), NodeId(i)))
+                .collect()
+        };
+        let (blocks, live) = sealed(&chain(20_000));
+        assert!(blocks > 1, "{blocks} blocks");
+        assert_eq!(live, 3, "multi-block extent");
+        assert_eq!(sealed(&chain(100)), (1, 3), "100-pair extent");
+        assert_eq!(sealed(&[]), (0, 0), "empty extent");
+    }
+}
+
 /// A publish is one pointer swap: it allocates the new `Snapshot`'s
 /// `Arc` and nothing else, whatever the index holds. The planner reads
 /// the extents themselves, so no statistics are assembled beside them.
@@ -732,12 +764,11 @@ mod steady_state_alloc {
             seen = ext.len() + usize::from(ext.is_empty()) + ext.num_frames();
             seen += usize::from(ext.parent_bounds().is_some() && ext.node_bounds().is_some());
             seen += ext.content_hash() as usize % 2 + ext.resident_bytes() % 2;
-            let dir = ext.directory();
             let mut work = 0usize;
-            for k in 0..ext.num_blocks() {
-                seen += dir.count(k) + dir.pairs_before(k) + dir.byte_range(k).1;
-                seen += dir.first_block_reaching_from(0, dir.min_parent(k), &mut work);
-                seen += dir.block_of_pair(dir.pairs_before(k)) + dir.max_parent(k) as usize;
+            for (k, h) in ext.image().headers().iter().enumerate() {
+                seen += (h.count + h.first + h.len) as usize + ext.image().block_bytes(k);
+                seen += ext.first_block_reaching(0, h.min_parent, &mut work);
+                seen += ext.first_block_reaching(k, h.max_parent, &mut work);
                 for f in ext.block_frames(k) {
                     ext.frame_into(f, &mut window);
                     seen += usize::from(ext.pair_at(f, 0).is_some());
