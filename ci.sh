@@ -2,9 +2,7 @@
 # Offline CI gate: build, test, lint, docs, format.
 #
 # Everything runs with --offline against the vendored shims in shims/
-# (rand / proptest / criterion), so no network access is required.
-# Criterion benches are gated behind the `bench-harness` feature and
-# are compile-checked here, not run.
+# (rand / proptest), so no network access is required.
 #
 # The clippy step enforces [workspace.lints] (root Cargo.toml) with
 # -D warnings: no unsafe, no unwrap/expect/panic! in library code, no
@@ -260,7 +258,6 @@ run recovery_smoke
 run stress
 run cargo clippy --offline --workspace --all-targets -- "${CLIPPY_EXTRA[@]}" -D warnings
 run docs
-run cargo bench --offline --no-run --features apex-bench/bench-harness -p apex-bench
 run cargo fmt --check
 
 echo

@@ -5,8 +5,7 @@
 //! constructors for every other index. The `table1`/`table2`/`fig13`/
 //! `fig14`/`fig15`/`ablation` binaries print the corresponding rows,
 //! `kernels` and `planner` measure the semijoin kernels and join-order
-//! choice; the Criterion benches in `benches/` time the per-query-set
-//! batches. Serving load (socket, router, refresh under traffic) is
+//! choice. Serving load (socket, router, refresh under traffic) is
 //! measured by the standalone `perf/` package, not here.
 //!
 //! ## Scales

@@ -75,7 +75,7 @@ mod tests {
     fn subpaths_counted_not_just_whole_queries() {
         let g = moviedb();
         let mut ht = HashTree::new();
-        for (l, _) in g.labels().iter() {
+        for l in (0..g.label_count() as u32).map(xmlgraph::LabelId) {
             ht.ensure_head_entry(l);
         }
         // One query director.movie.title appearing always: all subpaths
@@ -96,7 +96,7 @@ mod tests {
     fn infrequent_long_paths_pruned_but_singles_survive() {
         let g = moviedb();
         let mut ht = HashTree::new();
-        for (l, _) in g.labels().iter() {
+        for l in (0..g.label_count() as u32).map(xmlgraph::LabelId) {
             ht.ensure_head_entry(l);
         }
         let wl = Workload::parse(
@@ -123,7 +123,7 @@ mod tests {
         // head[title], and pruning must not clear its valid class.
         let g = moviedb();
         let mut ht = HashTree::new();
-        for (l, _) in g.labels().iter() {
+        for l in (0..g.label_count() as u32).map(xmlgraph::LabelId) {
             ht.ensure_head_entry(l);
         }
         let title = g.label_id("title").unwrap();
@@ -143,7 +143,7 @@ mod tests {
     fn remainder_invalidation_on_new_required_path() {
         let g = moviedb();
         let mut ht = HashTree::new();
-        for (l, _) in g.labels().iter() {
+        for l in (0..g.label_count() as u32).map(xmlgraph::LabelId) {
             ht.ensure_head_entry(l);
         }
         // Round 1: actor.name required.

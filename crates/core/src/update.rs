@@ -243,12 +243,7 @@ pub fn extent_equivalent(g: &XmlGraph, a: &crate::Apex, b: &crate::Apex) -> Resu
     }
 
     for path in &probes {
-        let rendered = || {
-            path.iter()
-                .map(|l| g.labels().resolve(*l).to_string())
-                .collect::<Vec<_>>()
-                .join(".")
-        };
+        let rendered = || g.render_path(path);
         let la = a.lookup(path);
         let lb = b.lookup(path);
         if la.matched_len != lb.matched_len {

@@ -144,7 +144,7 @@ fn check_label_coverage(g: &XmlGraph, apex: &Apex, out: &mut Violations) {
     for (from, l, to) in g.edges() {
         t[l.idx()].push((from.0, to.0));
     }
-    for (label, _) in g.labels().iter() {
+    for label in (0..g.label_count() as u32).map(LabelId) {
         let expected = {
             let mut v = t[label.idx()].clone();
             v.sort_unstable();

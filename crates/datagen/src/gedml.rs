@@ -2,6 +2,8 @@
 //! IDREF-typed labels whose reference edges form dense cycles (Table 1's
 //! Ged rows: ~17 % of all edges are references).
 
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xmlgraph::{GraphBuilder, NodeId, XmlGraph};
@@ -82,8 +84,9 @@ pub fn gedml(individuals: usize, seed: u64) -> XmlGraph {
     // cluster/generation bounds, descent walks (@chil -> @fams -> @chil
     // ...) are unbounded and the strong DataGuide's subset construction
     // explodes far beyond the paper's Table 2 sizes.
-    let mut husb = vec![0usize; families];
-    let mut wife = vec![0usize; families];
+    // Per family: its husband and wife. A stub family (below) keeps
+    // individual 0 in both slots.
+    let mut spouses: Vec<(Option<usize>, Option<usize>)> = vec![(Some(0), Some(0)); families];
     let mut fams_map: Vec<Vec<usize>> = vec![Vec::new(); individuals];
     {
         // Shuffled per-(cluster, generation) spouse pools with cursors.
@@ -91,7 +94,9 @@ pub fn gedml(individuals: usize, seed: u64) -> XmlGraph {
         let n_bands = cluster_count(individuals) * gens;
         let mut pools: Vec<Vec<usize>> = vec![Vec::new(); n_bands];
         for i in 0..individuals {
-            pools[band_index(i, individuals)].push(i);
+            if let Some(pool) = pools.get_mut(band_index(i, individuals)) {
+                pool.push(i);
+            }
         }
         for pool in &mut pools {
             for i in (1..pool.len()).rev() {
@@ -119,28 +124,19 @@ pub fn gedml(individuals: usize, seed: u64) -> XmlGraph {
             // instead of remarrying (polygamy would let spouse-family
             // alternations drift across the marriage network).
             let mut take = || -> Option<usize> {
-                let pool = &pools[parent_band];
-                if cursors[parent_band] < pool.len() {
-                    let v = pool[cursors[parent_band]];
-                    cursors[parent_band] += 1;
-                    Some(v)
-                } else {
-                    None
-                }
+                let cursor = cursors.get_mut(parent_band)?;
+                let v = *pools.get(parent_band)?.get(*cursor)?;
+                *cursor += 1;
+                Some(v)
             };
-            let h = take();
-            let w = take();
-            if let Some(h) = h {
-                husb[f] = h;
-                fams_map[h].push(f);
-            } else {
-                husb[f] = usize::MAX;
+            let pair = (take(), take());
+            if let Some(slot) = spouses.get_mut(f) {
+                *slot = pair;
             }
-            if let Some(w) = w {
-                wife[f] = w;
-                fams_map[w].push(f);
-            } else {
-                wife[f] = usize::MAX;
+            for spouse in [pair.0, pair.1].into_iter().flatten() {
+                if let Some(fams) = fams_map.get_mut(spouse) {
+                    fams.push(f);
+                }
             }
         }
     }
@@ -171,14 +167,14 @@ pub fn gedml(individuals: usize, seed: u64) -> XmlGraph {
     // parents come from a nearby window. Real genealogies have this
     // locality; fully random references would make the strong DataGuide's
     // subset construction blow up far beyond the paper's Table 2 sizes.
-    for f in 0..families {
+    for (f, &(husb, wife)) in spouses.iter().enumerate() {
         let fam = b.add_child(root, "fam");
         crate::register_unique(&mut b, fam, &format!("F{f}"));
-        if husb[f] != usize::MAX {
-            b.add_idref(fam, "husb", &format!("I{}", husb[f]));
+        if let Some(h) = husb {
+            b.add_idref(fam, "husb", &format!("I{h}"));
         }
-        if wife[f] != usize::MAX {
-            b.add_idref(fam, "wife", &format!("I{}", wife[f]));
+        if let Some(w) = wife {
+            b.add_idref(fam, "wife", &format!("I{w}"));
         }
         for i in 0..individuals {
             if gen_of(i, individuals) > 0 && famc_of(i, individuals, families) == f {
@@ -396,8 +392,8 @@ fn gen_indi(
             &format!("F{}", famc_of(no, individuals, families)),
         );
     }
-    if !fams.is_empty() {
-        let f = fams[rng.gen_range(0..fams.len())];
+    let pick = (!fams.is_empty()).then(|| rng.gen_range(0..fams.len()));
+    if let Some(f) = pick.and_then(|i| fams.get(i)) {
         b.add_idref(indi, "fams", &format!("F{f}"));
     } else if force {
         // Guarantee the @fams label exists even if individual 0 is not a

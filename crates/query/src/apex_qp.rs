@@ -48,7 +48,6 @@ use crate::plan::{self, AncDescPlan, JoinOrderPolicy, PlanReport, Planner};
 
 /// Query processor over an [`Apex`] index.
 pub struct ApexProcessor<'a> {
-    g: &'a XmlGraph,
     apex: &'a Apex,
     table: &'a DataTable,
     buf: BufferHandle,
@@ -94,8 +93,10 @@ impl<'a> ApexProcessor<'a> {
     /// different index snapshots share one pool and `tag` is the
     /// snapshot's generation, which names its node-record pages (any
     /// `u64`).
+    /// `_g`, the graph the index covers, is not read: nids are document
+    /// order, so answers are sorted without it.
     pub fn with_buffer_tagged(
-        g: &'a XmlGraph,
+        _g: &'a XmlGraph,
         apex: &'a Apex,
         table: &'a DataTable,
         buf: BufferHandle,
@@ -105,7 +106,6 @@ impl<'a> ApexProcessor<'a> {
             (0..apex.graph().allocated()).map(|i| 16 + 8 * apex.out_edges(XNodeId(i as u32)).len()),
         );
         ApexProcessor {
-            g,
             apex,
             table,
             buf,
@@ -302,7 +302,7 @@ impl<'a> ApexProcessor<'a> {
                 }
             }
         }
-        self.g.sort_doc_order(&mut out);
+        ctx.sort_distinct(&mut out);
         out
     }
 }

@@ -15,7 +15,6 @@ use crate::plan;
 
 /// Query processor over an [`IndexFabric`].
 pub struct FabricProcessor<'a> {
-    g: &'a XmlGraph,
     fabric: &'a IndexFabric,
     buf: BufferHandle,
 }
@@ -27,8 +26,10 @@ impl<'a> FabricProcessor<'a> {
     }
 
     /// Creates a processor charging against a shared buffer pool.
-    pub fn with_buffer(g: &'a XmlGraph, fabric: &'a IndexFabric, buf: BufferHandle) -> Self {
-        FabricProcessor { g, fabric, buf }
+    /// `_g`, the graph the index covers, is not read: nids are document
+    /// order, so answers are sorted without it.
+    pub fn with_buffer(_g: &'a XmlGraph, fabric: &'a IndexFabric, buf: BufferHandle) -> Self {
+        FabricProcessor { fabric, buf }
     }
 }
 
@@ -62,7 +63,7 @@ impl QueryProcessor for FabricProcessor<'_> {
                     exact: false,
                 }
                 .run(&mut ctx);
-                self.g.sort_doc_order(&mut nodes);
+                ctx.sort_distinct(&mut nodes);
                 let report = plan::build_report(
                     self.fabric.trie_nodes() as u64,
                     "trie",

@@ -124,7 +124,6 @@ impl RootedIndex for OneIndex {
 
 /// Query processor over a [`RootedIndex`].
 pub struct GuideProcessor<'a, I: RootedIndex> {
-    g: &'a XmlGraph,
     index: &'a I,
     table: &'a DataTable,
     buf: BufferHandle,
@@ -141,8 +140,10 @@ impl<'a, I: RootedIndex> GuideProcessor<'a, I> {
     }
 
     /// Creates a processor charging against a shared buffer pool.
+    /// `_g`, the graph the index covers, is not read: nids are document
+    /// order, so answers are sorted without it.
     pub fn with_buffer(
-        g: &'a XmlGraph,
+        _g: &'a XmlGraph,
         index: &'a I,
         table: &'a DataTable,
         buf: BufferHandle,
@@ -153,7 +154,6 @@ impl<'a, I: RootedIndex> GuideProcessor<'a, I> {
             16 + 8 * n_edges
         }));
         GuideProcessor {
-            g,
             index,
             table,
             buf,
@@ -227,7 +227,7 @@ impl<'a, I: RootedIndex> GuideProcessor<'a, I> {
                 work.push((child, fresh));
             }
         }
-        self.g.sort_doc_order(&mut out);
+        ctx.sort_distinct(&mut out);
         out
     }
 
@@ -283,7 +283,7 @@ impl<'a, I: RootedIndex> GuideProcessor<'a, I> {
                 work.push((child, fresh));
             }
         }
-        self.g.sort_doc_order(&mut out);
+        ctx.sort_distinct(&mut out);
         out
     }
 }

@@ -87,7 +87,7 @@ impl<'a> NaiveProcessor<'a> {
     fn eval_path(&self, labels: &[LabelId], ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         let first = self.scan_postings(labels[0], ctx);
         let mut frontier: Vec<NodeId> = first.iter().map(|&(_, to)| to).collect();
-        self.g.sort_doc_order(&mut frontier);
+        ctx.sort_distinct(&mut frontier);
         for &l in &labels[1..] {
             let mut next = Vec::new();
             for &v in &frontier {
@@ -97,7 +97,7 @@ impl<'a> NaiveProcessor<'a> {
                     }
                 }
             }
-            self.g.sort_doc_order(&mut next);
+            ctx.sort_distinct(&mut next);
             frontier = next;
             if frontier.is_empty() {
                 break;
@@ -135,7 +135,7 @@ impl<'a> NaiveProcessor<'a> {
                 }
             }
         }
-        self.g.sort_doc_order(&mut out);
+        ctx.sort_distinct(&mut out);
         out
     }
 }

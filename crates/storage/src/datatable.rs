@@ -3,22 +3,24 @@
 //! The paper: "the query processor tests the nodes by looking up the data
 //! table which keeps all node identifiers (nid) and corresponding data
 //! values" (§6.1). This is that table, stored as columns: the valued
-//! nids in ascending order, a value id per slot, each distinct value
-//! once, and the value→nids inverse as one holder array grouped by
-//! value id. The value test ([`DataTable::filter_sorted`]) resolves the
-//! expected value to its holders once and merges the candidates through
-//! them; the nid column is read only to find the leaf page each probe
-//! is charged for.
+//! nids in ascending order, a value id per slot, and the value→nids
+//! inverse as one holder array grouped by value id. The values
+//! themselves are the graph's dictionary ([`XmlGraph::value_dictionary`]),
+//! shared, not copied: the table holds no text of its own. The value test
+//! ([`DataTable::filter_sorted`]) resolves the expected value to its
+//! holders once and merges the candidates through them; the nid column
+//! is read only to find the leaf page each probe is charged for.
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use xmlgraph::{NodeId, XmlGraph};
+use xmlgraph::{group_by_key, Interner, NodeId, XmlGraph};
 
 use crate::bufmgr::{BufferHandle, ObjectId, Space};
 use crate::cost::Cost;
 use crate::pages::PageModel;
+use crate::succinct::gallop_in;
 
 /// Candidates [`DataTable::filter_sorted`] tests between two `proceed`
 /// checks: the value test's non-preemptible unit.
@@ -26,20 +28,18 @@ pub const PROBE_CHUNK: usize = 1024;
 
 /// Sorted `nid → value` table with page-cost-accounted probes.
 ///
-/// Slot `i` holds node `nids[i]` with value `value_ids[i]`. Value ids
-/// rank the distinct values in byte order, so a value resolves to its
-/// id by binary search. No entry owns an allocation: the table is six
-/// flat arrays whatever its size.
+/// Slot `i` holds node `nids[i]` with value `value_ids[i]`, an id in the
+/// graph's dictionary. Its ids rank the distinct values in byte order,
+/// so a value resolves to its id by bisection. No entry owns an
+/// allocation: the table is four flat arrays whatever its size.
 #[derive(Debug, Clone)]
 pub struct DataTable {
     /// Valued nodes, ascending.
     nids: Vec<NodeId>,
     /// The value id of each slot.
     value_ids: Vec<u32>,
-    /// The distinct values in id order, back to back.
-    text: String,
-    /// Value `v` is `text[text_starts[v]..text_starts[v + 1]]`.
-    text_starts: Vec<usize>,
+    /// The graph's distinct values, in byte order.
+    values: Arc<Interner>,
     /// The nodes holding each value, grouped by value id, each group
     /// ascending.
     holders: Vec<NodeId>,
@@ -50,72 +50,34 @@ pub struct DataTable {
 }
 
 impl DataTable {
-    /// Extracts all leaf values of `g`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "value ids are positions in `distinct` (minted as `distinct.len() - 1`), ranks are < distinct.len(), and the holder offsets are prefix sums over the same ids, so every index is in bounds"
-    )]
+    /// Takes the valued nodes of `g` and their value ids.
     pub fn build(g: &XmlGraph, pages: PageModel) -> Self {
+        let values = Arc::clone(g.value_dictionary());
+        let len = g.nodes().filter(|&n| g.value_id(n).is_some()).count();
         // `g.nodes()` runs in nid order, so the slots come out sorted.
-        let valued: Vec<(NodeId, &str)> = g
-            .nodes()
-            .filter_map(|n| g.value(n).map(|v| (n, v)))
-            .collect();
-        let bytes: usize = valued.iter().map(|(_, v)| 8 + v.len()).sum();
-        let avg_entry_bytes = if valued.is_empty() {
-            16
-        } else {
-            bytes / valued.len()
-        };
+        let mut nids = Vec::with_capacity(len);
+        let mut value_ids = Vec::with_capacity(len);
+        let mut bytes = 0;
+        for n in g.nodes() {
+            if let Some(id) = g.value_id(n) {
+                nids.push(n);
+                value_ids.push(id);
+                bytes += 8 + values.resolve(id).len();
+            }
+        }
+        let avg_entry_bytes = bytes.checked_div(len).unwrap_or(16);
 
-        // Intern in order of first use, then renumber by byte order.
-        let mut first_use: HashMap<&str, u32> = HashMap::new();
-        let mut distinct: Vec<&str> = Vec::new();
-        let mut value_ids: Vec<u32> = valued
-            .iter()
-            .map(|&(_, v)| {
-                *first_use.entry(v).or_insert_with(|| {
-                    distinct.push(v);
-                    to_u32(distinct.len() - 1)
-                })
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..to_u32(distinct.len())).collect();
-        order.sort_unstable_by_key(|&i| distinct[i as usize]);
-        let mut rank = vec![0u32; distinct.len()];
-        let mut text = String::with_capacity(distinct.iter().map(|v| v.len()).sum());
-        let mut text_starts = Vec::with_capacity(distinct.len() + 1);
-        text_starts.push(0);
-        for (r, &i) in order.iter().enumerate() {
-            rank[i as usize] = to_u32(r);
-            text.push_str(distinct[i as usize]);
-            text_starts.push(text.len());
-        }
-        for id in &mut value_ids {
-            *id = rank[*id as usize];
-        }
-
-        // Holders by counting sort: slots are visited in nid order, so
-        // every group comes out ascending.
-        let mut holder_starts = vec![0u32; distinct.len() + 1];
-        for &id in &value_ids {
-            holder_starts[id as usize + 1] += 1;
-        }
-        for v in 1..holder_starts.len() {
-            holder_starts[v] += holder_starts[v - 1];
-        }
-        let mut next = holder_starts.clone();
-        let mut holders = vec![NodeId(0); valued.len()];
-        for (&(n, _), &id) in valued.iter().zip(&value_ids) {
-            holders[next[id as usize] as usize] = n;
-            next[id as usize] += 1;
-        }
+        // Slots run in nid order, so each value's holders come out
+        // ascending.
+        let (holder_starts, holders) = group_by_key(values.len(), || {
+            let slots = value_ids.iter().zip(&nids);
+            slots.map(|(&id, &n)| (id as usize, n))
+        });
 
         DataTable {
-            nids: valued.into_iter().map(|(n, _)| n).collect(),
+            nids,
             value_ids,
-            text,
-            text_starts,
+            values,
             holders,
             holder_starts,
             pages,
@@ -136,9 +98,7 @@ impl DataTable {
     /// The value of `nid`, without cost accounting (test/inspection use).
     pub fn value(&self, nid: NodeId) -> Option<&str> {
         let slot = self.nids.binary_search(&nid).ok()?;
-        self.value_ids
-            .get(slot)
-            .map(|&id| self.text_of(id as usize))
+        self.value_ids.get(slot).map(|&id| self.values.resolve(id))
     }
 
     /// The QTYPE3 value test over a whole candidate set, through a
@@ -220,67 +180,26 @@ impl DataTable {
         self.nids
             .iter()
             .zip(&self.value_ids)
-            .map(|(&n, &id)| (n, self.text_of(id as usize)))
+            .map(|(&n, &id)| (n, self.values.resolve(id)))
     }
 
     /// The holders of `value`; empty when no node holds it.
     fn holders_of(&self, value: &str) -> &[NodeId] {
-        self.value_id(value)
+        self.values
+            .get(value)
             .and_then(|id| {
-                let start = *self.holder_starts.get(id)? as usize;
-                let end = *self.holder_starts.get(id + 1)? as usize;
+                let start = *self.holder_starts.get(id as usize)? as usize;
+                let end = *self.holder_starts.get(id as usize + 1)? as usize;
                 self.holders.get(start..end)
             })
             .unwrap_or(&[])
     }
-
-    /// The id of `value`, by binary search over the byte-ordered
-    /// distinct values.
-    fn value_id(&self, value: &str) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.text_starts.len().saturating_sub(1));
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.text_of(mid).cmp(value) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
-    }
-
-    /// The text of value id `id`.
-    fn text_of(&self, id: usize) -> &str {
-        match (self.text_starts.get(id), self.text_starts.get(id + 1)) {
-            (Some(&start), Some(&end)) => self.text.get(start..end),
-            _ => None,
-        }
-        .unwrap_or_default()
-    }
 }
 
-/// First index `i >= lo` with `xs[i] >= nid`: gallops from `lo`, then
-/// binary-searches the bracket.
+/// First index `i >= lo` with `xs[i] >= nid`, galloping from `lo`.
 fn lower_bound(xs: &[NodeId], lo: usize, nid: NodeId) -> usize {
-    let (mut base, mut hi, mut step) = (lo, lo, 1usize);
-    while let Some(&n) = xs.get(hi) {
-        if n >= nid {
-            break;
-        }
-        base = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let hi = hi.min(xs.len());
-    base + xs
-        .get(base..hi)
-        .map_or(0, |run| run.partition_point(|&n| n < nid))
-}
-
-/// A value id or holder offset as stored. Both are at most the number
-/// of entries, and entries have distinct `u32` node ids, so this is exact.
-fn to_u32(n: usize) -> u32 {
-    u32::try_from(n).unwrap_or(u32::MAX)
+    let below = |i: usize| xs.get(i).is_some_and(|&n| n < nid);
+    gallop_in(lo, xs.len(), below, &mut 0)
 }
 
 #[cfg(test)]
@@ -474,7 +393,7 @@ mod tests {
                 leaf_seen = Some(leaf);
                 cost.pages_read += buf.touch(ObjectId::new(Space::TablePage, leaf as u64), 0);
             }
-            t.nids.get(pos) == Some(&nid) && t.text_of(t.value_ids[pos] as usize) == expected
+            t.nids.get(pos) == Some(&nid) && t.values.resolve(t.value_ids[pos]) == expected
         });
     }
 
@@ -635,7 +554,7 @@ mod tests {
         let mut x = 7u64;
         let t = random_table(&mut x, 2_000, 25, 256);
         let distinct: std::collections::BTreeSet<&str> = t.iter().map(|(_, v)| v).collect();
-        assert_eq!(t.text_starts.len(), distinct.len() + 1);
+        assert_eq!(t.values.len(), distinct.len());
         for v in &distinct {
             let want: Vec<NodeId> = t.iter().filter(|(_, w)| w == v).map(|(n, _)| n).collect();
             assert_eq!(t.nodes_with_value(v), want.as_slice(), "{v}");

@@ -1,11 +1,17 @@
 //! Incremental construction of [`XmlGraph`]s with ID/IDREF resolution.
+//!
+//! A builder keeps per node only its tag, tree parent and value id, and
+//! interns labels, ids and values in one [`Interner`] each. `finish` lays
+//! every edge out once, by a stable counting placement into one array
+//! with an offset per node, and renumbers the values in byte order.
 
-use std::collections::HashMap;
-use std::hash::BuildHasher;
+#![deny(clippy::indexing_slicing, clippy::unreachable)]
+
+use std::sync::Arc;
 
 use crate::error::BuildError;
 use crate::interner::Interner;
-use crate::model::{Edge, LabelId, NodeId, XmlGraph, NULL_NODE};
+use crate::model::{group_by_key, Edge, LabelId, NodeId, XmlGraph, NO_VALUE, NULL_NODE};
 
 /// Builds an [`XmlGraph`] node by node.
 ///
@@ -17,85 +23,37 @@ use crate::model::{Edge, LabelId, NodeId, XmlGraph, NULL_NODE};
 #[derive(Debug)]
 pub struct GraphBuilder {
     labels: Interner,
-    out: Vec<Vec<Edge>>,
-    values: Vec<Option<Box<str>>>,
     tags: Vec<LabelId>,
     tree_parent: Vec<NodeId>,
-    ids: IdTable,
-    /// Target ids of the references not yet resolved, back to back, for
-    /// the same reason as [`IdTable`].
-    ref_text: String,
-    /// Per pending reference: its `@attr` node and the end of its target
-    /// id in `ref_text` (it starts where the previous one ends).
-    pending_refs: Vec<(NodeId, usize)>,
+    /// Per node: its value's id in `values`, or [`NO_VALUE`].
+    value_ids: Vec<u32>,
+    values: Interner,
+    /// Every id declared or referenced so far.
+    ids: Interner,
+    /// Per id in `ids`: the node that declared it, or `NULL_NODE` while
+    /// it is only referenced.
+    id_nodes: Vec<NodeId>,
+    /// Per reference, in the order added: its `@attr` node and the id it
+    /// targets.
+    refs: Vec<(NodeId, u32)>,
     idref_label_set: Vec<LabelId>,
-    edge_count: usize,
-}
-
-/// The declared ids, with no allocation per id: their text back to back
-/// in one string, and a map from an id's hash to the newest id with that
-/// hash, each id linking to the previous one with the same hash. The
-/// builder drops it in [`GraphBuilder::finish`], while the graph keeps
-/// every node value: a `String` per id would leave that many small holes
-/// among the values, and the allocator serves later small requests from
-/// them, scattered over the heap.
-#[derive(Debug, Default)]
-struct IdTable {
-    text: String,
-    /// Per id: its end in `text` (it starts where the previous id ends),
-    /// its node, and the previous id with the same hash.
-    entries: Vec<(usize, NodeId, Option<u32>)>,
-    newest: HashMap<u64, u32>,
-}
-
-impl IdTable {
-    /// The node declared under `id`.
-    fn get(&self, id: &str) -> Option<NodeId> {
-        let mut at = self.newest.get(&self.newest.hasher().hash_one(id)).copied();
-        while let Some(i) = at {
-            let i = i as usize;
-            let start = i
-                .checked_sub(1)
-                .and_then(|p| self.entries.get(p))
-                .map_or(0, |e| e.0);
-            let &(end, node, prev) = self.entries.get(i)?;
-            if self.text.get(start..end) == Some(id) {
-                return Some(node);
-            }
-            at = prev;
-        }
-        None
-    }
-
-    /// Declares `id` for `node`; false if `id` is already declared.
-    fn insert(&mut self, id: &str, node: NodeId) -> bool {
-        if self.get(id).is_some() {
-            return false;
-        }
-        let index = self.entries.len() as u32;
-        let prev = self.newest.insert(self.newest.hasher().hash_one(id), index);
-        self.text.push_str(id);
-        self.entries.push((self.text.len(), node, prev));
-        true
-    }
 }
 
 impl GraphBuilder {
     /// Starts a graph whose root element has tag `root_tag`.
     pub fn new(root_tag: &str) -> Self {
-        let mut labels = Interner::new();
-        let root_label = labels.intern(root_tag);
+        let mut labels = Interner::default();
+        let root_label = LabelId(labels.intern(root_tag));
         GraphBuilder {
             labels,
-            out: vec![Vec::new()],
-            values: vec![None],
             tags: vec![root_label],
             tree_parent: vec![NULL_NODE],
-            ids: IdTable::default(),
-            ref_text: String::new(),
-            pending_refs: Vec::new(),
+            value_ids: vec![NO_VALUE],
+            values: Interner::default(),
+            ids: Interner::default(),
+            id_nodes: Vec::new(),
+            refs: Vec::new(),
             idref_label_set: Vec::new(),
-            edge_count: 0,
         }
     }
 
@@ -108,49 +66,67 @@ impl GraphBuilder {
     /// Number of nodes created so far.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.tags.len()
     }
 
     /// Interns a label without creating a node.
     pub fn intern(&mut self, label: &str) -> LabelId {
-        self.labels.intern(label)
+        LabelId(self.labels.intern(label))
     }
 
     fn new_node(&mut self, parent: NodeId, label: LabelId) -> NodeId {
-        let id = NodeId(self.out.len() as u32);
-        self.out.push(Vec::new());
-        self.values.push(None);
+        let id = NodeId(self.tags.len() as u32);
+        assert!(parent < id, "parent {} is not a node yet", parent.0);
         self.tags.push(label);
         self.tree_parent.push(parent);
-        self.out[parent.idx()].push(Edge { label, to: id });
-        self.edge_count += 1;
+        self.value_ids.push(NO_VALUE);
         id
     }
 
     /// Adds an inner (element) child of `parent` reached by `label`.
     pub fn add_child(&mut self, parent: NodeId, label: &str) -> NodeId {
-        let l = self.labels.intern(label);
+        let l = self.intern(label);
         self.new_node(parent, l)
     }
 
     /// Adds a leaf child of `parent` carrying `value`.
     pub fn add_value_child(&mut self, parent: NodeId, label: &str, value: &str) -> NodeId {
         let n = self.add_child(parent, label);
-        self.values[n.idx()] = Some(value.into());
+        self.set_value(n, value);
         n
     }
 
     /// Sets (or replaces) the value of an existing node.
+    ///
+    /// # Panics
+    /// Panics if `node` was not created by this builder.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a node of this builder indexes `value_ids`, which holds one slot per node; a foreign node is the documented panic"
+    )]
     pub fn set_value(&mut self, node: NodeId, value: &str) {
-        self.values[node.idx()] = Some(value.into());
+        self.value_ids[node.idx()] = self.values.intern(value);
+    }
+
+    /// The index of `id` in `ids` and `id_nodes`, adding it if new.
+    fn id_slot(&mut self, id: &str) -> u32 {
+        let k = self.ids.intern(id);
+        if k as usize == self.id_nodes.len() {
+            self.id_nodes.push(NULL_NODE);
+        }
+        k
     }
 
     /// Declares `id` for `node`, so IDREFs can target it.
     pub fn register_id(&mut self, node: NodeId, id: &str) -> Result<(), BuildError> {
-        if !self.ids.insert(id, node) {
-            return Err(BuildError::DuplicateId { id: id.to_string() });
+        let k = self.id_slot(id);
+        match self.id_nodes.get_mut(k as usize) {
+            Some(slot) if slot.is_null() => {
+                *slot = node;
+                Ok(())
+            }
+            _ => Err(BuildError::DuplicateId { id: id.to_string() }),
         }
-        Ok(())
     }
 
     /// Adds an IDREF attribute `@attr_name` to `element`, referencing the
@@ -159,58 +135,82 @@ impl GraphBuilder {
     /// The reference edge itself (from the attribute node to the target,
     /// labeled with the target's tag) is created by [`GraphBuilder::finish`].
     pub fn add_idref(&mut self, element: NodeId, attr_name: &str, target_id: &str) -> NodeId {
-        let label_str = format!("@{attr_name}");
-        let l = self.labels.intern(&label_str);
+        let l = self.intern(&format!("@{attr_name}"));
         if !self.idref_label_set.contains(&l) {
             self.idref_label_set.push(l);
         }
         let attr_node = self.new_node(element, l);
-        self.ref_text.push_str(target_id);
-        self.pending_refs.push((attr_node, self.ref_text.len()));
+        let k = self.id_slot(target_id);
+        self.refs.push((attr_node, k));
         attr_node
     }
 
     /// Adds a plain (non-reference) attribute as a `@attr` leaf child.
     pub fn add_attribute(&mut self, element: NodeId, attr_name: &str, value: &str) -> NodeId {
-        let label_str = format!("@{attr_name}");
-        let l = self.labels.intern(&label_str);
-        let n = self.new_node(element, l);
-        self.values[n.idx()] = Some(value.into());
-        n
+        self.add_value_child(element, &format!("@{attr_name}"), value)
+    }
+
+    /// The reference edge to the node declaring id `k`, if one does.
+    fn ref_edge(&self, k: u32) -> Option<Edge> {
+        let to = *self.id_nodes.get(k as usize).filter(|n| !n.is_null())?;
+        let label = *self.tags.get(to.idx())?;
+        Some(Edge { label, to })
     }
 
     /// Resolves all pending references and produces the final graph.
     pub fn finish(mut self) -> Result<XmlGraph, BuildError> {
-        let refs = std::mem::take(&mut self.pending_refs);
-        let mut start = 0;
-        for (attr_node, end) in refs {
-            let target_id = self.ref_text.get(start..end).unwrap_or_default();
-            start = end;
-            let Some(target) = self.ids.get(target_id) else {
-                return Err(BuildError::UnresolvedRef {
-                    attr_node: attr_node.0,
-                    target_id: target_id.to_string(),
-                });
-            };
-            let tag = self.tags[target.idx()];
-            self.out[attr_node.idx()].push(Edge {
-                label: tag,
-                to: target,
+        if let Some(&(attr, k)) = self.refs.iter().find(|r| self.ref_edge(r.1).is_none()) {
+            return Err(BuildError::UnresolvedRef {
+                attr_node: attr.0,
+                target_id: self.ids.resolve(k).to_string(),
             });
-            self.edge_count += 1;
         }
+        let (offsets, edges) = assemble(self.tags.len(), || {
+            let tree = self.tags.iter().zip(&self.tree_parent).enumerate().skip(1);
+            let tree = tree.map(|(n, (&label, &parent))| {
+                let to = NodeId(n as u32);
+                (parent, Edge { label, to })
+            });
+            let refs = self.refs.iter();
+            tree.chain(refs.filter_map(|&(attr, k)| Some((attr, self.ref_edge(k)?))))
+        });
         self.idref_label_set.sort_unstable();
+        let values = Arc::new(self.values.into_byte_order(&mut self.value_ids));
+        self.tags.shrink_to_fit();
+        self.tree_parent.shrink_to_fit();
+        self.value_ids.shrink_to_fit();
         Ok(XmlGraph {
             labels: self.labels,
-            out: self.out,
-            values: self.values,
+            offsets,
+            edges,
+            value_ids: self.value_ids,
+            values,
             tags: self.tags,
             tree_parent: self.tree_parent,
-            root: NodeId(0),
             idref_labels: self.idref_label_set,
-            edge_count: self.edge_count,
         })
     }
+}
+
+/// Lays out the `(from, edge)` pairs `list` yields so that node `n`'s
+/// edges are `edges[offsets[n]..offsets[n + 1]]`, in the order listed.
+///
+/// # Panics
+/// Panics if an edge's `from` or `to` is not below `node_count`.
+#[expect(
+    clippy::panic,
+    reason = "an endpoint outside the graph is the builders' documented panic"
+)]
+fn assemble<I>(node_count: usize, list: impl Fn() -> I) -> (Vec<u32>, Vec<Edge>)
+where
+    I: DoubleEndedIterator<Item = (NodeId, Edge)>,
+{
+    for (from, e) in list() {
+        if from.idx() >= node_count || e.to.idx() >= node_count {
+            panic!("edge endpoint is missing: {} -> {}", from.0, e.to.0);
+        }
+    }
+    group_by_key(node_count, || list().map(|(from, e)| (from.idx(), e)))
 }
 
 /// The MovieDB running example of the paper's Figure 1, with nids aligned
@@ -304,8 +304,8 @@ pub fn moviedb() -> XmlGraph {
     b.finish(&["@movie", "@actor", "@director"])
 }
 
-/// Node declaration held by [`RawGraphBuilder`]: tag, tree parent, value.
-type RawNode = (LabelId, NodeId, Option<Box<str>>);
+/// Node declaration held by [`RawGraphBuilder`]: tag, tree parent, value id.
+type RawNode = (LabelId, NodeId, u32);
 
 /// Low-level builder for hand-crafted example graphs with explicit nids.
 ///
@@ -313,6 +313,7 @@ type RawNode = (LabelId, NodeId, Option<Box<str>>);
 /// edges are added verbatim; useful for reproducing figures from papers.
 pub struct RawGraphBuilder {
     labels: Interner,
+    values: Interner,
     nodes: Vec<Option<RawNode>>,
     edges: Vec<(u32, LabelId, u32)>,
 }
@@ -321,26 +322,33 @@ impl RawGraphBuilder {
     /// Creates an empty raw builder.
     pub fn new() -> Self {
         RawGraphBuilder {
-            labels: Interner::new(),
+            labels: Interner::default(),
+            values: Interner::default(),
             nodes: Vec::new(),
             edges: Vec::new(),
         }
     }
 
     /// Declares node `nid` with `tag`, optional tree parent, and value.
+    ///
+    /// # Panics
+    /// Panics if `nid` is declared twice.
     pub fn node(&mut self, nid: u32, tag: &str, parent: Option<u32>, value: Option<&str>) {
-        let tag = self.labels.intern(tag);
+        let tag = LabelId(self.labels.intern(tag));
+        let value = value.map_or(NO_VALUE, |v| self.values.intern(v));
         let idx = nid as usize;
         if self.nodes.len() <= idx {
             self.nodes.resize_with(idx + 1, || None);
         }
-        assert!(self.nodes[idx].is_none(), "node {nid} declared twice");
-        self.nodes[idx] = Some((tag, parent.map_or(NULL_NODE, NodeId), value.map(Into::into)));
+        if let Some(slot) = self.nodes.get_mut(idx) {
+            assert!(slot.is_none(), "node {nid} declared twice");
+            *slot = Some((tag, parent.map_or(NULL_NODE, NodeId), value));
+        }
     }
 
     /// Adds edge `from --label--> to`.
     pub fn edge(&mut self, from: u32, label: &str, to: u32) {
-        let l = self.labels.intern(label);
+        let l = LabelId(self.labels.intern(label));
         self.edges.push((from, l, to));
     }
 
@@ -355,38 +363,33 @@ impl RawGraphBuilder {
         reason = "finish() documents its panic contract for hand-built graphs"
     )]
     pub fn finish(self, idref_labels: &[&str]) -> XmlGraph {
-        let mut out: Vec<Vec<Edge>> = vec![Vec::new(); self.nodes.len()];
-        let mut values = Vec::with_capacity(self.nodes.len());
-        let mut tags = Vec::with_capacity(self.nodes.len());
-        let mut tree_parent = Vec::with_capacity(self.nodes.len());
-        for (nid, slot) in self.nodes.into_iter().enumerate() {
-            let (tag, parent, value) = slot.unwrap_or_else(|| panic!("nid {nid} not declared"));
-            tags.push(tag);
-            tree_parent.push(parent);
-            values.push(value);
-        }
-        let edge_count = self.edges.len();
-        for (from, label, to) in self.edges {
-            assert!((to as usize) < out.len(), "edge to undeclared node {to}");
-            out[from as usize].push(Edge {
-                label,
-                to: NodeId(to),
-            });
-        }
+        let nodes = self.nodes.into_iter().enumerate();
+        let nodes: Vec<RawNode> = nodes
+            .map(|(nid, slot)| slot.unwrap_or_else(|| panic!("nid {nid} not declared")))
+            .collect();
+        let tags = nodes.iter().map(|n| n.0).collect();
+        let tree_parent = nodes.iter().map(|n| n.1).collect();
+        let mut value_ids: Vec<u32> = nodes.iter().map(|n| n.2).collect();
+        let (offsets, edges) = assemble(nodes.len(), || {
+            self.edges.iter().map(|&(from, label, to)| {
+                let to = NodeId(to);
+                (NodeId(from), Edge { label, to })
+            })
+        });
         let mut idrefs: Vec<LabelId> = idref_labels
             .iter()
-            .map(|s| self.labels.get(s).expect("idref label not used in graph"))
+            .map(|s| LabelId(self.labels.get(s).expect("idref label not used in graph")))
             .collect();
         idrefs.sort_unstable();
         XmlGraph {
             labels: self.labels,
-            out,
-            values,
+            offsets,
+            edges,
+            values: Arc::new(self.values.into_byte_order(&mut value_ids)),
+            value_ids,
             tags,
             tree_parent,
-            root: NodeId(0),
             idref_labels: idrefs,
-            edge_count,
         }
     }
 }
@@ -545,6 +548,47 @@ mod tests {
             .collect();
         t.sort_unstable();
         assert_eq!(t, vec![(2, 3), (4, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint is missing")]
+    fn an_edge_from_an_undeclared_node_is_refused() {
+        let mut b = RawGraphBuilder::new();
+        b.node(0, "r", None, None);
+        b.edge(7, "x", 0);
+        b.finish(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint is missing")]
+    fn an_edge_to_an_undeclared_node_is_refused() {
+        let mut b = RawGraphBuilder::new();
+        b.node(0, "r", None, None);
+        b.edge(0, "x", 7);
+        b.finish(&[]);
+    }
+
+    #[test]
+    fn out_edges_are_tree_children_in_nid_order_then_references() {
+        let mut b = GraphBuilder::new("db");
+        let root = b.root();
+        let m = b.add_child(root, "movie");
+        b.register_id(m, "m").unwrap();
+        let r1 = b.add_idref(root, "first", "m");
+        let a = b.add_child(root, "actor");
+        // An attribute node that gains a child keeps its reference last.
+        let c = b.add_child(r1, "note");
+        b.add_value_child(a, "name", "");
+        let g = b.finish().unwrap();
+        let movie = g.label_id("movie").unwrap();
+        let out: Vec<NodeId> = g.out_edges(root).iter().map(|e| e.to).collect();
+        assert_eq!(out, vec![m, r1, a]);
+        let r1_out: Vec<(LabelId, NodeId)> =
+            g.out_edges(r1).iter().map(|e| (e.label, e.to)).collect();
+        assert_eq!(r1_out, vec![(g.tag(c), c), (movie, m)]);
+        assert_eq!(g.edge_count(), g.edges().count());
+        assert_eq!(g.value(NodeId(5)), Some(""), "an empty value is a value");
+        assert_eq!(g.value(m), None);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   element labeled with the *target element's tag*.
 //! * [`builder::GraphBuilder`] — an ergonomic constructor that assigns
 //!   node identifiers (`nid`s) in document order and resolves ID/IDREF
-//!   links at `finish()`.
+//!   links at `finish()`, where it lays the adjacency out as flat arrays.
+//! * [`interner::Interner`] — the one string table: labels, declared ids
+//!   and node values, each string stored once.
 //! * [`parser`] — a from-scratch XML parser (no external XML crate) that
 //!   builds an [`model::XmlGraph`] from a document, with configurable
 //!   ID/IDREF attribute names.
@@ -42,6 +44,6 @@ pub mod writer;
 pub use builder::GraphBuilder;
 pub use error::{BuildError, ParseError};
 pub use interner::Interner;
-pub use model::{sort_distinct, Edge, LabelId, NodeId, XmlGraph, NULL_NODE};
+pub use model::{group_by_key, sort_distinct, Edge, LabelId, NodeId, XmlGraph, NULL_NODE};
 pub use paths::LabelPath;
 pub use stats::GraphStats;

@@ -1,11 +1,16 @@
-//! The directed labeled edge graph `G_XML` (Definition 1 of the paper).
+//! The directed labeled edge graph `G_XML` (Definition 1 of the paper),
+//! held as flat arrays that a builder's `finish` lays out once: all
+//! out-edges back to back with an offset per node, and per node its tag,
+//! tree parent and value id into one byte-ordered value dictionary.
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
+
+use std::sync::Arc;
 
 use crate::interner::Interner;
 
 /// Node identifier (`nid`). Dense, assigned in document order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// The `NULL` nid used as the parent of the root in extents
@@ -27,7 +32,7 @@ impl NodeId {
 }
 
 /// Interned edge-label identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelId(pub u32);
 
 impl LabelId {
@@ -39,13 +44,16 @@ impl LabelId {
 }
 
 /// An outgoing edge `(label, to)` of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Edge label.
     pub label: LabelId,
     /// Ending node.
     pub to: NodeId,
 }
+
+/// The value id of a node that carries no value.
+pub(crate) const NO_VALUE: u32 = u32::MAX;
 
 /// The structure of XML data: `G_XML = (V, E, root, A)`.
 ///
@@ -59,68 +67,82 @@ pub struct Edge {
 #[derive(Debug, Clone)]
 pub struct XmlGraph {
     pub(crate) labels: Interner,
-    pub(crate) out: Vec<Vec<Edge>>,
-    pub(crate) values: Vec<Option<Box<str>>>,
+    /// Node `n`'s out-edges are `edges[offsets[n]..offsets[n + 1]]`.
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) edges: Vec<Edge>,
+    /// Per node: its value's id in `values`, or [`NO_VALUE`].
+    pub(crate) value_ids: Vec<u32>,
+    /// The distinct values, in byte order.
+    pub(crate) values: Arc<Interner>,
     /// The tag of each node = the label of its incoming tree edge
     /// (`@attr` for attribute nodes; the root keeps its own tag).
     pub(crate) tags: Vec<LabelId>,
     /// Tree parent of each node (`NULL_NODE` for the root). Reference
     /// edges never appear here, so this always forms a spanning tree.
     pub(crate) tree_parent: Vec<NodeId>,
-    pub(crate) root: NodeId,
     /// `@`-labels that carry ID/IDREF references (Table 1's parenthesized
     /// label counts).
     pub(crate) idref_labels: Vec<LabelId>,
-    pub(crate) edge_count: usize,
 }
 
 impl XmlGraph {
-    /// The root node.
+    /// The root node (always `NodeId(0)`).
     #[inline]
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Number of nodes `|V|`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.tags.len()
     }
 
     /// Number of edges `|E|` (including reference edges).
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edges.len()
     }
 
-    /// Outgoing edges of `n` in document order of their targets.
+    /// Outgoing edges of `n`: its tree children in document order, then
+    /// its reference edges.
     #[inline]
     #[expect(
         clippy::indexing_slicing,
-        reason = "NodeIds are indices into `out`, which is built with one slot per node"
+        reason = "NodeIds index `offsets`, which holds one entry per node plus one, and each offset pair bounds a run of `edges`"
     )]
     pub fn out_edges(&self, n: NodeId) -> &[Edge] {
-        &self.out[n.idx()]
+        let i = n.idx();
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The value of a leaf node, if any.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "NodeIds are indices into `values`, which is built with one slot per node"
-    )]
     pub fn value(&self, n: NodeId) -> Option<&str> {
-        self.values[n.idx()].as_deref()
+        self.value_id(n).map(|id| self.values.resolve(id))
+    }
+
+    /// The id of `n`'s value in [`XmlGraph::value_dictionary`], if any.
+    #[inline]
+    pub fn value_id(&self, n: NodeId) -> Option<u32> {
+        self.value_ids
+            .get(n.idx())
+            .copied()
+            .filter(|&id| id != NO_VALUE)
+    }
+
+    /// The distinct values, each once, numbered in byte order: value ids
+    /// compare as their strings do, and [`Interner::get`] finds one by
+    /// bisection.
+    #[inline]
+    pub fn value_dictionary(&self) -> &Arc<Interner> {
+        &self.values
     }
 
     /// True if `n` has no outgoing edges.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "NodeIds are indices into `out`, which is built with one slot per node"
-    )]
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        self.out[n.idx()].is_empty()
+        self.out_edges(n).is_empty()
     }
 
     /// The tag of `n` (label of its incoming tree edge).
@@ -143,7 +165,7 @@ impl XmlGraph {
         self.tree_parent[n.idx()]
     }
 
-    /// The label interner.
+    /// The label table; its ids are the [`LabelId`]s.
     #[inline]
     pub fn labels(&self) -> &Interner {
         &self.labels
@@ -158,13 +180,13 @@ impl XmlGraph {
     /// Resolves a label id to its string.
     #[inline]
     pub fn label_str(&self, l: LabelId) -> &str {
-        self.labels.resolve(l)
+        self.labels.resolve(l.0)
     }
 
     /// Looks up a label string.
     #[inline]
     pub fn label_id(&self, s: &str) -> Option<LabelId> {
-        self.labels.get(s)
+        self.labels.get(s).map(LabelId)
     }
 
     /// Labels that carry ID/IDREF references.
@@ -175,22 +197,16 @@ impl XmlGraph {
 
     /// Iterates over all node ids in document order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.out.len() as u32).map(NodeId)
+        (0..self.tags.len() as u32).map(NodeId)
     }
 
     /// Iterates over all edges as `(from, label, to)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, LabelId, NodeId)> + '_ {
-        self.out
-            .iter()
-            .enumerate()
-            .flat_map(|(from, es)| es.iter().map(move |e| (NodeId(from as u32), e.label, e.to)))
-    }
-
-    /// Sorts node ids by document order and removes duplicates — the
-    /// post-processing step the paper applies to every query result.
-    /// Nids are document order, so this is [`sort_distinct`].
-    pub fn sort_doc_order(&self, nodes: &mut Vec<NodeId>) {
-        sort_distinct(nodes, &mut Vec::new());
+        self.nodes().flat_map(move |from| {
+            self.out_edges(from)
+                .iter()
+                .map(move |e| (from, e.label, e.to))
+        })
     }
 
     /// Renders the label path of `path` as a dot-separated string
@@ -205,6 +221,42 @@ impl XmlGraph {
         }
         s
     }
+}
+
+/// Groups the `(key, item)` pairs `list` yields by key, in the order
+/// listed within each key: key `k`'s items are
+/// `items[starts[k]..starts[k + 1]]`, with `keys + 1` starts. A stable
+/// counting sort into exact-size arrays, which walks `list` once forwards
+/// to count and once backwards to place; a pair whose key is not below
+/// `keys` is dropped.
+pub fn group_by_key<T, I>(keys: usize, list: impl Fn() -> I) -> (Vec<u32>, Vec<T>)
+where
+    T: Copy + Default,
+    I: DoubleEndedIterator<Item = (usize, T)>,
+{
+    // `starts[k]` counts key k's items, is made the end of its run, and
+    // is walked down to the run's start as the items are placed.
+    let mut starts = vec![0u32; keys + 1];
+    for (k, _) in list().filter(|&(k, _)| k < keys) {
+        if let Some(count) = starts.get_mut(k) {
+            *count += 1;
+        }
+    }
+    let mut end = 0;
+    for s in &mut starts {
+        end += *s;
+        *s = end;
+    }
+    let mut items = vec![T::default(); end as usize];
+    for (k, item) in list().rev().filter(|&(k, _)| k < keys) {
+        if let Some(s) = starts.get_mut(k) {
+            *s -= 1;
+            if let Some(slot) = items.get_mut(*s as usize) {
+                *slot = item;
+            }
+        }
+    }
+    (starts, items)
 }
 
 /// Sorts `nodes` ascending and removes duplicates, in place — the one
@@ -293,14 +345,6 @@ mod tests {
         assert_eq!(g.tag(NodeId(3)), c);
         assert_eq!(g.tree_parent(NodeId(4)), NodeId(3));
         assert!(g.tree_parent(g.root()).is_null());
-    }
-
-    #[test]
-    fn sort_doc_order_dedups() {
-        let g = tiny();
-        let mut v = vec![NodeId(4), NodeId(1), NodeId(4), NodeId(0)];
-        g.sort_doc_order(&mut v);
-        assert_eq!(v, vec![NodeId(0), NodeId(1), NodeId(4)]);
     }
 
     #[test]

@@ -385,22 +385,15 @@ fn decode_entities(raw: &str, p: &Parser<'_>) -> Result<String, ParseError> {
             "gt" => out.push('>'),
             "quot" => out.push('"'),
             "apos" => out.push('\''),
-            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                let cp = u32::from_str_radix(&ent[2..], 16)
-                    .map_err(|_| p.err(format!("bad character reference `&{ent};`")))?;
-                out.push(
-                    char::from_u32(cp)
-                        .ok_or_else(|| p.err(format!("invalid code point `&{ent};`")))?,
-                );
-            }
             _ if ent.starts_with('#') => {
-                let cp = ent[1..]
-                    .parse::<u32>()
+                let (digits, radix) = match ent[1..].strip_prefix(['x', 'X']) {
+                    Some(hex) => (hex, 16),
+                    None => (&ent[1..], 10),
+                };
+                let cp = u32::from_str_radix(digits, radix)
                     .map_err(|_| p.err(format!("bad character reference `&{ent};`")))?;
-                out.push(
-                    char::from_u32(cp)
-                        .ok_or_else(|| p.err(format!("invalid code point `&{ent};`")))?,
-                );
+                let c = char::from_u32(cp);
+                out.push(c.ok_or_else(|| p.err(format!("invalid code point `&{ent};`")))?);
             }
             _ => return Err(p.err(format!("unknown entity `&{ent};`"))),
         }

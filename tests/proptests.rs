@@ -1069,3 +1069,243 @@ mod query_syntax {
         }
     }
 }
+
+/// Random `GraphBuilder` programs against a reference kept as one
+/// child list per node: the flat graph the builder lays out in `finish`
+/// must read back exactly what the per-node lists hold, and the data
+/// table over it exactly what a `BTreeMap` of the values holds.
+mod builder_programs {
+    use std::collections::BTreeMap;
+
+    use apex_storage::{DataTable, PageModel};
+    use proptest::prelude::*;
+    use xmlgraph::{BuildError, GraphBuilder, NodeId, NULL_NODE};
+
+    /// Values repeat and include the empty string.
+    const VALUES: [&str; 6] = ["", "x", "y", "x y", "é", "zz"];
+
+    /// One builder call: its kind, then node, label and string choices.
+    type Op = (u8, usize, usize, usize);
+
+    fn program() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec((0u8..7, 0..64usize, 0..4usize, 0..6usize), 0..80)
+    }
+
+    /// The reference: per node its tag, tree parent, value and
+    /// out-edges, each edge as `(label, to)`.
+    #[derive(Default)]
+    struct Model {
+        tags: Vec<String>,
+        parents: Vec<NodeId>,
+        values: Vec<Option<String>>,
+        out: Vec<Vec<(String, NodeId)>>,
+        ids: BTreeMap<String, NodeId>,
+        refs: Vec<(NodeId, String)>,
+    }
+
+    impl Model {
+        fn node(&mut self, parent: NodeId, tag: String) -> NodeId {
+            let n = NodeId(self.tags.len() as u32);
+            if !parent.is_null() {
+                self.out[parent.idx()].push((tag.clone(), n));
+            }
+            self.tags.push(tag);
+            self.parents.push(parent);
+            self.values.push(None);
+            self.out.push(Vec::new());
+            n
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn the_flat_graph_reads_back_the_per_node_lists(ops in program()) {
+            let mut b = GraphBuilder::new("root");
+            let mut m = Model::default();
+            m.node(NULL_NODE, "root".into());
+            for &(kind, at, label, vi) in &ops {
+                let node = NodeId((at % m.tags.len()) as u32);
+                let label = ["a", "b", "c", "d"][label];
+                let value = VALUES[vi];
+                match kind {
+                    0 => {
+                        let n = b.add_child(node, label);
+                        prop_assert_eq!(n, m.node(node, label.into()));
+                    }
+                    1 => {
+                        let n = b.add_value_child(node, label, value);
+                        prop_assert_eq!(n, m.node(node, label.into()));
+                        m.values[n.idx()] = Some(value.into());
+                    }
+                    2 => {
+                        b.set_value(node, value);
+                        m.values[node.idx()] = Some(value.into());
+                    }
+                    3 => {
+                        let id = format!("i{}", at % 9);
+                        let fresh = !m.ids.contains_key(&id);
+                        prop_assert_eq!(b.register_id(node, &id).is_ok(), fresh);
+                        m.ids.entry(id).or_insert(node);
+                    }
+                    4 | 5 => {
+                        let attr = format!("r{label}");
+                        let target = format!("i{}", vi + 3 * (kind as usize - 4));
+                        let n = b.add_idref(node, &attr, &target);
+                        prop_assert_eq!(n, m.node(node, format!("@{attr}")));
+                        m.refs.push((n, target));
+                    }
+                    _ => {
+                        let n = b.add_attribute(node, label, value);
+                        prop_assert_eq!(n, m.node(node, format!("@{label}")));
+                        m.values[n.idx()] = Some(value.into());
+                    }
+                }
+            }
+            // Most programs declare every id they reference, some on
+            // the last node, so both outcomes of `finish` occur.
+            if !ops.len().is_multiple_of(4) {
+                let last = NodeId(m.tags.len() as u32 - 1);
+                for (_, id) in &m.refs {
+                    if !m.ids.contains_key(id) {
+                        prop_assert!(b.register_id(last, id).is_ok());
+                        m.ids.insert(id.clone(), last);
+                    }
+                }
+            }
+            let unresolved = m.refs.iter().find(|(_, id)| !m.ids.contains_key(id)).cloned();
+            let g = match (b.finish(), unresolved) {
+                (Err(BuildError::UnresolvedRef { attr_node, target_id }), Some((n, id))) => {
+                    prop_assert_eq!((attr_node, target_id), (n.0, id));
+                    return Ok(());
+                }
+                (Ok(g), None) => g,
+                (got, want) => {
+                    return Err(TestCaseError::fail(format!("finish gave {:?}, want error on {want:?}", got.err())));
+                }
+            };
+            for (attr, id) in &m.refs {
+                let to = m.ids[id];
+                let tag = m.tags[to.idx()].clone();
+                m.out[attr.idx()].push((tag, to));
+            }
+
+            prop_assert_eq!(g.node_count(), m.tags.len());
+            let mut flat = Vec::new();
+            for n in g.nodes() {
+                let out: Vec<(String, NodeId)> = g
+                    .out_edges(n)
+                    .iter()
+                    .map(|e| (g.label_str(e.label).to_string(), e.to))
+                    .collect();
+                prop_assert_eq!(&out, &m.out[n.idx()], "out_edges({})", n.0);
+                prop_assert_eq!(g.is_leaf(n), out.is_empty());
+                prop_assert_eq!(g.label_str(g.tag(n)), m.tags[n.idx()].as_str());
+                prop_assert_eq!(g.tree_parent(n), m.parents[n.idx()]);
+                prop_assert_eq!(g.value(n), m.values[n.idx()].as_deref());
+                flat.extend(m.out[n.idx()].iter().map(|(l, to)| (n, l.clone(), *to)));
+            }
+            let edges: Vec<(NodeId, String, NodeId)> = g
+                .edges()
+                .map(|(f, l, t)| (f, g.label_str(l).to_string(), t))
+                .collect();
+            prop_assert_eq!(g.edge_count(), flat.len());
+            prop_assert_eq!(edges, flat);
+
+            let want: BTreeMap<NodeId, &str> = m
+                .values
+                .iter()
+                .enumerate()
+                .filter_map(|(n, v)| Some((NodeId(n as u32), v.as_deref()?)))
+                .collect();
+            let t = DataTable::build(&g, PageModel::new(64));
+            prop_assert_eq!(t.len(), want.len());
+            let got: Vec<(NodeId, &str)> = t.iter().collect();
+            let want_rows: Vec<(NodeId, &str)> = want.iter().map(|(&n, &v)| (n, v)).collect();
+            prop_assert_eq!(got, want_rows);
+            for n in g.nodes() {
+                prop_assert_eq!(t.value(n), want.get(&n).copied());
+            }
+            for v in VALUES.iter().chain(&["absent"]) {
+                let holders: Vec<NodeId> =
+                    want.iter().filter(|(_, w)| *w == v).map(|(&n, _)| n).collect();
+                prop_assert_eq!(t.nodes_with_value(v), holders.as_slice(), "holders of {:?}", v);
+            }
+        }
+    }
+}
+
+/// A seeded mutation sweep over the XML parser: byte flips, truncations
+/// and inserted markup characters never make it panic, and every
+/// refusal is a `ParseError` with a message.
+mod parser_mutations {
+    use xmlgraph::parser::parse;
+
+    /// Well-formed seeds: elements, attributes, ids and references,
+    /// entities, comments, a declaration and non-ASCII text.
+    fn seeds() -> Vec<String> {
+        vec![
+            xmlgraph::writer::write_xml(&datagen::flixml(3, 1)),
+            xmlgraph::writer::write_xml(&datagen::gedml(8, 2)),
+            concat!(
+                "<?xml version=\"1.0\"?>\n<!-- c --><db><movie id=\"m1\" year='1977'>",
+                "<title>Star &amp; Wars &lt;IV&gt; &#65;&#x42;</title></movie>",
+                "<actor ref=\"m1\"><name>Mark</name><empty/></actor>",
+                "<note>caf\u{e9} \u{2603}</note></db>"
+            )
+            .to_string(),
+        ]
+    }
+
+    /// xorshift64.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// One to three random edits of `doc`.
+    fn mutate(x: &mut u64, doc: &str) -> String {
+        let mut bytes = doc.as_bytes().to_vec();
+        for _ in 0..1 + next(x) % 3 {
+            let at = (next(x) % (bytes.len() as u64 + 1)) as usize;
+            let markup = b"<>&;/=\"'#x! \n"[(next(x) % 13) as usize];
+            match next(x) % 3 {
+                0 if at < bytes.len() => bytes[at] = markup,
+                1 => bytes.truncate(at),
+                _ => bytes.insert(at, markup),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    #[test]
+    fn no_mutation_panics_and_every_refusal_is_a_named_parse_error() {
+        let seeds = seeds();
+        for seed in &seeds {
+            assert!(parse(seed).is_ok(), "seed document parses");
+        }
+        let mut x = 0x5eed_0f9a_45e5_u64;
+        let (mut refused, mut parsed) = (0, 0);
+        for case in 0..6_000 {
+            let doc = mutate(&mut x, &seeds[case % seeds.len()]);
+            match std::panic::catch_unwind(|| parse(&doc)) {
+                Ok(Ok(g)) => {
+                    assert_eq!(g.edges().count(), g.edge_count(), "case {case}");
+                    parsed += 1;
+                }
+                Ok(Err(e)) => {
+                    assert!(!e.msg.is_empty(), "case {case}: unnamed error for {doc:?}");
+                    refused += 1;
+                }
+                Err(_) => panic!("case {case}: parse panicked on {doc:?}"),
+            }
+        }
+        assert!(
+            refused > 0 && parsed > 0,
+            "{refused} refused, {parsed} parsed"
+        );
+    }
+}

@@ -576,35 +576,63 @@ mod persist_hostile_images {
     }
 }
 
-/// The data table is columns: building it leaves a few flat arrays
-/// behind, never a block per entry (as a boxed value per row would).
-mod datatable_blocks {
-    use std::collections::HashSet;
-
-    use apex_storage::{DataTable, PageModel};
+/// The data graph is a few flat arrays: what a build leaves behind is a
+/// constant number of heap blocks, never a block per node or value.
+mod graph_blocks {
     use xmlgraph::XmlGraph;
 
     use super::persist_hostile_images::live_blocks_after;
 
-    /// Asserts that the table built over `g` holds at most
-    /// 2 × (distinct values) + 64 heap blocks.
-    fn assert_few_blocks(g: &XmlGraph, what: &str) {
-        let values: Vec<&str> = g.nodes().filter_map(|n| g.value(n)).collect();
-        let distinct = values.iter().collect::<HashSet<_>>().len();
-        let (table, live) = live_blocks_after(|| DataTable::build(g, PageModel::default()));
-        assert_eq!(table.len(), values.len(), "{what}");
-        let bound = 2 * distinct as isize + 64;
-        assert!(
-            live <= bound,
-            "{what}: {live} live blocks for {} entries of {distinct} distinct values (bound {bound})",
-            values.len()
-        );
+    /// A named way to make a graph.
+    type Generator = (&'static str, fn() -> XmlGraph);
+
+    /// Two sizes of each family.
+    pub(super) fn generators() -> [Generator; 6] {
+        [
+            ("shakespeare(1, 7)", || datagen::shakespeare(1, 7)),
+            ("shakespeare(4, 7)", || datagen::shakespeare(4, 7)),
+            ("flixml(40, 7)", || datagen::flixml(40, 7)),
+            ("flixml(400, 7)", || datagen::flixml(400, 7)),
+            ("gedml(60, 7)", || datagen::gedml(60, 7)),
+            ("gedml(600, 7)", || datagen::gedml(600, 7)),
+        ]
     }
 
     #[test]
+    fn a_generated_graph_holds_at_most_64_heap_blocks() {
+        for (what, make) in generators() {
+            let (g, live) = live_blocks_after(make);
+            assert!(
+                live <= 64,
+                "{what}: {live} live blocks for {} nodes and {} edges",
+                g.node_count(),
+                g.edge_count()
+            );
+        }
+    }
+}
+
+/// The data table is four columns over the graph's own value
+/// dictionary: building it leaves a constant number of heap blocks
+/// behind, never a block per entry.
+mod datatable_blocks {
+    use apex_storage::{DataTable, PageModel};
+
+    use super::graph_blocks::generators;
+    use super::persist_hostile_images::live_blocks_after;
+
+    /// The table holds its four columns (valued nids, their value ids,
+    /// the holders and their group starts) and shares the graph's
+    /// values: no text and no block per entry.
+    #[test]
     fn building_the_table_allocates_no_block_per_entry() {
-        assert_few_blocks(&datagen::gedml(60, 7), "gedml(60, 7)");
-        assert_few_blocks(&datagen::shakespeare(1, 7), "shakespeare(1, 7)");
+        for (what, make) in generators() {
+            let g = make();
+            let valued = g.nodes().filter(|&n| g.value(n).is_some()).count();
+            let (table, live) = live_blocks_after(|| DataTable::build(&g, PageModel::default()));
+            assert_eq!(table.len(), valued, "{what}");
+            assert!(live <= 4, "{what}: {live} live blocks for {valued} entries");
+        }
     }
 }
 
