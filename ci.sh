@@ -22,7 +22,8 @@
 # Six bench binaries double as smoke tests (kernels, planner, and
 # fig13/fig14/fig15/table2 as path_smoke/qtype2_smoke: they assert their
 # own guarantees; table2 that every APEX column survives a persist round
-# trip with the same sizes and distinct extents). The serving layers have no load
+# trip with the same sizes and distinct extents), and table1/table2's
+# counts are compared with golden files. The serving layers have no load
 # harness here: net_smoke, shard_smoke, recovery_smoke and stress
 # repeat their thread tests under a timeout, the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
@@ -131,6 +132,29 @@ path_smoke() {
     out=$(mktemp -d)
     (cd "$out" && "$OLDPWD/target/release/fig13" && "$OLDPWD/target/release/fig15" \
         && "$OLDPWD/target/release/table2")
+    rm -rf "$out"
+}
+
+# The paper's tables are golden files: Table 1 at paper scale (about
+# 2 s) and Table 2 at default scale (about 0.1 s) print only counts —
+# dataset sizes, index nodes and edges, extent bytes — so both are
+# regenerated and compared exactly with results/golden/. A change that
+# means to move a count copies the regenerated files over the golden
+# ones (the failing step prints where they are) and says why in
+# CHANGES.md. Runs in a temp dir so BENCH_{table1,table2}.json never
+# land in the tree.
+golden() {
+    local out f rc=0
+    out=$(mktemp -d)
+    (cd "$out" && "$OLDPWD/target/release/table1" --scale paper | grep -v '^wrote ' >table1_paper.txt \
+        && "$OLDPWD/target/release/table2" | grep -v '^wrote ' >table2.txt)
+    for f in table1_paper.txt table2.txt; do
+        diff -u "results/golden/$f" "$out/$f" || rc=1
+    done
+    if [ "$rc" -ne 0 ]; then
+        echo "golden: counts moved; the regenerated files are in $out"
+        return 1
+    fi
     rm -rf "$out"
 }
 
@@ -252,6 +276,7 @@ run kernel_smoke
 run plan_smoke
 run qtype2_smoke
 run path_smoke
+run golden
 run net_smoke
 run shard_smoke
 run recovery_smoke

@@ -59,8 +59,6 @@ pub struct XNode {
     /// The last label of the node's incoming label path (`None` only for
     /// the root, whose special incoming label is `xroot`).
     pub incoming: Option<LabelId>,
-    /// Traversal flag used by `updateAPEX` (reset before each update).
-    pub visited: bool,
 }
 
 impl Default for XNode {
@@ -72,14 +70,13 @@ impl Default for XNode {
             extent: Arc::clone(EMPTY.get_or_init(Arc::default)),
             edges: Vec::new(),
             incoming: None,
-            visited: false,
         }
     }
 }
 
 /// Arena of [`XNode`]s. Nodes orphaned by an incremental update are
 /// unreachable until [`GApex::compact`] drops them at the end of the
-/// same `refine`; [`GApex::reachable_stats`] reports live size.
+/// same `refine`; [`GApex::reachable`] lists the live ones.
 #[derive(Debug, Clone, Default)]
 pub struct GApex {
     nodes: Vec<XNode>,
@@ -226,13 +223,6 @@ impl GApex {
         }
     }
 
-    /// Clears all `visited` flags (run before each `updateAPEX`).
-    pub fn reset_visited(&mut self) {
-        for n in &mut self.nodes {
-            n.visited = false;
-        }
-    }
-
     /// Rebuilds the arena as exactly the nodes reachable from `root`,
     /// numbered breadth-first (`root` becomes node 0) with each node's
     /// out-edges sorted and followed in label order, so the numbering
@@ -267,30 +257,6 @@ impl GApex {
             .map(|x| std::mem::take(&mut old[x.idx()]))
             .collect();
         map
-    }
-
-    /// Nodes and edges reachable from `root` — the index size that
-    /// Table 2 of the paper reports.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`root` and every edge target are ids of this arena, and `seen` has one slot per arena node"
-    )]
-    pub fn reachable_stats(&self, root: XNodeId) -> (usize, usize) {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        seen[root.idx()] = true;
-        let (mut nodes, mut edges) = (0usize, 0usize);
-        while let Some(x) = stack.pop() {
-            nodes += 1;
-            for &(_, t) in &self.nodes[x.idx()].edges {
-                edges += 1;
-                if !seen[t.idx()] {
-                    seen[t.idx()] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        (nodes, edges)
     }
 
     /// Ids of nodes reachable from `root`.
@@ -344,10 +310,14 @@ mod tests {
         let _orphan = g.new_node(Some(LabelId(9)));
         g.make_edge(root, a, LabelId(0));
         g.make_edge(a, a, LabelId(0)); // self-loop
-        let (n, e) = g.reachable_stats(root);
-        assert_eq!((n, e), (2, 2));
+        assert_eq!(g.reachable(root), vec![root, a]);
         assert_eq!(g.allocated(), 3);
-        assert_eq!(g.reachable(root).len(), 2);
+        let edges: usize = g
+            .reachable(root)
+            .iter()
+            .map(|&x| g.node(x).edges.len())
+            .sum();
+        assert_eq!(edges, 2);
     }
 
     #[test]
@@ -384,14 +354,5 @@ mod tests {
         // Compacting a compact arena is the identity.
         let again = g.compact(XNodeId(0));
         assert_eq!(again, (0..3).map(|i| Some(XNodeId(i))).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn visited_flags_reset() {
-        let mut g = GApex::new();
-        let a = g.new_node(None);
-        g.node_mut(a).visited = true;
-        g.reset_visited();
-        assert!(!g.node(a).visited);
     }
 }

@@ -4,14 +4,13 @@
 
 use std::sync::Arc;
 
-use apex_storage::SuccinctExtent;
+use apex_storage::{EdgePair, EdgeSet, SuccinctExtent};
 use xmlgraph::{LabelId, XmlGraph};
 
-use crate::build0::build_apex0;
 use crate::extract::extract_frequent;
 use crate::graph::{GApex, XNodeId};
 use crate::hashtree::{HashTree, QueryNodes};
-use crate::update::update_apex;
+use crate::update::{explore, update_apex};
 use crate::workload::Workload;
 
 /// Result of a Figure 9 lookup through the index.
@@ -65,9 +64,25 @@ pub struct Apex {
 
 impl Apex {
     /// Builds `APEX⁰` (Figure 6): the initial index whose required paths
-    /// are exactly the label paths of length one.
+    /// are exactly the label paths of length one. That is `updateAPEX`
+    /// over an `H_APEX` of head entries only — one per label on a data
+    /// edge (the root's tag labels none) — run from a fresh `xroot`
+    /// whose extent and delta are the root pair `<NULL, root>`.
     pub fn build_initial(g: &XmlGraph) -> Self {
-        let (ga, ht, xroot) = build_apex0(g);
+        let mut on_edge = vec![false; g.label_count()];
+        for (_, label, _) in g.edges() {
+            if let Some(seen) = on_edge.get_mut(label.idx()) {
+                *seen = true;
+            }
+        }
+        let mut ht = HashTree::new();
+        for (l, _) in on_edge.iter().enumerate().filter(|(_, &on)| on) {
+            ht.ensure_head_entry(LabelId(l as u32));
+        }
+        let mut ga = GApex::new();
+        let xroot = ga.new_node(None);
+        let root = EdgeSet::from_pairs(vec![EdgePair::root(g.root())]);
+        explore(g, &mut ga, &mut ht, xroot, root);
         Apex { ga, ht, xroot }
     }
 
@@ -170,12 +185,14 @@ impl Apex {
 
     /// Index sizes (Table 2).
     pub fn stats(&self) -> IndexStats {
-        let (nodes, edges) = self.ga.reachable_stats(self.xroot);
+        let reachable = self.ga.reachable(self.xroot);
+        let mut edges = 0;
         let mut extent_pairs = 0;
         let mut extent_encoded_bytes = 0;
         let mut extent_raw_bytes = 0;
         let mut held = Vec::new();
-        for &x in &self.ga.reachable(self.xroot) {
+        for &x in &reachable {
+            edges += self.ga.node(x).edges.len();
             let e = &self.ga.node(x).extent;
             extent_pairs += e.len();
             extent_encoded_bytes += e.image().encoded_bytes();
@@ -187,7 +204,7 @@ impl Apex {
         let extent_resident_bytes = held.iter().map(|e| e.resident_bytes()).sum();
         let extents = held.len();
         IndexStats {
-            nodes,
+            nodes: reachable.len(),
             edges,
             hash_entries: self.ht.entry_count(),
             max_required_len: self.ht.max_depth(),
@@ -311,6 +328,85 @@ mod tests {
         let p = LabelPath::parse(&g, "director.movie").unwrap();
         let x = idx.lookup(p.labels()).xnode.unwrap();
         assert_eq!(pairs(idx.extent(x)), vec![(7, 8)]);
+    }
+
+    #[test]
+    fn apex0_one_node_per_label() {
+        let g = moviedb();
+        let idx = Apex::build_initial(&g);
+        // xroot + one node per label that labels at least one edge.
+        // moviedb labels: MovieDB (root tag, labels no edge), actor, name,
+        // director, movie, @movie, title, year, @director, @actor.
+        // Edge-labeling labels: actor, name, director, movie, @movie,
+        // title, year, @director, @actor = 9.
+        assert_eq!(idx.stats().nodes, 10);
+        assert_eq!(idx.stats().hash_entries, 9);
+    }
+
+    #[test]
+    fn apex0_extents_group_by_incoming_label() {
+        let g = moviedb();
+        let idx = Apex::build_initial(&g);
+        let class = |l: &str| idx.lookup(&[g.label_id(l).unwrap()]).xnode.unwrap();
+        assert_eq!(pairs(idx.extent(class("title"))), vec![(8, 10), (14, 17)]);
+        // name class: T(name) = {<2,3>, <4,5>, <7,11>, <12,13>}.
+        assert_eq!(
+            pairs(idx.extent(class("name"))),
+            vec![(2, 3), (4, 5), (7, 11), (12, 13)]
+        );
+    }
+
+    #[test]
+    fn apex0_has_all_length2_paths() {
+        // Theorem 2 in the APEX⁰ case: every label path of length 2 in
+        // G_APEX exists in G_XML and vice versa.
+        let g = moviedb();
+        let idx = Apex::build_initial(&g);
+        let mut data_pairs = std::collections::HashSet::new();
+        for (_, l1, mid) in g.edges() {
+            for e in g.out_edges(mid) {
+                data_pairs.insert((l1, e.label));
+            }
+        }
+        let mut idx_pairs = std::collections::HashSet::new();
+        for x in idx.graph().reachable(idx.xroot()) {
+            if let Some(l) = idx.incoming_label(x) {
+                for &(l2, _) in idx.out_edges(x) {
+                    idx_pairs.insert((l, l2));
+                }
+            }
+        }
+        assert_eq!(data_pairs, idx_pairs);
+    }
+
+    #[test]
+    fn apex0_root_extent_is_null_root() {
+        let g = moviedb();
+        let idx = Apex::build_initial(&g);
+        assert_eq!(
+            idx.extent(idx.xroot()).to_vec(),
+            vec![apex_storage::EdgePair::root(xmlgraph::NodeId(0))]
+        );
+    }
+
+    #[test]
+    fn apex0_handles_cycles() {
+        // a -> b -> a reference cycle via raw builder.
+        let mut rb = xmlgraph::builder::RawGraphBuilder::new();
+        rb.node(0, "r", None, None);
+        rb.node(1, "a", Some(0), None);
+        rb.node(2, "b", Some(1), None);
+        rb.edge(0, "a", 1);
+        rb.edge(1, "b", 2);
+        rb.edge(2, "a", 1); // cycle back
+        let g = rb.finish(&[]);
+        let idx = Apex::build_initial(&g);
+        let s = idx.stats();
+        assert_eq!(s.nodes, 3); // xroot, a-class, b-class
+        assert_eq!(s.edges, 3); // root->a, a->b, b->a
+        let a = idx.lookup(&[g.label_id("a").unwrap()]).xnode.unwrap();
+        // a-class extent: <0,1> and <2,1>.
+        assert_eq!(idx.extent(a).len(), 2);
     }
 
     #[test]

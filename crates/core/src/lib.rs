@@ -24,10 +24,12 @@
 //!                                        +---- repeat as the workload drifts
 //! ```
 //!
-//! * [`Apex::build_initial`] is Figure 6 (`APEX⁰`, the 1-RO-like seed);
+//! * [`Apex::build_initial`] builds Figure 6's `APEX⁰` (the 1-RO-like
+//!   seed) as Figure 11's `updateAPEX` run from a fresh root over the
+//!   length-one required paths — the one traversal of [`update`];
 //! * [`Apex::refine`] is Figure 8 (one-scan frequent-subpath extraction +
-//!   pruning) followed by Figure 11 (`updateAPEX`, incremental update),
-//!   then a collection of both arenas to their live nodes;
+//!   pruning) followed by the same traversal (incremental update), then
+//!   a collection of both arenas to their live nodes;
 //! * [`Apex::lookup`] is Figure 9;
 //! * [`Apex::segment_nodes`] exposes the extent unions that the paper's
 //!   query processor joins to answer partial-matching path queries.
@@ -54,8 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod build0;
-pub mod dot;
 pub mod extract;
 pub mod graph;
 pub mod hashtree;

@@ -1,5 +1,14 @@
 //! `updateAPEX` (§5.3, Figure 11) — incremental re-materialization of
-//! `G_APEX` after the required-path set changed.
+//! `G_APEX` after the required-path set changed — and, run from a
+//! fresh root, the `APEX⁰` build.
+//!
+//! **One traversal.** Figure 6's `exploreAPEX0` is this traversal over
+//! a head-only `H_APEX`: [`crate::Apex::build_initial`] gives `H_APEX`
+//! one head entry per label on a data edge, creates `xroot`, and seeds
+//! the worklist with the root pair `<NULL, root>` as `xroot`'s extent
+//! and delta. Every class it reaches is then created by the delta pass
+//! below, in label order and LIFO, so the build is the same graph
+//! Figure 6 gives.
 //!
 //! The traversal follows the paper exactly, with two engineering changes
 //! that do not alter the fixpoint:
@@ -11,7 +20,9 @@
 //! 2. Rooted paths carried for `lookup` are capped to the hash tree's
 //!    maximum depth + 1 trailing labels: `lookup` never inspects more.
 //!
-//! **Why the `visited`-skip is sound.** Two facts carry it.
+//! **Why the verified-skip is sound.** The marks belong to the run, not
+//! to the index: a set of verified nodes that the run starts empty and
+//! drops at its end. Two facts carry the skip.
 //!
 //! *Same children on every arrival.* Extraction counts *all* subpaths
 //! of each workload query, so the required-path set is subpath-closed.
@@ -111,19 +122,40 @@ fn group_out_edges(
 /// of update cost, reported by the ablation bench): one per reachable
 /// class node when nothing changed, plus one per propagated delta.
 pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNodeId) -> usize {
-    ga.reset_visited();
+    explore(g, ga, ht, xroot, EdgeSet::new())
+}
+
+/// The one traversal: [`update_apex`] with `seed` added to `xroot`'s
+/// extent and propagated as its delta. An update seeds nothing; the
+/// `APEX⁰` build seeds the root pair (module docs). Returns the worklist
+/// steps taken.
+pub(crate) fn explore(
+    g: &XmlGraph,
+    ga: &mut GApex,
+    ht: &mut HashTree,
+    xroot: XNodeId,
+    mut seed: EdgeSet,
+) -> usize {
     let cap = ht.max_depth() + 1;
     let mut steps = 0usize;
     let mut scratch: Vec<EdgePair> = Vec::new();
     // Decoded extents of the nodes this run has added to (module docs).
     let mut open: HashMap<XNodeId, EdgeSet> = HashMap::new();
-    // (node, ΔESet, rooted path). LIFO ≈ the paper's DFS.
-    let mut work: Vec<(XNodeId, EdgeSet, RollingPath)> =
-        vec![(xroot, EdgeSet::new(), RollingPath::empty())];
+    if !seed.is_empty() {
+        let extent = ga.open_extent(&mut open, xroot);
+        seed = seed.difference(extent);
+        extent.union_in_place(&seed, &mut scratch);
+    }
+    // The nodes this run has verified, by arena index (Figure 11 line 1).
+    let mut verified = vec![false; ga.allocated()];
+    // (node, ΔESet, rooted path). LIFO ≈ the paper's DFS. An item whose
+    // node is verified and whose delta is empty would be skipped when
+    // popped, so it is never pushed.
+    let mut work: Vec<(XNodeId, EdgeSet, RollingPath)> = vec![(xroot, seed, RollingPath::empty())];
 
     while let Some((xnode, delta, path)) = work.pop() {
-        let verified = std::mem::replace(&mut ga.node_mut(xnode).visited, true);
-        if verified && delta.is_empty() {
+        let was_verified = std::mem::replace(&mut verified[xnode.idx()], true);
+        if was_verified && delta.is_empty() {
             continue; // Figure 11 line 1
         }
         steps += 1;
@@ -131,7 +163,7 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
         // (label, located entry, rooted path, the child's slice of the
         // extent or of the delta).
         let mut rewire = Vec::new();
-        if !verified {
+        if !was_verified {
             // Verification pass: re-check every child's wiring against
             // H_APEX (Figure 11 lines 4–22) — before any delta pass
             // retargets an edge (module docs).
@@ -140,12 +172,15 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
                 let newpath = path.extended(label, cap);
                 let mut probes = 0u64;
                 let Some(loc) = ht.locate(&newpath.labels, &mut probes) else {
-                    continue; // label unknown to H_APEX (cannot happen
-                              // after build_apex0; defensive)
+                    continue; // label without a head entry: every data-edge
+                              // label gets one at build, and pruning keeps
+                              // head entries; defensive
                 };
                 if ht.xnode_of(loc.entry) == Some(end) {
                     // Wiring already correct: descend with ∅.
-                    work.push((end, EdgeSet::new(), newpath));
+                    if !verified[end.idx()] {
+                        work.push((end, EdgeSet::new(), newpath));
+                    }
                 } else {
                     stale.push((label, loc.entry, newpath));
                 }
@@ -181,15 +216,18 @@ pub fn update_apex(g: &XmlGraph, ga: &mut GApex, ht: &mut HashTree, xroot: XNode
             }
         }
         for (label, entry, newpath, slice) in rewire {
-            let xchild = ht
-                .xnode_of(entry)
-                .unwrap_or_else(|| ga.new_node(Some(label)));
+            let xchild = ht.xnode_of(entry).unwrap_or_else(|| {
+                verified.push(false);
+                ga.new_node(Some(label))
+            });
             let extent = ga.open_extent(&mut open, xchild);
             let dnew = EdgeSet::from_pairs(slice).difference(extent);
             extent.union_in_place(&dnew, &mut scratch);
             ga.make_edge(xnode, xchild, label);
             ht.set_xnode(entry, xchild);
-            work.push((xchild, dnew, newpath));
+            if !dnew.is_empty() || !verified[xchild.idx()] {
+                work.push((xchild, dnew, newpath));
+            }
         }
     }
     ga.seal(open);

@@ -167,6 +167,9 @@ pub fn gedml(individuals: usize, seed: u64) -> XmlGraph {
     // parents come from a nearby window. Real genealogies have this
     // locality; fully random references would make the strong DataGuide's
     // subset construction blow up far beyond the paper's Table 2 sizes.
+    // `famc_of` is monotone in the individual, so one cursor walks each
+    // family's run of children once.
+    let mut child = 0usize;
     for (f, &(husb, wife)) in spouses.iter().enumerate() {
         let fam = b.add_child(root, "fam");
         crate::register_unique(&mut b, fam, &format!("F{f}"));
@@ -176,10 +179,11 @@ pub fn gedml(individuals: usize, seed: u64) -> XmlGraph {
         if let Some(w) = wife {
             b.add_idref(fam, "wife", &format!("I{w}"));
         }
-        for i in 0..individuals {
-            if gen_of(i, individuals) > 0 && famc_of(i, individuals, families) == f {
-                b.add_idref(fam, "chil", &format!("I{i}"));
+        while child < individuals && famc_of(child, individuals, families) == f {
+            if gen_of(child, individuals) > 0 {
+                b.add_idref(fam, "chil", &format!("I{child}"));
             }
+            child += 1;
         }
         if rng.gen_bool(0.8) {
             let marr = b.add_child(fam, "marr");
@@ -500,6 +504,43 @@ mod tests {
         let large = gedml(5200, 1).label_count();
         assert!(small < medium, "{small} !< {medium}");
         assert!(medium < large, "{medium} !< {large}");
+    }
+
+    #[test]
+    fn family_children_are_the_famc_predicate() {
+        for individuals in [40, 1310] {
+            let g = gedml(individuals, 9);
+            let label = |s: &str| g.label_id(s).unwrap();
+            let (indi, fam, chil) = (label("indi"), label("fam"), label("@chil"));
+            let tops = g.out_edges(g.root());
+            let number: std::collections::HashMap<NodeId, usize> = tops
+                .iter()
+                .filter(|e| e.label == indi)
+                .enumerate()
+                .map(|(k, e)| (e.to, k))
+                .collect();
+            let fams: Vec<NodeId> = tops
+                .iter()
+                .filter(|e| e.label == fam)
+                .map(|e| e.to)
+                .collect();
+            let families = fams.len();
+            for (f, &node) in fams.iter().enumerate() {
+                let got: Vec<usize> = g
+                    .out_edges(node)
+                    .iter()
+                    .filter(|e| e.label == chil)
+                    .map(|e| number[&g.out_edges(e.to)[0].to])
+                    .collect();
+                // The reference: every individual tested for every family.
+                let want: Vec<usize> = (0..individuals)
+                    .filter(|&i| {
+                        gen_of(i, individuals) > 0 && famc_of(i, individuals, families) == f
+                    })
+                    .collect();
+                assert_eq!(got, want, "{individuals} individuals, family {f}");
+            }
+        }
     }
 
     #[test]

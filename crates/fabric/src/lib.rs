@@ -163,45 +163,13 @@ impl IndexFabric {
     }
 
     /// Exact search: rooted path `path` with value `value` — a single key
-    /// lookup (the operation the fabric is optimized for).
-    pub fn search_exact(&self, path: &[LabelId], value: &str, cost: &mut Cost) -> Vec<NodeId> {
-        let mut key = Vec::with_capacity(path.len() * 2 + 2 + value.len());
-        encode_key(path, value, &mut key);
-        let payloads = self.trie.lookup(&key, cost);
-        let mut out: Vec<NodeId> = payloads
-            .iter()
-            .filter_map(|&p| self.keys.get(p as usize).map(|k| k.1))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Partial-matching search: `//l_1/…/l_n[text() = value]`. The whole
-    /// trie is traversed and every key validated against the suffix and
-    /// value (the §6.1 behaviour that makes the fabric slow on irregular
-    /// data).
-    pub fn search_partial(&self, suffix: &[LabelId], value: &str, cost: &mut Cost) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = Vec::new();
-        self.trie.traverse_all(cost, |payload| {
-            let Some((path, node, v)) = self.keys.get(payload as usize) else {
-                return;
-            };
-            if path.len() >= suffix.len() && path.ends_with(suffix) && v.as_ref() == value {
-                out.push(*node);
-            }
-        });
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// [`IndexFabric::search_exact`] through a shared buffer pool.
+    /// lookup (the operation the fabric is optimized for), through a
+    /// shared buffer pool.
     #[expect(
         clippy::indexing_slicing,
         reason = "trie payloads are indices into `keys`, written together at build time"
     )]
-    pub fn search_exact_buffered(
+    pub fn search_exact(
         &self,
         buf: &apex_storage::BufferHandle,
         path: &[LabelId],
@@ -210,21 +178,23 @@ impl IndexFabric {
     ) -> Vec<NodeId> {
         let mut key = Vec::with_capacity(path.len() * 2 + 2 + value.len());
         encode_key(path, value, &mut key);
-        let payloads = self.trie.lookup_buffered(buf, &key, cost);
+        let payloads = self.trie.lookup(buf, &key, cost);
         let mut out: Vec<NodeId> = payloads.iter().map(|&p| self.keys[p as usize].1).collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// [`IndexFabric::search_partial`] through a shared buffer pool:
-    /// the traversal still visits every trie node, but blocks resident
-    /// from earlier queries are buffer hits instead of page reads.
+    /// Partial-matching search: `//l_1/…/l_n[text() = value]`. The whole
+    /// trie is traversed and every key validated against the suffix and
+    /// value (the §6.1 behaviour that makes the fabric slow on irregular
+    /// data). Blocks resident in the shared buffer pool from earlier
+    /// queries are buffer hits instead of page reads.
     #[expect(
         clippy::indexing_slicing,
         reason = "trie payloads are indices into `keys`, written together at build time"
     )]
-    pub fn search_partial_buffered(
+    pub fn search_partial(
         &self,
         buf: &apex_storage::BufferHandle,
         suffix: &[LabelId],
@@ -232,7 +202,7 @@ impl IndexFabric {
         cost: &mut Cost,
     ) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = Vec::new();
-        self.trie.traverse_all_buffered(buf, cost, |payload| {
+        self.trie.traverse_all(buf, cost, |payload| {
             let (path, node, v) = &self.keys[payload as usize];
             if path.len() >= suffix.len() && path.ends_with(suffix) && v.as_ref() == value {
                 out.push(*node);
@@ -255,13 +225,14 @@ mod tests {
         let g = moviedb();
         let f = IndexFabric::build(&g);
         let p = LabelPath::parse(&g, "director.movie.title").unwrap();
+        let buf = apex_storage::BufferHandle::unbounded();
         let mut c = Cost::new();
-        let hits = f.search_exact(p.labels(), "Star Wars", &mut c);
+        let hits = f.search_exact(&buf, p.labels(), "Star Wars", &mut c);
         assert_eq!(hits, vec![NodeId(10)]);
         assert!(c.trie_nodes > 0);
         assert!(c.pages_read > 0);
         // Wrong value misses.
-        let miss = f.search_exact(p.labels(), "Jaws", &mut c);
+        let miss = f.search_exact(&buf, p.labels(), "Jaws", &mut c);
         assert!(miss.is_empty());
     }
 
@@ -270,12 +241,13 @@ mod tests {
         let g = moviedb();
         let f = IndexFabric::build(&g);
         let p = LabelPath::parse(&g, "movie.title").unwrap();
+        let buf = apex_storage::BufferHandle::unbounded();
         let mut c = Cost::new();
-        let hits = f.search_partial(p.labels(), "Star Wars", &mut c);
+        let hits = f.search_partial(&buf, p.labels(), "Star Wars", &mut c);
         assert_eq!(hits, vec![NodeId(10)]);
         // Partial search touches many more trie nodes than exact.
         let mut c2 = Cost::new();
-        let _ = f.search_exact(p.labels(), "Star Wars", &mut c2);
+        let _ = f.search_exact(&buf, p.labels(), "Star Wars", &mut c2);
         assert!(c.trie_nodes > c2.trie_nodes);
     }
 

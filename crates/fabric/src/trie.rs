@@ -111,48 +111,14 @@ impl Trie {
         id
     }
 
-    /// Exact key lookup, charging visited trie nodes and distinct blocks.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "node ids come from the builder's arena and index it by construction; `rest` slicing is guarded by the emptiness and length checks before it"
-    )]
-    pub fn lookup(&self, key: &[u8], cost: &mut Cost) -> &[u32] {
-        let mut node = 0u32;
-        let mut rest = key;
-        let mut last_block = u32::MAX;
-        loop {
-            cost.trie_nodes += 1;
-            let blk = self.nodes[node as usize].block;
-            if blk != last_block {
-                // The trie is its own block store; Fabric I/O is charged here, not in exec
-                cost.pages_read += 1;
-                last_block = blk;
-            }
-            if rest.is_empty() {
-                return &self.nodes[node as usize].payloads;
-            }
-            match self.child(node, rest[0]) {
-                None => return &[],
-                Some(c) => {
-                    let prefix = &self.nodes[c as usize].prefix;
-                    if rest.len() < prefix.len() || &rest[..prefix.len()] != prefix.as_slice() {
-                        return &[];
-                    }
-                    rest = &rest[prefix.len()..];
-                    node = c;
-                }
-            }
-        }
-    }
-
-    /// [`Trie::lookup`] through a shared buffer pool: blocks along the
-    /// descent are charged only when absent from the pool, so repeated
-    /// searches of a hot key region become buffer hits.
+    /// Exact key lookup, charging visited trie nodes, and the distinct
+    /// blocks along the descent when absent from the shared buffer pool,
+    /// so repeated searches of a hot key region become buffer hits.
     #[expect(
         clippy::indexing_slicing,
         reason = "node ids index the builder's arena; `rest` slicing is guarded by explicit length checks in the descent loop"
     )]
-    pub fn lookup_buffered(&self, buf: &BufferHandle, key: &[u8], cost: &mut Cost) -> &[u32] {
+    pub fn lookup(&self, buf: &BufferHandle, key: &[u8], cost: &mut Cost) -> &[u32] {
         let mut node = 0u32;
         let mut rest = key;
         let mut last_block = u32::MAX;
@@ -181,32 +147,15 @@ impl Trie {
         }
     }
 
-    /// [`Trie::traverse_all`] through a shared buffer pool: each block
-    /// is charged only when absent from the pool.
-    pub fn traverse_all_buffered(
-        &self,
-        buf: &BufferHandle,
-        cost: &mut Cost,
-        mut visit: impl FnMut(u32),
-    ) {
+    /// Visits every payload in the trie (partial-match evaluation),
+    /// charging every node, and each block when absent from the shared
+    /// buffer pool.
+    pub fn traverse_all(&self, buf: &BufferHandle, cost: &mut Cost, mut visit: impl FnMut(u32)) {
         cost.trie_nodes += self.nodes.len() as u64;
         for b in 0..self.blocks.max(1) as u64 {
             // The trie is its own block store; Fabric I/O is charged here, not in exec
             cost.pages_read += buf.touch(ObjectId::new(Space::TrieBlock, b), 0);
         }
-        for n in &self.nodes {
-            for &p in &n.payloads {
-                visit(p);
-            }
-        }
-    }
-
-    /// Visits every payload in the trie (partial-match evaluation),
-    /// charging every node and block.
-    pub fn traverse_all(&self, cost: &mut Cost, mut visit: impl FnMut(u32)) {
-        cost.trie_nodes += self.nodes.len() as u64;
-        // The trie is its own block store; Fabric I/O is charged here, not in exec
-        cost.pages_read += self.blocks.max(1) as u64;
         for n in &self.nodes {
             for &p in &n.payloads {
                 visit(p);
@@ -268,12 +217,13 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let t = build(&["romane", "romanus", "romulus", "rubens", "ruber"]);
+        let buf = BufferHandle::unbounded();
         let mut c = Cost::new();
-        assert_eq!(t.lookup(b"romane", &mut c), &[0]);
-        assert_eq!(t.lookup(b"romulus", &mut c), &[2]);
-        assert_eq!(t.lookup(b"ruber", &mut c), &[4]);
-        assert!(t.lookup(b"rom", &mut c).is_empty());
-        assert!(t.lookup(b"xx", &mut c).is_empty());
+        assert_eq!(t.lookup(&buf, b"romane", &mut c), &[0]);
+        assert_eq!(t.lookup(&buf, b"romulus", &mut c), &[2]);
+        assert_eq!(t.lookup(&buf, b"ruber", &mut c), &[4]);
+        assert!(t.lookup(&buf, b"rom", &mut c).is_empty());
+        assert!(t.lookup(&buf, b"xx", &mut c).is_empty());
         assert!(c.trie_nodes > 0);
     }
 
@@ -283,8 +233,9 @@ mod tests {
         t.insert(b"abc", 1);
         t.insert(b"abc", 2);
         t.assign_blocks(8192);
+        let buf = BufferHandle::unbounded();
         let mut c = Cost::new();
-        assert_eq!(t.lookup(b"abc", &mut c), &[1, 2]);
+        assert_eq!(t.lookup(&buf, b"abc", &mut c), &[1, 2]);
     }
 
     #[test]
@@ -293,9 +244,10 @@ mod tests {
         t.insert(b"abcdef", 1);
         t.insert(b"abc", 2);
         t.assign_blocks(8192);
+        let buf = BufferHandle::unbounded();
         let mut c = Cost::new();
-        assert_eq!(t.lookup(b"abc", &mut c), &[2]);
-        assert_eq!(t.lookup(b"abcdef", &mut c), &[1]);
+        assert_eq!(t.lookup(&buf, b"abc", &mut c), &[2]);
+        assert_eq!(t.lookup(&buf, b"abcdef", &mut c), &[1]);
     }
 
     #[test]
@@ -303,7 +255,7 @@ mod tests {
         let t = build(&["a", "b", "ab", "ba"]);
         let mut c = Cost::new();
         let mut seen = Vec::new();
-        t.traverse_all(&mut c, |p| seen.push(p));
+        t.traverse_all(&BufferHandle::unbounded(), &mut c, |p| seen.push(p));
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
         assert_eq!(c.trie_nodes as usize, t.node_count());

@@ -512,11 +512,10 @@ impl TrieSearch<'_> {
     pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.attributed(OpKind::TrieSearch, |cost, buf, _| {
             if self.exact {
-                self.fabric
-                    .search_exact_buffered(buf, self.labels, self.value, cost)
+                self.fabric.search_exact(buf, self.labels, self.value, cost)
             } else {
                 self.fabric
-                    .search_partial_buffered(buf, self.labels, self.value, cost)
+                    .search_partial(buf, self.labels, self.value, cost)
             }
         })
     }

@@ -22,8 +22,8 @@
 //! ```
 //!
 //! * [`ShardMap`] — the partitioner: a stable FNV hash of rooted label
-//!   paths assigns every node to exactly one shard; serializable so
-//!   router and shards provably agree.
+//!   paths assigns every node to exactly one shard; router and shards
+//!   hold the same value, so they agree.
 //! * [`ShardRuntime`] / [`ShardCluster`] — per-shard serving state and
 //!   the in-process harness that runs `shards × replicas` real TCP
 //!   listeners over it, with rolling replica swaps.
@@ -46,6 +46,6 @@ pub mod router;
 pub mod runtime;
 
 pub use cluster::{rolling_swap, ClusterConfig, ClusterStats, RolloutReport, ShardCluster};
-pub use map::{ShardMap, ShardMapError};
+pub use map::ShardMap;
 pub use router::{Router, RouterConfig, RouterStats, ShardHopStats};
 pub use runtime::{RuntimeConfig, ShardRuntime};

@@ -5,8 +5,9 @@
 //! of label **strings** from the root down to the node. Hashing strings
 //! (not interned `LabelId`s) makes the assignment independent of
 //! interner order, so a router and its shards agree as long as they
-//! hold byte-identical `ShardMap`s — which is what the serializer
-//! ([`ShardMap::to_bytes`] / [`ShardMap::from_bytes`]) guarantees.
+//! hold equal `ShardMap`s (same shard count and seed). Every router
+//! and shard runs in one process and is handed the same value, so the
+//! map is never written down.
 //!
 //! Partitioning by label path follows the path-partitioning literature
 //! (see PAPERS.md): nodes reached by the same downward label sequence
@@ -18,51 +19,16 @@
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
-use std::fmt;
-use std::io::{self, Read, Write};
-use std::path::Path;
-
 use xmlgraph::XmlGraph;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Serialized form: magic, format version, shard count, seed, FNV
-/// checksum of everything before it.
-const MAGIC: &[u8; 8] = b"APXSHMAP";
-const FORMAT_VERSION: u16 = 1;
-
-/// Label-path hash partitioner; cheap to copy, stable to serialize.
+/// Label-path hash partitioner; cheap to copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     shards: u16,
     seed: u64,
-}
-
-/// Why a serialized map failed to load.
-#[derive(Debug)]
-pub enum ShardMapError {
-    /// Transport failure.
-    Io(io::Error),
-    /// Structurally invalid bytes (bad magic, version, checksum, size).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for ShardMapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardMapError::Io(e) => write!(f, "i/o: {e}"),
-            ShardMapError::Malformed(why) => write!(f, "malformed shard map: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardMapError {}
-
-impl From<io::Error> for ShardMapError {
-    fn from(e: io::Error) -> ShardMapError {
-        ShardMapError::Io(e)
-    }
 }
 
 /// Extends a running path hash by one label: FNV-1a over the label's
@@ -163,85 +129,6 @@ impl ShardMap {
             .map(|(i, _)| i as u32)
             .collect()
     }
-
-    /// Serializes to the `APXSHMAP` byte format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.shards.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        let mut sum = FNV_OFFSET;
-        for &b in &out {
-            sum = (sum ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Parses the `APXSHMAP` byte format. Total: every malformed input
-    /// maps to a [`ShardMapError`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardMap, ShardMapError> {
-        if bytes.len() != 28 {
-            return Err(ShardMapError::Malformed("wrong length"));
-        }
-        let (body, sum_bytes) = bytes.split_at(20);
-        let Some(magic) = body.get(..8) else {
-            return Err(ShardMapError::Malformed("short magic"));
-        };
-        if magic != MAGIC {
-            return Err(ShardMapError::Malformed("bad magic"));
-        }
-        let mut sum = FNV_OFFSET;
-        for &b in body {
-            sum = (sum ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        let want: [u8; 8] = sum_bytes
-            .try_into()
-            .map_err(|_| ShardMapError::Malformed("short checksum"))?;
-        if u64::from_le_bytes(want) != sum {
-            return Err(ShardMapError::Malformed("checksum mismatch"));
-        }
-        let version: [u8; 2] = body
-            .get(8..10)
-            .and_then(|b| b.try_into().ok())
-            .ok_or(ShardMapError::Malformed("short version"))?;
-        if u16::from_le_bytes(version) != FORMAT_VERSION {
-            return Err(ShardMapError::Malformed("unknown format version"));
-        }
-        let shards: [u8; 2] = body
-            .get(10..12)
-            .and_then(|b| b.try_into().ok())
-            .ok_or(ShardMapError::Malformed("short shard count"))?;
-        let shards = u16::from_le_bytes(shards);
-        if shards == 0 {
-            return Err(ShardMapError::Malformed("zero shards"));
-        }
-        let seed: [u8; 8] = body
-            .get(12..20)
-            .and_then(|b| b.try_into().ok())
-            .ok_or(ShardMapError::Malformed("short seed"))?;
-        Ok(ShardMap {
-            shards,
-            seed: u64::from_le_bytes(seed),
-        })
-    }
-
-    /// Writes the serialized map to `path` (atomically enough for a
-    /// config file: write then rename is overkill here — the file is
-    /// checksummed, so a torn write is detected at load).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.to_bytes())?;
-        f.sync_all()
-    }
-
-    /// Loads a map previously [`ShardMap::save`]d.
-    pub fn load(path: &Path) -> Result<ShardMap, ShardMapError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        ShardMap::from_bytes(&bytes)
-    }
 }
 
 #[cfg(test)]
@@ -282,37 +169,5 @@ mod tests {
             let want = map.shard_of_path(labels.iter().map(|s| s.as_str()));
             assert_eq!(owners[nid.0 as usize], want, "node {}", nid.0);
         }
-    }
-
-    #[test]
-    fn bytes_roundtrip_and_reject_corruption() {
-        let map = ShardMap::with_seed(7, 0xDEAD_BEEF);
-        let bytes = map.to_bytes();
-        assert_eq!(ShardMap::from_bytes(&bytes).expect("roundtrip"), map);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                ShardMap::from_bytes(&bad).is_err(),
-                "flip at {i} must be detected"
-            );
-        }
-        assert!(ShardMap::from_bytes(&bytes[..20]).is_err());
-        assert!(ShardMap::from_bytes(&[]).is_err());
-    }
-
-    #[test]
-    fn save_load_roundtrips_via_the_filesystem() {
-        let dir = std::env::temp_dir().join(format!("apex-shardmap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("shardmap.bin");
-        let map = ShardMap::new(3);
-        map.save(&path).expect("save");
-        let loaded = ShardMap::load(&path).expect("load");
-        assert_eq!(loaded, map);
-        // Stability across save/load: identical assignments.
-        let g = moviedb();
-        assert_eq!(loaded.owners(&g), map.owners(&g));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

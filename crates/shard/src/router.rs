@@ -269,10 +269,8 @@ pub struct Router {
 
 impl Router {
     /// Binds `addr` and starts routing over `replicas[shard][replica]`
-    /// endpoints. `map` must be byte-identical to the cluster's (load
-    /// it from the cluster's persisted `shardmap.bin` when crossing a
-    /// process boundary); the topology must cover every shard with at
-    /// least one replica.
+    /// endpoints. `map` must equal the cluster's; the topology must
+    /// cover every shard with at least one replica.
     pub fn start(
         map: ShardMap,
         replicas: &[Vec<SocketAddr>],

@@ -56,6 +56,75 @@ fn apex0_nodes_is_labels_plus_root() {
 }
 
 #[test]
+fn apex0_is_its_definition_on_every_family() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use xmlgraph::{LabelId, NodeId};
+    // Two sizes of each family; GedML's references make its data cyclic.
+    let graphs = [
+        datagen::shakespeare(1, 42),
+        datagen::shakespeare(2, 7),
+        datagen::flixml(30, 42),
+        datagen::flixml(120, 7),
+        datagen::gedml(40, 42),
+        datagen::gedml(300, 7),
+    ];
+    for g in graphs {
+        let apex0 = Apex::build_initial(&g);
+        // T(l) for every label, and the labels leaving each node.
+        let mut t: BTreeMap<LabelId, Vec<(u32, u32)>> = BTreeMap::new();
+        let mut out: BTreeMap<NodeId, BTreeSet<LabelId>> = BTreeMap::new();
+        for (from, l, to) in g.edges() {
+            t.entry(l).or_default().push((from.0, to.0));
+            out.entry(from).or_default().insert(l);
+        }
+        let mut data_pairs = BTreeSet::new();
+        for (_, l1, mid) in g.edges() {
+            for &l2 in out.get(&mid).into_iter().flatten() {
+                data_pairs.insert((l1, l2));
+            }
+        }
+
+        // One class per edge label, and nothing else besides xroot.
+        let classes = apex0.graph().reachable(apex0.xroot());
+        let incoming: BTreeSet<LabelId> = classes
+            .iter()
+            .filter_map(|&x| apex0.incoming_label(x))
+            .collect();
+        assert_eq!(classes.len(), t.len() + 1);
+        assert_eq!(incoming, t.keys().copied().collect());
+        // Each head class holds exactly T(l).
+        for (&l, pairs) in &mut t {
+            pairs.sort_unstable();
+            let x = apex0.lookup(&[l]).xnode.expect("head class");
+            let held: Vec<(u32, u32)> = apex0
+                .extent(x)
+                .to_vec()
+                .iter()
+                .map(|p| (p.parent.0, p.node.0))
+                .collect();
+            assert_eq!(&held, pairs, "T({})", g.label_str(l));
+        }
+        // Theorem 2 both ways: G_APEX's label pairs are the data's
+        // length-2 label paths.
+        let mut index_pairs = BTreeSet::new();
+        for &x in &classes {
+            if let Some(l1) = apex0.incoming_label(x) {
+                for &(l2, _) in apex0.out_edges(x) {
+                    index_pairs.insert((l1, l2));
+                }
+            }
+        }
+        assert_eq!(index_pairs, data_pairs);
+        // xroot holds the root pair and nothing else.
+        assert_eq!(
+            apex0.extent(apex0.xroot()).to_vec(),
+            vec![apex_storage::EdgePair::root(g.root())]
+        );
+        apex::validate::assert_valid(&g, &apex0);
+    }
+}
+
+#[test]
 fn minsup_monotonicity() {
     // Smaller minSup ⇒ more required paths ⇒ at least as many APEX nodes
     // (Table 2 columns 0.002 … 0.05).
