@@ -23,9 +23,10 @@
 # fig13/fig14/fig15/table2 as path_smoke/qtype2_smoke: they assert their
 # own guarantees; table2 that every APEX column survives a persist round
 # trip with the same sizes and distinct extents), and table1/table2's
-# counts are compared with golden files. The serving layers have no load
-# harness here: net_smoke, shard_smoke, recovery_smoke and stress
-# repeat their thread tests under a timeout, the refresh count laws run
+# counts and fig13–15's count columns are compared with golden files.
+# The serving layers have no load harness here: net_smoke, shard_smoke,
+# recovery_smoke and stress repeat their thread tests under a timeout,
+# the refresh count laws run
 # in `cargo test --workspace`, and serving load is measured by perf/
 # (built and tested by perf_gate, which also serves one second of its
 # solo-mixed workload, untraced and traced).
@@ -135,20 +136,34 @@ path_smoke() {
     rm -rf "$out"
 }
 
-# The paper's tables are golden files: Table 1 at paper scale (about
-# 2 s) and Table 2 at default scale (about 0.1 s) print only counts —
-# dataset sizes, index nodes and edges, extent bytes — so both are
-# regenerated and compared exactly with results/golden/. A change that
-# means to move a count copies the regenerated files over the golden
-# ones (the failing step prints where they are) and says why in
-# CHANGES.md. Runs in a temp dir so BENCH_{table1,table2}.json never
-# land in the tree.
+# A figure's stdout without its `wrote` line and its wall-clock column:
+# `wall-ms` is the second-to-last field of each table row (and of the
+# header, which ends in `buf-hit`), cut counting from the right because
+# an index name such as `Fabric (truncated keys)` holds spaces.
+figure_counts() {
+    grep -v '^wrote ' \
+        | sed -E '/(%|buf-hit)$/ s/[[:space:]]+[^[:space:]]+([[:space:]]+[^[:space:]]+)$/\1/'
+}
+
+# The paper's tables and figures are golden files: Table 1 at paper
+# scale (about 2 s) and Table 2 at default scale (about 0.1 s) print
+# only counts — dataset sizes, index nodes and edges, extent bytes —
+# and Figures 13–15 at default scale (about 1 s each) print counts
+# besides `wall-ms` — pages, index edges, join work, results, buffer
+# hit rate — so all five are regenerated and compared exactly with
+# results/golden/, the figures without `wall-ms`. A change that means
+# to move a count copies the regenerated files over the golden ones
+# (the failing step prints where they are) and says why in CHANGES.md.
+# Runs in a temp dir so the BENCH_*.json never land in the tree.
 golden() {
     local out f rc=0
     out=$(mktemp -d)
     (cd "$out" && "$OLDPWD/target/release/table1" --scale paper | grep -v '^wrote ' >table1_paper.txt \
-        && "$OLDPWD/target/release/table2" | grep -v '^wrote ' >table2.txt)
-    for f in table1_paper.txt table2.txt; do
+        && "$OLDPWD/target/release/table2" | grep -v '^wrote ' >table2.txt \
+        && "$OLDPWD/target/release/fig13" | figure_counts >fig13.txt \
+        && "$OLDPWD/target/release/fig14" | figure_counts >fig14.txt \
+        && "$OLDPWD/target/release/fig15" | figure_counts >fig15.txt)
+    for f in table1_paper.txt table2.txt fig13.txt fig14.txt fig15.txt; do
         diff -u "results/golden/$f" "$out/$f" || rc=1
     done
     if [ "$rc" -ne 0 ]; then

@@ -1,10 +1,25 @@
 //! The [`Apex`] facade: lifecycle, lookup and query-support API.
+//!
+//! Besides `G_APEX` and `H_APEX`, an index holds two things derived
+//! from them for the query processor:
+//!
+//! * the page-packed layout of its class-node records
+//!   ([`Apex::node_offsets`]), computed wherever `G_APEX`'s edges
+//!   change — [`Apex::build_initial`], the end of [`Apex::refine`],
+//!   [`Apex::from_parts`] — so a processor borrows it instead of laying
+//!   the records out per request;
+//! * one node column per label ([`Apex::label_column`]): `T(l)`'s
+//!   sorted, distinct end nodes, built by the first query whose seed
+//!   is `l`'s whole `H_APEX` subtree of two or more classes, and shared
+//!   by every index refined from this one. Never persisted, never built
+//!   eagerly.
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use apex_storage::{EdgePair, EdgeSet, SuccinctExtent};
+use apex_storage::pages::record_layout;
+use apex_storage::{EdgePair, EdgeSet, NodeColumn, SuccinctExtent};
 use xmlgraph::{LabelId, XmlGraph};
 
 use crate::extract::extract_frequent;
@@ -52,6 +67,59 @@ pub struct IndexStats {
     /// Distinct extents the reachable classes hold: one per content,
     /// shared by every class with that content.
     pub extents: usize,
+    /// Bytes the label node columns built so far keep resident
+    /// ([`Apex::label_column`]), apart from `extent_resident_bytes`:
+    /// query-time state, 0 for an index no query has read, and shared
+    /// with every index refined from the one that built them.
+    pub column_resident_bytes: usize,
+}
+
+/// One node column slot per label, each filled at most once.
+///
+/// Label `l`'s column holds `T(l)`'s end nodes: the sorted, distinct
+/// `to` of the data edges labelled `l`, which is the union of the
+/// extents of `l`'s whole `H_APEX` subtree (§6.1). That set depends on
+/// the data alone, and the data never changes in this system — the
+/// index adapts to the workload, not to data updates — so a column is
+/// valid in every generation, and an index refined from this one keeps
+/// the same slots through the `Arc`.
+///
+/// A column is built only for a seed of two or more classes — a
+/// property of the index's shape, not of a workload: a label held by
+/// one class already has its one stored copy of `T(l)`, that class's
+/// extent. So every label of `APEX⁰` is read through its class, and
+/// holds no column.
+///
+/// The slots are sorted by label, one per head entry of `H_APEX` (the
+/// labels on a data edge), so a loaded image sizes them by the entries
+/// it holds, never by a label id it read.
+#[derive(Debug)]
+struct LabelColumns(Box<[(LabelId, OnceLock<NodeColumn>)]>);
+
+impl LabelColumns {
+    /// Empty slots for every label `ht`'s head holds an entry for.
+    fn for_labels(ht: &HashTree) -> Arc<LabelColumns> {
+        let mut slots: Vec<_> = (ht.node(ht.head()).entries_iter())
+            .map(|(l, _)| (l, OnceLock::new()))
+            .collect();
+        slots.sort_unstable_by_key(|s| s.0);
+        Arc::new(LabelColumns(slots.into()))
+    }
+
+    fn slot(&self, label: LabelId) -> Option<&OnceLock<NodeColumn>> {
+        let at = self.0.binary_search_by_key(&label, |s| s.0).ok()?;
+        self.0.get(at).map(|s| &s.1)
+    }
+
+    fn built(&self) -> impl Iterator<Item = &NodeColumn> {
+        self.0.iter().filter_map(|s| s.1.get())
+    }
+}
+
+/// Page-packed byte offsets of `ga`'s class-node records (16 bytes
+/// header + 8 per out-edge): node `x` occupies `offsets[x]..offsets[x+1]`.
+fn record_offsets(ga: &GApex) -> Vec<u64> {
+    record_layout((0..ga.allocated() as u32).map(|i| 16 + 8 * ga.node(XNodeId(i)).edges.len()))
 }
 
 /// The adaptive path index (graph + hash tree + root).
@@ -60,6 +128,10 @@ pub struct Apex {
     ga: GApex,
     ht: HashTree,
     xroot: XNodeId,
+    /// [`record_offsets`] of `ga`, recomputed wherever its edges change.
+    node_offsets: Vec<u64>,
+    /// Shared with every index refined from this one.
+    columns: Arc<LabelColumns>,
 }
 
 impl Apex {
@@ -83,12 +155,19 @@ impl Apex {
         let xroot = ga.new_node(None);
         let root = EdgeSet::from_pairs(vec![EdgePair::root(g.root())]);
         explore(g, &mut ga, &mut ht, xroot, root);
-        Apex { ga, ht, xroot }
+        Apex::from_parts(ga, ht, xroot)
     }
 
-    /// Reassembles an index from its parts (persistence load path).
+    /// Reassembles an index from its parts (persistence load path),
+    /// with no label column built.
     pub fn from_parts(ga: GApex, ht: HashTree, xroot: XNodeId) -> Self {
-        Apex { ga, ht, xroot }
+        Apex {
+            node_offsets: record_offsets(&ga),
+            columns: LabelColumns::for_labels(&ht),
+            ga,
+            ht,
+            xroot,
+        }
     }
 
     /// Adapts the index to `workload` at threshold `min_sup` — Figure 8
@@ -113,6 +192,7 @@ impl Apex {
         );
         self.ht.compact(&xmap);
         self.xroot = XNodeId(0);
+        self.node_offsets = record_offsets(&self.ga);
         steps
     }
 
@@ -167,6 +247,26 @@ impl Apex {
         self.ga.node(x).incoming
     }
 
+    /// Page-packed byte offsets of the class-node records (16 bytes
+    /// header + 8 per out-edge): class `x` occupies
+    /// `node_offsets()[x]..node_offsets()[x + 1]`. Laid out once per
+    /// index, where `G_APEX`'s edges change, never lazily: a refined
+    /// clone does not keep its parent's layout.
+    #[inline]
+    pub fn node_offsets(&self) -> &[u64] {
+        &self.node_offsets
+    }
+
+    /// The node column slot of `label` — see `LabelColumns` — `None`
+    /// for a label on no data edge. The slot is empty until a query
+    /// fills it: the query processor reads and fills it only for a seed
+    /// that is `label`'s whole `H_APEX` subtree of two or more classes,
+    /// with `T(label)`'s sorted, distinct end nodes.
+    #[inline]
+    pub fn label_column(&self, label: LabelId) -> Option<&OnceLock<NodeColumn>> {
+        self.columns.slot(label)
+    }
+
     /// The underlying graph (read-only).
     pub fn graph(&self) -> &GApex {
         &self.ga
@@ -213,6 +313,7 @@ impl Apex {
             extent_raw_bytes,
             extent_resident_bytes,
             extents,
+            column_resident_bytes: self.columns.built().map(NodeColumn::resident_bytes).sum(),
         }
     }
 

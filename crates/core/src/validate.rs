@@ -25,6 +25,10 @@
 //!    exactly what the encoder writes for a strictly increasing pair
 //!    sequence (so image equality is pair-set equality, and `persist`
 //!    will accept what it wrote).
+//! 10. **Label columns**: every built node column of a label `l` is
+//!     `T(l)`'s end nodes — the sorted, distinct `to` of the data edges
+//!     labelled `l`, and the sorted, distinct end nodes of the extents
+//!     of `l`'s whole `H_APEX` subtree.
 
 use std::collections::HashSet;
 
@@ -46,6 +50,7 @@ pub fn check(g: &XmlGraph, apex: &Apex) -> Violations {
     check_determinism(apex, &mut out);
     check_arenas(apex, &mut out);
     check_sealed_extents(apex, &mut out);
+    check_label_columns(g, apex, &mut out);
     out
 }
 
@@ -236,6 +241,34 @@ fn check_sealed_extents(apex: &Apex, out: &mut Violations) {
                 "extent of class {} is not a sealed image: unsorted pairs, \
                  inconsistent headers or non-canonical encoding",
                 x.0
+            ));
+        }
+    }
+}
+
+fn check_label_columns(g: &XmlGraph, apex: &Apex, out: &mut Violations) {
+    for label in (0..g.label_count() as u32).map(LabelId) {
+        let Some(column) = apex.label_column(label).and_then(|slot| slot.get()) else {
+            continue;
+        };
+        let column = column.to_vec();
+        let mut data: Vec<_> = g.edges().filter(|e| e.1 == label).map(|e| e.2).collect();
+        data.sort_unstable();
+        data.dedup();
+        let mut held = Vec::new();
+        for x in apex.segment_nodes(&[label]).xnodes {
+            apex.extent(x).decode_nodes_into(&mut held);
+        }
+        held.sort_unstable();
+        held.dedup();
+        if column != data || column != held {
+            out.push(format!(
+                "label column of {} holds {} nodes: T({}) ends at {} in the data, {} in its classes",
+                g.label_str(label),
+                column.len(),
+                g.label_str(label),
+                data.len(),
+                held.len()
             ));
         }
     }

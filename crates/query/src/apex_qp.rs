@@ -57,10 +57,11 @@ pub struct ApexProcessor<'a> {
     /// they name their pages by content.
     tag: u64,
     /// Page-packed byte offsets of `G_APEX` node records (16 bytes
-    /// header + 8 per edge): node `x` occupies
+    /// header + 8 per edge), laid out once per index
+    /// ([`Apex::node_offsets`]): node `x` occupies
     /// `node_offsets[x]..node_offsets[x+1]` of layout `tag` in
     /// [`Space::ApexNode`].
-    node_offsets: Vec<u64>,
+    node_offsets: &'a [u64],
     /// Kernel policy for every semijoin this processor runs.
     policy: KernelPolicy,
     /// Absolute per-query deadline armed on every [`ExecContext`] this
@@ -102,15 +103,12 @@ impl<'a> ApexProcessor<'a> {
         buf: BufferHandle,
         tag: u64,
     ) -> Self {
-        let node_offsets = exec::record_layout(
-            (0..apex.graph().allocated()).map(|i| 16 + 8 * apex.out_edges(XNodeId(i as u32)).len()),
-        );
         ApexProcessor {
             apex,
             table,
             buf,
             tag,
-            node_offsets,
+            node_offsets: apex.node_offsets(),
             policy: KernelPolicy::Adaptive,
             deadline: None,
             order: JoinOrderPolicy::Planned,

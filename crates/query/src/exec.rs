@@ -33,7 +33,7 @@
 //! | operator | paper role |
 //! |---|---|
 //! | [`ExtentScan`] | read one stored extent |
-//! | [`ExtentUnion`] | decode the extents of one `H_APEX` segment to their sorted, distinct end nodes |
+//! | [`ExtentUnion`] | the seed: the sorted, distinct end nodes of one `H_APEX` segment's extents — decoded and made distinct, or read off the label's node column when the segment is a label's whole subtree of two or more classes |
 //! | [`Semijoin`] | one join step (merge / gallop / block-skip kernel), appending the matched end nodes |
 //! | [`MultiwayJoin`] | the §6.1 QTYPE1 chain: seed union + join steps over node frontiers |
 //! | [`DataProbe`] | QTYPE3 value test: one sorted pass of the candidates through the data table |
@@ -42,11 +42,12 @@
 
 #![deny(clippy::indexing_slicing, clippy::unreachable)]
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use apex_storage::bufmgr::{BufferHandle, ObjectId, Space};
 use apex_storage::kernels::{self, Kernel, KernelPolicy, SemijoinScratch};
-use apex_storage::{Cost, DataTable, OpKind, SuccinctExtent};
+use apex_storage::{Cost, DataTable, NodeColumn, OpKind, SuccinctExtent};
 use fabric::IndexFabric;
 use xmlgraph::{LabelId, NodeId};
 
@@ -316,10 +317,22 @@ impl<'a> ExtentScan<'a> {
 /// made sorted and distinct in one pass; every later stage reads its
 /// extents through the kernels, block by block. Each source charges all
 /// of its pairs and all of its blocks.
+///
+/// When the sources are a label's whole `H_APEX` subtree of two or more
+/// classes, `column` is that label's node column slot
+/// ([`apex::Apex::label_column`]): the union is `T(l)`'s end nodes,
+/// the same in every generation. A filled slot is decoded instead of
+/// the sources — already sorted and distinct, and a fraction of the
+/// pairs, since a label's classes overlap in their end nodes. An empty
+/// slot is filled from the union this run computes. Either way the
+/// charges are the sources', so counts do not depend on the column.
 #[derive(Debug)]
 pub struct ExtentUnion<'a> {
     /// The extents, scanned in order.
     pub sources: Vec<&'a SuccinctExtent>,
+    /// The node column slot of the label whose whole subtree `sources`
+    /// are, if the seed reads one.
+    pub column: Option<&'a OnceLock<NodeColumn>>,
 }
 
 impl ExtentUnion<'_> {
@@ -327,13 +340,23 @@ impl ExtentUnion<'_> {
     /// nodes.
     pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.attributed(OpKind::ExtentUnion, |cost, buf, scratch| {
-            let mut nodes = Vec::with_capacity(self.sources.iter().map(|s| s.len()).sum());
             for set in &self.sources {
                 cost.extent_pairs += set.len() as u64;
                 cost.pages_read += charge_all_blocks(buf, set);
+            }
+            if let Some(column) = self.column.and_then(OnceLock::get) {
+                let mut nodes = Vec::with_capacity(column.len());
+                column.decode_into(&mut nodes);
+                return nodes;
+            }
+            let mut nodes = Vec::with_capacity(self.sources.iter().map(|s| s.len()).sum());
+            for set in &self.sources {
                 set.decode_nodes_into(&mut nodes);
             }
             xmlgraph::sort_distinct(&mut nodes, &mut scratch.words);
+            if let Some(slot) = self.column {
+                slot.get_or_init(|| NodeColumn::from_sorted(&nodes));
+            }
             nodes
         })
     }
@@ -406,8 +429,8 @@ pub fn semijoin(
 /// operators; this one only counts its invocation.
 #[derive(Debug)]
 pub struct MultiwayJoin<'a> {
-    /// The exact segment's class extents.
-    pub seed: Vec<&'a SuccinctExtent>,
+    /// The seed: the union of the exact segment's class extents.
+    pub seed: ExtentUnion<'a>,
     /// One entry per later segment: the class extents semijoined
     /// against the running result.
     pub stages: Vec<Vec<&'a SuccinctExtent>>,
@@ -419,7 +442,7 @@ impl MultiwayJoin<'_> {
     /// answer: the nodes reached so far end a prefix of the path.
     pub fn run(self, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
         ctx.cost.ops.record(OpKind::MultiwayJoin, true, [0; 8]);
-        let mut frontier = ExtentUnion { sources: self.seed }.run(ctx);
+        let mut frontier = self.seed.run(ctx);
         for stage in self.stages {
             if frontier.is_empty() {
                 break;
@@ -521,23 +544,10 @@ impl TrieSearch<'_> {
     }
 }
 
-/// Prefix byte offsets of page-packed variable-size records: record `i`
-/// occupies `offsets[i]..offsets[i+1]`. Used by processors to lay out
-/// index-node records (16 bytes header + 8 per edge) once, then touch
-/// ranges through [`IndexNav`].
-pub fn record_layout(record_bytes: impl Iterator<Item = usize>) -> Vec<u64> {
-    let mut offsets = vec![0u64];
-    let mut acc = 0u64;
-    for b in record_bytes {
-        acc += b as u64;
-        offsets.push(acc);
-    }
-    offsets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_storage::pages::record_layout;
     use apex_storage::{EdgePair, EdgeSet, PageModel};
 
     fn ids(v: &[u32]) -> Vec<NodeId> {
@@ -582,6 +592,7 @@ mod tests {
         let mut ctx = ExecContext::new(&buf);
         let u = ExtentUnion {
             sources: vec![&a, &b],
+            column: None,
         }
         .run(&mut ctx);
         assert_eq!(u, ids(&[2, 4, 9]));
@@ -596,6 +607,27 @@ mod tests {
         assert_eq!(cost.ops.get(OpKind::SemijoinGallop).invocations, 0);
         assert!(cost.join_work > 0);
         assert_eq!(cost.join_output, 2);
+    }
+
+    #[test]
+    fn a_column_seed_reads_what_it_built_at_the_same_charge() {
+        let a = stored(&[(1, 4), (2, 2), (3, 4)]);
+        let b = stored(&[(0, 9), (3, 2)]);
+        let slot = OnceLock::new();
+        let run = || {
+            let buf = BufferHandle::unbounded();
+            let mut ctx = ExecContext::new(&buf);
+            let nodes = ExtentUnion {
+                sources: vec![&a, &b],
+                column: Some(&slot),
+            }
+            .run(&mut ctx);
+            (nodes, ctx.finish())
+        };
+        let (cold, cold_cost) = run();
+        assert_eq!(slot.get().map(NodeColumn::to_vec), Some(cold.clone()));
+        let (warm, warm_cost) = run();
+        assert_eq!((cold, cold_cost), (warm, warm_cost));
     }
 
     #[test]
@@ -664,7 +696,10 @@ mod tests {
         let s2 = stored(&[(2, 10)]);
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
-            seed: vec![&seed],
+            seed: ExtentUnion {
+                sources: vec![&seed],
+                column: None,
+            },
             stages: vec![vec![&s1, &s2]],
         }
         .run(&mut ctx);
@@ -699,7 +734,10 @@ mod tests {
         let s1 = stored(&[(1, 10)]);
         let mut ctx = ExecContext::new(&buf);
         let out = MultiwayJoin {
-            seed: vec![],
+            seed: ExtentUnion {
+                sources: vec![],
+                column: None,
+            },
             stages: vec![vec![&s1]],
         }
         .run(&mut ctx);
@@ -719,7 +757,10 @@ mod tests {
         let mut ctx = ExecContext::new(&buf);
         ctx.set_deadline(Instant::now());
         let out = MultiwayJoin {
-            seed: vec![&seed],
+            seed: ExtentUnion {
+                sources: vec![&seed],
+                column: None,
+            },
             stages: vec![vec![&s1]],
         }
         .run(&mut ctx);

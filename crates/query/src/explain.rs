@@ -7,7 +7,9 @@
 //! whole path is a required path) or needs a join chain. Useful for
 //! understanding why a particular `minSup` setting helps a workload. A
 //! QTYPE2 plan reports the same summary pruning the evaluator runs:
-//! seed classes kept and pruned, and the live class count.
+//! seed classes kept and pruned, and the live class count. A QTYPE1
+//! plan whose seed reads a label's node column says so, and whether an
+//! earlier query has built it.
 
 use apex::Apex;
 use apex_storage::bufmgr::BufferStats;
@@ -37,6 +39,18 @@ pub struct SegmentPlan {
     pub kernel: Option<&'static str>,
 }
 
+/// The node column a seed reads (`crate::plan::PathPlan::seed_label`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedColumn {
+    /// Not built yet: the first run unions the classes and builds it.
+    Cold,
+    /// Built by an earlier query: the seed decodes its `nodes`.
+    Warm {
+        /// Nodes in the column.
+        nodes: usize,
+    },
+}
+
 /// An explained plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Plan {
@@ -54,6 +68,10 @@ pub enum Plan {
         order: String,
         /// The planner's predicted total cost for the chosen order.
         predicted_total: u64,
+        /// The label node column the seed reads instead of decoding its
+        /// classes, if the seed is a label's whole `H_APEX` subtree of
+        /// two or more classes.
+        seed_column: Option<SeedColumn>,
     },
     /// QTYPE2: dataflow from the `first`-labeled classes, pruned on
     /// `G_APEX` (the planner's `AncDescPlan`).
@@ -116,6 +134,7 @@ impl Plan {
                 value_filter,
                 order,
                 predicted_total,
+                seed_column,
             } => {
                 for seg in segments {
                     s.push_str(&format!(
@@ -129,6 +148,17 @@ impl Plan {
                             None => String::new(),
                         }
                     ));
+                }
+                match seed_column {
+                    None => {}
+                    Some(SeedColumn::Cold) => s.push_str(
+                        "  -> seed: the label's whole subtree; this run unions its classes \
+                         and builds the label's node column\n",
+                    ),
+                    Some(SeedColumn::Warm { nodes }) => s.push_str(&format!(
+                        "  -> seed: the label's whole subtree, read off its node column \
+                         ({nodes} nodes)\n"
+                    )),
                 }
                 if *joins == 0 {
                     s.push_str("  -> ExtentUnion: direct answer from extents (no joins)\n");
@@ -213,6 +243,15 @@ fn plan_path(apex: &Apex, labels: &[LabelId], value_filter: bool) -> Plan {
         value_filter,
         order: planned.order.label(),
         predicted_total: planned.predicted_total,
+        seed_column: planned
+            .seed_label
+            .and_then(|l| apex.label_column(l))
+            .map(|slot| match slot.get() {
+                None => SeedColumn::Cold,
+                Some(column) => SeedColumn::Warm {
+                    nodes: column.len(),
+                },
+            }),
     }
 }
 
@@ -338,6 +377,33 @@ mod tests {
         };
         assert!(value_filter);
         assert!(plan.render(&g, &q).contains("value filter"));
+    }
+
+    #[test]
+    fn a_whole_label_seed_says_whether_its_column_is_built() {
+        use crate::batch::QueryProcessor;
+        // `name` is held by two classes once actor.name is required:
+        // actor.name and the remainder.
+        let (g, idx) = figure2();
+        let table = apex_storage::DataTable::build(&g, apex_storage::PageModel::default());
+        let seed_column = |q: &Query| match explain_apex(&idx, q) {
+            Plan::PathJoin { seed_column, .. } => seed_column,
+            other => panic!("expected a path plan, got {other:?}"),
+        };
+        let name = Query::parse(&g, "//name").unwrap();
+        assert_eq!(seed_column(&name), Some(SeedColumn::Cold));
+        assert!(explain_apex(&idx, &name)
+            .render(&g, &name)
+            .contains("builds the label's node column"));
+        let answer = crate::apex_qp::ApexProcessor::new(&g, &idx, &table).eval(&name);
+        let nodes = answer.nodes.len();
+        assert_eq!(seed_column(&name), Some(SeedColumn::Warm { nodes }));
+        assert!(explain_apex(&idx, &name)
+            .render(&g, &name)
+            .contains(&format!("read off its node column ({nodes} nodes)")));
+        // `title` has one class: its seed reads that class.
+        let title = Query::parse(&g, "//title").unwrap();
+        assert_eq!(seed_column(&title), None);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use std::hash::Hash;
 
 use apex_storage::bufmgr::{BufferHandle, Space};
+use apex_storage::pages::record_layout;
 use apex_storage::{DataTable, OpKind, PageModel};
 use dataguide::{DataGuide, DgNodeId};
 use oneindex::{BlockId, OneIndex};
@@ -27,7 +28,7 @@ use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
 use crate::batch::{QueryOutput, QueryProcessor};
-use crate::exec::{self, DataProbe, ExecContext, ExtentScan, IndexNav};
+use crate::exec::{DataProbe, ExecContext, ExtentScan, IndexNav};
 use crate::plan;
 
 /// Abstraction over rooted path indexes whose nodes carry target-set
@@ -148,7 +149,7 @@ impl<'a, I: RootedIndex> GuideProcessor<'a, I> {
         table: &'a DataTable,
         buf: BufferHandle,
     ) -> Self {
-        let node_offsets = exec::record_layout((0..index.node_count_hint()).map(|i| {
+        let node_offsets = record_layout((0..index.node_count_hint()).map(|i| {
             let mut n_edges = 0usize;
             index.for_each_edge(I::id_from_usize(i), &mut |_, _| n_edges += 1);
             16 + 8 * n_edges

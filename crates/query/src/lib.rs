@@ -46,6 +46,6 @@ pub mod stats;
 pub use ast::Query;
 pub use batch::{run_batch, run_batch_parallel, BatchStats, QueryOutput, QueryProcessor};
 pub use exec::ExecContext;
-pub use explain::{explain_apex, Plan, SegmentPlan};
+pub use explain::{explain_apex, Plan, SeedColumn, SegmentPlan};
 pub use generator::{GeneratorConfig, QuerySets};
 pub use plan::{JoinOrder, JoinOrderPolicy, OpForecast, PathPlan, PlanReport, Planner};

@@ -9,12 +9,13 @@
 //! scanned through [`crate::exec::ExtentScan`].
 
 use apex_storage::bufmgr::{BufferHandle, Space};
+use apex_storage::pages::record_layout;
 use apex_storage::DataTable;
 use xmlgraph::{LabelId, NodeId, XmlGraph};
 
 use crate::ast::Query;
 use crate::batch::{QueryOutput, QueryProcessor};
-use crate::exec::{self, DataProbe, ExecContext, ExtentScan};
+use crate::exec::{DataProbe, ExecContext, ExtentScan};
 
 /// The naive evaluator.
 pub struct NaiveProcessor<'a> {
@@ -43,10 +44,9 @@ impl<'a> NaiveProcessor<'a> {
         for (from, l, to) in g.edges() {
             by_label[l.idx()].push((from, to));
         }
-        let posting_off = exec::record_layout(by_label.iter().map(|v| v.len() * 8));
-        let adj_off = exec::record_layout(
-            (0..g.node_count()).map(|i| g.out_edges(NodeId(i as u32)).len() * 8),
-        );
+        let posting_off = record_layout(by_label.iter().map(|v| v.len() * 8));
+        let adj_off =
+            record_layout((0..g.node_count()).map(|i| g.out_edges(NodeId(i as u32)).len() * 8));
         NaiveProcessor {
             g,
             table,

@@ -33,6 +33,15 @@
 //! and ranks the latter (`AncDescPlan`); `Planner::forecast_anc_desc`
 //! predicts its exact rows.
 //!
+//! A seed that is one label `l`'s whole `H_APEX` subtree of two or
+//! more classes — the segment of a one-label exact prefix — reads `l`'s
+//! node column ([`Apex::label_column`]) instead of decoding and sorting
+//! its overlapping classes; the first such query builds the column.
+//! The plan records this in [`PathPlan::seed_label`]. It changes no
+//! forecast, no digest and no charge: the seed still charges every
+//! class's pairs and blocks, so a plan and its costs are the same with
+//! the column cold or warm.
+//!
 //! Execution records a [`PlanReport`]: the predicted per-operator cost
 //! column next to the actual one (diffed from the [`OpBreakdown`]
 //! around execution), a stable digest of the chosen shape, and the
@@ -350,6 +359,11 @@ pub struct PathPlan {
     /// Predicted kernel name per join boundary (`stages.len() - 1`
     /// entries; reduced boundaries show `"reverse"`). For `explain`.
     pub kernels: Vec<&'static str>,
+    /// The label whose node column the seed reads: set when the seed
+    /// is a one-label path's whole `H_APEX` subtree of two or more
+    /// classes. A label of one class is read through that class, the one
+    /// stored copy of `T(l)`.
+    pub seed_label: Option<LabelId>,
     /// Per-op predicted `(work, pages)`.
     predicted: Vec<(OpKind, u64, u64)>,
 }
@@ -544,9 +558,13 @@ impl<'a> Planner<'a> {
         let mut segments: Vec<Vec<XNodeId>> = Vec::new();
         let mut hash_lookups = 0u64;
         let mut exact_found = false;
+        let mut seed_label = None;
         for j in (1..=n).rev() {
             let seg = self.apex.segment_nodes(&labels[..j]);
             hash_lookups += seg.hash_lookups;
+            if seg.exact && j == 1 && seg.xnodes.len() >= 2 {
+                seed_label = Some(labels[0]);
+            }
             segments.push(seg.xnodes);
             if seg.exact {
                 exact_found = true;
@@ -566,6 +584,7 @@ impl<'a> Planner<'a> {
                 digest,
                 predicted_total: hash_lookups,
                 kernels: Vec::new(),
+                seed_label: None,
                 predicted: vec![(OpKind::IndexNav, hash_lookups, 0)],
             }
         };
@@ -662,6 +681,7 @@ impl<'a> Planner<'a> {
             digest,
             predicted_total: f.total() + hash_lookups,
             kernels,
+            seed_label,
             predicted,
         }
     }
@@ -694,6 +714,15 @@ impl<'a> Planner<'a> {
         (nodes, report)
     }
 
+    /// The seed union of `plan`: its first stage's classes, reading the
+    /// seed label's node column when the plan names one.
+    fn seed_union(&self, plan: &PathPlan, seed: &[XNodeId]) -> ExtentUnion<'a> {
+        ExtentUnion {
+            sources: seed.iter().map(|&x| self.apex.extent(x)).collect(),
+            column: plan.seed_label.and_then(|l| self.apex.label_column(l)),
+        }
+    }
+
     /// Forward order: delegates to [`MultiwayJoin`], so the execution is
     /// identical to the legacy pipeline.
     fn run_forward(&self, plan: &PathPlan, ctx: &mut ExecContext<'_>) -> Vec<NodeId> {
@@ -702,7 +731,7 @@ impl<'a> Planner<'a> {
             return Vec::new();
         };
         MultiwayJoin {
-            seed: seed.iter().map(|&x| self.apex.extent(x)).collect(),
+            seed: self.seed_union(plan, seed),
             stages: it
                 .map(|classes| classes.iter().map(|&x| self.apex.extent(x)).collect())
                 .collect(),
@@ -816,13 +845,7 @@ impl<'a> Planner<'a> {
             ctx.sort_distinct(&mut seed);
             seed
         } else {
-            ExtentUnion {
-                sources: plan.stages[0]
-                    .iter()
-                    .map(|&x| self.apex.extent(x))
-                    .collect(),
-            }
-            .run(ctx)
+            self.seed_union(plan, &plan.stages[0]).run(ctx)
         };
         // `i` indexes the parallel `reduced` / `plan.stages` slices.
         #[allow(clippy::needless_range_loop)]
@@ -1179,7 +1202,10 @@ mod tests {
         let mut it = segments.into_iter().rev();
         let seed = it.next().unwrap();
         let legacy = MultiwayJoin {
-            seed: seed.iter().map(|&x| planner.apex.extent(x)).collect(),
+            seed: ExtentUnion {
+                sources: seed.iter().map(|&x| planner.apex.extent(x)).collect(),
+                column: None,
+            },
             stages: it
                 .map(|cs| cs.iter().map(|&x| planner.apex.extent(x)).collect())
                 .collect(),

@@ -364,6 +364,14 @@ impl BlockExtent {
         self.frames.len() * FRAME_HEADER_BYTES + self.payload_bytes()
     }
 
+    /// Bytes the image keeps resident: the packed payload and the
+    /// in-memory frame and block headers.
+    pub fn resident_bytes(&self) -> usize {
+        self.payload_bytes()
+            + self.frames.len() * std::mem::size_of::<Frame>()
+            + self.blocks.len() * std::mem::size_of::<BlockHeader>()
+    }
+
     /// Total pairs across all frames.
     pub fn num_pairs(&self) -> usize {
         self.frames.iter().map(|f| f.count as usize).sum()
@@ -543,6 +551,57 @@ impl BlockExtent {
     }
 }
 
+/// A sorted, distinct column of node ids held in the extent frames:
+/// node `n` is packed as the pair `<0, n>`, so every frame's parent
+/// field is zero bits wide and its node field is `n − min_node` at the
+/// frame's width — the codec's offset mode, not a second codec. A
+/// 128-node frame of nearby ids costs a few bits per node, and a decode
+/// yields the nodes already sorted and distinct. `apex::Apex` keeps one
+/// per label for whole-label seeds; it is never written to disk.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeColumn(BlockExtent);
+
+impl NodeColumn {
+    /// Packs strictly increasing `nodes`.
+    pub fn from_sorted(nodes: &[NodeId]) -> NodeColumn {
+        debug_assert!(nodes.is_sorted_by(|a, b| a < b), "not strictly increasing");
+        let pairs: Vec<EdgePair> = nodes.iter().map(|&n| pair(0, n.0)).collect();
+        NodeColumn(BlockExtent::encode(&pairs))
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.0
+            .headers()
+            .last()
+            .map_or(0, |h| h.first as usize + h.count as usize)
+    }
+
+    /// True when the column holds no node.
+    pub fn is_empty(&self) -> bool {
+        self.0.headers().is_empty()
+    }
+
+    /// Appends the nodes, ascending, to `out`: one branch-free loop per
+    /// frame.
+    pub fn decode_into(&self, out: &mut Vec<NodeId>) {
+        out.reserve(self.len());
+        self.0.decode_into(out, |_, n| NodeId(n));
+    }
+
+    /// The nodes as a fresh vector.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.decode_into(&mut out);
+        out
+    }
+
+    /// Bytes the column keeps resident ([`BlockExtent::resident_bytes`]).
+    pub fn resident_bytes(&self) -> usize {
+        self.0.resident_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,6 +747,33 @@ mod tests {
         assert_eq!(next as usize, ps.len());
         // Far below the raw 8 bytes per pair.
         assert!(bx.encoded_bytes() * 3 < ps.len() * 8);
+    }
+
+    #[test]
+    fn a_node_column_packs_offsets_only_and_decodes_in_order() {
+        for nodes in [
+            vec![],
+            vec![NodeId(0)],
+            (0..1000u32)
+                .map(|i| NodeId(3 * i + i % 2))
+                .collect::<Vec<_>>(),
+            vec![NodeId(5), NodeId(1 << 20), NodeId(i32::MAX as u32)],
+        ] {
+            let col = NodeColumn::from_sorted(&nodes);
+            assert_eq!(col.to_vec(), nodes);
+            assert_eq!((col.len(), col.is_empty()), (nodes.len(), nodes.is_empty()));
+            assert!(col.0.check());
+            assert!(col.0.frames().iter().all(|f| f.w_p == 0 && !f.zigzag));
+        }
+        // 128 ids at most 4 apart: 9 bits a node plus the headers.
+        let dense: Vec<NodeId> = (0..12_800u32).map(|i| NodeId(4 * i)).collect();
+        let col = NodeColumn::from_sorted(&dense);
+        assert!(col.0.frames().iter().all(|f| f.w_n == 9));
+        assert!(
+            col.resident_bytes() < dense.len() * 2,
+            "{}",
+            col.resident_bytes()
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   (parent and node as fixed-width offsets) grouped into page-sized
 //!   blocks under a `(min_parent, max_parent, count)` skip index, with
 //!   the byte form `apex::persist` writes, named by its content hash
-//!   ([`block::BlockExtent::content_hash`]);
+//!   ([`block::BlockExtent::content_hash`]); the same frames hold
+//!   [`block::NodeColumn`]s, sorted node ids with a zero-width parent
+//!   field;
 //! * [`edgeset::EdgeSet`] — the *in-flight* edge set: the sorted pair
 //!   vector query operators pass between them and index updates mutate
 //!   before sealing, with merge/union/difference and the pair-slice
@@ -51,7 +53,7 @@ pub mod pages;
 pub mod rank;
 pub mod succinct;
 
-pub use block::{BlockExtent, BlockHeader, Frame};
+pub use block::{BlockExtent, BlockHeader, Frame, NodeColumn};
 pub use bufmgr::{BufferHandle, BufferManager, BufferStats, ObjectId, Space};
 pub use cost::{Cost, OpBreakdown, OpCost, OpKind};
 pub use datatable::DataTable;

@@ -41,6 +41,20 @@ impl PageModel {
     }
 }
 
+/// Prefix byte offsets of page-packed variable-size records: record `i`
+/// occupies `offsets[i]..offsets[i+1]`. Index processors lay out their
+/// node records (APEX: 16 bytes header + 8 per edge) once with it, then
+/// charge byte ranges through the query executor's `IndexNav`.
+pub fn record_layout(record_bytes: impl Iterator<Item = usize>) -> Vec<u64> {
+    let mut offsets = vec![0u64];
+    let mut acc = 0u64;
+    for b in record_bytes {
+        acc += b as u64;
+        offsets.push(acc);
+    }
+    offsets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

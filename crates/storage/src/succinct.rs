@@ -34,7 +34,7 @@ use std::ops::Range;
 
 use xmlgraph::NodeId;
 
-use crate::block::{pair, BlockExtent, BlockHeader, Frame, FRAME_PAIRS};
+use crate::block::{pair, BlockExtent, FRAME_PAIRS};
 use crate::edgeset::EdgePair;
 
 /// Pairs a kernel decodes at once: one frame.
@@ -287,9 +287,7 @@ impl SuccinctExtent {
     /// packed payload and the in-memory frame and block headers —
     /// against 8 bytes per pair for a decoded `Vec`.
     pub fn resident_bytes(&self) -> usize {
-        self.image.payload_bytes()
-            + self.num_frames() * std::mem::size_of::<Frame>()
-            + self.image.num_blocks() * std::mem::size_of::<BlockHeader>()
+        self.image.resident_bytes()
     }
 }
 

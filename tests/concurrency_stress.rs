@@ -42,7 +42,10 @@ const PUBLISHES: usize = 6;
 const QUERIES_PER_ROUND: usize = 16;
 
 /// What a reader can check about an index without ambiguity: stats are
-/// `PartialEq` and required paths are a set of rendered strings.
+/// `PartialEq` and required paths are a set of rendered strings. The
+/// label node columns' bytes are left out: they are not a generation's
+/// structure but query-time state every generation of the chain
+/// shares, and they grow as queries run.
 #[derive(Debug, Clone, PartialEq)]
 struct Fingerprint {
     stats: IndexStats,
@@ -51,7 +54,10 @@ struct Fingerprint {
 
 fn fingerprint(g: &XmlGraph, index: &Apex) -> Fingerprint {
     Fingerprint {
-        stats: index.stats(),
+        stats: IndexStats {
+            column_resident_bytes: 0,
+            ..index.stats()
+        },
         required: index.required_paths(g).into_iter().collect(),
     }
 }
@@ -281,4 +287,56 @@ fn refresher_publishes_while_workers_record_and_read() {
     // The final index is structurally valid after three live refreshes.
     let v = apex::validate::check(&g, cell.snapshot().index());
     assert!(v.is_empty(), "final index invalid: {v:#?}");
+}
+
+/// Two threads whose first queries hit the same whole-label seed build
+/// one label column between them: whichever fills the slot first, both
+/// read the same nodes, and the index holds one column's bytes.
+#[test]
+fn two_first_queries_on_one_label_build_one_column() {
+    let fx = apex_suite::Fixture::build(
+        apex_suite::small::ged(),
+        apex_query::generator::GeneratorConfig {
+            seed: 0xD0,
+            ..Default::default()
+        },
+    );
+    let apex = fx.apex_at(0.01);
+    let apex = Apex::from_parts(apex.graph().clone(), apex.hash_tree().clone(), apex.xroot());
+    let (label, classes) = (0..fx.g.label_count() as u32)
+        .map(xmlgraph::LabelId)
+        .map(|l| (l, apex.segment_nodes(&[l]).xnodes.len()))
+        .max_by_key(|&(_, n)| n)
+        .expect("a label");
+    assert!(classes >= 2, "no label of two classes to test on");
+    let q = Query::PartialPath {
+        labels: vec![label],
+    };
+    let barrier = Barrier::new(2);
+    let answers: Vec<Vec<NodeId>> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (apex, fx, q, barrier) = (&apex, &fx, &q, &barrier);
+                scope.spawn(move || {
+                    let p = ApexProcessor::new(&fx.g, apex, &fx.table);
+                    barrier.wait();
+                    p.eval(q).nodes
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("worker"))
+            .collect()
+    });
+    assert_eq!(answers[0], answers[1]);
+    let column = apex
+        .label_column(label)
+        .and_then(|s| s.get())
+        .expect("built");
+    assert_eq!(column.to_vec(), answers[0]);
+    assert_eq!(
+        apex.stats().column_resident_bytes,
+        apex_storage::NodeColumn::from_sorted(&answers[0]).resident_bytes(),
+        "one column, not two"
+    );
 }

@@ -303,3 +303,138 @@ fn parallel_batch_shares_pool_without_races() {
     assert_eq!(sb.hits, pb.hits);
     assert!(pb.hits > 0);
 }
+
+/// The same index with no label node column built: its parts,
+/// reassembled.
+fn cold_copy(apex: &apex::Apex) -> apex::Apex {
+    apex::Apex::from_parts(apex.graph().clone(), apex.hash_tree().clone(), apex.xroot())
+}
+
+fn path_queries(fx: &Fixture) -> Vec<&Query> {
+    fx.queries
+        .qtype1
+        .iter()
+        .chain(fx.queries.qtype3.iter())
+        .collect()
+}
+
+/// A whole-label seed answers the same with its label's node column
+/// cold or warm, at the same cost: the first run unions the classes
+/// and builds the column, the second decodes it, and both return the
+/// same nodes, an equal `Cost` (every scalar, every per-operator row)
+/// and the same plan report.
+#[test]
+fn a_label_column_changes_no_answer_cost_or_plan() {
+    for (g, seed) in [
+        (small::play(), 0xC1),
+        (small::flix(), 0xC2),
+        (small::ged(), 0xC3),
+    ] {
+        let fx = Fixture::build(g, cfg(seed));
+        let apex = cold_copy(&fx.apex_at(0.01));
+        let mut read_columns = 0;
+        for q in path_queries(&fx) {
+            let run = || {
+                ApexProcessor::with_buffer(&fx.g, &apex, &fx.table, BufferHandle::unbounded())
+                    .eval(q)
+            };
+            let labels = q.labels().expect("path query");
+            let plan = apex_query::Planner::new(&apex, None, KernelPolicy::Adaptive, 0)
+                .plan_path(labels, apex_query::JoinOrderPolicy::Planned);
+            let was_built = plan
+                .seed_label
+                .and_then(|l| apex.label_column(l))
+                .is_some_and(|slot| slot.get().is_some());
+            let (first, second) = (run(), run());
+            let built = plan
+                .seed_label
+                .and_then(|l| apex.label_column(l))
+                .is_some_and(|slot| slot.get().is_some());
+            assert_eq!(built, plan.seed_label.is_some(), "{}", q.render(&fx.g));
+            read_columns += usize::from(built && !was_built);
+            assert_eq!(first.nodes, second.nodes, "{}", q.render(&fx.g));
+            assert_eq!(first.cost, second.cost, "{}", q.render(&fx.g));
+            let (a, b) = (first.plan.expect("a plan"), second.plan.expect("a plan"));
+            assert_eq!(
+                (a.digest, &a.order, format!("{:?}", a.forecasts)),
+                (b.digest, &b.order, format!("{:?}", b.forecasts)),
+                "{}",
+                q.render(&fx.g)
+            );
+        }
+        assert!(read_columns > 0, "{seed:#x}: no query built a label column");
+        assert!(apex.stats().column_resident_bytes > 0);
+        apex::validate::assert_valid(&fx.g, &apex);
+    }
+}
+
+/// Answers equal the naive oracle's under every kernel policy and join
+/// order in each state of the label node columns: cold (each
+/// combination on a fresh index), warm, carried across a refine chain,
+/// and absent after a persist round trip.
+#[test]
+fn answers_hold_with_label_columns_cold_warm_carried_and_dropped() {
+    use apex_query::JoinOrderPolicy;
+    for (g, seed) in [
+        (small::play(), 0xC4),
+        (small::flix(), 0xC5),
+        (small::ged(), 0xC6),
+    ] {
+        let fx = Fixture::build(g, cfg(seed));
+        let naive = NaiveProcessor::new(&fx.g, &fx.table);
+        let queries = path_queries(&fx);
+        let expect: Vec<_> = queries.iter().map(|q| naive.eval(q).nodes).collect();
+        let refined = fx.apex_at(0.01);
+        // `cold`: every combination on a fresh copy of `apex`.
+        let check = |apex: &apex::Apex, state: &str, cold: bool| {
+            for policy in KernelPolicy::ALL {
+                for order in [
+                    JoinOrderPolicy::Planned,
+                    JoinOrderPolicy::ForceForward,
+                    JoinOrderPolicy::ForceBackward,
+                ] {
+                    let fresh = cold.then(|| cold_copy(apex));
+                    let apex = fresh.as_ref().unwrap_or(apex);
+                    let p = ApexProcessor::new(&fx.g, apex, &fx.table)
+                        .with_kernel_policy(policy)
+                        .with_join_order(order);
+                    for (q, want) in queries.iter().zip(&expect) {
+                        assert_eq!(
+                            &p.eval(q).nodes,
+                            want,
+                            "{state}, {} / {}: {}",
+                            policy.name(),
+                            order.name(),
+                            q.render(&fx.g)
+                        );
+                    }
+                }
+            }
+        };
+        let warm = cold_copy(&refined);
+        check(&warm, "cold", true);
+        check(&warm, "warming", false);
+        let bytes = warm.stats().column_resident_bytes;
+        assert!(bytes > 0, "{seed:#x}: no label column built");
+        check(&warm, "warm", false);
+        // A refine chain keeps the columns: the data did not change.
+        let mut carried = warm.clone();
+        for (min_sup, wl_seed) in [(0.05, 0xD1), (0.002, 0xD2)] {
+            let drift = apex_query::generator::QuerySets::generate(&fx.g, &fx.table, cfg(wl_seed));
+            carried.refine(&fx.g, &drift.workload, min_sup);
+            assert!(carried.stats().column_resident_bytes >= bytes);
+            apex::validate::assert_valid(&fx.g, &carried);
+            check(&carried, "carried", false);
+        }
+        // A persist round trip writes no column.
+        let mut image = Vec::new();
+        apex::persist::save(&carried, &mut image).expect("save");
+        let loaded = apex::persist::load(&mut image.as_slice()).expect("load");
+        assert_eq!(loaded.stats().column_resident_bytes, 0);
+        apex::extent_equivalent(&fx.g, &carried, &loaded).expect("columns are not structure");
+        let mut again = Vec::new();
+        apex::persist::save(&loaded, &mut again).expect("save");
+        assert_eq!(image, again, "columns are not part of the image");
+        check(&loaded, "loaded", false);
+    }
+}

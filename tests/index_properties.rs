@@ -327,3 +327,130 @@ fn refine_collects_both_arenas_and_a_no_change_refine_touches_nothing() {
         assert_eq!(image(&direct), before);
     }
 }
+
+/// `T(l)`'s end nodes straight off the data: the sorted, distinct `to`
+/// of the edges labelled `l`.
+fn t_ends(g: &xmlgraph::XmlGraph, l: xmlgraph::LabelId) -> Vec<xmlgraph::NodeId> {
+    let mut ends: Vec<_> = g.edges().filter(|e| e.1 == l).map(|e| e.2).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    ends
+}
+
+/// Every built label column, as `(label, nodes)`.
+fn built_columns(
+    g: &xmlgraph::XmlGraph,
+    apex: &Apex,
+) -> Vec<(xmlgraph::LabelId, Vec<xmlgraph::NodeId>)> {
+    (0..g.label_count() as u32)
+        .map(xmlgraph::LabelId)
+        .filter_map(|l| Some((l, apex.label_column(l)?.get()?.to_vec())))
+        .collect()
+}
+
+/// Runs every QTYPE1 query of `fx` on `apex`, building the label
+/// columns their seeds read.
+fn query_all(fx: &Fixture, apex: &Apex) {
+    use apex_query::batch::QueryProcessor;
+    let p = apex_query::apex_qp::ApexProcessor::new(&fx.g, apex, &fx.table);
+    for q in &fx.queries.qtype1 {
+        p.eval(q);
+    }
+}
+
+/// The label column law on the three families at two sizes, each
+/// refined by a chain of random workloads with queries between the
+/// steps: every built column is `T(l)`'s end nodes, both as the data
+/// has them and as the union of the label's classes (which
+/// `validate::check` asserts for every built column), and a refine
+/// keeps every column it had.
+#[test]
+fn label_columns_are_t_of_l_on_every_family() {
+    let graphs = [
+        small::play(),
+        small::flix(),
+        small::ged(),
+        datagen::shakespeare(2, 7),
+        datagen::flixml(60, 7),
+        datagen::gedml(80, 7),
+    ];
+    for (i, g) in graphs.into_iter().enumerate() {
+        let fx = Fixture::build(g, cfg(0x1A + i as u64));
+        let mut apex = fx.apex0.clone();
+        let mut held = 0;
+        for (step, min_sup) in [0.01, 0.002, 0.05, 0.005].into_iter().enumerate() {
+            let wl = apex_query::generator::QuerySets::generate(
+                &fx.g,
+                &fx.table,
+                cfg(0x100 * (i as u64 + 1) + step as u64),
+            )
+            .workload;
+            apex.refine(&fx.g, &wl, min_sup);
+            let carried = built_columns(&fx.g, &apex).len();
+            assert!(
+                carried >= held,
+                "family {i} step {step}: a refine dropped a column"
+            );
+            query_all(&fx, &apex);
+            let columns = built_columns(&fx.g, &apex);
+            for (l, nodes) in &columns {
+                assert_eq!(nodes, &t_ends(&fx.g, *l), "family {i} step {step}");
+            }
+            apex::validate::assert_valid(&fx.g, &apex);
+            held = columns.len();
+        }
+        assert!(held > 0, "family {i}: no whole-label seed of two classes");
+    }
+}
+
+/// A label held by one class gets no column: every label of APEX⁰ is
+/// one, so APEX⁰ holds no column bytes however many queries it answers.
+#[test]
+fn apex0_never_builds_a_label_column() {
+    for g in [small::play(), small::flix(), small::ged()] {
+        let fx = Fixture::build(g, cfg(0x2B));
+        for _ in 0..3 {
+            query_all(&fx, &fx.apex0);
+        }
+        assert_eq!(fx.apex0.stats().column_resident_bytes, 0);
+        assert!(built_columns(&fx.g, &fx.apex0).is_empty());
+    }
+}
+
+/// The class-node record layout is laid out where `G_APEX`'s edges
+/// change — after a build, after each refine of a chain, after a
+/// persist round trip — and equals a fresh `record_layout` each time.
+/// The IndexNav charges of a QTYPE2 query therefore read the same
+/// through the saved and the loaded index.
+#[test]
+fn the_record_layout_follows_every_change_of_the_edges() {
+    use apex_query::batch::QueryProcessor;
+    use apex_storage::pages::record_layout;
+    use apex_storage::OpKind;
+    let fresh = |apex: &Apex| {
+        record_layout(
+            (0..apex.graph().allocated() as u32)
+                .map(|i| 16 + 8 * apex.out_edges(apex::XNodeId(i)).len()),
+        )
+    };
+    for g in [small::play(), small::flix(), small::ged()] {
+        let fx = Fixture::build(g, cfg(0x3C));
+        let mut apex = fx.apex0.clone();
+        assert_eq!(apex.node_offsets(), fresh(&apex));
+        for min_sup in [0.002, 0.05, 0.01] {
+            apex.refine(&fx.g, &fx.queries.workload, min_sup);
+            assert_eq!(apex.node_offsets(), fresh(&apex));
+        }
+        let loaded = persist::load(&mut image(&apex).as_slice()).expect("load");
+        assert_eq!(loaded.node_offsets(), apex.node_offsets());
+        let nav = |apex: &Apex| {
+            let p = apex_query::apex_qp::ApexProcessor::new(&fx.g, apex, &fx.table);
+            let q = apex_query::Query::AncestorDescendant {
+                first: fx.g.edges().next().expect("an edge").1,
+                last: fx.g.edges().last().expect("an edge").1,
+            };
+            *p.eval(&q).cost.ops.get(OpKind::IndexNav)
+        };
+        assert_eq!(nav(&apex), nav(&loaded));
+    }
+}

@@ -468,6 +468,7 @@ mod exec_laws {
             ExtentScan::pairs(&sa).run(&mut ctx);
             let u = ExtentUnion {
                 sources: vec![&sa, &sb],
+                column: None,
             }
             .run(&mut ctx);
             // The union is the sorted, distinct end nodes of both
@@ -496,6 +497,7 @@ mod exec_laws {
                 let mut ctx = ExecContext::new(buf);
                 let u = ExtentUnion {
                     sources: vec![&sa, &sb],
+                    column: None,
                 }
                 .run(&mut ctx);
                 let mut hit = Vec::new();
@@ -1233,6 +1235,95 @@ mod builder_programs {
                 prop_assert_eq!(t.nodes_with_value(v), holders.as_slice(), "holders of {:?}", v);
             }
         }
+
+        /// The label column law on the graphs of random programs, each
+        /// refined by a chain of two random workloads: every label's
+        /// one-label query answers `T(l)`'s end nodes with its column
+        /// cold and warm, and every built column (which
+        /// `validate::check` compares with the data and with the
+        /// label's classes) survives the next refine.
+        #[test]
+        fn label_columns_hold_t_of_l_on_random_programs(
+            ops in program(),
+            windows in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0..64usize, 1..4), 1..10),
+                2,
+            ),
+            min_sup in 0.05f64..0.6,
+        ) {
+            use apex::{Apex, Workload};
+            use apex_query::batch::QueryProcessor;
+            use apex_query::{apex_qp::ApexProcessor, Query};
+            use xmlgraph::{LabelId, LabelPath};
+
+            let Some(g) = run(&ops) else { return Ok(()) };
+            let table = DataTable::build(&g, PageModel::default());
+            let labels = g.label_count();
+            let mut apex = Apex::build_initial(&g);
+            let mut held = 0;
+            for window in &windows {
+                let paths = window.iter().map(|p| {
+                    LabelPath::new(p.iter().map(|&i| LabelId((i % labels) as u32)).collect())
+                });
+                apex.refine(&g, &Workload::from_paths(paths.collect()), min_sup);
+                let columns = |apex: &Apex| {
+                    (0..labels as u32)
+                        .filter(|&l| apex.label_column(LabelId(l)).is_some_and(|s| s.get().is_some()))
+                        .count()
+                };
+                prop_assert!(columns(&apex) >= held, "a refine dropped a column");
+                let p = ApexProcessor::new(&g, &apex, &table);
+                for l in (0..labels as u32).map(LabelId) {
+                    let mut ends: Vec<NodeId> =
+                        g.edges().filter(|e| e.1 == l).map(|e| e.2).collect();
+                    ends.sort_unstable();
+                    ends.dedup();
+                    let q = Query::PartialPath { labels: vec![l] };
+                    for _ in 0..2 {
+                        prop_assert_eq!(&p.eval(&q).nodes, &ends, "//{}", g.label_str(l));
+                    }
+                }
+                apex::validate::assert_valid(&g, &apex);
+                held = columns(&apex);
+            }
+        }
+    }
+
+    /// The graph a program builds (no reference model), `None` when a
+    /// reference stays unresolved.
+    fn run(ops: &[Op]) -> Option<xmlgraph::XmlGraph> {
+        let mut b = GraphBuilder::new("root");
+        let (mut nodes, mut ids, mut refs) = (1usize, Vec::new(), Vec::new());
+        for &(kind, at, label, vi) in ops {
+            let node = NodeId((at % nodes) as u32);
+            let label = ["a", "b", "c", "d"][label];
+            match kind {
+                0 => drop(b.add_child(node, label)),
+                1 => drop(b.add_value_child(node, label, VALUES[vi])),
+                2 => b.set_value(node, VALUES[vi]),
+                3 => {
+                    let id = format!("i{}", at % 9);
+                    if b.register_id(node, &id).is_ok() {
+                        ids.push(id);
+                    }
+                    continue;
+                }
+                4 | 5 => {
+                    let target = format!("i{}", vi + 3 * (kind as usize - 4));
+                    b.add_idref(node, &format!("r{label}"), &target);
+                    refs.push(target);
+                }
+                _ => drop(b.add_attribute(node, label, VALUES[vi])),
+            }
+            nodes += usize::from(kind != 2);
+        }
+        let last = NodeId(nodes as u32 - 1);
+        for id in refs {
+            if !ids.contains(&id) && b.register_id(last, &id).is_ok() {
+                ids.push(id);
+            }
+        }
+        b.finish().ok()
     }
 }
 

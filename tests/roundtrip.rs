@@ -835,9 +835,13 @@ mod steady_state_alloc {
 
         let union = || ExtentUnion {
             sources: vec![&a, &b],
+            column: None,
         };
         let join = || MultiwayJoin {
-            seed: vec![&a],
+            seed: ExtentUnion {
+                sources: vec![&a],
+                column: None,
+            },
             stages: vec![vec![&b], vec![&c]],
         };
         // The operator descriptions are built outside the measurement;
@@ -851,6 +855,36 @@ mod steady_state_alloc {
             let (nodes, n) = blocks_by(|| op.run(&mut ctx));
             assert_eq!(nodes.len(), c.len());
             assert!(round == 0 || n <= 1, "MultiwayJoin::run made {n} blocks");
+        }
+    }
+
+    #[test]
+    fn a_whole_label_seed_on_a_warm_column_allocates_only_its_answer() {
+        let fx = apex_suite::Fixture::build(apex_suite::small::ged(), Default::default());
+        let apex = fx.apex_at(0.01);
+        let classes = |l: u32| apex.segment_nodes(&[xmlgraph::LabelId(l)]).xnodes;
+        let label = (0..fx.g.label_count() as u32)
+            .max_by_key(|&l| classes(l).len())
+            .expect("a label");
+        let sources = classes(label);
+        assert!(sources.len() >= 2, "no label of two classes");
+        let slot = apex.label_column(xmlgraph::LabelId(label));
+        let seed = || ExtentUnion {
+            sources: sources.iter().map(|&x| apex.extent(x)).collect(),
+            column: slot,
+        };
+        let buf = BufferHandle::unbounded();
+        let mut ctx = ExecContext::new(&buf);
+        let cold = seed().run(&mut ctx);
+        assert!(
+            slot.is_some_and(|s| s.get().is_some()),
+            "the first run builds it"
+        );
+        for _ in 0..2 {
+            let op = seed();
+            let (warm, n) = blocks_by(|| op.run(&mut ctx));
+            assert_eq!(warm, cold);
+            assert!(n <= 1, "a warm whole-label seed made {n} blocks");
         }
     }
 }
